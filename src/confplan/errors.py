@@ -34,24 +34,13 @@ class PlanningAborted(ConfplanError):
 class TransportError(ConfplanError):
     """External scoring endpoint failed (timeout, connection, HTTP error)."""
 
-    def __init__(self, message: str, retryable: bool = True, attempts: int = 1):
-        super().__init__(message)
-        self.retryable = retryable
-        self.attempts = attempts
-
 
 class AuthError(TransportError):
     """Missing or rejected credentials for the external endpoint."""
 
-    def __init__(self, message: str):
-        super().__init__(message, retryable=False)
-
 
 class MalformedResponseError(TransportError):
     """The endpoint answered but no score could be extracted."""
-
-    def __init__(self, message: str):
-        super().__init__(message, retryable=False)
 
 
 class InfeasibleAlphaError(ConfplanError):

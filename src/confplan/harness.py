@@ -292,14 +292,31 @@ def _coverage_trial(cfg: ExperimentConfig, trial: int) -> dict:
 
 
 def _load_checkpoint(path: Path) -> dict[int, dict]:
+    """Completed trial rows of a checkpoint. A torn last line (a run killed
+    mid-write) is cut off the file, and a missing final newline restored, so
+    the rows appended next start on a line of their own; a corrupt line
+    anywhere else raises."""
     rows: dict[int, dict] = {}
-    if path.exists():
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    row = json.loads(line)
-                    rows[int(row["trial"])] = row
+    if not path.exists():
+        return rows
+    data = path.read_bytes()
+    lines = data.splitlines(keepends=True)
+    offset = 0
+    for i, line in enumerate(lines):
+        if line.strip():
+            try:
+                row = json.loads(line)
+            except ValueError:
+                if any(rest.strip() for rest in lines[i + 1 :]):
+                    raise
+                with open(path, "r+b") as fh:
+                    fh.truncate(offset)
+                return rows
+            rows[int(row["trial"])] = row
+        offset += len(line)
+    if data and not data.endswith(b"\n"):
+        with open(path, "ab") as fh:
+            fh.write(b"\n")
     return rows
 
 

@@ -51,7 +51,6 @@ class PlannerConfig:
     alpha: float = 0.1
     reorder_bound: int = 0  # W: reorder attempts per step before user help
     help_policy: str = ORACLE_USER
-    order_family_seed: int = 0
     centralized_budget: int = 4096
 
     def validate(self) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -31,6 +31,7 @@ from .world import (
     DESTINATION,
     GOTO,
     GRAB,
+    IDLE,
     IDLE_DECISION,
     OBJECT_SITE,
     OPEN_DOOR,
@@ -38,7 +39,6 @@ from .world import (
     Container,
     Decision,
     Environment,
-    InfeasibleDecision,
     Location,
     Mission,
     Plan,
@@ -380,7 +380,7 @@ def _build_oracle(env: Environment, mission: Mission, n_robots: int) -> Plan:
 
 
 @lru_cache(maxsize=4096)
-def oracle_plan(scenario: Scenario, order_schedule: OrderSchedule | None = None) -> Plan:
+def oracle_plan(scenario: Scenario) -> Plan:
     """Canonical ground-truth plan; independent of the robot-order schedule
     (the schedule only affects how the plan is flattened into a sequence)."""
     return _build_oracle(scenario.env, scenario.mission, scenario.n_robots)
@@ -441,9 +441,18 @@ class FeasibilityIndex:
     A decision is feasible at iteration k when it is executable in the current
     state and some completion of the remaining iterations accomplishes the
     mission within the horizon. Small instances are decided by exhaustive
-    depth-limited search (memoized on step boundaries); beyond the budget the
-    enumerator falls back to following the canonical plan only, and the mode is
-    reported so experiments can restrict themselves to exact instances.
+    depth-limited search, memoized on step-boundary states; beyond the budget
+    the enumerator falls back to following the canonical plan only, and the
+    mode is reported so experiments can restrict themselves to exact instances.
+
+    The search runs on a compact state: one flat int tuple holding, in order,
+    each robot's location and held object, each object's location and
+    enclosing container, and each container's door (see `_encode`; -1 marks
+    "none"). Decisions are compiled once per robot into checks that return the
+    slot writes of their effect, or None when a precondition fails. The step
+    boundaries of the last history are kept, so a call whose history extends
+    the previous one replays only the new full steps. That cache makes an
+    index unsafe to share between threads.
     """
 
     def __init__(
@@ -455,12 +464,36 @@ class FeasibilityIndex:
         self.scenario = scenario
         self.schedule = schedule or schedule_for(scenario)
         self.budget = budget
-        self.env = scenario.env
+        self.env = env = scenario.env
         self.mission = scenario.mission
-        self.n = scenario.n_robots
-        self.space = decision_space(scenario.env)
-        self._teacher = teacher_sequence(scenario, self.schedule)
+        self.n = n = scenario.n_robots
+        self.space = decision_space(env)
+        self._orders = tuple(self.schedule.order_at(t) for t in range(scenario.horizon))
+        self._locs = locs = {loc.id: i for i, loc in enumerate(env.locations)}
+        self._objs = {o.id: i for i, o in enumerate(env.objects)}
+        self._conts = {c.id: i for i, c in enumerate(env.containers)}
+        self._obj_at = 2 * n
+        self._obj_in = 2 * n + len(env.objects)
+        self._door = 2 * n + 2 * len(env.objects)
+        self._goals = tuple(
+            (
+                tuple(i for i, o in enumerate(env.objects) if o.label == st.object_label),
+                frozenset(locs[dest] for dest in st.destinations if dest in locs),
+            )
+            for st in self.mission.subtasks
+        )
+        self._ops: dict = {}
+        safety = self.mission.safety
+        # per robot: (decision, check, grab bit) in space order, unsafe ones left out
+        self._moves = tuple(
+            tuple(
+                (d, *self._op(r, d)) for d in self.space if not violates_safety(r, d, safety)
+            )
+            for r in range(n)
+        )
         self._memo: dict = {}
+        self._rows: list = []  # joint decisions of the full steps replayed last
+        self._states = [self._encode(world.initial_state(env, n))]  # boundaries 0..len(rows)
 
     @property
     def total_iterations(self) -> int:
@@ -476,12 +509,10 @@ class FeasibilityIndex:
         k = len(history)
         if k >= self.total_iterations:
             raise ValueError("sequence already complete")
-        entries = []
-        for i, d in enumerate(history):
-            t, pos = step_position(i, self.n)
-            entries.append((t, self.schedule.order_at(t)[pos], d))
-        t, pos = step_position(k, self.n)
-        return self._feasible(tuple(entries), self.schedule.order_at(t)[pos], k)
+        n, orders = self.n, self._orders
+        entries = tuple((i // n, orders[i // n][i % n], d) for i, d in enumerate(history))
+        t, pos = step_position(k, n)
+        return self._feasible(entries, orders[t][pos], k)
 
     def feasible_for_context(self, ctx: Context) -> FeasibleResult:
         """Feasible decisions for a live planning context (whose step orders
@@ -505,87 +536,220 @@ class FeasibilityIndex:
         state, t, effects, grabbed, assigned, violated = self._replay(entries)
         if violated:
             return FeasibleResult((), "exact")
-        remaining = tuple(r for r in range(self.n) if r not in assigned and r != robot)
+        others = [
+            self._options(state, r) for r in range(self.n) if r not in assigned and r != robot
+        ]
         out = []
-        for d in self.space:
-            eff = self._candidate_effect(state, robot, d, grabbed)
-            if eff is None:
+        for d, check, bit in self._moves[robot]:
+            if bit & grabbed:
                 continue
-            next_grabbed = grabbed | {d.target} if d.kind == GRAB else grabbed
-            if self._exists_mid(state, t, remaining, effects + [eff], next_grabbed):
+            eff = check(state)
+            if eff is not None and self._exists_step(
+                state, t, effects + (eff,), grabbed | bit, others
+            ):
                 out.append(d)
         return FeasibleResult(tuple(out), "exact")
 
-    def _candidate_effect(self, state, robot, d, grabbed):
-        if violates_safety(robot, d, self.mission.safety):
+    # --- compact state -------------------------------------------------------
+
+    def _encode(self, state: world.WorldState) -> tuple[int, ...]:
+        locs, objs, conts = self._locs, self._objs, self._conts
+        return (
+            *(locs[p.at] for p in state.robots),
+            *(-1 if p.holding is None else objs[p.holding] for p in state.robots),
+            *(-1 if o.at is None else locs[o.at] for o in state.objects),
+            *(-1 if o.inside is None else conts[o.inside] for o in state.objects),
+            *(int(is_open) for is_open in state.doors_open),
+        )
+
+    def _op(self, robot: int, d: Decision):
+        """(check, grab bit) of `d` for `robot`: check(state) returns the slot
+        writes of the decision's effect, or None when it is not executable.
+        Mirrors world._plan_effect."""
+        key = (robot, d)
+        op = self._ops.get(key)
+        if op is None:
+            op = self._ops[key] = self._compile(robot, d)
+        return op
+
+    def _compile(self, robot: int, d: Decision):
+        at, hold = robot, self.n + robot
+        obj_at, obj_in, door = self._obj_at, self._obj_in, self._door
+        locs, objs, conts = self._locs, self._objs, self._conts
+
+        def never(state):
             return None
-        if d.kind == GRAB and d.target in grabbed:
-            return None
-        try:
-            return world._plan_effect(self.env, state, robot, d)
-        except InfeasibleDecision:
-            return None
+
+        if d.kind == IDLE:
+            return (lambda state: ()), 0
+        if d.kind == GOTO:
+            if d.target in locs or d.target in conts:
+                place = d.target if d.target in locs else self.env.containers[conts[d.target]].at
+                move = ((at, locs[place]),)
+                return (lambda state: move), 0
+            if d.target not in objs:
+                return never, 0
+            slot = obj_at + objs[d.target]
+
+            def goto_object(state):
+                dest = state[slot]
+                return None if dest < 0 else ((at, dest),)
+
+            return goto_object, 0
+        if d.kind == GRAB:
+            if d.target not in objs:
+                return never, 0
+            o = objs[d.target]
+            effect = ((hold, o), (obj_at + o, -1), (obj_in + o, -1))
+
+            def grab(state):
+                place = state[obj_at + o]
+                if place < 0 or state[hold] >= 0 or state[at] != place:
+                    return None
+                cont = state[obj_in + o]
+                if cont >= 0 and not state[door + cont]:
+                    return None
+                return effect
+
+            return grab, 1 << o
+        if d.kind == PUTDOWN:
+            if d.target not in locs:
+                return never, 0
+            dest = locs[d.target]
+
+            def put(state):
+                held = state[hold]
+                if held < 0 or state[at] != dest:
+                    return None
+                return ((hold, -1), (obj_at + held, dest), (obj_in + held, -1))
+
+            return put, 0
+        if d.kind == OPEN_DOOR:
+            if d.target not in conts:
+                return never, 0
+            c = conts[d.target]
+            site = locs[self.env.containers[c].at]
+            effect = ((door + c, 1),)
+            return (lambda state: effect if state[at] == site else None), 0
+        return never, 0
+
+    @staticmethod
+    def _merge(state, effects) -> tuple[int, ...]:
+        out = list(state)
+        for effect in effects:
+            for slot, value in effect:
+                out[slot] = value
+        return tuple(out)
+
+    def _satisfied(self, state) -> bool:
+        """world.mission_satisfied on a compact state."""
+        obj_at = self._obj_at
+        candidates = []
+        for objects, dests in self._goals:
+            ids = [i for i in objects if state[obj_at + i] in dests]
+            if not ids:
+                return False
+            candidates.append(ids)
+        if len(candidates) < 2:
+            return True
+        candidates.sort(key=len)
+        used: set[int] = set()
+
+        def assign(pos: int) -> bool:
+            if pos == len(candidates):
+                return True
+            for i in candidates[pos]:
+                if i not in used:
+                    used.add(i)
+                    if assign(pos + 1):
+                        return True
+                    used.discard(i)
+            return False
+
+        return assign(0)
+
+    # --- prefix replay -------------------------------------------------------
 
     def _replay(self, entries):
         """Fold (t, robot, decision) entries: full steps applied jointly, the
-        trailing partial step kept as unmerged effects."""
+        trailing partial step kept as unmerged effects. Raises ValueError on a
+        duplicate, incomplete or infeasible prefix."""
+        n = self.n
+        safety = self.mission.safety
         by_step: dict[int, dict[int, Decision]] = {}
         violated = False
         for t, robot, d in entries:
-            violated = violated or violates_safety(robot, d, self.mission.safety)
-            if robot in by_step.setdefault(t, {}):
+            violated = violated or violates_safety(robot, d, safety)
+            row = by_step.setdefault(t, {})
+            if robot in row:
                 raise ValueError(f"robot {robot} decided twice at step {t}")
-            by_step[t][robot] = d
-        state = world.initial_state(self.env, self.n)
-        current = len(entries) // self.n
-        try:
-            for t in range(current):
-                row = by_step.get(t, {})
-                joint = tuple(row.get(r, IDLE_DECISION) for r in range(self.n))
-                if len(row) != self.n:
-                    raise ValueError(f"step {t} is incomplete in the prefix")
-                state = world.apply_joint(self.env, state, joint)
-            effects = []
-            grabbed: frozenset = frozenset()
-            partial = by_step.get(current, {})
-            for robot in sorted(partial):
-                d = partial[robot]
-                if d.kind == GRAB and d.target in grabbed:
-                    raise ValueError("prefix grabs one object twice in a step")
-                effects.append(world._plan_effect(self.env, state, robot, d))
-                if d.kind == GRAB:
-                    grabbed = grabbed | {d.target}
-        except InfeasibleDecision as exc:
-            raise ValueError(f"history prefix is infeasible: {exc}") from exc
+            row[robot] = d
+        current = len(entries) // n
+        rows, states = self._rows, self._states
+        for t in range(current):
+            row = by_step.get(t, {})
+            joint = tuple(row.get(r, IDLE_DECISION) for r in range(n))
+            if len(row) != n:
+                raise ValueError(f"step {t} is incomplete in the prefix")
+            if t < len(rows) and rows[t] == joint:
+                continue
+            del rows[t:], states[t + 1 :]
+            effects, _ = self._step_effects(states[t], enumerate(joint))
+            states.append(self._merge(states[t], effects))
+            rows.append(joint)
+        state = states[current]
+        partial = by_step.get(current, {})
+        effects, grabbed = self._step_effects(state, sorted(partial.items()))
         return state, current, effects, grabbed, frozenset(partial), violated
 
-    def _exists_mid(self, state, t, remaining, effects, grabbed) -> bool:
-        if not remaining:
-            merged = world._merge(self.env, state, effects)
-            merged = replace(merged, time=state.time + 1)
-            return self._exists_from_step(merged, t + 1)
-        robot = remaining[0]
-        for d in self.space:
-            eff = self._candidate_effect(state, robot, d, grabbed)
-            if eff is None:
+    def _step_effects(self, state, decisions):
+        """Effects and grab bits of (robot, decision) pairs of one step, all
+        checked against `state`; raises ValueError if one is not executable."""
+        effects: tuple = ()
+        grabbed = 0
+        for robot, d in decisions:
+            check, bit = self._op(robot, d)
+            eff = check(state)
+            if bit & grabbed or eff is None:
+                raise ValueError(f"history prefix is infeasible: robot {robot}, {d}")
+            effects += (eff,)
+            grabbed |= bit
+        return effects, grabbed
+
+    # --- search ----------------------------------------------------------------
+
+    def _options(self, state, robot: int) -> list:
+        """(grab bit, effect) of every decision `robot` may execute in `state`."""
+        out = []
+        for _, check, bit in self._moves[robot]:
+            eff = check(state)
+            if eff is not None:
+                out.append((bit, eff))
+        return out
+
+    def _exists_step(self, state, t, effects, grabbed, options) -> bool:
+        """Whether the robots still to decide at step t can pick one option
+        each (no object grabbed twice) so that the mission stays completable."""
+        if not options:
+            return self._exists_from_step(self._merge(state, effects), t + 1)
+        for bit, eff in options[0]:
+            if bit & grabbed:
                 continue
-            next_grabbed = grabbed | {d.target} if d.kind == GRAB else grabbed
-            if self._exists_mid(state, t, remaining[1:], effects + [eff], next_grabbed):
+            if self._exists_step(state, t, effects + (eff,), grabbed | bit, options[1:]):
                 return True
         return False
 
     def _exists_from_step(self, state, t) -> bool:
-        if world.mission_satisfied(self.env, state, self.mission):
-            return True  # idle-pad the rest
-        if t >= self.scenario.horizon:
-            return False
         key = (t, state)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        self._memo[key] = False
-        result = self._exists_mid(state, t, tuple(range(self.n)), [], frozenset())
-        self._memo[key] = result
+        result = self._memo.get(key)
+        if result is None:
+            result = self._satisfied(state) or (
+                t < self.scenario.horizon
+                and self._exists_step(
+                    state, t, (), 0, [self._options(state, r) for r in range(self.n)]
+                )
+            )
+            self._memo[key] = result
         return result
 
 

@@ -46,7 +46,6 @@ class ScoreVector:
 
     raw: tuple[float, ...]
     scores: tuple[float, ...]
-    normalized: bool = True
 
     @property
     def argmax(self) -> int:
@@ -199,7 +198,12 @@ def _requests_transport(url: str, headers: dict, payload: dict, timeout: float):
         raise TransportError(f"timeout after {timeout}s: {exc}") from exc
     except requests.RequestException as exc:
         raise TransportError(str(exc)) from exc
-    return resp.status_code, resp.json() if resp.content else {}
+    if resp.status_code != 200 or not resp.content:
+        return resp.status_code, {}
+    try:
+        return resp.status_code, resp.json()
+    except ValueError as exc:
+        raise MalformedResponseError(f"response body is not JSON: {exc}") from exc
 
 
 def _completion_payload(endpoint: EndpointConfig, text: str, option: str) -> dict:
@@ -218,10 +222,14 @@ def _extract_score(endpoint: EndpointConfig, body: dict) -> float:
     try:
         choice = body["choices"][0]
         if endpoint.extraction == "numeric-answer":
-            return float(choice["message"]["content"].strip())
-        return float(choice["logprobs"]["content"][0]["logprob"])
+            score = float(choice["message"]["content"].strip())
+        else:
+            score = float(choice["logprobs"]["content"][0]["logprob"])
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise MalformedResponseError(f"no score in response: {exc}") from exc
+    if not math.isfinite(score):
+        raise MalformedResponseError(f"non-finite score in response: {score}")
+    return score
 
 
 def _score_one(endpoint: EndpointConfig, transport, headers, text, option) -> float:
@@ -234,7 +242,7 @@ def _score_one(endpoint: EndpointConfig, transport, headers, text, option) -> fl
     if status in (401, 403):
         raise AuthError(f"endpoint rejected credentials (HTTP {status})")
     if status != 200:
-        raise TransportError(f"HTTP {status}", retryable=status >= 500)
+        raise TransportError(f"HTTP {status}")
     return _extract_score(endpoint, body)
 
 

@@ -206,3 +206,25 @@ def test_external_scorer_without_key_exits_3(tmp_path, monkeypatch):
         ]
     )
     assert code == 3
+
+
+def test_external_http_error_with_html_body_exits_3(tmp_path, monkeypatch):
+    from tests.test_scoring import fake_requests_post
+
+    monkeypatch.setenv("CONFPLAN_API_KEY", "token")
+    fake_requests_post(monkeypatch, 502, b"<html><body>502 Bad Gateway</body></html>")
+    params = write_params(tmp_path)
+    scen_path = tmp_path / "scenarios.json"
+    main(["gen-scenarios", "--params", str(params), "--count", "1", "--out", str(scen_path)])
+    code = main(
+        [
+            "plan",
+            "--scenario",
+            str(scen_path),
+            "--quantile",
+            "0.9",
+            "--scorer",
+            "external:base_url=http://localhost:9,model=m",
+        ]
+    )
+    assert code == 3

@@ -86,6 +86,36 @@ def test_coverage_checkpoint_resume(tmp_path):
     assert lines_after[:3] == lines_before  # earlier trials were not recomputed
 
 
+def test_coverage_resume_drops_a_torn_last_line(tmp_path):
+    out = tmp_path / "torn"
+    run_coverage_experiment(tiny_config(n_trials=3), out_dir=out)
+    checkpoint = out / "trials.jsonl"
+    complete = checkpoint.read_text()
+    with open(checkpoint, "a", encoding="utf-8") as fh:
+        fh.write('{"alphas": {"0.1": {"covered"')  # killed mid-write
+    cfg_full = tiny_config(n_trials=6)
+    resumed = run_coverage_experiment(cfg_full, out_dir=out)
+    fresh = run_coverage_experiment(cfg_full, out_dir=tmp_path / "fresh")
+    assert [m.__dict__ for m in resumed["metrics"]] == [m.__dict__ for m in fresh["metrics"]]
+    text = checkpoint.read_text()
+    assert text.startswith(complete)
+    assert text == (tmp_path / "fresh" / "trials.jsonl").read_text()
+    # the repaired checkpoint resumes again
+    again = run_coverage_experiment(cfg_full, out_dir=out)
+    assert [m.__dict__ for m in again["metrics"]] == [m.__dict__ for m in fresh["metrics"]]
+
+
+def test_coverage_resume_refuses_a_torn_line_before_the_last(tmp_path):
+    out = tmp_path / "corrupt"
+    run_coverage_experiment(tiny_config(n_trials=3), out_dir=out)
+    checkpoint = out / "trials.jsonl"
+    lines = checkpoint.read_text().splitlines(keepends=True)
+    lines[1] = lines[1][:20] + "\n"
+    checkpoint.write_text("".join(lines))
+    with pytest.raises(json.JSONDecodeError):
+        run_coverage_experiment(tiny_config(n_trials=6), out_dir=out)
+
+
 def test_trial_rows_are_seed_isolated():
     few = run_coverage_experiment(tiny_config(n_trials=3))
     more = run_coverage_experiment(tiny_config(n_trials=5))

@@ -1,11 +1,15 @@
 import dataclasses
+import itertools
 
 import pytest
 
 from confplan import world
+from confplan.context import Context, OrderSchedule
 from confplan.errors import ConfigError, NoFeasibleError
 from confplan.scenario import (
+    DistributionParams,
     FeasibilityIndex,
+    FeasibleResult,
     Scenario,
     anchor_decision,
     decision_space,
@@ -41,6 +45,7 @@ from confplan.world import (
     Environment,
     Location,
     Mission,
+    SafetyConstraint,
     SemanticObject,
     SubTask,
 )
@@ -334,6 +339,149 @@ def test_budget_fallback_reports_oracle_mode():
     result = feasible_next_decisions(s, (), schedule, budget=1000)
     assert result.mode == "oracle"
     assert result.decisions == (teacher_sequence(s, schedule)[0],)
+
+
+def brute_force_feasible(s, schedule, history):
+    """Feasible set at len(history) by enumerating completions and judging
+    each with world.validate_plan.
+
+    Like the search, it asks the mission to hold at a step boundary after the
+    current step: validate_plan alone also accepts a plan whose mission held
+    earlier and was undone later.
+    """
+    n, horizon = s.n_robots, s.horizon
+    space = decision_space(s.env)
+    current = len(history) // n
+
+    def completable(flat):
+        plan = flat_to_plan(s, schedule, flat)
+        trace = validate_scenario_plan(s, plan).trace
+        if any(o.infeasible or o.safety_violations for o in trace):
+            return False
+        if any(o.satisfied_after for o in trace[current:]):
+            return True
+        return len(plan) < horizon and any(
+            completable(flat + rest) for rest in itertools.product(space, repeat=n)
+        )
+
+    out = []
+    for d in space:
+        head = tuple(history) + (d,)
+        fills = itertools.product(space, repeat=-len(head) % n)
+        if any(completable(head + rest) for rest in fills):
+            out.append(d)
+    return tuple(out)
+
+
+MULTI_FEASIBLE = DistributionParams(
+    n_robots=(1, 1),
+    n_subtasks=(1, 1),
+    n_objects=(1, 2),
+    n_containers=(0, 0),
+    n_destinations=(2, 2),
+    multi_destination_prob=1.0,
+    safety_prob=0.0,
+    horizon_slack=1,
+)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        dataclasses.replace(
+            default_distribution_params(5),
+            n_robots=(1, 1),
+            n_subtasks=(1, 1),
+            n_objects=(1, 2),
+            n_destinations=(1, 1),
+            safety_prob=0.5,
+        ),
+        MULTI_FEASIBLE,
+        dataclasses.replace(
+            default_distribution_params(6),
+            n_robots=(2, 2),
+            n_subtasks=(1, 1),
+            n_objects=(1, 2),
+            n_containers=(0, 0),
+            n_destinations=(1, 1),
+            safety_prob=1.0,
+            horizon_slack=0,
+        ),
+    ],
+    ids=["default", "multi-feasible", "two-robot"],
+)
+def test_feasible_matches_brute_force_completions(params):
+    s = next(
+        s
+        for s in (sample_scenario(params, draw) for draw in range(12))
+        if FeasibilityIndex(s).exact_at(0)
+    )
+    schedule = schedule_for(s)
+    index = FeasibilityIndex(s, schedule)
+    teacher = teacher_sequence(s, schedule)
+    for k in range(len(teacher)):
+        expected = brute_force_feasible(s, schedule, teacher[:k])
+        assert index.feasible(teacher[:k]) == FeasibleResult(expected, "exact")
+    # off the teacher: take the last feasible decision the teacher does not
+    path: list[Decision] = []
+    for k in range(len(teacher)):
+        expected = brute_force_feasible(s, schedule, tuple(path))
+        assert index.feasible(tuple(path)) == FeasibleResult(expected, "exact")
+        off = [d for d in expected if d != teacher[k]]
+        path.append(off[-1] if off else expected[0])
+    assert tuple(path) != teacher
+
+
+def test_feasible_prefix_contract():
+    env = two_object_env()
+    mission = Mission((SubTask("apple", ("loc-dest-1",)),), SafetyConstraint(0, "obj-2"))
+    s = make_scenario(env, mission, horizon=5)
+    index = FeasibilityIndex(s)
+    assert index.feasible((Decision(GOTO, "obj-1"),)).decisions
+    # a prefix that violates safety leaves nothing feasible
+    assert index.feasible((Decision(GOTO, "obj-2"),)) == FeasibleResult((), "exact")
+    # a world-infeasible prefix raises, also when it extends a cached one
+    with pytest.raises(ValueError):
+        index.feasible((Decision(GRAB, "obj-1"),))
+    with pytest.raises(ValueError):
+        index.feasible((Decision(GOTO, "obj-1"), Decision(PUTDOWN, "loc-dest-1")))
+    assert index.feasible((Decision(GOTO, "obj-1"), Decision(GRAB, "obj-1"))).decisions
+    # duplicate and incomplete context histories raise
+    go = Decision(GOTO, "obj-1")
+    for history in (((0, 0, go), (0, 0, go)), ((1, 0, go),)):
+        ctx = Context(scenario=s, history=history, cursor=(1, 0))
+        with pytest.raises(ValueError):
+            index.feasible_for_context(ctx)
+    # two robots may not grab one object in the same step
+    pair = make_scenario(
+        two_object_env(n_robots=2), Mission(mission.subtasks), n_robots=2, horizon=4
+    )
+    grab = Decision(GRAB, "obj-1")
+    ctx = Context(scenario=pair, history=((0, 0, go), (0, 1, go), (1, 0, grab)), cursor=(1, 1))
+    result = FeasibilityIndex(pair).feasible_for_context(ctx)
+    assert result.decisions and grab not in result.decisions
+
+
+def test_labeling_computes_each_step_order_once(monkeypatch):
+    s = next(
+        s
+        for s in (sample_scenario(MULTI_FEASIBLE, draw) for draw in range(12))
+        if FeasibilityIndex(s).exact_at(0)
+    )
+    scorer = build_scorer(ScorerSpec())
+    labels = label_sequence(s, scorer, label_mode="selector").decisions
+    calls = []
+    order_at = OrderSchedule.order_at
+
+    def counted(self, t):
+        calls.append(t)
+        return order_at(self, t)
+
+    monkeypatch.setattr(OrderSchedule, "order_at", counted)
+    index = FeasibilityIndex(s, schedule_for(s))
+    for k in range(len(labels)):
+        assert labels[k] in index.feasible(labels[:k]).decisions
+    assert len(calls) <= s.horizon
 
 
 # --- selector and labels ------------------------------------------------------------

@@ -254,6 +254,57 @@ def test_external_auth_and_malformed_responses(monkeypatch):
         scorer.score_all(ctx, space)
 
 
+def fake_requests_post(monkeypatch, status, body: bytes):
+    """Route requests.post to a canned response; nothing goes on the wire."""
+    import requests
+
+    def post(url, headers=None, json=None, timeout=None):
+        resp = requests.models.Response()
+        resp.status_code = status
+        resp._content = body
+        return resp
+
+    monkeypatch.setattr(requests, "post", post)
+
+
+def test_external_http_error_with_html_body_is_a_transport_error(monkeypatch):
+    monkeypatch.setenv("CONFPLAN_API_KEY", "token")
+    fake_requests_post(monkeypatch, 502, b"<html><body>502 Bad Gateway</body></html>")
+    s = three_option_scenario()
+    scorer = ExternalScorer(_external_spec())
+    ctx = initial_context(s, schedule_for(s))
+    with pytest.raises(TransportError, match="HTTP 502"):
+        scorer.score_all(ctx, decision_space(s.env))
+
+
+def test_external_non_json_body_is_malformed(monkeypatch):
+    monkeypatch.setenv("CONFPLAN_API_KEY", "token")
+    fake_requests_post(monkeypatch, 200, b"<html><body>maintenance</body></html>")
+    s = three_option_scenario()
+    scorer = ExternalScorer(_external_spec())
+    ctx = initial_context(s, schedule_for(s))
+    with pytest.raises(MalformedResponseError, match="not JSON"):
+        scorer.score_all(ctx, decision_space(s.env))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_external_non_finite_score_is_malformed(monkeypatch, value):
+    monkeypatch.setenv("CONFPLAN_API_KEY", "token")
+
+    def numeric(url, headers, payload, timeout):
+        return 200, {"choices": [{"message": {"content": value}}]}
+
+    def logprob(url, headers, payload, timeout):
+        return 200, {"choices": [{"logprobs": {"content": [{"logprob": float(value)}]}}]}
+
+    s = three_option_scenario()
+    ctx = initial_context(s, schedule_for(s))
+    for extraction, transport in (("numeric-answer", numeric), ("token-logprob", logprob)):
+        scorer = ExternalScorer(_external_spec(extraction=extraction), transport=transport)
+        with pytest.raises(MalformedResponseError, match="non-finite"):
+            scorer.score_all(ctx, decision_space(s.env))
+
+
 def test_external_numeric_answer_extraction(monkeypatch):
     monkeypatch.setenv("CONFPLAN_API_KEY", "token")
     replies = iter(["3.0", "1.0", "2.0"])
