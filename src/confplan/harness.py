@@ -1,24 +1,35 @@
 """Experiment orchestration: Monte Carlo coverage validation, distributed vs
 centralized comparisons, and the fixed-calibration (dataset-conditional) mode.
 
-Marginal mode (the default) samples a fresh calibration set for every trial,
-matching the marginal coverage statement; dataset-conditional mode calibrates
-once at an adjusted level and evaluates many fresh tests against it. All
-randomness is keyed by (seed, draw index), so trial i's results do not depend
-on which other trials run (checkpoint/resume and parallel workers are safe).
+The three experiments share one shape. `_calibrate_draws` samples and labels
+each calibration draw once and calibrates at each alpha's level; the kernel,
+`_trial_row`, labels one test draw and, for each alpha, builds the local sets,
+checks coverage, plans, validates and records a row per planner; `_run_trials`
+runs the kernel over the trials (coverage adds the resumable checkpoint and
+worker processes); `_aggregate` folds the rows into Metrics. The experiments
+differ only in their calibration draws (fresh at trial * (M + 1) per trial, or
+0..M-1 once for dataset-conditional), in each alpha's calibration level
+(alpha itself, or `dataset_conditional_alpha`), and in whether the
+centralized planner runs (compare, with oracle labels and W = 0).
 
-Timing is reported on stderr only; metrics files are a pure function of the
-serialized experiment configuration.
+All randomness is keyed by (seed, draw index), so trial i's results do not
+depend on which other trials run, and synthetic scores are pure in (seed,
+scenario id, k), so one calibration serves every alpha. Timing is reported on
+stderr only; metrics files are a pure function of the serialized experiment
+configuration.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 from .conformal import (
@@ -79,6 +90,9 @@ class ExperimentConfig:
         for alpha in self.alphas:
             if not 0.0 < alpha < 1.0:
                 raise ConfigError(f"alpha {alpha} outside (0, 1)")
+        if len({f"{alpha:g}" for alpha in self.alphas}) < len(self.alphas):
+            # trial rows key each alpha's result by f"{alpha:g}"
+            raise ConfigError(f"alphas {list(self.alphas)} repeat at 6 significant digits")
         if self.label_mode not in ("oracle", "selector"):
             raise ConfigError(f"unknown label mode {self.label_mode!r}")
 
@@ -257,45 +271,92 @@ def _trace_row(trace, covered: bool, success: bool, full_set: bool) -> dict:
     }
 
 
-def _coverage_trial(cfg: ExperimentConfig, trial: int) -> dict:
-    params, scorer_spec = cfg.effective()
-    base = trial * (cfg.m_calibration + 1)
-    scorer = build_scorer(scorer_spec)
-    records = []
-    for i in range(cfg.m_calibration):
-        s = sample_scenario(params, base + i)
-        record, _ = score_label_sequence(s, scorer, label_mode=cfg.label_mode)
-        records.append(record)
-    test = sample_scenario(params, base + cfg.m_calibration)
-    test_record, test_labels = score_label_sequence(
-        test, scorer, label_mode=cfg.label_mode
-    )
+def _calibrate_draws(cfg: ExperimentConfig, params, scorer, draws, levels, joint=False):
+    """Sample and label each calibration draw once, then calibrate at each
+    level: one (quantile, joint quantile or None) per level. With `joint`, the
+    canonical labels are also scored jointly for the centralized planner."""
+    records, joint_records = [], []
+    for draw in draws:
+        s = sample_scenario(params, draw)
+        records.append(score_label_sequence(s, scorer, label_mode=cfg.label_mode)[0])
+        if joint:
+            joint_records.append(score_joint_label_sequence(s, scorer))
+    return [
+        (calibrate(records, level), calibrate(joint_records, level) if joint else None)
+        for level in levels
+    ]
+
+
+def _trial_row(cfg: ExperimentConfig, scorer, quantiles, trial: int, test) -> dict:
+    """The experiment kernel: label the test draw once, then for each alpha's
+    calibrated quantile build the local sets, check coverage, plan, validate
+    and record a row per planner ("alphas" for the distributed one). With a
+    joint quantile the centralized planner runs too ("centralized"), and both
+    call-count laws are asserted exactly."""
+    test_record, test_labels = score_label_sequence(test, scorer, label_mode=cfg.label_mode)
+    label = tuple(test_record.decision_indices)
     if cfg.label_mode == "selector":
         provider = search_feasible_provider(test)
     else:
         provider = teacher_feasible_provider(test)
-    out = {"trial": trial, "test_scenario": test.id, "alphas": {}}
-    for alpha in cfg.alphas:
-        quantile = calibrate(records, alpha)
+    row = {"trial": trial, "test_scenario": test.id}
+    for alpha, (quantile, q_joint) in zip(cfg.alphas, quantiles):
         local_sets = [local_prediction_set(vec, quantile) for vec in test_labels.vectors]
-        covered = tuple(test_record.decision_indices) in product_set(local_sets)
+        covered = label in product_set(local_sets)
         pcfg = PlannerConfig(
-            mode=DISTRIBUTED,
-            alpha=alpha,
+            alpha=quantile.alpha,
             reorder_bound=cfg.reorder_bound,
             help_policy=cfg.help_policy,
+            centralized_budget=cfg.centralized_budget,
         )
-        trace = plan_distributed(test, scorer, quantile, pcfg, feasible_provider=provider)
-        success = (not trace.failed) and validate_scenario_plan(test, trace.plan).complete
-        out["alphas"][f"{alpha:g}"] = _trace_row(trace, covered, success, quantile.full_set)
-    return out
+        trace_d = plan_distributed(test, scorer, quantile, pcfg, feasible_provider=provider)
+        plans = {"alphas": (trace_d, quantile.full_set)}
+        if q_joint is not None:
+            trace_c = plan_centralized(test, scorer, q_joint, replace(pcfg, mode=CENTRALIZED))
+            size = len(decision_space(test.env))
+            expected_d = test.n_robots * size * test.horizon
+            expected_c = (size**test.n_robots) * test.horizon
+            if trace_d.scorer_calls != expected_d:
+                raise RuntimeError(
+                    f"distributed call-count law violated: {trace_d.scorer_calls} != {expected_d}"
+                )
+            if not trace_c.failed and trace_c.scorer_calls != expected_c:
+                raise RuntimeError(
+                    f"centralized call-count law violated: {trace_c.scorer_calls} != {expected_c}"
+                )
+            plans["centralized"] = (trace_c, q_joint.full_set)
+        for planner, (trace, full) in plans.items():
+            success = (not trace.failed) and validate_scenario_plan(test, trace.plan).complete
+            row.setdefault(planner, {})[f"{alpha:g}"] = _trace_row(trace, covered, success, full)
+    return row
 
 
-def _load_checkpoint(path: Path) -> dict[int, dict]:
-    """Completed trial rows of a checkpoint. A torn last line (a run killed
-    mid-write) is cut off the file, and a missing final newline restored, so
-    the rows appended next start on a line of their own; a corrupt line
-    anywhere else raises."""
+def _fresh_calibration_trial(cfg: ExperimentConfig, joint: bool, trial: int) -> dict:
+    """One marginal trial: a fresh scorer and calibration set at draws
+    trial * (M + 1) .. trial * (M + 1) + M - 1, and the test draw after them."""
+    params, scorer_spec = cfg.effective()
+    scorer = build_scorer(scorer_spec)
+    base = trial * (cfg.m_calibration + 1)
+    draws = range(base, base + cfg.m_calibration)
+    quantiles = _calibrate_draws(cfg, params, scorer, draws, cfg.alphas, joint)
+    test = sample_scenario(params, base + cfg.m_calibration)
+    return _trial_row(cfg, scorer, quantiles, trial, test)
+
+
+def _config_stamp(cfg: ExperimentConfig) -> str:
+    """sha256 of the serialized config without n_trials, so a run extended to
+    more trials still resumes from its checkpoint."""
+    data = config_to_dict(cfg)
+    del data["n_trials"]
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def _load_checkpoint(path: Path, stamp: str) -> dict[int, dict]:
+    """Completed trial rows of a checkpoint, each of which must carry `stamp`.
+    A torn last line (a run killed mid-write) is cut off the file, and a
+    missing final newline restored, so the rows appended next start on a line
+    of their own; a corrupt line anywhere else raises, and so does a row of
+    another config (ConfigError)."""
     rows: dict[int, dict] = {}
     if not path.exists():
         return rows
@@ -312,12 +373,70 @@ def _load_checkpoint(path: Path) -> dict[int, dict]:
                 with open(path, "r+b") as fh:
                     fh.truncate(offset)
                 return rows
+            if row.pop("config_sha256", None) != stamp:
+                raise ConfigError(
+                    f"{path} holds trials of another experiment config; "
+                    "use a fresh output directory"
+                )
             rows[int(row["trial"])] = row
         offset += len(line)
     if data and not data.endswith(b"\n"):
         with open(path, "ab") as fh:
             fh.write(b"\n")
     return rows
+
+
+def _run_trials(trial, cfg: ExperimentConfig, checkpoint_dir=None, jobs: int = 1) -> list[dict]:
+    """Rows of trial(0) .. trial(n_trials - 1), in trial order.
+
+    With `checkpoint_dir`, rows stream to trials.jsonl there, stamped with the
+    config, and the trials already in it are not run again. With jobs > 1 the
+    trials run in worker processes (`trial` must then be picklable)."""
+    rows: dict[int, dict] = {}
+    sink = None
+    with ExitStack() as stack:
+        if checkpoint_dir is not None:
+            checkpoint_dir = Path(checkpoint_dir)
+            checkpoint_dir.mkdir(parents=True, exist_ok=True)
+            checkpoint = checkpoint_dir / "trials.jsonl"
+            stamp = _config_stamp(cfg)
+            rows = _load_checkpoint(checkpoint, stamp)
+            sink = stack.enter_context(open(checkpoint, "a", encoding="utf-8"))
+        pending = [t for t in range(cfg.n_trials) if t not in rows]
+        run = map
+        if jobs > 1 and pending:
+            run = stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
+        for row in run(trial, pending):
+            rows[row["trial"]] = row
+            if sink:
+                sink.write(json.dumps({**row, "config_sha256": stamp}, sort_keys=True) + "\n")
+                sink.flush()
+    return [rows[t] for t in range(cfg.n_trials)]
+
+
+def _aggregate(rows: list[dict], alphas, modes: dict[str, str]) -> list[Metrics]:
+    """One Metrics per (alpha, mode), alphas in the given order; `modes` maps
+    each planner's key in the rows to the mode name its cells report."""
+    metrics = []
+    for alpha in alphas:
+        for planner, mode in modes.items():
+            cell = _CellAccumulator(alpha, mode)
+            for row in rows:
+                cell.add(row[planner][f"{alpha:g}"])
+            metrics.append(cell.metrics())
+    return metrics
+
+
+def _report(cfg, metrics, detail: dict, out_dir, stem: str, log, started: float) -> dict:
+    """Log the run's wall time, write the metrics files when `out_dir` is set,
+    and return {"metrics": ..., **detail}."""
+    if log:
+        log(f"{stem}: {cfg.n_trials} trials in {time.monotonic() - started:.1f}s\n")
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_metrics(metrics, out_dir, cfg, detail=detail, stem=stem)
+    return {"metrics": metrics, **detail}
 
 
 def run_coverage_experiment(
@@ -329,121 +448,33 @@ def run_coverage_experiment(
     """Marginal-coverage experiment: fresh calibration per trial.
 
     Returns {"metrics": [Metrics per alpha], "trials": [per-trial rows]}.
-    When `out_dir` is set, partial results stream to trials.jsonl (resumable)
+    When `out_dir` is set, partial results stream to trials.jsonl (resumable
+    under the same config; a checkpoint of another config raises ConfigError)
     and the aggregate lands in coverage.json / coverage.csv.
     """
     cfg.validate()
     started = time.monotonic()
-    rows: dict[int, dict] = {}
-    checkpoint = None
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        checkpoint = out_dir / "trials.jsonl"
-        rows = _load_checkpoint(checkpoint)
-    pending = [t for t in range(cfg.n_trials) if t not in rows]
-    sink = open(checkpoint, "a", encoding="utf-8") if checkpoint else None
-    try:
-        if jobs > 1 and pending:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for row in pool.map(_coverage_trial, [cfg] * len(pending), pending):
-                    rows[row["trial"]] = row
-                    if sink:
-                        sink.write(json.dumps(row, sort_keys=True) + "\n")
-                        sink.flush()
-        else:
-            for trial in pending:
-                row = _coverage_trial(cfg, trial)
-                rows[trial] = row
-                if sink:
-                    sink.write(json.dumps(row, sort_keys=True) + "\n")
-                    sink.flush()
-    finally:
-        if sink:
-            sink.close()
-    ordered = [rows[t] for t in sorted(rows) if t < cfg.n_trials]
-    cells = {alpha: _CellAccumulator(alpha, DISTRIBUTED) for alpha in cfg.alphas}
-    for row in ordered:
-        for alpha in cfg.alphas:
-            cells[alpha].add(row["alphas"][f"{alpha:g}"])
-    metrics = [cells[alpha].metrics() for alpha in cfg.alphas]
-    if log:
-        log(f"coverage: {len(ordered)} trials in {time.monotonic() - started:.1f}s\n")
-    result = {"metrics": metrics, "trials": ordered, "mode": "marginal"}
-    if out_dir is not None:
-        write_metrics(metrics, out_dir, cfg, detail={"mode": "marginal"})
-    return result
+    trials = _run_trials(partial(_fresh_calibration_trial, cfg, False), cfg, out_dir, jobs)
+    metrics = _aggregate(trials, cfg.alphas, {"alphas": DISTRIBUTED})
+    result = _report(cfg, metrics, {"mode": "marginal"}, out_dir, "coverage", log, started)
+    return {**result, "trials": trials}
 
-
-# --- distributed vs centralized ------------------------------------------------
 
 def run_comparison(cfg: ExperimentConfig, out_dir: str | Path | None = None, log=None) -> dict:
     """Run both planners on identical scenarios, calibrations, and scorer
     seeds; assert the call-count laws exactly and report help rates side by
-    side (reported, never asserted)."""
+    side (reported, never asserted). Labels are always oracle labels and the
+    reorder bound is always 0, whatever the config says: the distributed
+    call-count law counts no reorders, and the centralized planner has only
+    canonical joint labels."""
     cfg.validate()
-    params, scorer_spec = cfg.effective()
-    cells: dict[tuple[float, str], _CellAccumulator] = {}
-    for alpha in cfg.alphas:
-        cells[(alpha, DISTRIBUTED)] = _CellAccumulator(alpha, DISTRIBUTED)
-        cells[(alpha, CENTRALIZED)] = _CellAccumulator(alpha, CENTRALIZED)
-    for trial in range(cfg.n_trials):
-        base = trial * (cfg.m_calibration + 1)
-        scorer = build_scorer(scorer_spec)
-        dist_records = []
-        joint_records = []
-        for i in range(cfg.m_calibration):
-            s = sample_scenario(params, base + i)
-            record, _ = score_label_sequence(s, scorer, label_mode="oracle")
-            dist_records.append(record)
-            joint_records.append(score_joint_label_sequence(s, scorer))
-        test = sample_scenario(params, base + cfg.m_calibration)
-        test_record, test_labels = score_label_sequence(test, scorer, label_mode="oracle")
-        n, horizon = test.n_robots, test.horizon
-        size = len(decision_space(test.env))
-        for alpha in cfg.alphas:
-            q_dist = calibrate(dist_records, alpha)
-            q_joint = calibrate(joint_records, alpha)
-            pcfg = PlannerConfig(
-                mode=DISTRIBUTED,
-                alpha=alpha,
-                reorder_bound=0,
-                help_policy=cfg.help_policy,
-                centralized_budget=cfg.centralized_budget,
-            )
-            trace_d = plan_distributed(
-                test, scorer, q_dist, pcfg, feasible_provider=teacher_feasible_provider(test)
-            )
-            trace_c = plan_centralized(test, scorer, q_joint, replace(pcfg, mode=CENTRALIZED))
-            expected_d = n * size * horizon
-            expected_c = (size**n) * horizon
-            if trace_d.scorer_calls != expected_d:
-                raise RuntimeError(
-                    f"distributed call-count law violated: {trace_d.scorer_calls} != {expected_d}"
-                )
-            if not trace_c.failed and trace_c.scorer_calls != expected_c:
-                raise RuntimeError(
-                    f"centralized call-count law violated: {trace_c.scorer_calls} != {expected_c}"
-                )
-            sets_d = [local_prediction_set(vec, q_dist) for vec in test_labels.vectors]
-            covered = tuple(test_record.decision_indices) in product_set(sets_d)
-            success_d = (not trace_d.failed) and validate_scenario_plan(test, trace_d.plan).complete
-            success_c = (not trace_c.failed) and validate_scenario_plan(test, trace_c.plan).complete
-            cells[(alpha, DISTRIBUTED)].add(
-                _trace_row(trace_d, covered, success_d, q_dist.full_set)
-            )
-            cells[(alpha, CENTRALIZED)].add(
-                _trace_row(trace_c, covered, success_c, q_joint.full_set)
-            )
-    metrics = [cells[key].metrics() for key in sorted(cells, key=lambda k: (k[0], k[1]))]
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_metrics(metrics, out_dir, cfg, detail={"mode": "comparison"}, stem="compare")
-    return {"metrics": metrics, "mode": "comparison"}
+    started = time.monotonic()
+    forced = replace(cfg, label_mode="oracle", reorder_bound=0)
+    rows = _run_trials(partial(_fresh_calibration_trial, forced, True), forced)
+    modes = {"alphas": DISTRIBUTED, "centralized": CENTRALIZED}
+    metrics = sorted(_aggregate(rows, cfg.alphas, modes), key=lambda m: (m.alpha, m.mode))
+    return _report(cfg, metrics, {"mode": "comparison"}, out_dir, "compare", log, started)
 
-
-# --- dataset-conditional mode ----------------------------------------------------
 
 def run_dataset_conditional(
     cfg: ExperimentConfig,
@@ -451,47 +482,23 @@ def run_dataset_conditional(
     out_dir: str | Path | None = None,
     log=None,
 ) -> dict:
-    """Fixed-calibration mode: calibrate once at the adjusted level, then
-    evaluate coverage over n_trials fresh test scenarios."""
+    """Fixed-calibration mode: calibrate once on draws 0..M-1, then evaluate
+    coverage over n_trials fresh test draws, each alpha at its adjusted level."""
     cfg.validate()
+    started = time.monotonic()
     params, scorer_spec = cfg.effective()
-    metrics = []
-    for alpha in cfg.alphas:
-        target = 1.0 - alpha
-        adjusted = dataset_conditional_alpha(cfg.m_calibration, delta, target)
-        scorer = build_scorer(scorer_spec)
-        records = []
-        for i in range(cfg.m_calibration):
-            s = sample_scenario(params, i)
-            record, _ = score_label_sequence(s, scorer, label_mode=cfg.label_mode)
-            records.append(record)
-        quantile = calibrate(records, adjusted)
-        cell = _CellAccumulator(alpha, "dataset-conditional")
-        for i in range(cfg.n_trials):
-            test = sample_scenario(params, cfg.m_calibration + i)
-            test_record, test_labels = score_label_sequence(
-                test, scorer, label_mode=cfg.label_mode
-            )
-            local_sets = [
-                local_prediction_set(vec, quantile) for vec in test_labels.vectors
-            ]
-            covered = tuple(test_record.decision_indices) in product_set(local_sets)
-            if cfg.label_mode == "selector":
-                provider = search_feasible_provider(test)
-            else:
-                provider = teacher_feasible_provider(test)
-            pcfg = PlannerConfig(
-                mode=DISTRIBUTED,
-                alpha=adjusted,
-                reorder_bound=cfg.reorder_bound,
-                help_policy=cfg.help_policy,
-            )
-            trace = plan_distributed(
-                test, scorer, quantile, pcfg, feasible_provider=provider
-            )
-            success = (not trace.failed) and validate_scenario_plan(test, trace.plan).complete
-            cell.add(_trace_row(trace, covered, success, quantile.full_set))
-        m = cell.metrics()
+    targets = [1.0 - alpha for alpha in cfg.alphas]
+    levels = [dataset_conditional_alpha(cfg.m_calibration, delta, t) for t in targets]
+    scorer = build_scorer(scorer_spec)
+    quantiles = _calibrate_draws(cfg, params, scorer, range(cfg.m_calibration), levels)
+
+    def trial(i: int) -> dict:
+        test = sample_scenario(params, cfg.m_calibration + i)
+        return _trial_row(cfg, scorer, quantiles, i, test)
+
+    rows = _run_trials(trial, cfg)
+    metrics = _aggregate(rows, cfg.alphas, {"alphas": "dataset-conditional"})
+    for m, target, adjusted in zip(metrics, targets, levels):
         m.extra.update(
             {
                 "delta": delta,
@@ -500,18 +507,8 @@ def run_dataset_conditional(
                 "meets_target": m.coverage >= target - 3 * _binomial_se(target, cfg.n_trials),
             }
         )
-        metrics.append(m)
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_metrics(
-            metrics,
-            out_dir,
-            cfg,
-            detail={"mode": "dataset-conditional", "delta": delta},
-            stem="dataset_conditional",
-        )
-    return {"metrics": metrics, "mode": "dataset-conditional", "delta": delta}
+    detail = {"mode": "dataset-conditional", "delta": delta}
+    return _report(cfg, metrics, detail, out_dir, "dataset_conditional", log, started)
 
 
 # --- output -----------------------------------------------------------------------

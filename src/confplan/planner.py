@@ -194,6 +194,23 @@ def _argmax_indices(indices, scores_by_index) -> int:
     return best
 
 
+def _ask_user(what: str, options, lines, io=None):
+    """Print `lines` numbered from 1 and return the option the user picks;
+    three invalid selections abort the run."""
+    out = io.write if io else sys.stdout.write
+    readline = io.readline if io else sys.stdin.readline
+    out(f"help needed; pick one {what}:\n")
+    for n, line in enumerate(lines, start=1):
+        out(f"  [{n}] {line}\n")
+    for _ in range(3):
+        out("selection: ")
+        raw = readline().strip()
+        if raw.isdigit() and 1 <= int(raw) <= len(options):
+            return options[int(raw) - 1]
+        out("invalid selection\n")
+    raise PlanningAborted("three invalid selections; aborting")
+
+
 def resolve_user_help(
     pred_set: PredictionSet,
     scores,
@@ -223,18 +240,8 @@ def resolve_user_help(
         return _argmax_indices(fallback, values), True
     if policy == INTERACTIVE_USER:
         presented = pred_set.indices or tuple(range(len(space)))
-        out = (io.write if io else sys.stdout.write)
-        readline = (io.readline if io else sys.stdin.readline)
-        out("help needed; pick one decision:\n")
-        for n, i in enumerate(presented, start=1):
-            out(f"  [{n}] {space[i].phrase()} (score {values[i]:.4f})\n")
-        for _ in range(3):
-            out("selection: ")
-            raw = readline().strip()
-            if raw.isdigit() and 1 <= int(raw) <= len(presented):
-                return presented[int(raw) - 1], False
-            out("invalid selection\n")
-        raise PlanningAborted("three invalid selections; aborting")
+        lines = [f"{space[i].phrase()} (score {values[i]:.4f})" for i in presented]
+        return _ask_user("decision", presented, lines, io), False
     raise ConfigError(f"help policy {policy!r} cannot resolve help")
 
 
@@ -502,7 +509,12 @@ def plan_centralized(
             miss = not inter
             pool = inter or list(feasible)
             if cfg.help_policy == INTERACTIVE_USER:
-                chosen = _interactive_joint(tuples or tuple(joint_scores), joint_scores, space, io)
+                options = tuples or tuple(joint_scores)
+                lines = [
+                    f"{'; '.join(space[i].phrase() for i in c)} (score {joint_scores[c]:.6f})"
+                    for c in options
+                ]
+                chosen = _ask_user("joint decision", options, lines, io)
                 miss = False
             else:
                 chosen = max(pool, key=lambda c: (joint_scores[c], tuple(-i for i in c)))
@@ -535,22 +547,6 @@ def plan_centralized(
         quantile=quantile,
         failed=failed,
     )
-
-
-def _interactive_joint(tuples, joint_scores, space, io) -> tuple[int, ...]:
-    out = (io.write if io else sys.stdout.write)
-    readline = (io.readline if io else sys.stdin.readline)
-    out("help needed; pick one joint decision:\n")
-    for n, combo in enumerate(tuples, start=1):
-        phrase = "; ".join(space[i].phrase() for i in combo)
-        out(f"  [{n}] {phrase} (score {joint_scores[combo]:.6f})\n")
-    for _ in range(3):
-        out("selection: ")
-        raw = readline().strip()
-        if raw.isdigit() and 1 <= int(raw) <= len(tuples):
-            return tuples[int(raw) - 1]
-        out("invalid selection\n")
-    raise PlanningAborted("three invalid selections; aborting")
 
 
 # --- trace serialization ---------------------------------------------------------------

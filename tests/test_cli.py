@@ -155,6 +155,15 @@ def test_coverage_cli_writes_metrics_and_is_deterministic(tmp_path, capsys):
     assert {r["alpha"] for r in rows} == {0.1, 0.3}
 
 
+def test_coverage_cli_refuses_a_checkpoint_of_another_config(tmp_path, capsys):
+    out = tmp_path / "out"
+    config = write_config(tmp_path, n_trials=2)
+    assert main(["coverage", "--config", str(config), "--out", str(out)]) == 0
+    other = write_config(tmp_path, n_trials=2, alphas=(0.2,))
+    assert main(["coverage", "--config", str(other), "--out", str(out)]) == 2
+    assert "another experiment config" in capsys.readouterr().err
+
+
 def test_coverage_cli_csv_format(tmp_path, capsys):
     config = write_config(tmp_path, n_trials=2, alphas=(0.2,))
     assert main(["coverage", "--config", str(config), "--format", "csv"]) == 0

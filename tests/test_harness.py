@@ -1,8 +1,10 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
 
+from confplan import harness
 from confplan.harness import (
     ExperimentConfig,
     config_from_dict,
@@ -11,6 +13,7 @@ from confplan.harness import (
     run_coverage_experiment,
     run_dataset_conditional,
 )
+from confplan.conformal import score_label_sequence
 from confplan.errors import ConfigError
 from confplan.scenario import DistributionParams
 from confplan.scoring import ScorerSpec
@@ -44,6 +47,12 @@ def test_config_roundtrip_and_validation():
     assert config_from_dict(config_to_dict(cfg)) == cfg
     with pytest.raises(ConfigError):
         config_from_dict(config_to_dict(dataclasses.replace(cfg, alphas=(1.5,))))
+
+
+@pytest.mark.parametrize("alphas", [(0.1, 0.1), (0.1, 0.3, 0.1000001)])
+def test_alphas_that_share_a_row_key_are_refused(alphas):
+    with pytest.raises(ConfigError):
+        run_coverage_experiment(tiny_config(alphas=alphas, n_trials=1))
 
 
 def test_coverage_run_shapes_and_invariants(tmp_path):
@@ -116,6 +125,31 @@ def test_coverage_resume_refuses_a_torn_line_before_the_last(tmp_path):
         run_coverage_experiment(tiny_config(n_trials=6), out_dir=out)
 
 
+@pytest.mark.parametrize(
+    "change", [{"master_seed": 2}, {"alphas": (0.1, 0.2)}], ids=["master_seed", "alphas"]
+)
+def test_coverage_resume_refuses_a_checkpoint_of_another_config(tmp_path, change):
+    out = tmp_path / "run"
+    run_coverage_experiment(tiny_config(n_trials=2, master_seed=1), out_dir=out)
+    before = (out / "trials.jsonl").read_bytes()
+    with pytest.raises(ConfigError):
+        cfg = tiny_config(n_trials=4, **{"master_seed": 1, **change})
+        run_coverage_experiment(cfg, out_dir=out)
+    assert (out / "trials.jsonl").read_bytes() == before
+
+
+def test_coverage_resume_refuses_rows_without_a_config_stamp(tmp_path):
+    out = tmp_path / "run"
+    run_coverage_experiment(tiny_config(n_trials=2), out_dir=out)
+    checkpoint = out / "trials.jsonl"
+    rows = [json.loads(line) for line in checkpoint.read_text().splitlines()]
+    for row in rows:
+        del row["config_sha256"]
+    checkpoint.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    with pytest.raises(ConfigError):
+        run_coverage_experiment(tiny_config(n_trials=4), out_dir=out)
+
+
 def test_trial_rows_are_seed_isolated():
     few = run_coverage_experiment(tiny_config(n_trials=3))
     more = run_coverage_experiment(tiny_config(n_trials=5))
@@ -182,6 +216,83 @@ def test_dataset_conditional_mode_runs_once_and_reports_adjustment():
     assert m.extra["alpha_adjusted"] <= 0.2
     assert m.extra["target_coverage"] == pytest.approx(0.8)
     assert 0.0 <= m.coverage <= 1.0
+
+
+def test_dataset_conditional_labels_each_draw_once(monkeypatch):
+    labeled = []
+
+    def counting(scenario, *args, **kwargs):
+        labeled.append(scenario.id)
+        return score_label_sequence(scenario, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "score_label_sequence", counting)
+    cfg = tiny_config(alphas=(0.3, 0.2, 0.1), m_calibration=30, n_trials=4)
+    run_dataset_conditional(cfg, delta=0.2)
+    assert len(labeled) == cfg.m_calibration + cfg.n_trials
+
+
+def test_metric_order_with_unsorted_alphas():
+    cfg = tiny_config(alphas=(0.3, 0.1), m_calibration=30, n_trials=2)
+    assert [m.alpha for m in run_coverage_experiment(cfg)["metrics"]] == [0.3, 0.1]
+    assert [m.alpha for m in run_dataset_conditional(cfg, delta=0.2)["metrics"]] == [0.3, 0.1]
+    assert [(m.alpha, m.mode) for m in run_comparison(cfg)["metrics"]] == [
+        (0.1, "centralized"),
+        (0.1, "distributed"),
+        (0.3, "centralized"),
+        (0.3, "distributed"),
+    ]
+
+
+MULTI_FEASIBLE = dataclasses.replace(
+    tiny_config().params, n_robots=(1, 1), n_destinations=(2, 2), multi_destination_prob=1.0
+)
+SELECTOR_W1 = dict(
+    params=MULTI_FEASIBLE, alphas=(0.3, 0.1), label_mode="selector", reorder_bound=1
+)
+
+
+# sha256 of the metrics JSON of tiny configs the benchmark does not cover,
+# recorded before the three experiments were folded into one kernel; compare
+# runs under selector labels and W = 1 to pin that it ignores both.
+@pytest.mark.parametrize(
+    "stem, digest, run",
+    [
+        pytest.param(
+            "coverage",
+            "7a544342bda2258ab75ff348daa0e73525680c93e7ea5873f3bc82abada50878",
+            lambda out: run_coverage_experiment(
+                tiny_config(**SELECTOR_W1, n_trials=6), out_dir=out, jobs=2
+            ),
+            id="coverage-selector-W1-jobs2",
+        ),
+        pytest.param(
+            "compare",
+            "8230c0603727d35da7ab679ea7f44d25e2373055e8423ca5d8e834b0dec72c22",
+            lambda out: run_comparison(
+                tiny_config(
+                    alphas=(0.3, 0.1),
+                    label_mode="selector",
+                    reorder_bound=1,
+                    m_calibration=8,
+                    n_trials=4,
+                ),
+                out_dir=out,
+            ),
+            id="compare",
+        ),
+        pytest.param(
+            "dataset_conditional",
+            "404237c75a212474cc2c0b5229b6cf9eba3c48036fc931f129e4a5284adef2dd",
+            lambda out: run_dataset_conditional(
+                tiny_config(**SELECTOR_W1, m_calibration=30, n_trials=6), delta=0.1, out_dir=out
+            ),
+            id="dataset-conditional-selector",
+        ),
+    ],
+)
+def test_metrics_files_match_recorded_digests(tmp_path, stem, digest, run):
+    run(tmp_path)
+    assert hashlib.sha256((tmp_path / f"{stem}.json").read_bytes()).hexdigest() == digest
 
 
 def test_parallel_jobs_match_serial(tmp_path):

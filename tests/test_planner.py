@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
@@ -186,6 +187,46 @@ def test_interactive_help_reads_selection_and_aborts_after_three_bad_inputs():
     bad = FakeIO(["x\n", "99\n", "\n"])
     with pytest.raises(PlanningAborted):
         resolve_user_help(pred, scores, (0, 1), INTERACTIVE_USER, space, io=bad)
+
+
+def test_interactive_prompt_prints_four_decimal_scores():
+    scores = (0.40, 0.35, 0.25)
+    space = decision_space(seeded_scenario(3).env)[:3]
+    pred = local_prediction_set(scores, Quantile(0.7, 9, 0.1))
+    out = []
+    io = SimpleNamespace(write=out.append, readline=lambda: "1\n")
+    resolve_user_help(pred, scores, (0, 1), INTERACTIVE_USER, space, io=io)
+    assert "".join(out) == (
+        "help needed; pick one decision:\n"
+        f"  [1] {space[0].phrase()} (score 0.4000)\n"
+        f"  [2] {space[1].phrase()} (score 0.3500)\n"
+        "selection: "
+    )
+
+
+def test_centralized_interactive_help_reads_selection_and_aborts_after_three_bad_inputs():
+    scenario = seeded_scenario(8, n_robots=(2, 2), n_subtasks=(1, 1))
+    space = decision_space(scenario.env)
+    uniform = tuple(1 / len(space) for _ in space)
+    scorer = StubScorer({(0, 0): uniform, (0, 1): uniform})
+    quantile = Quantile(1.0, 19, 0.1)  # threshold 0: every joint decision is in the set
+    cfg = PlannerConfig(mode=CENTRALIZED, help_policy=INTERACTIVE_USER)
+    out = []
+    good = SimpleNamespace(write=out.append, readline=lambda: "2\n")
+    trace = plan_centralized(scenario, scorer, quantile, cfg, io=good)
+    first = trace.records[0]
+    assert first.chosen_tuple == first.set_tuples[1] == (0, 1)
+    assert not first.help[0].coverage_miss
+    score = f"{uniform[0] * uniform[1]:.6f}"
+    assert "".join(out).startswith(
+        "help needed; pick one joint decision:\n"
+        f"  [1] {space[0].phrase()}; {space[0].phrase()} (score {score})\n"
+        f"  [2] {space[0].phrase()}; {space[1].phrase()} (score {score})\n"
+    )
+    replies = iter(["x\n", "0\n", f"{len(space) ** 2 + 1}\n"])
+    bad = SimpleNamespace(write=out.append, readline=lambda: next(replies))
+    with pytest.raises(PlanningAborted):
+        plan_centralized(scenario, scorer, quantile, cfg, io=bad)
 
 
 def test_fail_on_help_converts_help_into_planning_failure():
