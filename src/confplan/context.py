@@ -26,6 +26,7 @@ if TYPE_CHECKING:
     from .scenario import Scenario
 
 
+@lru_cache(maxsize=16)
 def order_family(n_robots: int) -> tuple[tuple[int, ...], ...]:
     """The finite family of robot orders: identity, rotations, reversal."""
     if n_robots < 1:
@@ -50,9 +51,7 @@ class OrderSchedule:
     seed: int
 
     def order_at(self, t: int) -> tuple[int, ...]:
-        family = order_family(self.n_robots)
-        rng = np.random.default_rng(np.random.SeedSequence((self.seed, t, 0)))
-        return family[int(rng.integers(len(family)))]
+        return _drawn_order(self.n_robots, self.seed, t)
 
     def reorder(self, t: int, attempt: int, used) -> tuple[int, ...] | None:
         """Draw a fresh order for step t, without replacement against `used`.
@@ -66,6 +65,17 @@ class OrderSchedule:
             return None
         rng = np.random.default_rng(np.random.SeedSequence((self.seed, t, attempt)))
         return remaining[int(rng.integers(len(remaining)))]
+
+
+@lru_cache(maxsize=256)
+def _drawn_order(n_robots: int, seed: int, t: int) -> tuple[int, ...]:
+    """The schedule's order at step t, memoised per (n_robots, seed, t) in a
+    bounded cache. A one-order family needs no draw: integers(1) is always 0."""
+    family = order_family(n_robots)
+    if len(family) == 1:
+        return family[0]
+    rng = np.random.default_rng(np.random.SeedSequence((seed, t, 0)))
+    return family[int(rng.integers(len(family)))]
 
 
 def iteration_index(t: int, position: int, n_robots: int) -> int:

@@ -291,8 +291,8 @@ def _trial_row(cfg: ExperimentConfig, scorer, quantiles, trial: int, test) -> di
     """The experiment kernel: label the test draw once, then for each alpha's
     calibrated quantile build the local sets, check coverage, plan, validate
     and record a row per planner ("alphas" for the distributed one). With a
-    joint quantile the centralized planner runs too ("centralized"), and both
-    call-count laws are asserted exactly."""
+    joint quantile the centralized planner runs too ("centralized"), and each
+    planner's call-count law is asserted exactly when its plan ran to the end."""
     test_record, test_labels = score_label_sequence(test, scorer, label_mode=cfg.label_mode)
     label = tuple(test_record.decision_indices)
     if cfg.label_mode == "selector":
@@ -316,7 +316,7 @@ def _trial_row(cfg: ExperimentConfig, scorer, quantiles, trial: int, test) -> di
             size = len(decision_space(test.env))
             expected_d = test.n_robots * size * test.horizon
             expected_c = (size**test.n_robots) * test.horizon
-            if trace_d.scorer_calls != expected_d:
+            if not trace_d.failed and trace_d.scorer_calls != expected_d:
                 raise RuntimeError(
                     f"distributed call-count law violated: {trace_d.scorer_calls} != {expected_d}"
                 )

@@ -124,6 +124,9 @@ class Scenario:
     env: Environment
     order_seed: int
 
+    __hash__ = world.hash_once
+    __getstate__ = world.state_without_hash
+
 
 def schedule_for(scenario: Scenario) -> OrderSchedule:
     return OrderSchedule(n_robots=scenario.n_robots, seed=scenario.order_seed)

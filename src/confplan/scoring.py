@@ -54,10 +54,7 @@ class ScoreVector:
     @staticmethod
     def from_raw(raw) -> "ScoreVector":
         arr = np.asarray(raw, dtype=np.float64)
-        return ScoreVector(
-            raw=tuple(float(x) for x in arr),
-            scores=tuple(float(x) for x in softmax(arr)),
-        )
+        return ScoreVector(raw=tuple(arr.tolist()), scores=tuple(softmax(arr).tolist()))
 
 
 class CallCounter:

@@ -14,7 +14,7 @@ call from concurrent workers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Iterable
 
@@ -88,6 +88,29 @@ class Container:
     door: str = DOOR_CLOSED
 
 
+def hash_once(self) -> int:
+    """The dataclass field hash, computed once per instance.
+
+    Used as `__hash__` by the frozen dataclasses that key the lookup caches
+    (`Environment`, `Scenario`), which would otherwise re-hash every nested
+    field on each lookup. The value is kept out of pickles (`state_without_hash`)
+    because string hashes are salted per process.
+    """
+    try:
+        return self._hash
+    except AttributeError:
+        value = hash(tuple(getattr(self, f.name) for f in fields(self)))
+        object.__setattr__(self, "_hash", value)
+        return value
+
+
+def state_without_hash(self) -> dict:
+    """Pickled state of a `hash_once` instance: its fields, never the hash."""
+    state = dict(self.__dict__)
+    state.pop("_hash", None)
+    return state
+
+
 @dataclass(frozen=True)
 class Environment:
     """Static description of a scene plus the initial robot placements."""
@@ -96,6 +119,9 @@ class Environment:
     objects: tuple[SemanticObject, ...]
     containers: tuple[Container, ...]
     robot_start: tuple[str, ...]
+
+    __hash__ = hash_once
+    __getstate__ = state_without_hash
 
 
 @dataclass(frozen=True)
@@ -272,7 +298,7 @@ def _plan_effect(env, state: WorldState, robot: int, d: Decision):
     raise InfeasibleDecision(NO_SUCH_ENTITY, robot, f"unknown action {d.kind}")
 
 
-def _merge(env: Environment, state: WorldState, effects) -> WorldState:
+def _merge(env: Environment, state: WorldState, effects, time: int) -> WorldState:
     robots = list(state.robots)
     objects = list(state.objects)
     doors = list(state.doors_open)
@@ -282,23 +308,18 @@ def _merge(env: Environment, state: WorldState, effects) -> WorldState:
             continue
         if tag == "move":
             _, robot, loc = eff
-            robots[robot] = replace(robots[robot], at=loc)
+            robots[robot] = RobotPose(loc, robots[robot].holding)
         elif tag == "grab":
             _, robot, idx = eff
-            robots[robot] = replace(robots[robot], holding=env.objects[idx].id)
+            robots[robot] = RobotPose(robots[robot].at, env.objects[idx].id)
             objects[idx] = ObjectState(at=None, inside=None)
         elif tag == "put":
             _, robot, idx, dest = eff
-            robots[robot] = replace(robots[robot], holding=None)
+            robots[robot] = RobotPose(robots[robot].at, None)
             objects[idx] = ObjectState(at=dest, inside=None)
         elif tag == "open":
             doors[eff[1]] = True
-    return WorldState(
-        time=state.time,
-        robots=tuple(robots),
-        objects=tuple(objects),
-        doors_open=tuple(doors),
-    )
+    return WorldState(time, tuple(robots), tuple(objects), tuple(doors))
 
 
 def apply_decision(
@@ -313,7 +334,7 @@ def apply_decision(
         if exc.robot is None:
             raise InfeasibleDecision(exc.reason, robot, exc.detail) from None
         raise
-    return _merge(env, state, [eff])
+    return _merge(env, state, [eff], state.time)
 
 
 def decision_feasible(env, state: WorldState, robot: int, d: Decision) -> bool:
@@ -349,8 +370,7 @@ def apply_joint(env: Environment, state: WorldState, jd: JointDecision) -> World
             if exc.robot is None:
                 raise InfeasibleDecision(exc.reason, robot, exc.detail) from None
             raise
-    merged = _merge(env, state, effects)
-    return replace(merged, time=state.time + 1)
+    return _merge(env, state, effects, state.time + 1)
 
 
 def violates_safety(robot: int, d: Decision, safety: SafetyConstraint | None) -> bool:

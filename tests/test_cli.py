@@ -191,6 +191,16 @@ def test_compare_cli_budget_error(tmp_path):
     assert main(["compare", "--config", str(config)]) == 4
 
 
+def test_compare_cli_under_fail_on_help_exits_0(tmp_path, capsys):
+    config = write_config(tmp_path, n_trials=3, help_policy="fail-on-help")
+    assert main(["compare", "--config", str(config)]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert {(r["alpha"], r["mode"]) for r in rows} == {
+        (a, m) for a in (0.1, 0.3) for m in ("centralized", "distributed")
+    }
+    assert min(r["success_rate"] for r in rows) < 1.0
+
+
 def test_dataset_conditional_cli(tmp_path, capsys):
     config = write_config(tmp_path, n_trials=4, alphas=(0.2,), m_calibration=20)
     assert main(["dataset-conditional", "--config", str(config), "--delta", "0.2"]) == 0

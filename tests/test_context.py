@@ -1,7 +1,10 @@
 import dataclasses
+import sys
 
+import numpy as np
 import pytest
 
+from confplan import context
 from confplan.context import (
     Context,
     OrderSchedule,
@@ -13,7 +16,13 @@ from confplan.context import (
     reset_step,
     step_position,
 )
-from confplan.scenario import default_distribution_params, sample_scenario, schedule_for
+from confplan.scenario import (
+    default_distribution_params,
+    label_sequence,
+    sample_scenario,
+    schedule_for,
+)
+from confplan.scoring import ScorerSpec, build_scorer
 from confplan.world import Decision, GRAB, IDLE_DECISION
 
 
@@ -50,6 +59,54 @@ def test_schedule_is_deterministic_and_reorder_draws_without_replacement():
         assert fresh in family and fresh not in used
         used.append(fresh)
     assert schedule.reorder(0, len(family), used) is None
+
+
+def per_call_order(n_robots: int, seed: int, t: int) -> tuple[int, ...]:
+    """Reference: a fresh draw from the family on every call."""
+    family = order_family(n_robots)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, t, 0)))
+    return family[int(rng.integers(len(family)))]
+
+
+@pytest.mark.parametrize("n_robots", [1, 2, 3, 4])
+def test_order_at_equals_the_per_call_draw(n_robots):
+    context._drawn_order.cache_clear()
+    for _ in range(2):  # the second pass reads the memoised draws
+        for seed in (0, 1, 17, 123456789, 2**31 - 1):
+            schedule = OrderSchedule(n_robots=n_robots, seed=seed)
+            for t in range(31):
+                assert schedule.order_at(t) == per_call_order(n_robots, seed, t)
+
+
+def seed_sequences_built_while_labeling(monkeypatch, scenario, label_mode) -> list[str]:
+    """Modules that built a SeedSequence while `scenario` was labeled, with the
+    order draws not yet memoised."""
+    built = []
+    seed_sequence = np.random.SeedSequence
+
+    def recording(*args, **kwargs):
+        built.append(sys._getframe(1).f_globals["__name__"])
+        return seed_sequence(*args, **kwargs)
+
+    context._drawn_order.cache_clear()
+    monkeypatch.setattr(np.random, "SeedSequence", recording)
+    label_sequence(scenario, build_scorer(ScorerSpec()), label_mode=label_mode)
+    monkeypatch.undo()
+    return built
+
+
+@pytest.mark.parametrize("label_mode", ["oracle", "selector"])
+def test_labeling_a_one_robot_scenario_draws_no_order(monkeypatch, label_mode):
+    params = dataclasses.replace(default_distribution_params(5), n_robots=(1, 1))
+    s = sample_scenario(params, 0)
+    built = seed_sequences_built_while_labeling(monkeypatch, s, label_mode)
+    assert "confplan.scoring" in built  # the scorer's noise draws are seen
+    assert "confplan.context" not in built
+
+
+def test_labeling_draws_each_step_order_once(monkeypatch, trio_scenario):
+    built = seed_sequences_built_while_labeling(monkeypatch, trio_scenario, "oracle")
+    assert 0 < built.count("confplan.context") <= trio_scenario.horizon
 
 
 def test_initial_context_empty_history(scenario):

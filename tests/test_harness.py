@@ -208,6 +208,37 @@ def test_comparison_two_robot_call_counts():
     assert by_mode["centralized"].scorer_calls == 81 * 5 * cfg.n_trials
 
 
+def test_comparison_under_fail_on_help_counts_stopped_plans_as_failures(monkeypatch):
+    recorded = []
+
+    def recording(trace, covered, success, full_set):
+        recorded.append((trace.failed, success))
+        return trace_row(trace, covered, success, full_set)
+
+    trace_row = harness._trace_row
+    monkeypatch.setattr(harness, "_trace_row", recording)
+    cfg = tiny_config(help_policy="fail-on-help", n_trials=3)
+    result = run_comparison(cfg)
+    by_cell = {(m.alpha, m.mode): m for m in result["metrics"]}
+    assert sorted(by_cell) == [
+        (0.1, "centralized"),
+        (0.1, "distributed"),
+        (0.3, "centralized"),
+        (0.3, "distributed"),
+    ]
+    assert all(m.trials == cfg.n_trials for m in by_cell.values())
+    # 2 planners x 2 alphas x 3 trials, each plan that stopped at a help
+    # request counted as a failure
+    assert len(recorded) == 12
+    assert any(failed for failed, _ in recorded)
+    assert all(not success for failed, success in recorded if failed)
+    assert sum(m.success_rate * m.trials for m in by_cell.values()) == pytest.approx(
+        sum(success for _, success in recorded)
+    )
+    # the stopped plans are failures, not breaches of the call-count law
+    assert by_cell[(0.1, "distributed")].success_rate < 1.0
+
+
 def test_dataset_conditional_mode_runs_once_and_reports_adjustment():
     cfg = tiny_config(alphas=(0.2,), m_calibration=30, n_trials=10)
     result = run_dataset_conditional(cfg, delta=0.2)

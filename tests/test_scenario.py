@@ -1,5 +1,8 @@
 import dataclasses
 import itertools
+import multiprocessing
+import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -12,6 +15,7 @@ from confplan.scenario import (
     FeasibleResult,
     Scenario,
     anchor_decision,
+    decision_index,
     decision_space,
     default_distribution_params,
     feasible_next_decisions,
@@ -168,6 +172,59 @@ def test_params_roundtrip_and_validation():
 def test_scenario_roundtrip():
     s = sample_scenario(default_distribution_params(11), 3)
     assert scenario_from_dict(scenario_to_dict(s)) == s
+
+
+def test_equal_scenarios_hash_equal_and_hash_their_fields():
+    s = sample_scenario(default_distribution_params(11), 3)
+    first = hash(s)  # computed, then kept on the instance
+    for other in (
+        sample_scenario(default_distribution_params(11), 3),
+        dataclasses.replace(s),
+        dataclasses.replace(s, env=dataclasses.replace(s.env)),
+        scenario_from_dict(scenario_to_dict(s)),
+    ):
+        assert other == s and other is not s
+        assert hash(other) == hash(s) == first
+        assert hash(other.env) == hash(s.env)
+    fields = tuple(getattr(s, f.name) for f in dataclasses.fields(s))
+    assert first == hash(fields)
+    moved = dataclasses.replace(s, order_seed=s.order_seed + 1)
+    assert moved != s and hash(moved) == hash(fields[:-1] + (s.order_seed + 1,))
+
+
+def test_pickles_never_carry_the_cached_hash():
+    s = sample_scenario(default_distribution_params(11), 3)
+    hash(s)
+    loaded = pickle.loads(pickle.dumps(s))
+    assert "_hash" in vars(s) and "_hash" in vars(s.env)
+    assert "_hash" not in vars(loaded) and "_hash" not in vars(loaded.env)
+    assert loaded == s and hash(loaded) == hash(s)
+
+
+def lookups_in_a_fresh_process(sent):
+    """Runs in a spawned worker, whose str hashes are salted differently: the
+    scenario sent over must hash, compare and resolve like one sampled here."""
+    fresh = sample_scenario(default_distribution_params(11), 3)
+    anchor = oracle_plan(sent)[0][0]
+    return (
+        hash(sent) == hash(fresh) and hash(sent.env) == hash(fresh.env),
+        sent in {fresh} and sent.env in {fresh.env},
+        oracle_plan(sent),
+        decision_index(sent.env)[anchor],
+    )
+
+
+def test_scenario_with_a_cached_hash_resolves_in_a_spawned_worker():
+    s = sample_scenario(default_distribution_params(11), 3)
+    plan = oracle_plan(s)  # caches hash(s) and hash(s.env)
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+        same_hash, found, sent_plan, index = pool.submit(
+            lookups_in_a_fresh_process, s
+        ).result(timeout=120)
+    assert same_hash and found
+    assert sent_plan == plan
+    assert index == decision_index(s.env)[plan[0][0]]
 
 
 def test_sampled_horizon_is_oracle_length_plus_slack():

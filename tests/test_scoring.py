@@ -63,6 +63,23 @@ def test_softmax_shift_invariance():
     assert abs(a.sum() - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        np.random.default_rng(3).normal(size=9),
+        np.random.default_rng(4).normal(0.0, 50.0, size=28),
+        [0.0, -0.0, 5e-324, 1e300, -1e300],
+        [1, 2, 3],
+    ],
+)
+def test_score_vector_from_raw_is_bitwise_the_float_loop(raw):
+    arr = np.asarray(raw, dtype=np.float64)
+    vec = ScoreVector.from_raw(raw)
+    for got, want in ((vec.raw, arr), (vec.scores, softmax(arr))):
+        assert all(type(x) is float for x in got)
+        assert [x.hex() for x in got] == [float(x).hex() for x in want]
+
+
 def test_uniform_raw_scores_normalize_uniformly():
     vec = ScoreVector.from_raw([2.5] * 7)
     assert all(abs(s - 1 / 7) < 1e-12 for s in vec.scores)
