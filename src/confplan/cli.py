@@ -19,10 +19,6 @@ from .errors import (
     BudgetError,
     ConfigError,
     ConfplanError,
-    GenerationError,
-    InfeasibleAlphaError,
-    NoFeasibleError,
-    OracleError,
     PlanningAborted,
     TransportError,
 )
@@ -150,7 +146,7 @@ def cmd_plan(args) -> int:
         help_policy=policy,
     )
     if args.mode == planner.ARGMAX:
-        trace = planner.plan_argmax(scenario, scorer, pcfg)
+        trace = planner.plan_argmax(scenario, scorer)
     elif args.mode == planner.CENTRALIZED:
         quantile = _quantile_for_plan(args)
         if args.calibration:
@@ -314,18 +310,7 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         sys.stderr.write(f"budget error: {exc}\n")
         return 4
-    except (
-        ConfigError,
-        GenerationError,
-        OracleError,
-        NoFeasibleError,
-        InfeasibleAlphaError,
-        ConfplanError,
-        FileNotFoundError,
-        json.JSONDecodeError,
-        KeyError,
-        ValueError,
-    ) as exc:
+    except (ConfplanError, FileNotFoundError, KeyError, ValueError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
 

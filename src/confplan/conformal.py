@@ -31,14 +31,13 @@ from .errors import BudgetError, InfeasibleAlphaError
 from .scenario import (
     DistributionParams,
     Scenario,
+    anchor_decision,
     decision_index,
     decision_space,
     label_sequence,
-    oracle_plan,
     sample_scenario,
     schedule_for,
 )
-from .world import IDLE_DECISION
 
 
 def sequence_ncs(step_scores) -> float:
@@ -231,21 +230,14 @@ def calibrate(records, alpha: float) -> Quantile:
     return conformal_quantile([r.ncs for r in records], alpha)
 
 
-def score_label_sequence(
-    scenario: Scenario,
-    scorer,
-    label_mode: str = "oracle",
-    schedule=None,
-    budget: int | None = None,
-):
+def score_label_sequence(scenario: Scenario, scorer, label_mode: str = "oracle"):
     """Label one scenario and package it as a CalibrationRecord.
 
     Returns (record, label result); the label result keeps the full per-step
     score vectors, which the coverage harness reuses to build prediction sets
     for test sequences without re-querying the scorer.
     """
-    kwargs = {} if budget is None else {"budget": budget}
-    lr = label_sequence(scenario, scorer, schedule=schedule, label_mode=label_mode, **kwargs)
+    lr = label_sequence(scenario, scorer, label_mode=label_mode)
     index = decision_index(scenario.env)
     record = CalibrationRecord(
         scenario_id=scenario.id,
@@ -265,7 +257,6 @@ def build_calibration_set(
     scorer,
     start_index: int = 0,
     label_mode: str = "oracle",
-    budget: int | None = None,
 ) -> list[CalibrationRecord]:
     """Sample M scenarios i.i.d. (draw indices start_index..start_index+M-1),
     label each, and record the labeled decisions' scores."""
@@ -274,9 +265,7 @@ def build_calibration_set(
     records = []
     for i in range(m):
         scenario = sample_scenario(params, start_index + i)
-        record, _ = score_label_sequence(
-            scenario, scorer, label_mode=label_mode, budget=budget
-        )
+        record, _ = score_label_sequence(scenario, scorer, label_mode=label_mode)
         records.append(record)
     return records
 
@@ -299,29 +288,37 @@ class JointCalibrationRecord:
         return sequence_ncs(self.step_scores)
 
 
+def joint_step_scores(scenario: Scenario, scorer, history, t: int, space, count: bool):
+    """Each robot's score vector against the step-start context of step t (no
+    within-step conditioning), in robot-index order; `count` is passed to the
+    scorer."""
+    return [
+        scorer.score_all(
+            Context(scenario=scenario, history=history, cursor=(t, robot)), space, count=count
+        ).scores
+        for robot in range(scenario.n_robots)
+    ]
+
+
 def score_joint_label_sequence(scenario: Scenario, scorer) -> JointCalibrationRecord:
-    """Score the canonical labels jointly: at each step every robot is scored
-    against the step-start context (no within-step conditioning), and the team
-    score is the product over robots."""
+    """Score the canonical labels jointly: the team score of a step is the
+    product over robots of their step-start scores (see joint_step_scores)."""
     schedule = schedule_for(scenario)
     space = decision_space(scenario.env)
     index = decision_index(scenario.env)
-    plan = oracle_plan(scenario)
-    n, horizon = scenario.n_robots, scenario.horizon
+    n = scenario.n_robots
     history: tuple = ()
     step_scores = []
     label_indices = []
-    for t in range(horizon):
-        labels = tuple(
-            plan[t][r] if t < len(plan) else IDLE_DECISION for r in range(n)
-        )
+    for t in range(scenario.horizon):
+        labels = tuple(anchor_decision(scenario, t, r) for r in range(n))
+        indices = tuple(index[d] for d in labels)
+        vectors = joint_step_scores(scenario, scorer, history, t, space, count=True)
         score = 1.0
-        for robot in range(n):
-            ctx = Context(scenario=scenario, history=history, cursor=(t, robot))
-            vec = scorer.score_all(ctx, space)
-            score *= vec.scores[index[labels[robot]]]
+        for robot, i in enumerate(indices):
+            score *= vectors[robot][i]
         step_scores.append(score)
-        label_indices.append(tuple(index[d] for d in labels))
+        label_indices.append(indices)
         order = schedule.order_at(t)
         history = history + tuple((t, r, labels[r]) for r in order)
     return JointCalibrationRecord(

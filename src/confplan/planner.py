@@ -16,14 +16,11 @@ Planning is open-loop: the full plan is produced before any execution.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from itertools import product
 
-import numpy as np
-
-from .conformal import PredictionSet, Quantile, local_prediction_set
+from .conformal import PredictionSet, Quantile, joint_step_scores, local_prediction_set
 from .context import Context, advance, initial_context, reset_step
 from .errors import BudgetError, ConfigError, PlanningAborted
 from .scenario import (
@@ -34,7 +31,7 @@ from .scenario import (
     decision_space,
     schedule_for,
 )
-from .world import Decision, IDLE_DECISION, Plan
+from .world import Decision, IDLE_DECISION, Plan, plan_to_dict
 
 DISTRIBUTED = "distributed"
 CENTRALIZED = "centralized"
@@ -161,15 +158,14 @@ def teacher_feasible_provider(scenario: Scenario):
     return provide
 
 
-def search_feasible_provider(scenario: Scenario, schedule=None, budget: int | None = None):
+def search_feasible_provider(scenario: Scenario):
     """Multi-feasible mode: enumerate mission-preserving decisions on demand.
 
     A planner that has already diverged onto a world-infeasible prefix (only
     possible on uncovered trials) gets an empty feasible set back; user help
     then falls back to the presented set.
     """
-    kwargs = {} if budget is None else {"budget": budget}
-    index = FeasibilityIndex(scenario, schedule or schedule_for(scenario), **kwargs)
+    index = FeasibilityIndex(scenario)
 
     def provide(ctx: Context) -> tuple[Decision, ...]:
         try:
@@ -182,16 +178,9 @@ def search_feasible_provider(scenario: Scenario, schedule=None, budget: int | No
 
 # --- user help -------------------------------------------------------------------
 
-def _argmax_indices(indices, scores_by_index) -> int:
-    best = None
-    best_score = -math.inf
-    for i in sorted(indices):
-        s = scores_by_index[i]
-        if s > best_score:
-            best, best_score = i, s
-    if best is None:
-        raise ValueError("cannot pick from an empty set")
-    return best
+def _best(options, scores):
+    """The highest-scoring option; a tie goes to the smallest option."""
+    return max(sorted(options), key=scores.__getitem__)
 
 
 def _ask_user(what: str, options, lines, io=None):
@@ -211,6 +200,27 @@ def _ask_user(what: str, options, lines, io=None):
     raise PlanningAborted("three invalid selections; aborting")
 
 
+def _resolve(policy, presented, members, scores, feasible, what, describe, io):
+    """Resolve help by the policy; returns (chosen option, coverage_miss).
+
+    oracle-user: the best feasible member of the set; if no feasible option is
+    in the set, the best feasible option, or else (nothing feasible, only
+    reachable after an uncovered divergence) the best presented one, and a
+    coverage miss is flagged. interactive-user: the presented options are
+    printed by `describe` and the user picks one (three invalid entries abort
+    the run).
+    """
+    if policy == ORACLE_USER:
+        inter = [o for o in feasible if o in members]
+        if inter:
+            return _best(inter, scores), False
+        return _best(feasible or presented, scores), True
+    if policy == INTERACTIVE_USER:
+        lines = [describe(o) for o in presented]
+        return _ask_user(what, presented, lines, io), False
+    raise ConfigError(f"help policy {policy!r} cannot resolve help")
+
+
 def resolve_user_help(
     pred_set: PredictionSet,
     scores,
@@ -221,28 +231,21 @@ def resolve_user_help(
 ) -> tuple[int, bool]:
     """Resolve a non-singleton (or empty) prediction set via the help policy.
 
-    oracle-user: highest-scoring member of (prediction set intersect feasible);
-    if the intersection is empty, the highest-scoring feasible decision is
-    taken and a coverage miss is flagged. interactive-user: the presented set
-    is printed with scores and a selection read from stdin (three invalid
-    entries abort the run). Returns (chosen index, coverage_miss).
+    An empty set presents the whole decision space; see `_resolve` for the
+    rule. Returns (chosen index, coverage_miss).
     """
     values = tuple(getattr(scores, "scores", scores))
-    if policy == ORACLE_USER:
-        inter = [i for i in feasible_indices if i in pred_set]
-        if inter:
-            return _argmax_indices(inter, values), False
-        if feasible_indices:
-            return _argmax_indices(feasible_indices, values), True
-        # nothing feasible (only reachable after an uncovered divergence):
-        # damage control from whatever was presented
-        fallback = pred_set.indices or tuple(range(len(space)))
-        return _argmax_indices(fallback, values), True
-    if policy == INTERACTIVE_USER:
-        presented = pred_set.indices or tuple(range(len(space)))
-        lines = [f"{space[i].phrase()} (score {values[i]:.4f})" for i in presented]
-        return _ask_user("decision", presented, lines, io), False
-    raise ConfigError(f"help policy {policy!r} cannot resolve help")
+    presented = pred_set.indices or tuple(range(len(space)))
+    return _resolve(
+        policy,
+        presented,
+        pred_set,
+        values,
+        feasible_indices,
+        "decision",
+        lambda i: f"{space[i].phrase()} (score {values[i]:.4f})",
+        io,
+    )
 
 
 def _history_to_plan(scenario: Scenario, history) -> Plan:
@@ -322,53 +325,29 @@ def plan_distributed(
                         ctx = reset_step(ctx, t, new_order)
                         pos = 0
                         continue
+                chosen, miss = None, False
+                if cfg.help_policy != FAIL_ON_HELP:
+                    feasible = tuple(index[d] for d in provider(ctx))
+                    chosen, miss = resolve_user_help(
+                        ps, vec, feasible, cfg.help_policy, space, io=io
+                    )
                 # an empty set presents the whole space (user events always
                 # carry a nonempty presented set)
-                presented = ps.indices or tuple(range(len(space)))
-                presented_scores = ps.scores or vec.scores
-                if cfg.help_policy == FAIL_ON_HELP:
-                    records.append(
-                        IterationRecord(
-                            **base,
-                            chosen_index=None,
-                            help=(
-                                HelpEvent(
-                                    "user",
-                                    t,
-                                    robot,
-                                    presented_indices=presented,
-                                    presented_scores=presented_scores,
-                                    full_set=ps.full_set,
-                                    unresolved=True,
-                                ),
-                            ),
-                        )
-                    )
+                event = HelpEvent(
+                    "user",
+                    t,
+                    robot,
+                    presented_indices=ps.indices or tuple(range(len(space))),
+                    presented_scores=ps.scores or vec.scores,
+                    full_set=ps.full_set,
+                    resolution_index=chosen,
+                    coverage_miss=miss,
+                    unresolved=chosen is None,
+                )
+                records.append(IterationRecord(**base, chosen_index=chosen, help=(event,)))
+                if chosen is None:  # fail-on-help
                     failed = True
                     break
-                feasible = provider(ctx)
-                feasible_idx = tuple(index[d] for d in feasible)
-                chosen, miss = resolve_user_help(
-                    ps, vec, feasible_idx, cfg.help_policy, space, io=io
-                )
-                records.append(
-                    IterationRecord(
-                        **base,
-                        chosen_index=chosen,
-                        help=(
-                            HelpEvent(
-                                "user",
-                                t,
-                                robot,
-                                presented_indices=presented,
-                                presented_scores=presented_scores,
-                                full_set=ps.full_set,
-                                resolution_index=chosen,
-                                coverage_miss=miss,
-                            ),
-                        ),
-                    )
-                )
             ctx = advance(ctx, space[chosen], schedule, order=order)
             pos += 1
         t += 1
@@ -385,7 +364,7 @@ def plan_distributed(
 
 # --- argmax ablation ---------------------------------------------------------------
 
-def plan_argmax(scenario: Scenario, scorer, cfg: PlannerConfig | None = None) -> PlanTrace:
+def plan_argmax(scenario: Scenario, scorer) -> PlanTrace:
     """Per-iteration argmax; never asks for help and needs no quantile."""
     schedule = schedule_for(scenario)
     space = decision_space(scenario.env)
@@ -466,74 +445,60 @@ def plan_centralized(
     plan: list = []
     failed = False
     for t in range(scenario.horizon):
-        vectors = []
-        for robot in range(n):
-            ctx = Context(scenario=scenario, history=history, cursor=(t, robot))
-            vectors.append(
-                np.asarray(scorer.score_all(ctx, space, count=False).scores)
-            )
+        vectors = joint_step_scores(scenario, scorer, history, t, space, count=False)
         scorer.counter.add(joint_count, tag=scenario.id, t=t)
-        joint: list[tuple[tuple[int, ...], float]] = []
+        joint: dict[tuple[int, ...], float] = {}
         for combo in product(range(len(space)), repeat=n):
             score = 1.0
             for robot, i in enumerate(combo):
-                score *= float(vectors[robot][i])
-            joint.append((combo, score))
-        if quantile.full_set:
-            members = joint
-            full = True
-        else:
-            thr = quantile.threshold
-            members = [(c, s) for c, s in joint if s > thr]
-            full = False
-        tuples = tuple(c for c, _ in members)
-        scores = tuple(s for _, s in members)
-        base = dict(t=t, set_tuples=tuples, set_scores=scores, set_full=full)
+                score *= vectors[robot][i]
+            joint[combo] = score
+        full = quantile.full_set
+        thr = quantile.threshold  # -inf under the FULL-SET sentinel
+        tuples = tuple(c for c, s in joint.items() if s > thr)
+        scores = tuple(joint[c] for c in tuples)
+        help_events = ()
         if len(tuples) == 1:
             chosen = tuples[0]
-            records.append(CentralStepRecord(**base, chosen_tuple=chosen))
         else:
-            if cfg.help_policy == FAIL_ON_HELP:
-                records.append(
-                    CentralStepRecord(
-                        **base,
-                        chosen_tuple=None,
-                        help=(HelpEvent("user", t, None, unresolved=True),),
-                    )
-                )
-                failed = True
-                break
-            joint_scores = dict(joint)
-            feasible = provider(t)
-            inter = [c for c in feasible if c in set(tuples)]
-            miss = not inter
-            pool = inter or list(feasible)
-            if cfg.help_policy == INTERACTIVE_USER:
-                options = tuples or tuple(joint_scores)
-                lines = [
-                    f"{'; '.join(space[i].phrase() for i in c)} (score {joint_scores[c]:.6f})"
-                    for c in options
-                ]
-                chosen = _ask_user("joint decision", options, lines, io)
-                miss = False
-            else:
-                chosen = max(pool, key=lambda c: (joint_scores[c], tuple(-i for i in c)))
-            records.append(
-                CentralStepRecord(
-                    **base,
-                    chosen_tuple=chosen,
-                    help=(
-                        HelpEvent(
-                            "user",
-                            t,
-                            None,
-                            resolution_index=None,
-                            coverage_miss=miss,
-                            full_set=full,
-                        ),
+            chosen, miss = None, False
+            if cfg.help_policy != FAIL_ON_HELP:
+                chosen, miss = _resolve(
+                    cfg.help_policy,
+                    tuples or tuple(joint),
+                    set(tuples),
+                    joint,
+                    provider(t),
+                    "joint decision",
+                    lambda c: (
+                        f"{'; '.join(space[i].phrase() for i in c)} "
+                        f"(score {joint[c]:.6f})"
                     ),
+                    io,
                 )
+            help_events = (
+                HelpEvent(
+                    "user",
+                    t,
+                    None,
+                    full_set=full,
+                    coverage_miss=miss,
+                    unresolved=chosen is None,
+                ),
             )
+        records.append(
+            CentralStepRecord(
+                t=t,
+                set_tuples=tuples,
+                set_scores=scores,
+                set_full=full,
+                chosen_tuple=chosen,
+                help=help_events,
+            )
+        )
+        if chosen is None:  # fail-on-help
+            failed = True
+            break
         joint_decision = tuple(space[i] for i in chosen)
         plan.append(joint_decision)
         order = schedule.order_at(t)
@@ -602,6 +567,6 @@ def trace_to_dict(trace: PlanTrace) -> dict:
         "failed": trace.failed,
         "quantile": quantile,
         "scorer_calls": trace.scorer_calls,
-        "plan": [[{"kind": d.kind, "target": d.target} for d in jd] for jd in trace.plan],
+        "plan": plan_to_dict(trace.plan),
         "records": records,
     }

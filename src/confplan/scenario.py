@@ -807,13 +807,7 @@ class LabelResult:
         return "exact" if all(m == "exact" for m in self.modes) else "oracle"
 
 
-def label_sequence(
-    scenario: Scenario,
-    scorer,
-    schedule: OrderSchedule | None = None,
-    label_mode: str = "selector",
-    budget: int = EXACT_SEARCH_BUDGET,
-) -> LabelResult:
+def label_sequence(scenario: Scenario, scorer, label_mode: str = "selector") -> LabelResult:
     """Build the calibration label auto-regressively and score each step.
 
     In "selector" mode each iteration enumerates the feasible decisions and
@@ -823,10 +817,10 @@ def label_sequence(
     """
     if label_mode not in ("selector", "oracle"):
         raise ConfigError(f"unknown label mode {label_mode!r}")
-    schedule = schedule or schedule_for(scenario)
+    schedule = schedule_for(scenario)
     space = decision_space(scenario.env)
     index = decision_index(scenario.env)
-    findex = FeasibilityIndex(scenario, schedule, budget) if label_mode == "selector" else None
+    findex = FeasibilityIndex(scenario, schedule) if label_mode == "selector" else None
     ctx = initial_context(scenario, schedule)
     decisions: list[Decision] = []
     scores: list[float] = []

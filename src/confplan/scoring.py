@@ -20,6 +20,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -117,6 +118,7 @@ class ScorerSpec:
             raise ConfigError("external scorer needs an endpoint config")
 
 
+@lru_cache(maxsize=4096)
 def _scenario_key(scenario_id: str) -> int:
     digest = hashlib.sha256(scenario_id.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Iterable
 
 # Decision kinds. The tuple order is the canonical rendering order of the
 # skill set and is relied on by the decision-space enumerator.
@@ -530,16 +529,8 @@ def decision_to_dict(d: Decision) -> dict:
     return {"kind": d.kind, "target": d.target}
 
 
-def decision_from_dict(data: dict) -> Decision:
-    return Decision(data["kind"], data.get("target"))
-
-
 def plan_to_dict(plan: Plan) -> list:
     return [[decision_to_dict(d) for d in jd] for jd in plan]
-
-
-def plan_from_dict(data: Iterable) -> Plan:
-    return tuple(tuple(decision_from_dict(d) for d in jd) for jd in data)
 
 
 def mission_to_dict(mission: Mission) -> dict:

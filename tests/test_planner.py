@@ -161,6 +161,9 @@ def test_resolve_user_help_cases():
     full = local_prediction_set((0.2, 0.1, 0.5, 0.2), Quantile(None, 4, 0.1))
     chosen, miss = resolve_user_help(full, (0.2, 0.1, 0.5, 0.2), (0, 2), ORACLE_USER, space)
     assert (chosen, miss) == (2, False)
+    # nothing feasible: the best presented decision, flagged as a miss
+    chosen, miss = resolve_user_help(pred, scores, (), ORACLE_USER, space)
+    assert (chosen, miss) == (0, True)
 
 
 def test_interactive_help_reads_selection_and_aborts_after_three_bad_inputs():
@@ -342,6 +345,69 @@ def test_centralized_call_count_and_joint_flagging():
     # ambiguity flags the whole team: the record carries no robot index
     flagged = [h for r in trace.records for h in r.help]
     assert flagged and all(h.robot is None for h in flagged)
+
+
+def test_centralized_oracle_help_breaks_ties_to_the_smallest_tuple():
+    scenario = seeded_scenario(8, n_robots=(2, 2), n_subtasks=(1, 1))
+    space = decision_space(scenario.env)
+    uniform = tuple(1 / len(space) for _ in space)
+    scorer = StubScorer({(0, 0): uniform, (0, 1): uniform})
+    quantile = Quantile(1.0, 19, 0.1)  # threshold 0: every joint decision is in the set
+    cfg = PlannerConfig(mode=CENTRALIZED, help_policy=ORACLE_USER)
+    trace = plan_centralized(
+        scenario, scorer, quantile, cfg, joint_feasible_provider=lambda t: ((1, 1), (0, 1), (1, 0))
+    )
+    first = trace.records[0]
+    assert first.chosen_tuple == (0, 1)
+    assert not first.help[0].coverage_miss
+
+
+def test_centralized_oracle_help_takes_the_canonical_tuple_outside_the_set():
+    scenario = seeded_scenario(8, n_robots=(2, 2), n_subtasks=(1, 1))
+    space = decision_space(scenario.env)
+    index = decision_index(scenario.env)
+    canonical = tuple(index[anchor_decision(scenario, 0, r)] for r in range(2))
+    other = [(c + 1) % len(space) for c in canonical]
+    rest = 0.08 / (len(space) - 2)
+    tables = {}
+    # robot 0 is confidently wrong; robot 1 splits between its label and another
+    for robot, (hi, lo) in enumerate(((0.9, 0.02), (0.45, 0.45))):
+        scores = [rest] * len(space)
+        scores[other[robot]], scores[canonical[robot]] = hi, lo
+        tables[(0, robot)] = tuple(scores)
+    scorer = StubScorer(tables)
+    quantile = Quantile(0.7, 19, 0.1)  # threshold 0.3: two joint members at t = 0
+    cfg = PlannerConfig(mode=CENTRALIZED, help_policy=ORACLE_USER)
+    trace = plan_centralized(scenario, scorer, quantile, cfg)
+    first = trace.records[0]
+    assert first.set_size == 2 and canonical not in first.set_tuples
+    assert first.chosen_tuple == canonical
+    assert first.help[0].coverage_miss and not first.help[0].unresolved
+
+
+def test_fail_on_help_records_the_full_set_flag_in_both_planners():
+    scenario = seeded_scenario(3, n_robots=(2, 2))
+    scorer = build_scorer(ScorerSpec(kind="oracle-indicator"))
+    quantile = Quantile(None, 5, 0.1)  # FULL-SET sentinel
+
+    def never(*_):
+        raise AssertionError("fail-on-help must not ask for feasible decisions")
+
+    cfg = PlannerConfig(help_policy=FAIL_ON_HELP)
+    dist = plan_distributed(scenario, scorer, quantile, cfg, feasible_provider=never)
+    cent = plan_centralized(
+        scenario,
+        scorer,
+        quantile,
+        dataclasses.replace(cfg, mode=CENTRALIZED),
+        joint_feasible_provider=never,
+    )
+    for trace in (dist, cent):
+        assert trace.failed
+        last = trace.records[-1]
+        assert last.set_full
+        (event,) = last.help
+        assert event.unresolved and event.full_set and not event.coverage_miss
 
 
 def test_centralized_budget_error():
