@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy import special
 
 from .context import Context
 from .errors import BudgetError, InfeasibleAlphaError
@@ -343,21 +342,30 @@ def build_joint_calibration_set(
 
 # --- dataset-conditional adjustment --------------------------------------------
 
-def beta_quantile(a: float, b: float, delta: float) -> float:
-    """Quantile of Beta(a, b) at level delta, by bisecting the regularized
-    incomplete beta CDF to 1e-10."""
-    if a <= 0 or b <= 0:
-        raise ValueError("beta shape parameters must be positive")
+def beta_quantile(a: int, b: int, delta: float) -> float:
+    """Quantile of Beta(a, b) at level delta for positive integer shapes (all
+    that split conformal needs), by bisecting the CDF to 1e-10. The CDF is the
+    binomial tail I_x(a, b) = P[Binomial(a + b - 1, x) >= a], whose terms are
+    taken through logarithms so that none overflows a float."""
+    if not all(float(s).is_integer() and s >= 1 for s in (a, b)):
+        raise ValueError("beta shape parameters must be positive integers")
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must be in [0, 1]")
     if delta == 0.0:
         return 0.0
     if delta == 1.0:
         return 1.0
+    n = int(a + b - 1)
+    log_combs = [(j, math.log(math.comb(n, j))) for j in range(int(a), n + 1)]
+
+    def cdf(x: float) -> float:
+        lx, l1x = math.log(x), math.log1p(-x)
+        return math.fsum(math.exp(c + j * lx + (n - j) * l1x) for j, c in log_combs)
+
     lo, hi = 0.0, 1.0
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
-        if special.betainc(a, b, mid) < delta:
+        if cdf(mid) < delta:
             lo = mid
         else:
             hi = mid

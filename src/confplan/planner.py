@@ -327,7 +327,8 @@ def plan_distributed(
                         continue
                 chosen, miss = None, False
                 if cfg.help_policy != FAIL_ON_HELP:
-                    feasible = tuple(index[d] for d in provider(ctx))
+                    oracle = cfg.help_policy == ORACLE_USER  # the only reader
+                    feasible = tuple(index[d] for d in provider(ctx)) if oracle else ()
                     chosen, miss = resolve_user_help(
                         ps, vec, feasible, cfg.help_policy, space, io=io
                     )
@@ -446,7 +447,7 @@ def plan_centralized(
     failed = False
     for t in range(scenario.horizon):
         vectors = joint_step_scores(scenario, scorer, history, t, space, count=False)
-        scorer.counter.add(joint_count, tag=scenario.id, t=t)
+        scorer.counter.add(joint_count)
         joint: dict[tuple[int, ...], float] = {}
         for combo in product(range(len(space)), repeat=n):
             score = 1.0
@@ -468,7 +469,7 @@ def plan_centralized(
                     tuples or tuple(joint),
                     set(tuples),
                     joint,
-                    provider(t),
+                    provider(t) if cfg.help_policy == ORACLE_USER else (),
                     "joint decision",
                     lambda c: (
                         f"{'; '.join(space[i].phrase() for i in c)} "

@@ -45,6 +45,7 @@ from .world import (
     SafetyConstraint,
     SemanticObject,
     SubTask,
+    distinct_match,
     validate_environment,
     violates_safety,
 )
@@ -653,23 +654,7 @@ class FeasibilityIndex:
             if not ids:
                 return False
             candidates.append(ids)
-        if len(candidates) < 2:
-            return True
-        candidates.sort(key=len)
-        used: set[int] = set()
-
-        def assign(pos: int) -> bool:
-            if pos == len(candidates):
-                return True
-            for i in candidates[pos]:
-                if i not in used:
-                    used.add(i)
-                    if assign(pos + 1):
-                        return True
-                    used.discard(i)
-            return False
-
-        return assign(0)
+        return distinct_match(candidates)
 
     # --- prefix replay -------------------------------------------------------
 

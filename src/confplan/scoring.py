@@ -59,20 +59,17 @@ class ScoreVector:
 
 
 class CallCounter:
-    """Monotone counter of logical scorer queries, per (tag, step)."""
+    """Monotone counter of logical scorer queries."""
 
     def __init__(self):
         self.total = 0
-        self.per_step: dict[tuple[str, int], int] = {}
         self._lock = threading.Lock()
 
-    def add(self, n: int, tag: str = "", t: int = -1) -> None:
+    def add(self, n: int) -> None:
         if n < 0:
             raise ValueError("call counts only grow")
         with self._lock:
             self.total += n
-            key = (tag, t)
-            self.per_step[key] = self.per_step.get(key, 0) + n
 
     def snapshot(self) -> int:
         return self.total
@@ -127,8 +124,6 @@ def _scenario_key(scenario_id: str) -> int:
 class SyntheticScorer:
     """Ground-truth-aware scorer; deterministic per (seed, scenario id, k)."""
 
-    concurrency_safe = True
-
     def __init__(self, spec: ScorerSpec, counter: CallCounter | None = None):
         spec.validate()
         self.spec = spec
@@ -140,7 +135,7 @@ class SyntheticScorer:
             raise ValueError("context cursor is not set")
         t, robot = ctx.cursor
         if count:
-            self.counter.add(len(space), tag=ctx.scenario.id, t=t)
+            self.counter.add(len(space))
         key = (ctx.scenario.id, ctx.k, robot)
         vec = self._memo.get(key)
         if vec is None:
@@ -282,8 +277,6 @@ class ExternalScorer:
     concurrently up to the configured bound.
     """
 
-    concurrency_safe = True
-
     def __init__(
         self,
         spec: ScorerSpec,
@@ -302,7 +295,7 @@ class ExternalScorer:
         if ctx.cursor is None:
             raise ValueError("context cursor is not set")
         if count:
-            self.counter.add(len(space), tag=ctx.scenario.id, t=ctx.cursor[0])
+            self.counter.add(len(space))
         return external_score_all(
             self.endpoint, render_text(ctx), space, transport=self._transport
         )

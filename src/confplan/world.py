@@ -400,13 +400,21 @@ def mission_satisfied(env: Environment, state: WorldState, mission: Mission) -> 
         if not ids:
             return False
         candidates.append(ids)
-    order = sorted(range(len(candidates)), key=lambda i: len(candidates[i]))
+    return distinct_match(candidates)
+
+
+def distinct_match(candidates: list[list[int]]) -> bool:
+    """True iff one distinct id can be picked from each candidate list:
+    backtracking over the lists, shortest first."""
+    if len(candidates) < 2:
+        return all(candidates)
+    candidates = sorted(candidates, key=len)
     used: set[int] = set()
 
     def assign(pos: int) -> bool:
-        if pos == len(order):
+        if pos == len(candidates):
             return True
-        for i in candidates[order[pos]]:
+        for i in candidates[pos]:
             if i not in used:
                 used.add(i)
                 if assign(pos + 1):

@@ -170,8 +170,6 @@ def _nine_decision_params(n_robots: int) -> DistributionParams:
 class _AmbiguousLastScorer:
     """Uniform scores exactly once: at the last position of step 0."""
 
-    concurrency_safe = True
-
     def __init__(self, scenario):
         self.counter = CallCounter()
         schedule = schedule_for(scenario)
@@ -180,7 +178,7 @@ class _AmbiguousLastScorer:
 
     def score_all(self, ctx, space, count=True):
         if count:
-            self.counter.add(len(space), tag=ctx.scenario.id, t=ctx.cursor[0])
+            self.counter.add(len(space))
         if (ctx.k, ctx.cursor[1]) == self._trigger:
             scores = tuple(1.0 / len(space) for _ in space)
         else:

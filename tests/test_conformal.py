@@ -1,10 +1,14 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import confplan
 from confplan.conformal import (
     CalibrationRecord,
     Quantile,
@@ -308,6 +312,48 @@ def test_beta_quantile_closed_forms():
     assert beta_quantile(2, 1, 0.25) == pytest.approx(0.5, abs=1e-9)  # CDF x^2
     assert beta_quantile(99, 1, 0.01) == pytest.approx(0.01 ** (1 / 99), abs=1e-9)
     assert abs(beta_quantile(99, 1, 0.01) - 0.9546) < 1e-4
+
+
+def _betainc_quantile(a, b, delta):
+    """Reference: bisection of scipy's regularized incomplete beta to 1e-10."""
+    from scipy import special
+
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if special.betainc(a, b, mid) < delta:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 10, 30, 99, 200])
+def test_beta_quantile_matches_the_incomplete_beta_reference(m):
+    shapes = {v for v in (1, 2, 3, m // 2, m) if 1 <= v <= m}
+    for v in shapes:
+        for delta in (1e-4, 0.01, 0.05, 0.1, 0.5, 0.9, 0.99):
+            got = beta_quantile(m + 1 - v, v, delta)
+            assert abs(got - _betainc_quantile(m + 1 - v, v, delta)) < 1e-10, (v, delta)
+
+
+@pytest.mark.parametrize("a, b", [(1.5, 1), (2, 0.5), (0, 1), (3, 0), (-1, 2), (math.nan, 1)])
+def test_beta_quantile_rejects_non_integer_and_non_positive_shapes(a, b):
+    with pytest.raises(ValueError):
+        beta_quantile(a, b, 0.1)
+
+
+def test_importing_confplan_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(confplan.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, confplan, confplan.harness, confplan.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_dataset_conditional_alpha_stays_in_the_certified_cell():

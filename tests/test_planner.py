@@ -44,8 +44,6 @@ class StubScorer:
     """Normalized score vectors keyed by (k, robot); else near-one-hot on the
     canonical decision."""
 
-    concurrency_safe = True
-
     def __init__(self, tables=None, default_top=0.9):
         self.tables = tables or {}
         self.default_top = default_top
@@ -54,7 +52,7 @@ class StubScorer:
     def score_all(self, ctx, space, count=True):
         t, robot = ctx.cursor
         if count:
-            self.counter.add(len(space), tag=ctx.scenario.id, t=t)
+            self.counter.add(len(space))
         key = (ctx.k, robot)
         scores = self.tables.get(key)
         if scores is None:
@@ -408,6 +406,31 @@ def test_fail_on_help_records_the_full_set_flag_in_both_planners():
         assert last.set_full
         (event,) = last.help
         assert event.unresolved and event.full_set and not event.coverage_miss
+
+
+def test_interactive_help_never_asks_for_feasible_decisions_in_both_planners():
+    scenario = seeded_scenario(3, n_robots=(2, 2))
+    scorer = build_scorer(ScorerSpec(kind="oracle-indicator"))
+    quantile = Quantile(None, 5, 0.1)  # FULL-SET sentinel: every step asks
+    io = SimpleNamespace(write=lambda _: None, readline=lambda: "1\n")
+
+    def never(*_):
+        raise AssertionError("the user's pick must not read feasible decisions")
+
+    cfg = PlannerConfig(help_policy=INTERACTIVE_USER)
+    dist = plan_distributed(scenario, scorer, quantile, cfg, feasible_provider=never, io=io)
+    cent = plan_centralized(
+        scenario,
+        scorer,
+        quantile,
+        dataclasses.replace(cfg, mode=CENTRALIZED),
+        joint_feasible_provider=never,
+        io=io,
+    )
+    for trace in (dist, cent):
+        assert not trace.failed
+        events = [e for r in trace.records for e in r.help]
+        assert events and all(e.kind == "user" and not e.unresolved for e in events)
 
 
 def test_centralized_budget_error():

@@ -88,8 +88,6 @@ def two_object_env(n_robots=1):
 class StubScorer:
     """Fixed score tables keyed by iteration index; uniform elsewhere."""
 
-    concurrency_safe = True
-
     def __init__(self, tables=None):
         self.tables = tables or {}
         from confplan.scoring import CallCounter
@@ -98,7 +96,7 @@ class StubScorer:
 
     def score_all(self, ctx, space, count=True):
         if count:
-            self.counter.add(len(space), tag=ctx.scenario.id, t=ctx.cursor[0])
+            self.counter.add(len(space))
         raw = self.tables.get(ctx.k)
         if raw is None:
             raw = [0.0] * len(space)
