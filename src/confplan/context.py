@@ -26,6 +26,26 @@ if TYPE_CHECKING:
     from .scenario import Scenario
 
 
+def seed_words(*keys: int) -> np.ndarray:
+    """The uint32 words `np.random.SeedSequence(keys)` derives from a tuple of
+    nonnegative ints: each int split into little-endian 32-bit words, 0 giving
+    one zero word.
+
+    SeedSequence takes such an array as it is, which skips its slower coercion
+    of a tuple; the entropy pool, and so every stream seeded from it, is the
+    same. Keyed draws pass `seed_words(...)` where they would pass the tuple.
+    """
+    words = []
+    for key in keys:
+        if key < 0:
+            raise ValueError(f"seed keys must be nonnegative, got {key}")
+        words.append(key & 0xFFFFFFFF)
+        while key > 0xFFFFFFFF:
+            key >>= 32
+            words.append(key & 0xFFFFFFFF)
+    return np.array(words, dtype=np.uint32)
+
+
 @lru_cache(maxsize=16)
 def order_family(n_robots: int) -> tuple[tuple[int, ...], ...]:
     """The finite family of robot orders: identity, rotations, reversal."""
@@ -63,7 +83,7 @@ class OrderSchedule:
         remaining = [o for o in family if o not in set(used)]
         if not remaining:
             return None
-        rng = np.random.default_rng(np.random.SeedSequence((self.seed, t, attempt)))
+        rng = np.random.default_rng(np.random.SeedSequence(seed_words(self.seed, t, attempt)))
         return remaining[int(rng.integers(len(remaining)))]
 
 
@@ -74,7 +94,7 @@ def _drawn_order(n_robots: int, seed: int, t: int) -> tuple[int, ...]:
     family = order_family(n_robots)
     if len(family) == 1:
         return family[0]
-    rng = np.random.default_rng(np.random.SeedSequence((seed, t, 0)))
+    rng = np.random.default_rng(np.random.SeedSequence(seed_words(seed, t, 0)))
     return family[int(rng.integers(len(family)))]
 
 

@@ -22,6 +22,7 @@ from .context import (
     OrderSchedule,
     advance,
     initial_context,
+    seed_words,
     step_position,
 )
 from .errors import BudgetError, ConfigError, GenerationError, NoFeasibleError, OracleError
@@ -261,7 +262,7 @@ def sample_scenario(params: DistributionParams, draw_index: int) -> Scenario:
     disjoint index ranges without coordination.
     """
     validate_params(params)
-    rng = np.random.default_rng(np.random.SeedSequence((params.rng_seed, draw_index)))
+    rng = np.random.default_rng(np.random.SeedSequence(seed_words(params.rng_seed, draw_index)))
     last_error: Exception | None = None
     for _ in range(_GENERATION_RETRIES):
         try:
@@ -277,9 +278,9 @@ def sample_scenario(params: DistributionParams, draw_index: int) -> Scenario:
                 env=env,
                 order_seed=int(rng.integers(2**31)),
             )
-            result = validate_scenario_plan(scenario, plan)
-            if not result.complete:
-                raise OracleError(f"oracle plan failed validation: {result.reason}")
+            reason = oracle_plan_failure(scenario)
+            if reason is not None:
+                raise OracleError(f"oracle plan failed validation: {reason}")
             return scenario
         except (OracleError, ValueError) as exc:  # resample and try again
             last_error = exc
@@ -388,6 +389,17 @@ def oracle_plan(scenario: Scenario) -> Plan:
     """Canonical ground-truth plan; independent of the robot-order schedule
     (the schedule only affects how the plan is flattened into a sequence)."""
     return _build_oracle(scenario.env, scenario.mission, scenario.n_robots)
+
+
+@lru_cache(maxsize=4096)
+def oracle_plan_failure(scenario: Scenario) -> str | None:
+    """Why the canonical plan, cut to the horizon, fails validation; None when
+    it accomplishes the mission. Memoised, so a scenario's canonical plan is
+    validated once: `sample_scenario` reads the verdict, and so does every
+    oracle-mode `label_sequence`, whose labels reassemble into this plan
+    Idle-padded to the horizon (Idle steps never change the verdict)."""
+    plan = oracle_plan(scenario)
+    return validate_scenario_plan(scenario, plan[: scenario.horizon]).reason
 
 
 def anchor_decision(scenario: Scenario, t: int, robot: int) -> Decision:
@@ -796,9 +808,11 @@ def label_sequence(scenario: Scenario, scorer, label_mode: str = "selector") -> 
     """Build the calibration label auto-regressively and score each step.
 
     In "selector" mode each iteration enumerates the feasible decisions and
-    takes the scorer's argmax among them; in "oracle" mode the label is the
-    canonical plan flattened along the schedule (the unique-solution shortcut).
-    The produced sequence is re-validated through the world model.
+    takes the scorer's argmax among them, and the produced sequence is
+    validated through the world model. In "oracle" mode the label is the
+    canonical plan flattened along the schedule (the unique-solution shortcut),
+    judged by the scenario's memoised `oracle_plan_failure` verdict. Either way
+    a label that fails validation raises OracleError.
     """
     if label_mode not in ("selector", "oracle"):
         raise ConfigError(f"unknown label mode {label_mode!r}")
@@ -828,10 +842,13 @@ def label_sequence(scenario: Scenario, scorer, label_mode: str = "selector") -> 
         vectors.append(vec)
         modes.append(mode)
         ctx = advance(ctx, d, schedule)
-    plan = flat_to_plan(scenario, schedule, tuple(decisions))
-    result = validate_scenario_plan(scenario, plan)
-    if not result.complete:
-        raise OracleError(f"{scenario.id}: label sequence fails validation ({result.reason})")
+    if findex is None:
+        reason = oracle_plan_failure(scenario)
+    else:
+        plan = flat_to_plan(scenario, schedule, tuple(decisions))
+        reason = validate_scenario_plan(scenario, plan).reason
+    if reason is not None:
+        raise OracleError(f"{scenario.id}: label sequence fails validation ({reason})")
     return LabelResult(tuple(decisions), tuple(scores), tuple(vectors), tuple(modes))
 
 

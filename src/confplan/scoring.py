@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .context import Context, render_text
+from .context import Context, render_text, seed_words
 from .errors import AuthError, ConfigError, MalformedResponseError, TransportError
 from .scenario import anchor_decision, decision_index
 
@@ -152,9 +152,8 @@ class SyntheticScorer:
             raw[anchor_idx] = 1.0
             return ScoreVector.from_raw(raw)
         raw[anchor_idx] = spec.sharpness
-        rng = np.random.default_rng(
-            np.random.SeedSequence((spec.rng_seed, _scenario_key(ctx.scenario.id), ctx.k))
-        )
+        words = seed_words(spec.rng_seed, _scenario_key(ctx.scenario.id), ctx.k)
+        rng = np.random.default_rng(np.random.SeedSequence(words))
         if len(space) > 1:
             # one seeded distractor per step carries extra mass when confusion > 0
             pos = int(rng.integers(len(space) - 1))

@@ -131,6 +131,31 @@ def test_plan_interactive_reads_stdin(tmp_path, monkeypatch):
     assert code == 0
 
 
+def test_plan_runs_on_a_loaded_scenario_its_canonical_plan_overruns(tmp_path):
+    from confplan.scenario import write_scenarios
+    from tests.test_scenario import short_horizon_scenario
+
+    scen_path = tmp_path / "scenarios.json"
+    write_scenarios([short_horizon_scenario()], scen_path)
+    trace_path = tmp_path / "trace.json"
+    code = main(
+        [
+            "plan",
+            "--scenario",
+            str(scen_path),
+            "--mode",
+            "argmax",
+            "--scorer",
+            "oracle-indicator",
+            "--out",
+            str(trace_path),
+        ]
+    )
+    assert code == 0
+    validation = json.loads(trace_path.read_text())["validation"]
+    assert validation == {"complete": False, "steps_used": 3, "reason": "mission-unsatisfied"}
+
+
 def test_plan_without_quantile_is_a_config_error(tmp_path):
     params = write_params(tmp_path)
     scen_path = tmp_path / "scenarios.json"

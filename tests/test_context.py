@@ -1,4 +1,5 @@
 import dataclasses
+import random
 import sys
 
 import numpy as np
@@ -14,8 +15,10 @@ from confplan.context import (
     order_family,
     render_text,
     reset_step,
+    seed_words,
     step_position,
 )
+from confplan import scenario as scenario_module
 from confplan.scenario import (
     default_distribution_params,
     label_sequence,
@@ -76,6 +79,74 @@ def test_order_at_equals_the_per_call_draw(n_robots):
             schedule = OrderSchedule(n_robots=n_robots, seed=seed)
             for t in range(31):
                 assert schedule.order_at(t) == per_call_order(n_robots, seed, t)
+
+
+def tuple_seeded_state(keys) -> dict:
+    """Reference: the PCG64 state of the tuple-seeded SeedSequence."""
+    return np.random.PCG64(np.random.SeedSequence(tuple(keys))).state
+
+
+SEED_EDGES = (0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, 2**100 + 12345)
+
+
+def test_seed_words_split_ints_into_little_endian_uint32_words():
+    assert seed_words(0).tolist() == [0]
+    assert seed_words(0, 0).tolist() == [0, 0]
+    assert seed_words(2**32 - 1).tolist() == [2**32 - 1]
+    assert seed_words(2**32).tolist() == [0, 1]
+    assert seed_words(2**64 - 1, 7).tolist() == [2**32 - 1, 2**32 - 1, 7]
+    assert seed_words(2**64).tolist() == [0, 0, 1]
+    assert seed_words(5, 2**32 + 3).dtype == np.uint32
+    with pytest.raises(ValueError):
+        seed_words(3, -1)  # SeedSequence((3, -1)) raises ValueError too
+
+
+@pytest.mark.parametrize("edge", SEED_EDGES)
+def test_seed_words_give_the_tuple_seeded_state_at_the_edges(edge):
+    for keys in ((edge,), (edge, 0), (7, edge, 3), (edge, edge, edge)):
+        state = np.random.PCG64(np.random.SeedSequence(seed_words(*keys))).state
+        assert state == tuple_seeded_state(keys)
+
+
+def test_seed_words_give_the_tuple_seeded_state_on_random_keys():
+    rnd = random.Random(20261017)
+    for _ in range(3000):
+        keys = [rnd.getrandbits(rnd.choice((1, 8, 31, 32, 33, 63, 64, 65, 96)))
+                for _ in range(rnd.randint(1, 4))]
+        state = np.random.PCG64(np.random.SeedSequence(seed_words(*keys))).state
+        assert state == tuple_seeded_state(keys)
+
+
+def per_call_reorder(n_robots: int, seed: int, t: int, attempt: int, used):
+    """Reference: the reorder draw seeded from the key tuple."""
+    remaining = [o for o in order_family(n_robots) if o not in set(used)]
+    if not remaining:
+        return None
+    rng = np.random.default_rng(np.random.SeedSequence((seed, t, attempt)))
+    return remaining[int(rng.integers(len(remaining)))]
+
+
+@pytest.mark.parametrize("n_robots", [2, 3, 4])
+def test_reorder_equals_the_tuple_seeded_draw(n_robots):
+    for seed in (0, 1, 17, 2**31 - 1, 2**32, 2**40 + 5):
+        schedule = OrderSchedule(n_robots=n_robots, seed=seed)
+        for t in range(12):
+            used = [schedule.order_at(t)]
+            for attempt in range(1, len(order_family(n_robots)) + 1):
+                fresh = schedule.reorder(t, attempt, used)
+                assert fresh == per_call_reorder(n_robots, seed, t, attempt, used)
+                if fresh is None:
+                    break
+                used.append(fresh)
+
+
+def test_sampled_scenarios_equal_the_tuple_seeded_samples(monkeypatch):
+    params = [default_distribution_params(seed) for seed in (0, 9, 2**33 + 1)]
+    draws = [(p, i) for p in params for i in (0, 1, 2, 2**32 + 7)]
+    fast = [sample_scenario(p, i) for p, i in draws]
+    # the reference: sample_scenario seeded as SeedSequence((rng_seed, draw_index))
+    monkeypatch.setattr(scenario_module, "seed_words", lambda *keys: keys)
+    assert [sample_scenario(p, i) for p, i in draws] == fast
 
 
 def seed_sequences_built_while_labeling(monkeypatch, scenario, label_mode) -> list[str]:

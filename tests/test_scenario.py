@@ -8,7 +8,7 @@ import pytest
 
 from confplan import world
 from confplan.context import Context, OrderSchedule
-from confplan.errors import ConfigError, NoFeasibleError
+from confplan.errors import ConfigError, NoFeasibleError, OracleError
 from confplan.scenario import (
     DistributionParams,
     FeasibilityIndex,
@@ -22,6 +22,7 @@ from confplan.scenario import (
     flat_to_plan,
     label_sequence,
     oracle_plan,
+    oracle_plan_failure,
     params_from_dict,
     params_to_dict,
     reference_distribution_params,
@@ -622,6 +623,61 @@ def test_label_validates_complete_oracle_mode():
         assert len(lr.decisions) == s.n_robots * s.horizon
         assert len(lr.scores) == len(lr.decisions)
         assert all(0.0 <= v <= 1.0 for v in lr.scores)
+
+
+def counted_validations(monkeypatch) -> list:
+    """Arguments of every world.validate_plan call from now on."""
+    calls = []
+    validate = world.validate_plan
+
+    def counting(*args):
+        calls.append(args)
+        return validate(*args)
+
+    monkeypatch.setattr(world, "validate_plan", counting)
+    return calls
+
+
+def test_a_sampled_scenario_validates_its_canonical_plan_once(monkeypatch):
+    params = default_distribution_params(8)
+    oracle_plan_failure.cache_clear()
+    calls = counted_validations(monkeypatch)
+    s = sample_scenario(params, 0)
+    assert len(calls) == 1 and calls[0][4] == oracle_plan(s)
+    assert sample_scenario(params, 0) == s
+    label_sequence(s, build_scorer(ScorerSpec()), label_mode="oracle")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("label_mode, validations", [("oracle", 0), ("selector", 1)])
+def test_only_selector_labels_are_validated_again(monkeypatch, label_mode, validations):
+    params = dataclasses.replace(default_distribution_params(8), n_robots=(1, 1))
+    s = sample_scenario(params, 2)
+    calls = counted_validations(monkeypatch)
+    label_sequence(s, build_scorer(ScorerSpec()), label_mode=label_mode)
+    assert len(calls) == validations
+
+
+def short_horizon_scenario() -> Scenario:
+    """A file-loaded scenario whose horizon is one step shorter than its
+    canonical plan; loading does not check the plan."""
+    s = sample_scenario(default_distribution_params(3), 1)
+    data = scenario_to_dict(s)
+    data["horizon"] = len(oracle_plan(s)) - 1
+    return scenario_from_dict(data)
+
+
+def test_a_loaded_scenario_keeps_its_oracle_label_check():
+    loaded = short_horizon_scenario()
+    schedule = schedule_for(loaded)
+    # reference: the label sequence reassembled into a plan and validated
+    labels = flat_to_plan(loaded, schedule, teacher_sequence(loaded, schedule))
+    reason = validate_scenario_plan(loaded, labels).reason
+    assert reason == "mission-unsatisfied"
+    for _ in range(2):  # the memoised verdict fails the second labeling too
+        with pytest.raises(OracleError) as exc:
+            label_sequence(loaded, build_scorer(ScorerSpec()), label_mode="oracle")
+        assert str(exc.value) == f"{loaded.id}: label sequence fails validation ({reason})"
 
 
 def test_oracle_validates_on_a_hundred_scenarios():

@@ -11,6 +11,7 @@ from confplan.scenario import (
     decision_index,
     decision_space,
     default_distribution_params,
+    reference_distribution_params,
     sample_scenario,
     schedule_for,
     anchor_decision,
@@ -21,6 +22,7 @@ from confplan.scoring import (
     ExternalScorer,
     ScoreVector,
     ScorerSpec,
+    _scenario_key,
     build_scorer,
     parse_scorer_spec,
     scorer_spec_from_dict,
@@ -137,6 +139,45 @@ def test_noise_streams_are_keyed_by_iteration(nine_scenario):
     v0 = scorer.score_all(ctx0, space)
     v1 = scorer.score_all(ctx1, space)
     assert v0.raw != v1.raw
+
+
+def tuple_seeded_raw(spec: ScorerSpec, ctx, space) -> np.ndarray:
+    """Reference: the noisy-oracle raw vector with its draws seeded from the
+    key tuple (rng_seed, scenario key, k)."""
+    t, robot = ctx.cursor
+    anchor_idx = decision_index(ctx.scenario.env)[anchor_decision(ctx.scenario, t, robot)]
+    raw = np.zeros(len(space), dtype=np.float64)
+    raw[anchor_idx] = spec.sharpness
+    rng = np.random.default_rng(
+        np.random.SeedSequence((spec.rng_seed, _scenario_key(ctx.scenario.id), ctx.k))
+    )
+    if len(space) > 1:
+        pos = int(rng.integers(len(space) - 1))
+        distractor = pos if pos < anchor_idx else pos + 1
+        if spec.confusion > 0.0:
+            raw[distractor] += spec.sharpness + math.log(spec.confusion)
+    if spec.noise > 0.0:
+        raw += rng.normal(0.0, spec.noise, size=len(space))
+    return raw
+
+
+@pytest.mark.parametrize("rng_seed", [0, 11, 2**32 - 1, 2**32, 2**64 - 1, 2**70 + 3])
+def test_score_vectors_are_bitwise_the_tuple_seeded_ones(rng_seed):
+    spec = ScorerSpec(kind="noisy-oracle", rng_seed=rng_seed)
+    scorer = build_scorer(spec)
+    for params in (default_distribution_params(4), reference_distribution_params(5)):
+        for draw in range(3):
+            s = sample_scenario(params, draw)
+            schedule = schedule_for(s)
+            space = decision_space(s.env)
+            ctx = initial_context(s, schedule)
+            while ctx.cursor is not None:
+                vec = scorer.score_all(ctx, space)
+                ref = ScoreVector.from_raw(tuple_seeded_raw(spec, ctx, space))
+                assert [x.hex() for x in vec.raw] == [x.hex() for x in ref.raw]
+                assert [x.hex() for x in vec.scores] == [x.hex() for x in ref.scores]
+                t, robot = ctx.cursor
+                ctx = advance(ctx, anchor_decision(s, t, robot), schedule)
 
 
 def test_scorer_determinism_across_instances(nine_scenario):
