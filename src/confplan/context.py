@@ -13,6 +13,7 @@ calibration and test sequences share the same order-generating distribution.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -44,6 +45,55 @@ def seed_words(*keys: int) -> np.ndarray:
             key >>= 32
             words.append(key & 0xFFFFFFFF)
     return np.array(words, dtype=np.uint32)
+
+
+@lru_cache(maxsize=1)
+def _pool_seed_type() -> type:
+    """The `ISeedSequence` that `keyed_rng` hands to PCG64, built on first use
+    so that importing confplan does not load `numpy.random`."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    # SeedSequence.generate_state hashes its pool cycled to the words asked
+    # for: word i is mixed with INIT_B·MULT_B^i, then multiplied by
+    # INIT_B·MULT_B^(i+1), both mod 2^32. PCG64 asks for 4 uint64 = 8 words,
+    # paired little-endian: uint64 j = word 2j | word 2j+1 << 32. Word i goes
+    # to slot i, or on a big-endian host to its pair's other slot, so that
+    # the native uint64 view of the slots reads that pairing on either host.
+    init_b, mult_b = 0x8B51F9DD, 0x58F38DED
+    powers = [init_b * pow(mult_b, i, 2**32) % 2**32 for i in range(9)]
+    words_at = range(8) if sys.byteorder == "little" else (1, 0, 3, 2, 5, 4, 7, 6)
+    cycle = np.array([i % 4 for i in words_at])
+    xor = np.array([powers[i] for i in words_at], dtype=np.uint32)
+    mul = np.array([powers[i + 1] for i in words_at], dtype=np.uint32)
+
+    class PoolSeed(ISeedSequence):
+        __slots__ = ("pool",)
+
+        def __init__(self, pool: np.ndarray):
+            self.pool = pool
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
+                raise NotImplementedError("only PCG64's 4 uint64 words are provided")
+            words = self.pool[cycle]
+            words ^= xor
+            words *= mul  # uint32 array arithmetic wraps mod 2^32 without a warning
+            words ^= words >> 16
+            return words.view(np.uint64)
+
+    return PoolSeed
+
+
+def keyed_rng(seq: "np.random.SeedSequence") -> "np.random.Generator":
+    """A generator equal to `np.random.default_rng(seq)` bit for bit.
+
+    PCG64 is seeded from `seq.generate_state(4, np.uint64)`, which numpy
+    computes with a per-word Python loop; here the same hash of `seq.pool` is
+    a few uint32 array operations. SeedSequence's output is stream-stable
+    under NEP 19, and `ISeedSequence` is numpy's public interface for it.
+    `seq` has the default pool of 4 words, as every keyed draw's does.
+    """
+    return np.random.Generator(np.random.PCG64(_pool_seed_type()(seq.pool)))
 
 
 @lru_cache(maxsize=16)
@@ -79,11 +129,11 @@ class OrderSchedule:
         Returns None once the family is exhausted (the caller falls through to
         user help early).
         """
-        family = order_family(self.n_robots)
-        remaining = [o for o in family if o not in set(used)]
+        used = set(used)
+        remaining = [o for o in order_family(self.n_robots) if o not in used]
         if not remaining:
             return None
-        rng = np.random.default_rng(np.random.SeedSequence(seed_words(self.seed, t, attempt)))
+        rng = keyed_rng(np.random.SeedSequence(seed_words(self.seed, t, attempt)))
         return remaining[int(rng.integers(len(remaining)))]
 
 
@@ -94,7 +144,7 @@ def _drawn_order(n_robots: int, seed: int, t: int) -> tuple[int, ...]:
     family = order_family(n_robots)
     if len(family) == 1:
         return family[0]
-    rng = np.random.default_rng(np.random.SeedSequence(seed_words(seed, t, 0)))
+    rng = keyed_rng(np.random.SeedSequence(seed_words(seed, t, 0)))
     return family[int(rng.integers(len(family)))]
 
 

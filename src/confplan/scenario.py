@@ -22,6 +22,7 @@ from .context import (
     OrderSchedule,
     advance,
     initial_context,
+    keyed_rng,
     seed_words,
     step_position,
 )
@@ -262,7 +263,7 @@ def sample_scenario(params: DistributionParams, draw_index: int) -> Scenario:
     disjoint index ranges without coordination.
     """
     validate_params(params)
-    rng = np.random.default_rng(np.random.SeedSequence(seed_words(params.rng_seed, draw_index)))
+    rng = keyed_rng(np.random.SeedSequence(seed_words(params.rng_seed, draw_index)))
     last_error: Exception | None = None
     for _ in range(_GENERATION_RETRIES):
         try:
@@ -278,6 +279,7 @@ def sample_scenario(params: DistributionParams, draw_index: int) -> Scenario:
                 env=env,
                 order_seed=int(rng.integers(2**31)),
             )
+            object.__setattr__(scenario, "_oracle_plan", plan)
             reason = oracle_plan_failure(scenario)
             if reason is not None:
                 raise OracleError(f"oracle plan failed validation: {reason}")
@@ -384,11 +386,20 @@ def _build_oracle(env: Environment, mission: Mission, n_robots: int) -> Plan:
     )
 
 
-@lru_cache(maxsize=4096)
 def oracle_plan(scenario: Scenario) -> Plan:
     """Canonical ground-truth plan; independent of the robot-order schedule
-    (the schedule only affects how the plan is flattened into a sequence)."""
-    return _build_oracle(scenario.env, scenario.mission, scenario.n_robots)
+    (the schedule only affects how the plan is flattened into a sequence).
+
+    Memoised on the scenario instance, like its hash, and kept out of its
+    pickles. `sample_scenario` leaves there the plan it built to size the
+    horizon, so a sampled scenario's plan is built once.
+    """
+    try:
+        return scenario._oracle_plan
+    except AttributeError:
+        plan = _build_oracle(scenario.env, scenario.mission, scenario.n_robots)
+        object.__setattr__(scenario, "_oracle_plan", plan)
+        return plan
 
 
 @lru_cache(maxsize=4096)
@@ -657,16 +668,54 @@ class FeasibilityIndex:
                 out[slot] = value
         return tuple(out)
 
-    def _satisfied(self, state) -> bool:
-        """world.mission_satisfied on a compact state."""
-        obj_at = self._obj_at
+    def _steps_left(self, state) -> int | float:
+        """0 when the mission holds in `state` (world.mission_satisfied on a
+        compact state); otherwise a lower bound, at least 1, on the joint
+        steps before it can hold.
+
+        The bound is the largest, over sub-tasks, of the cheapest candidate
+        object's cost (inf for a sub-task with no candidate):
+        - 0 when the object is at an allowed destination;
+        - 1 when a robot holds it at an allowed destination (put down), else
+          2 (go there, then put down);
+        - otherwise 3 (grab, go to a destination, put down), plus 1 when no
+          robot is at the object's location (a GoTo must come first), plus 1
+          when the object is inside a closed container (an OpenDoor must
+          come before the grab, and after that GoTo).
+        Each counted step can only come after the one before it: a robot
+        takes one decision per step, and preconditions are checked against
+        the state at the start of the step. So no plan delivers that object
+        sooner. The mission needs every sub-task delivered, so the largest
+        cost bounds it; ignoring that sub-tasks need distinct objects only
+        lowers the bound. It never overestimates, so pruning by it keeps
+        every feasible decision.
+        """
+        n, obj_at, obj_in, door = self.n, self._obj_at, self._obj_in, self._door
+        robots_at = state[:n]
+        worst = 0
         candidates = []
         for objects, dests in self._goals:
-            ids = [i for i in objects if state[obj_at + i] in dests]
-            if not ids:
-                return False
-            candidates.append(ids)
-        return distinct_match(candidates)
+            ids = [o for o in objects if state[obj_at + o] in dests]
+            if ids:
+                candidates.append(ids)
+                continue
+            best = math.inf
+            for o in objects:
+                place = state[obj_at + o]
+                if place < 0:  # held
+                    cost = 1 if state[state.index(o, n, 2 * n) - n] in dests else 2
+                else:
+                    cost = 3 + (place not in robots_at)
+                    cont = state[obj_in + o]
+                    if cont >= 0 and not state[door + cont]:
+                        cost += 1
+                if cost < best:
+                    best = cost
+            if best > worst:
+                worst = best
+        if worst:
+            return worst
+        return 0 if distinct_match(candidates) else 1
 
     # --- prefix replay -------------------------------------------------------
 
@@ -743,8 +792,9 @@ class FeasibilityIndex:
         key = (t, state)
         result = self._memo.get(key)
         if result is None:
-            result = self._satisfied(state) or (
-                t < self.scenario.horizon
+            left = self._steps_left(state)
+            result = left == 0 or (
+                t + left <= self.scenario.horizon
                 and self._exists_step(
                     state, t, (), 0, [self._options(state, r) for r in range(self.n)]
                 )

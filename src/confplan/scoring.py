@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .context import Context, render_text, seed_words
+from .context import Context, keyed_rng, render_text, seed_words
 from .errors import AuthError, ConfigError, MalformedResponseError, TransportError
 from .scenario import anchor_decision, decision_index
 
@@ -36,9 +36,9 @@ EXTERNAL = "external"
 def softmax(raw) -> np.ndarray:
     """Numerically stable softmax with fixed-order float64 summation."""
     arr = np.asarray(raw, dtype=np.float64)
-    shifted = arr - arr.max()
-    exp = np.exp(shifted)
-    return exp / exp.sum()
+    # the ufunc reductions behind .max() and .sum(), without their wrappers
+    exp = np.exp(arr - np.maximum.reduce(arr))
+    return exp / np.add.reduce(exp)
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,7 @@ class SyntheticScorer:
             return ScoreVector.from_raw(raw)
         raw[anchor_idx] = spec.sharpness
         words = seed_words(spec.rng_seed, _scenario_key(ctx.scenario.id), ctx.k)
-        rng = np.random.default_rng(np.random.SeedSequence(words))
+        rng = keyed_rng(np.random.SeedSequence(words))
         if len(space) > 1:
             # one seeded distractor per step carries extra mass when confusion > 0
             pos = int(rng.integers(len(space) - 1))

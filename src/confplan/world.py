@@ -104,10 +104,9 @@ def hash_once(self) -> int:
 
 
 def state_without_hash(self) -> dict:
-    """Pickled state of a `hash_once` instance: its fields, never the hash."""
-    state = dict(self.__dict__)
-    state.pop("_hash", None)
-    return state
+    """Pickled state of a `hash_once` instance: its fields, never the hash or
+    another value memoised on the instance (a scenario's canonical plan)."""
+    return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)

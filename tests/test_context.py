@@ -1,6 +1,9 @@
 import dataclasses
+import os
 import random
+import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from confplan.context import (
     advance,
     initial_context,
     iteration_index,
+    keyed_rng,
     order_family,
     render_text,
     reset_step,
@@ -101,11 +105,18 @@ def test_seed_words_split_ints_into_little_endian_uint32_words():
         seed_words(3, -1)  # SeedSequence((3, -1)) raises ValueError too
 
 
+def assert_keyed_states_equal(keys) -> None:
+    """The words seed the tuple's state, and `keyed_rng` seeds the state of
+    numpy's own `default_rng` from them (the reference)."""
+    seq = np.random.SeedSequence(seed_words(*keys))
+    assert np.random.PCG64(seq).state == tuple_seeded_state(keys)
+    assert keyed_rng(seq).bit_generator.state == np.random.default_rng(seq).bit_generator.state
+
+
 @pytest.mark.parametrize("edge", SEED_EDGES)
 def test_seed_words_give_the_tuple_seeded_state_at_the_edges(edge):
     for keys in ((edge,), (edge, 0), (7, edge, 3), (edge, edge, edge)):
-        state = np.random.PCG64(np.random.SeedSequence(seed_words(*keys))).state
-        assert state == tuple_seeded_state(keys)
+        assert_keyed_states_equal(keys)
 
 
 def test_seed_words_give_the_tuple_seeded_state_on_random_keys():
@@ -113,8 +124,63 @@ def test_seed_words_give_the_tuple_seeded_state_on_random_keys():
     for _ in range(3000):
         keys = [rnd.getrandbits(rnd.choice((1, 8, 31, 32, 33, 63, 64, 65, 96)))
                 for _ in range(rnd.randint(1, 4))]
-        state = np.random.PCG64(np.random.SeedSequence(seed_words(*keys))).state
-        assert state == tuple_seeded_state(keys)
+        assert_keyed_states_equal(keys)
+
+
+def test_keyed_rng_draws_equal_default_rng_draws():
+    for keys in ((0,), (3, 2**40, 1), (2**64 - 1, 17)):
+        draws = []
+        for make in (keyed_rng, np.random.default_rng):
+            rng = make(np.random.SeedSequence(seed_words(*keys)))
+            deck = list(range(20))
+            rng.shuffle(deck)
+            draws.append((
+                rng.integers(1000, size=5).tolist(),
+                [x.hex() for x in rng.normal(0.0, 1.0, size=7).tolist()],
+                deck,
+                rng.choice(30, size=4, replace=False).tolist(),
+                int(rng.integers(2**63)),
+            ))
+        assert draws[0] == draws[1]
+
+
+def test_keyed_rng_seed_provides_only_pcg64s_request():
+    seed = keyed_rng(np.random.SeedSequence(seed_words(5, 6))).bit_generator.seed_seq
+    assert seed.generate_state(4, np.uint64).dtype == np.uint64
+    for n_words, dtype in ((4, np.uint32), (2, np.uint64), (8, np.uint64), (4, np.float64)):
+        with pytest.raises(NotImplementedError):
+            seed.generate_state(n_words, dtype)
+
+
+def test_keyed_rng_pairs_words_as_seed_sequence_does_on_a_big_endian_host(monkeypatch):
+    monkeypatch.setattr(context, "sys", types.SimpleNamespace(byteorder="big"))
+    context._pool_seed_type.cache_clear()
+    try:
+        seq = np.random.SeedSequence(seed_words(9, 2**40))
+        state = context._pool_seed_type()(seq.pool).generate_state(4, np.uint64)
+    finally:
+        context._pool_seed_type.cache_clear()
+    slots = state.view(np.uint32).tolist()
+    # what a big-endian host reads from these slots as native uint64
+    big_endian = [slots[2 * j] << 32 | slots[2 * j + 1] for j in range(4)]
+    assert big_endian == seq.generate_state(4, np.uint64).tolist()
+
+
+def loads_numpy_random(statement: str) -> bool:
+    """Whether `statement` leaves `numpy.random` in sys.modules."""
+    src = os.path.dirname(os.path.dirname(context.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = f"import sys; {statement}; print('numpy.random' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip() == "True"
+
+
+def test_importing_confplan_leaves_numpy_random_unloaded():
+    numpy_alone = loads_numpy_random("import numpy")
+    with_confplan = loads_numpy_random("import confplan.harness")
+    assert with_confplan <= numpy_alone
 
 
 def per_call_reorder(n_robots: int, seed: int, t: int, attempt: int, used):

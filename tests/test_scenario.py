@@ -2,10 +2,13 @@ import dataclasses
 import itertools
 import multiprocessing
 import pickle
+import random
+import types
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from confplan import scenario as scenario_module
 from confplan import world
 from confplan.context import Context, OrderSchedule
 from confplan.errors import ConfigError, NoFeasibleError, OracleError
@@ -197,7 +200,9 @@ def test_pickles_never_carry_the_cached_hash():
     loaded = pickle.loads(pickle.dumps(s))
     assert "_hash" in vars(s) and "_hash" in vars(s.env)
     assert "_hash" not in vars(loaded) and "_hash" not in vars(loaded.env)
+    assert "_oracle_plan" in vars(s) and "_oracle_plan" not in vars(loaded)
     assert loaded == s and hash(loaded) == hash(s)
+    assert oracle_plan(loaded) == oracle_plan(s)
 
 
 def lookups_in_a_fresh_process(sent):
@@ -488,6 +493,54 @@ def test_feasible_matches_brute_force_completions(params):
     assert tuple(path) != teacher
 
 
+def satisfied_without_bound(index: FeasibilityIndex, state) -> int:
+    """Reference: 0 when the mission holds (world.mission_satisfied on the
+    compact state), else 1, so the search prunes only at `t < horizon`."""
+    candidates = []
+    for objects, dests in index._goals:
+        ids = [i for i in objects if state[index._obj_at + i] in dests]
+        if not ids:
+            return 1
+        candidates.append(ids)
+    return 0 if world.distinct_match(candidates) else 1
+
+
+LIFTED_BUDGET = 10**100  # every iteration of these profiles is searched exactly
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        default_distribution_params(31),
+        dataclasses.replace(default_distribution_params(32), n_robots=(2, 2)),
+        dataclasses.replace(MULTI_FEASIBLE, rng_seed=33),
+        # up to two sub-tasks keep the unpruned search short
+        dataclasses.replace(reference_distribution_params(34), n_robots=(1, 1), n_subtasks=(1, 2)),
+        dataclasses.replace(
+            default_distribution_params(35), n_containers=(1, 1), enclosure_prob=1.0
+        ),
+    ],
+    ids=["default", "two-robot-default", "criterion-9", "one-robot-reference", "containers"],
+)
+def test_the_bound_keeps_every_feasible_set(params):
+    for draw in range(12):
+        s = sample_scenario(params, draw)
+        schedule = schedule_for(s)
+        pruned = FeasibilityIndex(s, schedule, budget=LIFTED_BUDGET)
+        unpruned = FeasibilityIndex(s, schedule, budget=LIFTED_BUDGET)
+        unpruned._steps_left = types.MethodType(satisfied_without_bound, unpruned)
+        teacher = teacher_sequence(s, schedule)
+        rnd = random.Random(draw)
+        for follow_teacher in (True, False):  # then a random feasible walk
+            path: list[Decision] = []
+            for k in range(len(teacher)):
+                result = pruned.feasible(tuple(path))
+                assert result.mode == "exact"
+                assert result == unpruned.feasible(tuple(path)), (s.id, k)
+                path.append(teacher[k] if follow_teacher else rnd.choice(result.decisions))
+        assert len(pruned._memo) <= len(unpruned._memo)
+
+
 def test_feasible_prefix_contract():
     env = two_object_env()
     mission = Mission((SubTask("apple", ("loc-dest-1",)),), SafetyConstraint(0, "obj-2"))
@@ -690,6 +743,29 @@ def test_oracle_validates_on_a_hundred_scenarios():
         for draw in range(count):
             s = sample_scenario(profile, draw)
             assert validate_scenario_plan(s, oracle_plan(s)).complete
+
+
+def test_a_sampled_scenario_builds_its_canonical_plan_once(monkeypatch):
+    built = []
+    build = scenario_module._build_oracle
+
+    def counted(env, mission, n_robots):
+        built.append((env, mission, n_robots))
+        return build(env, mission, n_robots)
+
+    monkeypatch.setattr(scenario_module, "_build_oracle", counted)
+    oracle_plan_failure.cache_clear()
+    params = default_distribution_params(12)
+    scenarios = [sample_scenario(params, draw) for draw in range(40)]
+    scorer = build_scorer(ScorerSpec())
+    for s in scenarios:
+        label_sequence(s, scorer, label_mode="oracle")
+    assert len(built) == len(scenarios)
+    assert built == [(s.env, s.mission, s.n_robots) for s in scenarios]
+    # a scenario that was not sampled builds its plan on first use, once
+    loaded = scenario_from_dict(scenario_to_dict(scenarios[0]))
+    assert oracle_plan(loaded) == oracle_plan(scenarios[0]) == oracle_plan(loaded)
+    assert len(built) == len(scenarios) + 1
 
 
 def test_generation_error_after_bounded_retries(monkeypatch):

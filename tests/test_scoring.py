@@ -82,6 +82,24 @@ def test_score_vector_from_raw_is_bitwise_the_float_loop(raw):
         assert [x.hex() for x in got] == [float(x).hex() for x in want]
 
 
+def method_softmax(raw) -> np.ndarray:
+    """Reference: softmax through the `.max()` and `.sum()` methods."""
+    arr = np.asarray(raw, dtype=np.float64)
+    exp = np.exp(arr - arr.max())
+    return exp / exp.sum()
+
+
+def test_softmax_is_bitwise_the_method_reductions():
+    rng = np.random.default_rng(20261018)
+    cases = [rng.normal(0.0, scale, size=n) for n in range(1, 61) for scale in (1.0, 40.0)]
+    cases += [rng.integers(-3, 4, size=n).astype(float) for n in range(1, 61)]  # ties
+    cases += [[2.5] * 7, [1e300, -1e300, 0.0], [1e308, 1e308], [-745.0, 0.0, 709.0], [5e-324]]
+    cases += [rng.normal(0.0, 1.0, size=28) + offset for offset in (1e6, -1e12, 1e15)]
+    for raw in cases:
+        got, want = softmax(raw), method_softmax(raw)
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+
+
 def test_uniform_raw_scores_normalize_uniformly():
     vec = ScoreVector.from_raw([2.5] * 7)
     assert all(abs(s - 1 / 7) < 1e-12 for s in vec.scores)
