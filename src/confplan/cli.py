@@ -125,6 +125,8 @@ def cmd_calibrate(args) -> int:
 
 
 def _quantile_for_plan(args) -> conformal.Quantile:
+    if not 0.0 < args.alpha < 1.0:
+        raise ConfigError(f"alpha must be in (0, 1), got {args.alpha}")
     if args.quantile is not None:
         return conformal.Quantile(args.quantile, 0, args.alpha)
     if args.calibration:
@@ -139,12 +141,7 @@ def cmd_plan(args) -> int:
     spec = _load_scorer_spec(args)
     scorer = scoring.build_scorer(spec)
     policy = planner.INTERACTIVE_USER if args.interactive else args.help_policy
-    pcfg = planner.PlannerConfig(
-        mode=args.mode,
-        alpha=args.alpha,
-        reorder_bound=args.reorders,
-        help_policy=policy,
-    )
+    pcfg = planner.PlannerConfig(reorder_bound=args.reorders, help_policy=policy)
     if args.mode == planner.ARGMAX:
         trace = planner.plan_argmax(scenario, scorer)
     elif args.mode == planner.CENTRALIZED:

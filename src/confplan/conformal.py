@@ -35,7 +35,6 @@ from .scenario import (
     decision_space,
     label_sequence,
     sample_scenario,
-    schedule_for,
 )
 
 
@@ -105,7 +104,6 @@ class PredictionSet:
 
     indices: tuple[int, ...]
     scores: tuple[float, ...]  # scores of the members, aligned with indices
-    threshold: float
     full_set: bool = False
 
     @property
@@ -124,19 +122,10 @@ def local_prediction_set(scores, quantile: Quantile) -> PredictionSet:
     """Per-iteration prediction set {d : g(d) > 1 - q}; full S under sentinel."""
     values = tuple(getattr(scores, "scores", scores))
     if quantile.full_set:
-        return PredictionSet(
-            indices=tuple(range(len(values))),
-            scores=values,
-            threshold=-math.inf,
-            full_set=True,
-        )
+        return PredictionSet(indices=tuple(range(len(values))), scores=values, full_set=True)
     thr = quantile.threshold
     indices = tuple(i for i, s in enumerate(values) if s > thr)
-    return PredictionSet(
-        indices=indices,
-        scores=tuple(values[i] for i in indices),
-        threshold=thr,
-    )
+    return PredictionSet(indices=indices, scores=tuple(values[i] for i in indices))
 
 
 def global_prediction_set(tables, quantile: Quantile, budget: int = 250_000):
@@ -302,7 +291,6 @@ def joint_step_scores(scenario: Scenario, scorer, history, t: int, space, count:
 def score_joint_label_sequence(scenario: Scenario, scorer) -> JointCalibrationRecord:
     """Score the canonical labels jointly: the team score of a step is the
     product over robots of their step-start scores (see joint_step_scores)."""
-    schedule = schedule_for(scenario)
     space = decision_space(scenario.env)
     index = decision_index(scenario.env)
     n = scenario.n_robots
@@ -318,7 +306,7 @@ def score_joint_label_sequence(scenario: Scenario, scorer) -> JointCalibrationRe
             score *= vectors[robot][i]
         step_scores.append(score)
         label_indices.append(indices)
-        order = schedule.order_at(t)
+        order = scenario.schedule.order_at(t)
         history = history + tuple((t, r, labels[r]) for r in order)
     return JointCalibrationRecord(
         scenario_id=scenario.id,

@@ -9,6 +9,7 @@ scorers read the structured fields directly.
 Robot orders are drawn per step from a small fixed family of permutations
 (identity, rotations, reversal) keyed by the scenario's order seed, so the
 calibration and test sequences share the same order-generating distribution.
+Each scenario carries its schedule (`Scenario.schedule`).
 """
 
 from __future__ import annotations
@@ -172,40 +173,35 @@ class Context:
         return len(self.history)
 
 
-def initial_context(scenario: "Scenario", schedule: OrderSchedule) -> Context:
+def initial_context(scenario: "Scenario") -> Context:
     """Context with empty history, cursor on the first robot of step 0."""
     if scenario.horizon < 1:
         return Context(scenario=scenario, cursor=None)
-    first = schedule.order_at(0)[0]
+    first = scenario.schedule.order_at(0)[0]
     return Context(scenario=scenario, cursor=(0, first))
 
 
-def advance(
-    ctx: Context,
-    chosen: Decision,
-    schedule: OrderSchedule,
-    order: tuple[int, ...] | None = None,
-) -> Context:
+def advance(ctx: Context, chosen: Decision, *, order: tuple[int, ...] | None = None) -> Context:
     """Append the chosen decision and move the cursor along the step's order.
 
-    `order` overrides the schedule's draw for the current step (used while a
-    step is being redone under a redrawn order); the next step always starts
-    from the schedule's own draw.
+    `order` overrides the scenario's scheduled order for the current step
+    (used while a step is being redone under a redrawn order); the next step
+    always starts from the schedule's own draw.
     """
     if ctx.cursor is None:
         raise ValueError("context is exhausted")
     t, robot = ctx.cursor
     position = sum(1 for (ht, _, _) in ctx.history if ht == t)
     history = ctx.history + ((t, robot, chosen),)
-    n = ctx.scenario.n_robots
-    if position + 1 < n:
-        step_order = order if order is not None else schedule.order_at(t)
+    scenario = ctx.scenario
+    if position + 1 < scenario.n_robots:
+        step_order = order if order is not None else scenario.schedule.order_at(t)
         cursor = (t, step_order[position + 1])
-    elif t + 1 < ctx.scenario.horizon:
-        cursor = (t + 1, schedule.order_at(t + 1)[0])
+    elif t + 1 < scenario.horizon:
+        cursor = (t + 1, scenario.schedule.order_at(t + 1)[0])
     else:
         cursor = None
-    return Context(scenario=ctx.scenario, history=history, cursor=cursor)
+    return Context(scenario=scenario, history=history, cursor=cursor)
 
 
 def reset_step(ctx: Context, t: int, new_order: tuple[int, ...]) -> Context:

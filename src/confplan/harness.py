@@ -95,6 +95,15 @@ class ExperimentConfig:
             raise ConfigError(f"alphas {list(self.alphas)} repeat at 6 significant digits")
         if self.label_mode not in ("oracle", "selector"):
             raise ConfigError(f"unknown label mode {self.label_mode!r}")
+        self.planner_config().validate()
+
+    def planner_config(self) -> PlannerConfig:
+        """The planners' settings; every trial plans under them."""
+        return PlannerConfig(
+            reorder_bound=self.reorder_bound,
+            help_policy=self.help_policy,
+            centralized_budget=self.centralized_budget,
+        )
 
     def effective(self) -> tuple[DistributionParams, ScorerSpec]:
         """Apply the master seed to the scenario and scorer streams."""
@@ -299,20 +308,15 @@ def _trial_row(cfg: ExperimentConfig, scorer, quantiles, trial: int, test) -> di
         provider = search_feasible_provider(test)
     else:
         provider = teacher_feasible_provider(test)
+    pcfg = cfg.planner_config()
     row = {"trial": trial, "test_scenario": test.id}
     for alpha, (quantile, q_joint) in zip(cfg.alphas, quantiles):
         local_sets = [local_prediction_set(vec, quantile) for vec in test_labels.vectors]
         covered = label in product_set(local_sets)
-        pcfg = PlannerConfig(
-            alpha=quantile.alpha,
-            reorder_bound=cfg.reorder_bound,
-            help_policy=cfg.help_policy,
-            centralized_budget=cfg.centralized_budget,
-        )
         trace_d = plan_distributed(test, scorer, quantile, pcfg, feasible_provider=provider)
         plans = {"alphas": (trace_d, quantile.full_set)}
         if q_joint is not None:
-            trace_c = plan_centralized(test, scorer, q_joint, replace(pcfg, mode=CENTRALIZED))
+            trace_c = plan_centralized(test, scorer, q_joint, pcfg)
             size = len(decision_space(test.env))
             expected_d = test.n_robots * size * test.horizon
             expected_c = (size**test.n_robots) * test.horizon

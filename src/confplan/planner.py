@@ -29,7 +29,6 @@ from .scenario import (
     anchor_decision,
     decision_index,
     decision_space,
-    schedule_for,
 )
 from .world import Decision, IDLE_DECISION, Plan, plan_to_dict
 
@@ -44,21 +43,18 @@ FAIL_ON_HELP = "fail-on-help"
 
 @dataclass(frozen=True)
 class PlannerConfig:
-    mode: str = DISTRIBUTED
-    alpha: float = 0.1
+    """Settings the planners read; the mode is chosen by calling a planner,
+    and the level is carried by its quantile."""
+
     reorder_bound: int = 0  # W: reorder attempts per step before user help
     help_policy: str = ORACLE_USER
     centralized_budget: int = 4096
 
     def validate(self) -> None:
-        if self.mode not in (DISTRIBUTED, CENTRALIZED, ARGMAX):
-            raise ConfigError(f"unknown planner mode {self.mode!r}")
         if self.help_policy not in (ORACLE_USER, INTERACTIVE_USER, FAIL_ON_HELP):
             raise ConfigError(f"unknown help policy {self.help_policy!r}")
         if self.reorder_bound < 0:
             raise ConfigError("reorder bound must be >= 0")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError("alpha must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -83,7 +79,6 @@ class IterationRecord:
     robot: int
     order: tuple[int, ...]
     set_indices: tuple[int, ...]
-    set_scores: tuple[float, ...]
     set_full: bool
     chosen_index: int | None  # None for reorder / failure records
     help: tuple[HelpEvent, ...] = ()
@@ -99,7 +94,6 @@ class CentralStepRecord:
 
     t: int
     set_tuples: tuple[tuple[int, ...], ...]
-    set_scores: tuple[float, ...]
     set_full: bool
     chosen_tuple: tuple[int, ...] | None
     help: tuple[HelpEvent, ...] = ()
@@ -277,12 +271,12 @@ def plan_distributed(
     order family; step restarts from scratch), then asks the user.
     """
     cfg.validate()
-    schedule = schedule_for(scenario)
+    schedule = scenario.schedule
     space = decision_space(scenario.env)
     index = decision_index(scenario.env)
     provider = feasible_provider or teacher_feasible_provider(scenario)
     calls_before = scorer.counter.snapshot()
-    ctx = initial_context(scenario, schedule)
+    ctx = initial_context(scenario)
     records: list[IterationRecord] = []
     failed = False
     t = 0
@@ -302,7 +296,6 @@ def plan_distributed(
                 robot=robot,
                 order=order,
                 set_indices=ps.indices,
-                set_scores=ps.scores,
                 set_full=ps.full_set,
             )
             if ps.is_singleton:
@@ -349,7 +342,7 @@ def plan_distributed(
                 if chosen is None:  # fail-on-help
                     failed = True
                     break
-            ctx = advance(ctx, space[chosen], schedule, order=order)
+            ctx = advance(ctx, space[chosen], order=order)
             pos += 1
         t += 1
     return PlanTrace(
@@ -367,10 +360,9 @@ def plan_distributed(
 
 def plan_argmax(scenario: Scenario, scorer) -> PlanTrace:
     """Per-iteration argmax; never asks for help and needs no quantile."""
-    schedule = schedule_for(scenario)
     space = decision_space(scenario.env)
     calls_before = scorer.counter.snapshot()
-    ctx = initial_context(scenario, schedule)
+    ctx = initial_context(scenario)
     records = []
     for _ in range(scenario.n_robots * scenario.horizon):
         t, robot = ctx.cursor
@@ -381,14 +373,13 @@ def plan_argmax(scenario: Scenario, scorer) -> PlanTrace:
                 k=ctx.k,
                 t=t,
                 robot=robot,
-                order=schedule.order_at(t),
+                order=scenario.schedule.order_at(t),
                 set_indices=(chosen,),
-                set_scores=(vec.scores[chosen],),
                 set_full=False,
                 chosen_index=chosen,
             )
         )
-        ctx = advance(ctx, space[chosen], schedule)
+        ctx = advance(ctx, space[chosen])
     return PlanTrace(
         scenario_id=scenario.id,
         mode=ARGMAX,
@@ -431,7 +422,6 @@ def plan_centralized(
     a specific robot; the reorder mechanism does not apply.
     """
     cfg.validate()
-    schedule = schedule_for(scenario)
     space = decision_space(scenario.env)
     n = scenario.n_robots
     joint_count = len(space) ** n
@@ -457,7 +447,6 @@ def plan_centralized(
         full = quantile.full_set
         thr = quantile.threshold  # -inf under the FULL-SET sentinel
         tuples = tuple(c for c, s in joint.items() if s > thr)
-        scores = tuple(joint[c] for c in tuples)
         help_events = ()
         if len(tuples) == 1:
             chosen = tuples[0]
@@ -491,7 +480,6 @@ def plan_centralized(
             CentralStepRecord(
                 t=t,
                 set_tuples=tuples,
-                set_scores=scores,
                 set_full=full,
                 chosen_tuple=chosen,
                 help=help_events,
@@ -502,7 +490,7 @@ def plan_centralized(
             break
         joint_decision = tuple(space[i] for i in chosen)
         plan.append(joint_decision)
-        order = schedule.order_at(t)
+        order = scenario.schedule.order_at(t)
         history = history + tuple((t, r, joint_decision[r]) for r in order)
     return PlanTrace(
         scenario_id=scenario.id,

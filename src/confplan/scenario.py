@@ -130,9 +130,19 @@ class Scenario:
     __hash__ = world.hash_once
     __getstate__ = world.state_without_hash
 
-
-def schedule_for(scenario: Scenario) -> OrderSchedule:
-    return OrderSchedule(n_robots=scenario.n_robots, seed=scenario.order_seed)
+    @property
+    def schedule(self) -> OrderSchedule:
+        """The per-step robot-order schedule, a pure function of `n_robots`
+        and `order_seed`; memoised on the instance and kept out of its
+        pickles, like the hash. (Not `functools.cached_property`: it writes
+        through `__dict__`, which on CPython 3.11 slows every later attribute
+        load on the instance.)"""
+        try:
+            return self._schedule
+        except AttributeError:
+            schedule = OrderSchedule(self.n_robots, self.order_seed)
+            object.__setattr__(self, "_schedule", schedule)
+            return schedule
 
 
 # --- decision space ----------------------------------------------------------
@@ -421,9 +431,9 @@ def anchor_decision(scenario: Scenario, t: int, robot: int) -> Decision:
     return IDLE_DECISION
 
 
-def teacher_sequence(scenario: Scenario, schedule: OrderSchedule) -> tuple[Decision, ...]:
+def teacher_sequence(scenario: Scenario) -> tuple[Decision, ...]:
     """The canonical plan flattened along the schedule, Idle-padded to N*H."""
-    n = scenario.n_robots
+    n, schedule = scenario.n_robots, scenario.schedule
     out = []
     for k in range(n * scenario.horizon):
         t, pos = step_position(k, n)
@@ -431,16 +441,15 @@ def teacher_sequence(scenario: Scenario, schedule: OrderSchedule) -> tuple[Decis
     return tuple(out)
 
 
-def flat_to_plan(
-    scenario: Scenario, schedule: OrderSchedule, flat: tuple[Decision, ...]
-) -> Plan:
-    """Reassemble a flat iteration-ordered sequence into per-step joint decisions."""
+def flat_to_plan(scenario: Scenario, flat: tuple[Decision, ...]) -> Plan:
+    """Reassemble a flat iteration-ordered sequence, laid out along the
+    scenario's schedule, into per-step joint decisions."""
     n = scenario.n_robots
     if len(flat) % n:
         raise ValueError("sequence length is not a multiple of the robot count")
     steps = []
     for t in range(len(flat) // n):
-        order = schedule.order_at(t)
+        order = scenario.schedule.order_at(t)
         joint: list[Decision | None] = [None] * n
         for pos in range(n):
             joint[order[pos]] = flat[t * n + pos]
@@ -482,20 +491,14 @@ class FeasibilityIndex:
     index unsafe to share between threads.
     """
 
-    def __init__(
-        self,
-        scenario: Scenario,
-        schedule: OrderSchedule | None = None,
-        budget: int = EXACT_SEARCH_BUDGET,
-    ):
+    def __init__(self, scenario: Scenario, budget: int = EXACT_SEARCH_BUDGET):
         self.scenario = scenario
-        self.schedule = schedule or schedule_for(scenario)
         self.budget = budget
         self.env = env = scenario.env
         self.mission = scenario.mission
         self.n = n = scenario.n_robots
         self.space = decision_space(env)
-        self._orders = tuple(self.schedule.order_at(t) for t in range(scenario.horizon))
+        self._orders = tuple(scenario.schedule.order_at(t) for t in range(scenario.horizon))
         self._locs = locs = {loc.id: i for i, loc in enumerate(env.locations)}
         self._objs = {o.id: i for i, o in enumerate(env.objects)}
         self._conts = {c.id: i for i, c in enumerate(env.containers)}
@@ -804,14 +807,11 @@ class FeasibilityIndex:
 
 
 def feasible_next_decisions(
-    scenario: Scenario,
-    history: tuple[Decision, ...],
-    schedule: OrderSchedule | None = None,
-    budget: int = EXACT_SEARCH_BUDGET,
+    scenario: Scenario, history: tuple[Decision, ...], budget: int = EXACT_SEARCH_BUDGET
 ) -> FeasibleResult:
     """Decisions at iteration len(history) from which the mission stays
     completable within the horizon; see FeasibilityIndex for the search mode."""
-    return FeasibilityIndex(scenario, schedule, budget).feasible(history)
+    return FeasibilityIndex(scenario, budget).feasible(history)
 
 
 # --- label selection ----------------------------------------------------------
@@ -866,11 +866,10 @@ def label_sequence(scenario: Scenario, scorer, label_mode: str = "selector") -> 
     """
     if label_mode not in ("selector", "oracle"):
         raise ConfigError(f"unknown label mode {label_mode!r}")
-    schedule = schedule_for(scenario)
     space = decision_space(scenario.env)
     index = decision_index(scenario.env)
-    findex = FeasibilityIndex(scenario, schedule) if label_mode == "selector" else None
-    ctx = initial_context(scenario, schedule)
+    findex = FeasibilityIndex(scenario) if label_mode == "selector" else None
+    ctx = initial_context(scenario)
     decisions: list[Decision] = []
     scores: list[float] = []
     vectors = []
@@ -891,11 +890,11 @@ def label_sequence(scenario: Scenario, scorer, label_mode: str = "selector") -> 
         scores.append(vec.scores[index[d]])
         vectors.append(vec)
         modes.append(mode)
-        ctx = advance(ctx, d, schedule)
+        ctx = advance(ctx, d)
     if findex is None:
         reason = oracle_plan_failure(scenario)
     else:
-        plan = flat_to_plan(scenario, schedule, tuple(decisions))
+        plan = flat_to_plan(scenario, tuple(decisions))
         reason = validate_scenario_plan(scenario, plan).reason
     if reason is not None:
         raise OracleError(f"{scenario.id}: label sequence fails validation ({reason})")

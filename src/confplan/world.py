@@ -105,7 +105,8 @@ def hash_once(self) -> int:
 
 def state_without_hash(self) -> dict:
     """Pickled state of a `hash_once` instance: its fields, never the hash or
-    another value memoised on the instance (a scenario's canonical plan)."""
+    another value memoised on the instance (a scenario's canonical plan and
+    order schedule)."""
     return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
@@ -235,8 +236,8 @@ def initial_state(env: Environment, n_robots: int) -> WorldState:
     )
 
 
-def _resolve_goto(env: Environment, state: WorldState, target: str) -> str:
-    """Map a GoTo target id to a concrete location id."""
+def _resolve_goto(env: Environment, state: WorldState, robot: int, target: str) -> str:
+    """Map `robot`'s GoTo target id to a concrete location id."""
     locs, objs, conts = _indexes(env)
     if target in locs:
         return target
@@ -245,9 +246,9 @@ def _resolve_goto(env: Environment, state: WorldState, target: str) -> str:
     if target in objs:
         at = state.objects[objs[target]].at
         if at is None:
-            raise InfeasibleDecision(NO_SUCH_ENTITY, detail=f"{target} is held")
+            raise InfeasibleDecision(NO_SUCH_ENTITY, robot, f"{target} is held")
         return at
-    raise InfeasibleDecision(NO_SUCH_ENTITY, detail=target)
+    raise InfeasibleDecision(NO_SUCH_ENTITY, robot, target)
 
 
 def _plan_effect(env, state: WorldState, robot: int, d: Decision):
@@ -261,7 +262,7 @@ def _plan_effect(env, state: WorldState, robot: int, d: Decision):
     if d.kind == IDLE:
         return ("idle",)
     if d.kind == GOTO:
-        return ("move", robot, _resolve_goto(env, state, d.target))
+        return ("move", robot, _resolve_goto(env, state, robot, d.target))
     if d.kind == GRAB:
         if d.target not in objs:
             raise InfeasibleDecision(NO_SUCH_ENTITY, robot, d.target or "")
@@ -326,13 +327,7 @@ def apply_decision(
     """Apply one robot's decision; raises InfeasibleDecision. Time unchanged."""
     if robot < 0 or robot >= len(state.robots):
         raise ValueError(f"robot index {robot} out of range")
-    try:
-        eff = _plan_effect(env, state, robot, d)
-    except InfeasibleDecision as exc:
-        if exc.robot is None:
-            raise InfeasibleDecision(exc.reason, robot, exc.detail) from None
-        raise
-    return _merge(env, state, [eff], state.time)
+    return _merge(env, state, [_plan_effect(env, state, robot, d)], state.time)
 
 
 def decision_feasible(env, state: WorldState, robot: int, d: Decision) -> bool:
@@ -360,14 +355,7 @@ def apply_joint(env: Environment, state: WorldState, jd: JointDecision) -> World
                     CONFLICT, robot, f"{d.target} also grabbed by robot {grabbed[d.target]}"
                 )
             grabbed[d.target] = robot
-    effects = []
-    for robot, d in enumerate(jd):
-        try:
-            effects.append(_plan_effect(env, state, robot, d))
-        except InfeasibleDecision as exc:
-            if exc.robot is None:
-                raise InfeasibleDecision(exc.reason, robot, exc.detail) from None
-            raise
+    effects = [_plan_effect(env, state, robot, d) for robot, d in enumerate(jd)]
     return _merge(env, state, effects, state.time + 1)
 
 

@@ -29,8 +29,6 @@ from confplan.conformal import (
 from confplan.context import advance, initial_context
 from confplan.harness import ExperimentConfig, run_coverage_experiment, run_dataset_conditional
 from confplan.planner import (
-    CENTRALIZED,
-    DISTRIBUTED,
     ORACLE_USER,
     PlannerConfig,
     plan_centralized,
@@ -46,7 +44,6 @@ from confplan.scenario import (
     oracle_plan,
     reference_distribution_params,
     sample_scenario,
-    schedule_for,
     validate_scenario_plan,
 )
 from confplan.scoring import CallCounter, ScoreVector, ScorerSpec, build_scorer
@@ -172,7 +169,7 @@ class _AmbiguousLastScorer:
 
     def __init__(self, scenario):
         self.counter = CallCounter()
-        schedule = schedule_for(scenario)
+        schedule = scenario.schedule
         n = scenario.n_robots
         self._trigger = (n - 1, schedule.order_at(0)[n - 1])
 
@@ -201,13 +198,11 @@ def test_criterion_5_call_count_laws():
         assert size == 9 and scenario.horizon == 3
         scorer = build_scorer(dataclasses.replace(ACCEPTANCE_SCORER, rng_seed=5))
         quantile = Quantile(0.5, 20, 0.1)
-        cfg = PlannerConfig(mode=DISTRIBUTED, reorder_bound=0, help_policy=ORACLE_USER)
+        cfg = PlannerConfig(reorder_bound=0, help_policy=ORACLE_USER)
         dist = plan_distributed(scenario, scorer, quantile, cfg)
         expected_d = n * size * scenario.horizon
         scorer_c = build_scorer(dataclasses.replace(ACCEPTANCE_SCORER, rng_seed=5))
-        cent = plan_centralized(
-            scenario, scorer_c, quantile, dataclasses.replace(cfg, mode=CENTRALIZED)
-        )
+        cent = plan_centralized(scenario, scorer_c, quantile, cfg)
         expected_c = (size**n) * scenario.horizon
         ok = ok and dist.scorer_calls == expected_d and cent.scorer_calls == expected_c
         details.append(
@@ -217,7 +212,7 @@ def test_criterion_5_call_count_laws():
     # one reorder at the last position of a step adds exactly N*|S| calls
     scenario = sample_scenario(_nine_decision_params(2), 0)
     scorer = _AmbiguousLastScorer(scenario)
-    cfg = PlannerConfig(mode=DISTRIBUTED, reorder_bound=1, help_policy=ORACLE_USER)
+    cfg = PlannerConfig(reorder_bound=1, help_policy=ORACLE_USER)
     trace = plan_distributed(scenario, scorer, Quantile(0.95, 20, 0.1), cfg)
     base = 2 * 9 * scenario.horizon
     ok = ok and trace.n_reorder == 1 and trace.scorer_calls == base + 2 * 9
@@ -245,11 +240,9 @@ def test_criterion_6_single_robot_mode_equivalence():
     compared = 0
     for i in range(20):
         test = sample_scenario(params, 100 + i)
-        cfg = PlannerConfig(mode=DISTRIBUTED, help_policy=ORACLE_USER)
+        cfg = PlannerConfig(help_policy=ORACLE_USER)
         dist = plan_distributed(test, scorer, q_dist, cfg)
-        cent = plan_centralized(
-            test, scorer, q_joint, dataclasses.replace(cfg, mode=CENTRALIZED)
-        )
+        cent = plan_centralized(test, scorer, q_joint, cfg)
         assert dist.plan == cent.plan
         assert dist.scorer_calls == cent.scorer_calls
         assert len(dist.records) == len(cent.records)
@@ -336,15 +329,14 @@ def _brute_force_stepwise_argmax(scenario, scorer):
     argmax-scoring continuation step by step."""
     space = decision_space(scenario.env)
     index = decision_index(scenario.env)
-    schedule = schedule_for(scenario)
     total = scenario.n_robots * scenario.horizon
     feasible = [
         seq
         for seq in product(space, repeat=total)
-        if validate_scenario_plan(scenario, flat_to_plan(scenario, schedule, seq)).complete
+        if validate_scenario_plan(scenario, flat_to_plan(scenario, seq)).complete
     ]
     assert feasible
-    ctx = initial_context(scenario, schedule)
+    ctx = initial_context(scenario)
     chosen: list = []
     for k in range(total):
         prefix = tuple(chosen)
@@ -354,7 +346,7 @@ def _brute_force_stepwise_argmax(scenario, scorer):
         vec = scorer.score_all(ctx, space, count=False)
         best = max(options, key=lambda d: (vec.scores[index[d]], -index[d]))
         chosen.append(best)
-        ctx = advance(ctx, best, schedule)
+        ctx = advance(ctx, best)
     return tuple(chosen)
 
 

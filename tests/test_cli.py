@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from confplan.cli import main
 from confplan.harness import config_to_dict
 from confplan.scenario import params_to_dict, DistributionParams
@@ -161,6 +163,16 @@ def test_plan_without_quantile_is_a_config_error(tmp_path):
     scen_path = tmp_path / "scenarios.json"
     main(["gen-scenarios", "--params", str(params), "--count", "1", "--out", str(scen_path)])
     assert main(["plan", "--scenario", str(scen_path)]) == 2
+
+
+@pytest.mark.parametrize("mode", ["distributed", "centralized"])
+def test_plan_with_alpha_outside_the_unit_interval_is_a_config_error(tmp_path, mode):
+    params = write_params(tmp_path)
+    scen_path = tmp_path / "scenarios.json"
+    main(["gen-scenarios", "--params", str(params), "--count", "1", "--out", str(scen_path)])
+    argv = ["plan", "--scenario", str(scen_path), "--mode", mode, "--alpha", "1.5", "--quantile", "0.9"]
+    assert main([*argv, "--out", str(tmp_path / "trace.json")]) == 2
+    assert not (tmp_path / "trace.json").exists()
 
 
 def test_missing_config_file_exits_2(tmp_path):

@@ -27,7 +27,6 @@ from confplan.scenario import (
     default_distribution_params,
     label_sequence,
     sample_scenario,
-    schedule_for,
 )
 from confplan.scoring import ScorerSpec, build_scorer
 from confplan.world import Decision, GRAB, IDLE_DECISION
@@ -247,64 +246,61 @@ def test_labeling_draws_each_step_order_once(monkeypatch, trio_scenario):
 
 
 def test_initial_context_empty_history(scenario):
-    schedule = schedule_for(scenario)
-    ctx = initial_context(scenario, schedule)
+    schedule = scenario.schedule
+    ctx = initial_context(scenario)
     assert ctx.history == ()
     assert ctx.cursor == (0, schedule.order_at(0)[0])
-    assert render_text(ctx) == render_text(initial_context(scenario, schedule))
+    assert render_text(ctx) == render_text(initial_context(scenario))
 
 
 def test_rendered_text_lists_the_skill_set(scenario):
-    text = render_text(initial_context(scenario, schedule_for(scenario)))
+    text = render_text(initial_context(scenario))
     assert "go to, grab object, put object down, open door, remain idle" in text
     assert "(no actions yet)" in text
 
 
 def test_advance_walks_single_robot_steps(scenario):
     assert scenario.n_robots in (1, 2)
-    schedule = OrderSchedule(n_robots=1, seed=0)
     solo = dataclasses.replace(scenario, n_robots=1)
-    ctx = initial_context(solo, schedule)
-    ctx = advance(ctx, IDLE_DECISION, schedule)
+    ctx = initial_context(solo)
+    ctx = advance(ctx, IDLE_DECISION)
     assert ctx.cursor == (1, 0)
 
 
 def test_advance_follows_a_permuted_order(trio_scenario):
-    schedule = schedule_for(trio_scenario)
     order = (1, 0, 2)
     ctx = Context(scenario=trio_scenario, history=(), cursor=(0, order[0]))
-    ctx = advance(ctx, IDLE_DECISION, schedule, order=order)
+    ctx = advance(ctx, IDLE_DECISION, order=order)
     assert ctx.cursor == (0, 0)
-    ctx = advance(ctx, IDLE_DECISION, schedule, order=order)
+    ctx = advance(ctx, IDLE_DECISION, order=order)
     assert ctx.cursor == (0, 2)
 
 
 def test_advancing_t_times_exhausts_the_context(trio_scenario):
-    schedule = schedule_for(trio_scenario)
     total = trio_scenario.n_robots * trio_scenario.horizon
-    ctx = initial_context(trio_scenario, schedule)
+    ctx = initial_context(trio_scenario)
     for _ in range(total):
-        ctx = advance(ctx, IDLE_DECISION, schedule)
+        ctx = advance(ctx, IDLE_DECISION)
     assert ctx.cursor is None
     assert len(ctx.history) == total
     with pytest.raises(ValueError):
-        advance(ctx, IDLE_DECISION, schedule)
+        advance(ctx, IDLE_DECISION)
 
 
 def test_reset_step_at_zero_matches_initial(trio_scenario):
-    schedule = schedule_for(trio_scenario)
+    schedule = trio_scenario.schedule
     order = schedule.order_at(0)
-    ctx = initial_context(trio_scenario, schedule)
-    walked = advance(advance(ctx, IDLE_DECISION, schedule), IDLE_DECISION, schedule)
+    ctx = initial_context(trio_scenario)
+    walked = advance(advance(ctx, IDLE_DECISION), IDLE_DECISION)
     assert reset_step(walked, 0, order) == ctx
 
 
 def test_reset_step_preserves_earlier_steps(trio_scenario):
-    schedule = schedule_for(trio_scenario)
+    schedule = trio_scenario.schedule
     n = trio_scenario.n_robots
-    ctx = initial_context(trio_scenario, schedule)
+    ctx = initial_context(trio_scenario)
     for _ in range(n + 1):  # one full step plus one decision of step 1
-        ctx = advance(ctx, IDLE_DECISION, schedule)
+        ctx = advance(ctx, IDLE_DECISION)
     fresh = reset_step(ctx, 1, schedule.order_at(1))
     assert all(t == 0 for (t, _, _) in fresh.history)
     assert len(fresh.history) == n
@@ -314,15 +310,14 @@ def test_reset_step_preserves_earlier_steps(trio_scenario):
 
 
 def test_advance_rebuilds_stored_contexts(scenario):
-    schedule = schedule_for(scenario)
-    ctx = initial_context(scenario, schedule)
+    ctx = initial_context(scenario)
     snapshots = [ctx]
     for _ in range(scenario.n_robots * scenario.horizon):
-        ctx = advance(ctx, IDLE_DECISION, schedule)
+        ctx = advance(ctx, IDLE_DECISION)
         snapshots.append(ctx)
-    rebuilt = initial_context(scenario, schedule)
+    rebuilt = initial_context(scenario)
     for snap in snapshots[1:]:
-        rebuilt = advance(rebuilt, IDLE_DECISION, schedule)
+        rebuilt = advance(rebuilt, IDLE_DECISION)
         assert rebuilt == snap  # folding advance over the prefix reproduces it
 
 
@@ -334,11 +329,10 @@ def test_iteration_index_roundtrip():
 
 
 def test_history_lines_render_action_phrases(scenario):
-    schedule = schedule_for(scenario)
-    ctx = initial_context(scenario, schedule)
+    ctx = initial_context(scenario)
     robot = ctx.cursor[1]
     obj = scenario.env.objects[0].id
-    ctx = advance(ctx, Decision(GRAB, obj), schedule)
+    ctx = advance(ctx, Decision(GRAB, obj))
     text = render_text(ctx)
     assert f"robot {robot + 1} at step 1: grab object {obj}" in text
 
@@ -348,8 +342,7 @@ def test_rendering_is_injective_on_a_small_corpus():
     seen = {}
     for draw in range(4):
         s = sample_scenario(params, draw)
-        schedule = schedule_for(s)
-        ctx = initial_context(s, schedule)
+        ctx = initial_context(s)
         while True:
             text = render_text(ctx)
             key = (s.id, ctx.history, ctx.cursor)
@@ -357,11 +350,11 @@ def test_rendering_is_injective_on_a_small_corpus():
             seen[text] = key
             if ctx.cursor is None:
                 break
-            ctx = advance(ctx, IDLE_DECISION, schedule)
+            ctx = advance(ctx, IDLE_DECISION)
     assert len(seen) > 10
 
 
 def test_template_override_changes_rendering(scenario):
-    ctx = initial_context(scenario, schedule_for(scenario))
+    ctx = initial_context(scenario)
     text = render_text(ctx, template="only history: {history}\n[{scenario_id}/{cursor}/{skills}/{environment}/{task}/{response}/{n_robots}/{horizon}]")
     assert text.startswith("only history: (no actions yet)")

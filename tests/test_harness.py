@@ -47,6 +47,10 @@ def test_config_roundtrip_and_validation():
     assert config_from_dict(config_to_dict(cfg)) == cfg
     with pytest.raises(ConfigError):
         config_from_dict(config_to_dict(dataclasses.replace(cfg, alphas=(1.5,))))
+    # the planner settings are checked at load too, by PlannerConfig's own rule
+    for bad in ({"help_policy": "bogus"}, {"reorder_bound": -3}):
+        with pytest.raises(ConfigError):
+            config_from_dict({**config_to_dict(cfg), **bad})
 
 
 @pytest.mark.parametrize("alphas", [(0.1, 0.1), (0.1, 0.3, 0.1000001)])
@@ -373,7 +377,7 @@ def test_indicator_scorer_coverage_is_total_once_the_threshold_clears():
                 test,
                 scorer,
                 quantile,
-                PlannerConfig(alpha=alpha),
+                PlannerConfig(),
                 feasible_provider=teacher_feasible_provider(test),
             )
             helps += trace.n_user_help + trace.n_reorder
@@ -392,7 +396,7 @@ def test_covered_trials_reproduce_the_label_plan_in_selector_mode():
     from confplan.conformal import calibrate, local_prediction_set, product_set, score_label_sequence
     from confplan.conformal import build_calibration_set
     from confplan.planner import PlannerConfig, plan_distributed, search_feasible_provider
-    from confplan.scenario import flat_to_plan, sample_scenario, schedule_for
+    from confplan.scenario import flat_to_plan, sample_scenario
     from confplan.scoring import ScorerSpec, build_scorer
 
     params = _dc.replace(
@@ -416,8 +420,8 @@ def test_covered_trials_reproduce_the_label_plan_in_selector_mode():
             test,
             scorer,
             quantile,
-            PlannerConfig(alpha=0.2),
+            PlannerConfig(),
             feasible_provider=search_feasible_provider(test),
         )
-        assert trace.plan == flat_to_plan(test, schedule_for(test), labels.decisions)
+        assert trace.plan == flat_to_plan(test, labels.decisions)
     assert covered_seen >= 5

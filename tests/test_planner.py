@@ -12,8 +12,6 @@ from confplan.conformal import (
 from confplan.context import order_family
 from confplan.errors import BudgetError, PlanningAborted
 from confplan.planner import (
-    CENTRALIZED,
-    DISTRIBUTED,
     FAIL_ON_HELP,
     INTERACTIVE_USER,
     ORACLE_USER,
@@ -32,7 +30,6 @@ from confplan.scenario import (
     default_distribution_params,
     oracle_plan,
     sample_scenario,
-    schedule_for,
     teacher_sequence,
     validate_scenario_plan,
 )
@@ -95,7 +92,7 @@ def test_indicator_scorer_with_matching_calibration_reproduces_the_oracle():
     scenario = seeded_scenario(3)
     scorer = build_scorer(ScorerSpec(kind="oracle-indicator"))
     quantile = matching_quantile(scenario, scorer)
-    cfg = PlannerConfig(mode=DISTRIBUTED, reorder_bound=0, help_policy=ORACLE_USER)
+    cfg = PlannerConfig(reorder_bound=0, help_policy=ORACLE_USER)
     trace = plan_distributed(scenario, scorer, quantile, cfg)
     assert trace.n_user_help == 0 and trace.n_reorder == 0
     assert all(r.set_size == 1 for r in trace.records)
@@ -110,7 +107,7 @@ def test_empty_mission_plans_all_idle_with_full_trace():
     scenario = seeded_scenario(1, n_subtasks=(0, 0), safety_prob=0.0)
     scorer = build_scorer(ScorerSpec(kind="oracle-indicator"))
     quantile = matching_quantile(scenario, scorer)
-    cfg = PlannerConfig(mode=DISTRIBUTED)
+    cfg = PlannerConfig()
     trace = plan_distributed(scenario, scorer, quantile, cfg)
     assert len(trace.records) == scenario.n_robots * scenario.horizon
     assert all(d == IDLE_DECISION for jd in trace.plan for d in jd)
@@ -120,8 +117,8 @@ def test_single_seeded_ambiguity_triggers_exactly_one_user_help():
     scenario = seeded_scenario(3)
     space = decision_space(scenario.env)
     index = decision_index(scenario.env)
-    schedule = schedule_for(scenario)
-    teacher = teacher_sequence(scenario, schedule)
+    schedule = scenario.schedule
+    teacher = teacher_sequence(scenario)
     k_star = 1
     t_star, pos = divmod(k_star, scenario.n_robots)
     robot_star = schedule.order_at(t_star)[pos]
@@ -133,7 +130,7 @@ def test_single_seeded_ambiguity_triggers_exactly_one_user_help():
     ambiguous = [v if i in (truth_idx, other_idx) else rest for i, v in enumerate(ambiguous)]
     scorer = StubScorer({(k_star, robot_star): tuple(ambiguous)})
     quantile = Quantile(0.7, 19, 0.1)  # threshold 0.3: two members at k_star
-    cfg = PlannerConfig(mode=DISTRIBUTED, reorder_bound=0, help_policy=ORACLE_USER)
+    cfg = PlannerConfig(reorder_bound=0, help_policy=ORACLE_USER)
     trace = plan_distributed(scenario, scorer, quantile, cfg)
     assert trace.n_user_help == 1
     events = [h for r in trace.records for h in r.help]
@@ -211,7 +208,7 @@ def test_centralized_interactive_help_reads_selection_and_aborts_after_three_bad
     uniform = tuple(1 / len(space) for _ in space)
     scorer = StubScorer({(0, 0): uniform, (0, 1): uniform})
     quantile = Quantile(1.0, 19, 0.1)  # threshold 0: every joint decision is in the set
-    cfg = PlannerConfig(mode=CENTRALIZED, help_policy=INTERACTIVE_USER)
+    cfg = PlannerConfig(help_policy=INTERACTIVE_USER)
     out = []
     good = SimpleNamespace(write=out.append, readline=lambda: "2\n")
     trace = plan_centralized(scenario, scorer, quantile, cfg, io=good)
@@ -236,7 +233,7 @@ def test_fail_on_help_converts_help_into_planning_failure():
     uniform = tuple(1 / len(space) for _ in space)
     scorer = StubScorer({(0, r): uniform for r in range(scenario.n_robots)})
     quantile = Quantile(0.7, 19, 0.1)
-    cfg = PlannerConfig(mode=DISTRIBUTED, reorder_bound=0, help_policy=FAIL_ON_HELP)
+    cfg = PlannerConfig(reorder_bound=0, help_policy=FAIL_ON_HELP)
     trace = plan_distributed(scenario, scorer, quantile, cfg)
     assert trace.failed
     assert any(h.unresolved for r in trace.records for h in r.help)
@@ -244,7 +241,7 @@ def test_fail_on_help_converts_help_into_planning_failure():
 
 def test_reorder_resolves_ambiguity_without_user_help():
     scenario = seeded_scenario(8, n_robots=(2, 2), n_subtasks=(1, 1))
-    schedule = schedule_for(scenario)
+    schedule = scenario.schedule
     base_order = schedule.order_at(0)
     first = base_order[0]
     space = decision_space(scenario.env)
@@ -252,7 +249,7 @@ def test_reorder_resolves_ambiguity_without_user_help():
     # ambiguous only when `first` opens the step (k == 0)
     scorer = StubScorer({(0, first): uniform})
     quantile = Quantile(0.95, 19, 0.1)
-    cfg = PlannerConfig(mode=DISTRIBUTED, reorder_bound=1, help_policy=ORACLE_USER)
+    cfg = PlannerConfig(reorder_bound=1, help_policy=ORACLE_USER)
     trace = plan_distributed(scenario, scorer, quantile, cfg)
     assert trace.n_reorder == 1
     assert trace.n_user_help == 0
@@ -269,7 +266,7 @@ def test_reorder_bound_and_family_exhaustion_fall_through_to_user():
     tables = {(k, r): uniform for k in range(2) for r in range(2)}
     scorer = StubScorer(tables)
     quantile = Quantile(0.95, 19, 0.1)
-    cfg = PlannerConfig(mode=DISTRIBUTED, reorder_bound=5, help_policy=ORACLE_USER)
+    cfg = PlannerConfig(reorder_bound=5, help_policy=ORACLE_USER)
     trace = plan_distributed(scenario, scorer, quantile, cfg)
     # the 2-robot family has 2 orders: 1 reorder, then user help despite W=5
     step0 = [r for r in trace.records if r.t == 0]
@@ -286,7 +283,7 @@ def test_distributed_call_count_law_without_reorders():
     scenario = seeded_scenario(3)
     scorer = build_scorer(ScorerSpec(kind="oracle-indicator"))
     quantile = matching_quantile(scenario, scorer)
-    cfg = PlannerConfig(mode=DISTRIBUTED)
+    cfg = PlannerConfig()
     trace = plan_distributed(scenario, scorer, quantile, cfg)
     n, h = scenario.n_robots, scenario.horizon
     assert trace.scorer_calls == n * len(decision_space(scenario.env)) * h
@@ -318,11 +315,9 @@ def test_centralized_matches_distributed_for_single_robot():
         scenario = sample_scenario(params, draw)
         scorer = build_scorer(ScorerSpec(kind="oracle-indicator"))
         quantile = matching_quantile(scenario, scorer)
-        cfg = PlannerConfig(mode=DISTRIBUTED)
+        cfg = PlannerConfig()
         dist = plan_distributed(scenario, scorer, quantile, cfg)
-        cent = plan_centralized(
-            scenario, scorer, quantile, dataclasses.replace(cfg, mode=CENTRALIZED)
-        )
+        cent = plan_centralized(scenario, scorer, quantile, cfg)
         assert dist.plan == cent.plan
         assert dist.scorer_calls == cent.scorer_calls
         for dr, cr in zip(dist.records, cent.records):
@@ -337,7 +332,7 @@ def test_centralized_call_count_and_joint_flagging():
     uniform = tuple(1 / len(space) for _ in space)
     scorer = StubScorer({(0, 0): uniform, (0, 1): uniform})
     quantile = Quantile(1.0, 19, 0.1)  # threshold 0: everything positive is in
-    cfg = PlannerConfig(mode=CENTRALIZED, help_policy=ORACLE_USER, centralized_budget=4096)
+    cfg = PlannerConfig(help_policy=ORACLE_USER, centralized_budget=4096)
     trace = plan_centralized(scenario, scorer, quantile, cfg)
     assert trace.scorer_calls == (len(space) ** 2) * scenario.horizon
     # ambiguity flags the whole team: the record carries no robot index
@@ -351,7 +346,7 @@ def test_centralized_oracle_help_breaks_ties_to_the_smallest_tuple():
     uniform = tuple(1 / len(space) for _ in space)
     scorer = StubScorer({(0, 0): uniform, (0, 1): uniform})
     quantile = Quantile(1.0, 19, 0.1)  # threshold 0: every joint decision is in the set
-    cfg = PlannerConfig(mode=CENTRALIZED, help_policy=ORACLE_USER)
+    cfg = PlannerConfig(help_policy=ORACLE_USER)
     trace = plan_centralized(
         scenario, scorer, quantile, cfg, joint_feasible_provider=lambda t: ((1, 1), (0, 1), (1, 0))
     )
@@ -375,7 +370,7 @@ def test_centralized_oracle_help_takes_the_canonical_tuple_outside_the_set():
         tables[(0, robot)] = tuple(scores)
     scorer = StubScorer(tables)
     quantile = Quantile(0.7, 19, 0.1)  # threshold 0.3: two joint members at t = 0
-    cfg = PlannerConfig(mode=CENTRALIZED, help_policy=ORACLE_USER)
+    cfg = PlannerConfig(help_policy=ORACLE_USER)
     trace = plan_centralized(scenario, scorer, quantile, cfg)
     first = trace.records[0]
     assert first.set_size == 2 and canonical not in first.set_tuples
@@ -393,13 +388,7 @@ def test_fail_on_help_records_the_full_set_flag_in_both_planners():
 
     cfg = PlannerConfig(help_policy=FAIL_ON_HELP)
     dist = plan_distributed(scenario, scorer, quantile, cfg, feasible_provider=never)
-    cent = plan_centralized(
-        scenario,
-        scorer,
-        quantile,
-        dataclasses.replace(cfg, mode=CENTRALIZED),
-        joint_feasible_provider=never,
-    )
+    cent = plan_centralized(scenario, scorer, quantile, cfg, joint_feasible_provider=never)
     for trace in (dist, cent):
         assert trace.failed
         last = trace.records[-1]
@@ -419,14 +408,7 @@ def test_interactive_help_never_asks_for_feasible_decisions_in_both_planners():
 
     cfg = PlannerConfig(help_policy=INTERACTIVE_USER)
     dist = plan_distributed(scenario, scorer, quantile, cfg, feasible_provider=never, io=io)
-    cent = plan_centralized(
-        scenario,
-        scorer,
-        quantile,
-        dataclasses.replace(cfg, mode=CENTRALIZED),
-        joint_feasible_provider=never,
-        io=io,
-    )
+    cent = plan_centralized(scenario, scorer, quantile, cfg, joint_feasible_provider=never, io=io)
     for trace in (dist, cent):
         assert not trace.failed
         events = [e for r in trace.records for e in r.help]
@@ -436,7 +418,7 @@ def test_interactive_help_never_asks_for_feasible_decisions_in_both_planners():
 def test_centralized_budget_error():
     scenario = seeded_scenario(8, n_robots=(2, 2))
     scorer = build_scorer(ScorerSpec(kind="oracle-indicator"))
-    cfg = PlannerConfig(mode=CENTRALIZED, centralized_budget=10)
+    cfg = PlannerConfig(centralized_budget=10)
     with pytest.raises(BudgetError):
         plan_centralized(scenario, scorer, Quantile(0.5, 9, 0.1), cfg)
 
@@ -460,7 +442,7 @@ def test_search_provider_feeds_feasible_resolutions():
     uniform = tuple(1 / len(space) for _ in space)
     scorer = StubScorer({(0, r): uniform for r in range(scenario.n_robots)})
     quantile = Quantile(0.7, 19, 0.1)
-    cfg = PlannerConfig(mode=DISTRIBUTED, help_policy=ORACLE_USER)
+    cfg = PlannerConfig(help_policy=ORACLE_USER)
     trace = plan_distributed(
         scenario,
         scorer,
@@ -504,7 +486,7 @@ def test_trace_plumbing_soundness_audit():
 
     records = build_calibration_set(_ddp(3), 20, build_scorer(ScorerSpec(rng_seed=4)))
     quantile = _calibrate(records, 0.1)
-    cfg = PlannerConfig(mode=DISTRIBUTED, reorder_bound=1, help_policy=ORACLE_USER)
+    cfg = PlannerConfig(reorder_bound=1, help_policy=ORACLE_USER)
     trace = plan_distributed(scenario, scorer, quantile, cfg)
     _audit_plumbing(trace, space)
     argmax_trace = plan_argmax(scenario, build_scorer(ScorerSpec(rng_seed=4)))

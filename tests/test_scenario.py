@@ -32,7 +32,6 @@ from confplan.scenario import (
     sample_scenario,
     scenario_from_dict,
     scenario_to_dict,
-    schedule_for,
     selector_F,
     teacher_sequence,
     validate_scenario_plan,
@@ -197,12 +196,19 @@ def test_equal_scenarios_hash_equal_and_hash_their_fields():
 def test_pickles_never_carry_the_cached_hash():
     s = sample_scenario(default_distribution_params(11), 3)
     hash(s)
+    assert s.schedule == OrderSchedule(s.n_robots, s.order_seed)
     loaded = pickle.loads(pickle.dumps(s))
     assert "_hash" in vars(s) and "_hash" in vars(s.env)
     assert "_hash" not in vars(loaded) and "_hash" not in vars(loaded.env)
     assert "_oracle_plan" in vars(s) and "_oracle_plan" not in vars(loaded)
+    assert "_schedule" in vars(s) and "_schedule" not in vars(loaded)
     assert loaded == s and hash(loaded) == hash(s)
     assert oracle_plan(loaded) == oracle_plan(s)
+    assert loaded.schedule == s.schedule
+    # a replaced copy derives its own schedule instead of inheriting the memo
+    moved = dataclasses.replace(s, order_seed=s.order_seed + 1)
+    assert moved.schedule == OrderSchedule(s.n_robots, s.order_seed + 1)
+    assert dataclasses.replace(s, n_robots=3).schedule == OrderSchedule(3, s.order_seed)
 
 
 def lookups_in_a_fresh_process(sent):
@@ -361,10 +367,10 @@ def test_idle_feasible_for_finished_robot_while_other_works():
     env = two_object_env(n_robots=2)
     mission = Mission((SubTask("apple", ("loc-dest-1",)),))
     s = make_scenario(env, mission, n_robots=2, horizon=5, order_seed=1)
-    schedule = schedule_for(s)
-    index = FeasibilityIndex(s, schedule)
+    schedule = s.schedule
+    index = FeasibilityIndex(s)
     # walk the teacher sequence one full step, then ask about the idle robot
-    teacher = teacher_sequence(s, schedule)
+    teacher = teacher_sequence(s)
     n = s.n_robots
     for k in range(n, 2 * n):
         result = index.feasible(teacher[:k])
@@ -382,9 +388,8 @@ def test_exact_feasible_always_contains_oracle_next_decision():
     checked = 0
     for draw in range(8):
         s = sample_scenario(params, draw)
-        schedule = schedule_for(s)
-        index = FeasibilityIndex(s, schedule)
-        teacher = teacher_sequence(s, schedule)
+        index = FeasibilityIndex(s)
+        teacher = teacher_sequence(s)
         if not index.exact_at(0):
             continue
         for k in range(len(teacher)):
@@ -396,13 +401,12 @@ def test_exact_feasible_always_contains_oracle_next_decision():
 
 def test_budget_fallback_reports_oracle_mode():
     s = fig_style_four_delivery_scenario()  # |S| = 13, T = 16: way past 10^3
-    schedule = schedule_for(s)
-    result = feasible_next_decisions(s, (), schedule, budget=1000)
+    result = feasible_next_decisions(s, (), budget=1000)
     assert result.mode == "oracle"
-    assert result.decisions == (teacher_sequence(s, schedule)[0],)
+    assert result.decisions == (teacher_sequence(s)[0],)
 
 
-def brute_force_feasible(s, schedule, history):
+def brute_force_feasible(s, history):
     """Feasible set at len(history) by enumerating completions and judging
     each with world.validate_plan.
 
@@ -415,7 +419,7 @@ def brute_force_feasible(s, schedule, history):
     current = len(history) // n
 
     def completable(flat):
-        plan = flat_to_plan(s, schedule, flat)
+        plan = flat_to_plan(s, flat)
         trace = validate_scenario_plan(s, plan).trace
         if any(o.infeasible or o.safety_violations for o in trace):
             return False
@@ -477,16 +481,15 @@ def test_feasible_matches_brute_force_completions(params):
         for s in (sample_scenario(params, draw) for draw in range(12))
         if FeasibilityIndex(s).exact_at(0)
     )
-    schedule = schedule_for(s)
-    index = FeasibilityIndex(s, schedule)
-    teacher = teacher_sequence(s, schedule)
+    index = FeasibilityIndex(s)
+    teacher = teacher_sequence(s)
     for k in range(len(teacher)):
-        expected = brute_force_feasible(s, schedule, teacher[:k])
+        expected = brute_force_feasible(s, teacher[:k])
         assert index.feasible(teacher[:k]) == FeasibleResult(expected, "exact")
     # off the teacher: take the last feasible decision the teacher does not
     path: list[Decision] = []
     for k in range(len(teacher)):
-        expected = brute_force_feasible(s, schedule, tuple(path))
+        expected = brute_force_feasible(s, tuple(path))
         assert index.feasible(tuple(path)) == FeasibleResult(expected, "exact")
         off = [d for d in expected if d != teacher[k]]
         path.append(off[-1] if off else expected[0])
@@ -525,11 +528,10 @@ LIFTED_BUDGET = 10**100  # every iteration of these profiles is searched exactly
 def test_the_bound_keeps_every_feasible_set(params):
     for draw in range(12):
         s = sample_scenario(params, draw)
-        schedule = schedule_for(s)
-        pruned = FeasibilityIndex(s, schedule, budget=LIFTED_BUDGET)
-        unpruned = FeasibilityIndex(s, schedule, budget=LIFTED_BUDGET)
+        pruned = FeasibilityIndex(s, budget=LIFTED_BUDGET)
+        unpruned = FeasibilityIndex(s, budget=LIFTED_BUDGET)
         unpruned._steps_left = types.MethodType(satisfied_without_bound, unpruned)
-        teacher = teacher_sequence(s, schedule)
+        teacher = teacher_sequence(s)
         rnd = random.Random(draw)
         for follow_teacher in (True, False):  # then a random feasible walk
             path: list[Decision] = []
@@ -587,7 +589,7 @@ def test_labeling_computes_each_step_order_once(monkeypatch):
         return order_at(self, t)
 
     monkeypatch.setattr(OrderSchedule, "order_at", counted)
-    index = FeasibilityIndex(s, schedule_for(s))
+    index = FeasibilityIndex(s)
     for k in range(len(labels)):
         assert labels[k] in index.feasible(labels[:k]).decisions
     assert len(calls) <= s.horizon
@@ -603,7 +605,7 @@ def test_selector_singleton_ignores_scores():
     only = (Decision(GOTO, "obj-2"),)
     from confplan.context import initial_context
 
-    ctx = initial_context(s, schedule_for(s))
+    ctx = initial_context(s)
     assert selector_F(ctx, only, scorer) == only[0]
 
 
@@ -613,7 +615,7 @@ def test_selector_picks_highest_score_and_breaks_ties_by_index():
     space = decision_space(env)
     from confplan.context import initial_context
 
-    ctx = initial_context(s, schedule_for(s))
+    ctx = initial_context(s)
     raw = [0.0] * len(space)
     raw[1], raw[3] = 0.6, 0.3
     scorer = StubScorer({0: raw})
@@ -644,9 +646,8 @@ def test_label_with_oracle_indicator_scorer_follows_the_oracle():
         s = sample_scenario(params, draw)
         scorer = build_scorer(ScorerSpec(kind="oracle-indicator"))
         lr = label_sequence(s, scorer, label_mode="selector")
-        schedule = schedule_for(s)
-        assert lr.decisions == teacher_sequence(s, schedule)
-        plan = flat_to_plan(s, schedule, lr.decisions)
+        assert lr.decisions == teacher_sequence(s)
+        plan = flat_to_plan(s, lr.decisions)
         assert validate_scenario_plan(s, plan).complete
 
 
@@ -664,7 +665,7 @@ def test_label_forced_steps_match_oracle_when_feasible_sets_are_singletons():
     s = make_scenario(env, mission, horizon=5)  # tight horizon: unique plan
     scorer = StubScorer()  # uniform scores: selector must rely on feasibility
     lr = label_sequence(s, scorer, label_mode="selector")
-    assert lr.decisions == teacher_sequence(s, schedule_for(s))
+    assert lr.decisions == teacher_sequence(s)
 
 
 def test_label_validates_complete_oracle_mode():
@@ -722,9 +723,8 @@ def short_horizon_scenario() -> Scenario:
 
 def test_a_loaded_scenario_keeps_its_oracle_label_check():
     loaded = short_horizon_scenario()
-    schedule = schedule_for(loaded)
     # reference: the label sequence reassembled into a plan and validated
-    labels = flat_to_plan(loaded, schedule, teacher_sequence(loaded, schedule))
+    labels = flat_to_plan(loaded, teacher_sequence(loaded))
     reason = validate_scenario_plan(loaded, labels).reason
     assert reason == "mission-unsatisfied"
     for _ in range(2):  # the memoised verdict fails the second labeling too

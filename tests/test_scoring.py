@@ -13,7 +13,6 @@ from confplan.scenario import (
     default_distribution_params,
     reference_distribution_params,
     sample_scenario,
-    schedule_for,
     anchor_decision,
 )
 from confplan.scoring import (
@@ -107,7 +106,7 @@ def test_uniform_raw_scores_normalize_uniformly():
 
 def test_oracle_indicator_softmax_closed_form(nine_scenario):
     scorer = build_scorer(ScorerSpec(kind="oracle-indicator"))
-    ctx = initial_context(nine_scenario, schedule_for(nine_scenario))
+    ctx = initial_context(nine_scenario)
     space = decision_space(nine_scenario.env)
     vec = scorer.score_all(ctx, space)
     top = math.e / (math.e + 8)
@@ -123,7 +122,7 @@ def test_oracle_indicator_softmax_closed_form(nine_scenario):
 
 def test_noisy_oracle_noise_free_raw_is_indicator_times_sharpness(nine_scenario):
     scorer = build_scorer(ScorerSpec(kind="noisy-oracle", sharpness=4.0, noise=0.0, confusion=0.0))
-    ctx = initial_context(nine_scenario, schedule_for(nine_scenario))
+    ctx = initial_context(nine_scenario)
     space = decision_space(nine_scenario.env)
     vec = scorer.score_all(ctx, space)
     assert sorted(vec.raw) == [0.0] * 8 + [4.0]
@@ -131,7 +130,7 @@ def test_noisy_oracle_noise_free_raw_is_indicator_times_sharpness(nine_scenario)
 
 def test_noisy_oracle_sharpness_limit_approaches_one_hot(nine_scenario):
     scorer = build_scorer(ScorerSpec(kind="noisy-oracle", sharpness=60.0, noise=0.0, confusion=0.0))
-    ctx = initial_context(nine_scenario, schedule_for(nine_scenario))
+    ctx = initial_context(nine_scenario)
     vec = scorer.score_all(ctx, decision_space(nine_scenario.env))
     assert max(vec.scores) > 1.0 - 1e-12
 
@@ -139,7 +138,7 @@ def test_noisy_oracle_sharpness_limit_approaches_one_hot(nine_scenario):
 def test_noisy_oracle_seeds_exactly_one_distractor(nine_scenario):
     spec = ScorerSpec(kind="noisy-oracle", sharpness=4.0, noise=0.0, confusion=0.15)
     scorer = build_scorer(spec)
-    ctx = initial_context(nine_scenario, schedule_for(nine_scenario))
+    ctx = initial_context(nine_scenario)
     vec = scorer.score_all(ctx, decision_space(nine_scenario.env))
     expected = 4.0 + math.log(0.15)
     boosted = [r for r in vec.raw if abs(r - expected) < 1e-12]
@@ -150,9 +149,8 @@ def test_noisy_oracle_seeds_exactly_one_distractor(nine_scenario):
 def test_noise_streams_are_keyed_by_iteration(nine_scenario):
     spec = ScorerSpec(kind="noisy-oracle", sharpness=0.0, noise=1.0, confusion=0.0, rng_seed=3)
     scorer = build_scorer(spec)
-    schedule = schedule_for(nine_scenario)
-    ctx0 = initial_context(nine_scenario, schedule)
-    ctx1 = advance(ctx0, IDLE_DECISION, schedule)
+    ctx0 = initial_context(nine_scenario)
+    ctx1 = advance(ctx0, IDLE_DECISION)
     space = decision_space(nine_scenario.env)
     v0 = scorer.score_all(ctx0, space)
     v1 = scorer.score_all(ctx1, space)
@@ -186,21 +184,20 @@ def test_score_vectors_are_bitwise_the_tuple_seeded_ones(rng_seed):
     for params in (default_distribution_params(4), reference_distribution_params(5)):
         for draw in range(3):
             s = sample_scenario(params, draw)
-            schedule = schedule_for(s)
             space = decision_space(s.env)
-            ctx = initial_context(s, schedule)
+            ctx = initial_context(s)
             while ctx.cursor is not None:
                 vec = scorer.score_all(ctx, space)
                 ref = ScoreVector.from_raw(tuple_seeded_raw(spec, ctx, space))
                 assert [x.hex() for x in vec.raw] == [x.hex() for x in ref.raw]
                 assert [x.hex() for x in vec.scores] == [x.hex() for x in ref.scores]
                 t, robot = ctx.cursor
-                ctx = advance(ctx, anchor_decision(s, t, robot), schedule)
+                ctx = advance(ctx, anchor_decision(s, t, robot))
 
 
 def test_scorer_determinism_across_instances(nine_scenario):
     spec = ScorerSpec(kind="noisy-oracle", rng_seed=11)
-    ctx = initial_context(nine_scenario, schedule_for(nine_scenario))
+    ctx = initial_context(nine_scenario)
     space = decision_space(nine_scenario.env)
     a = build_scorer(spec).score_all(ctx, space)
     b = build_scorer(spec).score_all(ctx, space)
@@ -210,8 +207,7 @@ def test_scorer_determinism_across_instances(nine_scenario):
 def test_call_counter_counts_logical_queries(nine_scenario):
     counter = CallCounter()
     scorer = build_scorer(ScorerSpec(), counter)
-    schedule = schedule_for(nine_scenario)
-    ctx = initial_context(nine_scenario, schedule)
+    ctx = initial_context(nine_scenario)
     space = decision_space(nine_scenario.env)
     scorer.score_all(ctx, space)
     scorer.score_all(ctx, space)  # memoized result still counts logically
@@ -273,7 +269,7 @@ def test_external_scorer_softmaxes_logprobs(monkeypatch):
 
     s = three_option_scenario()
     scorer = ExternalScorer(_external_spec(), transport=transport)
-    ctx = initial_context(s, schedule_for(s))
+    ctx = initial_context(s)
     vec = scorer.score_all(ctx, decision_space(s.env))
     assert len(calls) == 3
     expected = (0.6652, 0.2447, 0.0900)
@@ -291,7 +287,7 @@ def test_external_missing_key_fails_before_any_request(monkeypatch):
 
     s = three_option_scenario()
     scorer = ExternalScorer(_external_spec(), transport=transport)
-    ctx = initial_context(s, schedule_for(s))
+    ctx = initial_context(s)
     with pytest.raises(AuthError):
         scorer.score_all(ctx, decision_space(s.env))
     assert calls == []
@@ -309,7 +305,7 @@ def test_external_timeout_is_all_or_nothing(monkeypatch):
 
     s = three_option_scenario()
     scorer = ExternalScorer(_external_spec(), transport=transport)
-    ctx = initial_context(s, schedule_for(s))
+    ctx = initial_context(s)
     with pytest.raises(TransportError):
         scorer.score_all(ctx, decision_space(s.env))
 
@@ -317,7 +313,7 @@ def test_external_timeout_is_all_or_nothing(monkeypatch):
 def test_external_auth_and_malformed_responses(monkeypatch):
     monkeypatch.setenv("CONFPLAN_API_KEY", "token")
     s = three_option_scenario()
-    ctx = initial_context(s, schedule_for(s))
+    ctx = initial_context(s)
     space = decision_space(s.env)
 
     scorer = ExternalScorer(_external_spec(), transport=lambda *a: (401, {}))
@@ -347,7 +343,7 @@ def test_external_http_error_with_html_body_is_a_transport_error(monkeypatch):
     fake_requests_post(monkeypatch, 502, b"<html><body>502 Bad Gateway</body></html>")
     s = three_option_scenario()
     scorer = ExternalScorer(_external_spec())
-    ctx = initial_context(s, schedule_for(s))
+    ctx = initial_context(s)
     with pytest.raises(TransportError, match="HTTP 502"):
         scorer.score_all(ctx, decision_space(s.env))
 
@@ -357,7 +353,7 @@ def test_external_non_json_body_is_malformed(monkeypatch):
     fake_requests_post(monkeypatch, 200, b"<html><body>maintenance</body></html>")
     s = three_option_scenario()
     scorer = ExternalScorer(_external_spec())
-    ctx = initial_context(s, schedule_for(s))
+    ctx = initial_context(s)
     with pytest.raises(MalformedResponseError, match="not JSON"):
         scorer.score_all(ctx, decision_space(s.env))
 
@@ -373,7 +369,7 @@ def test_external_non_finite_score_is_malformed(monkeypatch, value):
         return 200, {"choices": [{"logprobs": {"content": [{"logprob": float(value)}]}}]}
 
     s = three_option_scenario()
-    ctx = initial_context(s, schedule_for(s))
+    ctx = initial_context(s)
     for extraction, transport in (("numeric-answer", numeric), ("token-logprob", logprob)):
         scorer = ExternalScorer(_external_spec(extraction=extraction), transport=transport)
         with pytest.raises(MalformedResponseError, match="non-finite"):
@@ -389,7 +385,7 @@ def test_external_numeric_answer_extraction(monkeypatch):
 
     s = three_option_scenario()
     scorer = ExternalScorer(_external_spec(extraction="numeric-answer"), transport=transport)
-    ctx = initial_context(s, schedule_for(s))
+    ctx = initial_context(s)
     vec = scorer.score_all(ctx, decision_space(s.env))
     assert vec.argmax == 0
 
@@ -400,7 +396,7 @@ def test_noisy_oracle_raw_surface(nine_scenario):
     from confplan.scenario import anchor_decision as _anchor
 
     spec = ScorerSpec(kind="noisy-oracle", sharpness=4.0, noise=0.0, confusion=0.0)
-    ctx = initial_context(nine_scenario, schedule_for(nine_scenario))
+    ctx = initial_context(nine_scenario)
     truth = _anchor(nine_scenario, 0, ctx.cursor[1])
     assert noisy_oracle_raw(spec, ctx, truth) == 4.0
     others = [d for d in decision_space(nine_scenario.env) if d != truth]

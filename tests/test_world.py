@@ -154,12 +154,30 @@ def test_open_door_requires_colocation_and_is_idempotent():
 
 
 def test_unknown_entities_are_rejected():
-    env = kitchen_env()
-    state = initial_state(env, 1)
+    env = kitchen_env(n_robots=2)
+    state = initial_state(env, 2)
     for d in (Decision(GOTO, "ghost"), Decision(GRAB, "ghost"), Decision(OPEN_DOOR, "ghost")):
-        with pytest.raises(InfeasibleDecision) as exc:
-            apply_decision(env, state, 0, d)
-        assert exc.value.reason == NO_SUCH_ENTITY
+        for apply in (
+            lambda: apply_decision(env, state, 1, d),
+            lambda: apply_joint(env, state, (IDLE_DECISION, d)),
+        ):
+            with pytest.raises(InfeasibleDecision) as exc:
+                apply()
+            assert (exc.value.reason, exc.value.robot, exc.value.detail) == (
+                NO_SUCH_ENTITY,
+                1,
+                "ghost",
+            )
+    # a GoTo to a held object names the robot that declared it
+    state = apply_joint(env, state, (Decision(GOTO, "apple"), IDLE_DECISION))
+    state = apply_joint(env, state, (Decision(GRAB, "apple"), IDLE_DECISION))
+    with pytest.raises(InfeasibleDecision) as exc:
+        apply_joint(env, state, (IDLE_DECISION, Decision(GOTO, "apple")))
+    assert (exc.value.reason, exc.value.robot, exc.value.detail) == (
+        NO_SUCH_ENTITY,
+        1,
+        "apple is held",
+    )
 
 
 def test_all_idle_joint_only_advances_time():
