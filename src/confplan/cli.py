@@ -29,9 +29,19 @@ def _load_json(path: str):
         return json.load(fh)
 
 
+def _read(load, path: str):
+    """`load(path)`, with a document of the wrong shape (a list where a
+    mapping belongs, a number where a pair does, an unknown key) reported as
+    a config error instead of escaping as a program error."""
+    try:
+        return load(path)
+    except (TypeError, IndexError, AttributeError) as exc:
+        raise ConfigError(f"malformed document {path}: {exc}") from exc
+
+
 def _load_params(args) -> scn.DistributionParams:
     if getattr(args, "params", None):
-        params = scn.params_from_dict(_load_json(args.params))
+        params = _read(lambda p: scn.params_from_dict(_load_json(p)), args.params)
     else:
         params = scn.default_distribution_params()
     if getattr(args, "seed", None) is not None:
@@ -42,7 +52,7 @@ def _load_params(args) -> scn.DistributionParams:
 def _load_scorer_spec(args) -> scoring.ScorerSpec:
     text = getattr(args, "scorer", None) or "noisy-oracle"
     if text.endswith(".json"):
-        spec = scoring.scorer_spec_from_dict(_load_json(text))
+        spec = _read(lambda p: scoring.scorer_spec_from_dict(_load_json(p)), text)
     else:
         spec = scoring.parse_scorer_spec(text)
     if getattr(args, "seed", None) is not None:
@@ -51,7 +61,7 @@ def _load_scorer_spec(args) -> scoring.ScorerSpec:
 
 
 def _load_config(args) -> harness.ExperimentConfig:
-    cfg = harness.config_from_dict(_load_json(args.config))
+    cfg = _read(lambda p: harness.config_from_dict(_load_json(p)), args.config)
     overrides = {}
     if getattr(args, "seed", None) is not None:
         overrides["master_seed"] = args.seed
@@ -95,7 +105,7 @@ def cmd_calibrate(args) -> int:
     spec = _load_scorer_spec(args)
     scorer = scoring.build_scorer(spec)
     if args.scenarios:
-        scenarios = scn.read_scenarios(args.scenarios)
+        scenarios = _read(scn.read_scenarios, args.scenarios)
         records = []
         for s in scenarios:
             record, _ = conformal.score_label_sequence(
@@ -130,13 +140,15 @@ def _quantile_for_plan(args) -> conformal.Quantile:
     if args.quantile is not None:
         return conformal.Quantile(args.quantile, 0, args.alpha)
     if args.calibration:
-        records = conformal.read_records_jsonl(args.calibration)
+        records = _read(conformal.read_records_jsonl, args.calibration)
         return conformal.calibrate(records, args.alpha)
     raise ConfigError("plan needs --calibration or --quantile (except argmax mode)")
 
 
 def cmd_plan(args) -> int:
-    scenarios = scn.read_scenarios(args.scenario)
+    scenarios = _read(scn.read_scenarios, args.scenario)
+    if not scenarios:
+        raise ConfigError(f"{args.scenario} holds no scenario")
     scenario = scenarios[0]
     spec = _load_scorer_spec(args)
     scorer = scoring.build_scorer(spec)

@@ -201,10 +201,6 @@ class CalibrationRecord:
             raise ValueError("scores must lie in [0, 1]")
 
     @property
-    def sequence_length(self) -> int:
-        return len(self.scores)
-
-    @property
     def ncs(self) -> float:
         return sequence_ncs(self.scores)
 
@@ -315,17 +311,6 @@ def score_joint_label_sequence(scenario: Scenario, scorer) -> JointCalibrationRe
         step_scores=tuple(step_scores),
         label_indices=tuple(label_indices),
     )
-
-
-def build_joint_calibration_set(
-    params: DistributionParams, m: int, scorer, start_index: int = 0
-) -> list[JointCalibrationRecord]:
-    if m < 1:
-        raise ValueError("calibration size must be >= 1")
-    return [
-        score_joint_label_sequence(sample_scenario(params, start_index + i), scorer)
-        for i in range(m)
-    ]
 
 
 # --- dataset-conditional adjustment --------------------------------------------

@@ -149,13 +149,8 @@ def _drawn_order(n_robots: int, seed: int, t: int) -> tuple[int, ...]:
     return family[int(rng.integers(len(family)))]
 
 
-def iteration_index(t: int, position: int, n_robots: int) -> int:
-    """Map (step, position within the step) to the flat iteration index."""
-    return t * n_robots + position
-
-
 def step_position(k: int, n_robots: int) -> tuple[int, int]:
-    """Inverse of iteration_index: k -> (step, position)."""
+    """Flat iteration index k -> (step, position within the step)."""
     return divmod(k, n_robots)
 
 

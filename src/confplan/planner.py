@@ -155,8 +155,9 @@ def teacher_feasible_provider(scenario: Scenario):
 def search_feasible_provider(scenario: Scenario):
     """Multi-feasible mode: enumerate mission-preserving decisions on demand.
 
-    A planner that has already diverged onto a world-infeasible prefix (only
-    possible on uncovered trials) gets an empty feasible set back; user help
+    A planner that has already diverged onto a world-infeasible prefix, or off
+    the canonical path of a scenario beyond the exact-search budget (both only
+    possible on uncovered trials), gets an empty feasible set back; user help
     then falls back to the presented set.
     """
     index = FeasibilityIndex(scenario)
@@ -164,7 +165,7 @@ def search_feasible_provider(scenario: Scenario):
     def provide(ctx: Context) -> tuple[Decision, ...]:
         try:
             return index.feasible_for_context(ctx).decisions
-        except ValueError:
+        except (ValueError, BudgetError):
             return ()
 
     return provide

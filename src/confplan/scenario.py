@@ -33,7 +33,6 @@ from .world import (
     DESTINATION,
     GOTO,
     GRAB,
-    IDLE,
     IDLE_DECISION,
     OBJECT_SITE,
     OPEN_DOOR,
@@ -47,7 +46,7 @@ from .world import (
     SafetyConstraint,
     SemanticObject,
     SubTask,
-    distinct_match,
+    merge_writes,
     validate_environment,
     violates_safety,
 )
@@ -481,49 +480,30 @@ class FeasibilityIndex:
     the enumerator falls back to following the canonical plan only, and the
     mode is reported so experiments can restrict themselves to exact instances.
 
-    The search runs on a compact state: one flat int tuple holding, in order,
-    each robot's location and held object, each object's location and
-    enclosing container, and each container's door (see `_encode`; -1 marks
-    "none"). Decisions are compiled once per robot into checks that return the
-    slot writes of their effect, or None when a precondition fails. The step
-    boundaries of the last history are kept, so a call whose history extends
-    the previous one replays only the new full steps. That cache makes an
-    index unsafe to share between threads.
+    The search runs on the world model's compact state and compiled decision
+    checks (`world.CompactModel`), the same semantics the plan validator runs
+    on. The step boundaries of the last history are kept, so a call whose
+    history extends the previous one replays only the new full steps. That
+    cache makes an index unsafe to share between threads.
     """
 
     def __init__(self, scenario: Scenario, budget: int = EXACT_SEARCH_BUDGET):
         self.scenario = scenario
         self.budget = budget
-        self.env = env = scenario.env
-        self.mission = scenario.mission
         self.n = n = scenario.n_robots
-        self.space = decision_space(env)
+        self.space = decision_space(scenario.env)
         self._orders = tuple(scenario.schedule.order_at(t) for t in range(scenario.horizon))
-        self._locs = locs = {loc.id: i for i, loc in enumerate(env.locations)}
-        self._objs = {o.id: i for i, o in enumerate(env.objects)}
-        self._conts = {c.id: i for i, c in enumerate(env.containers)}
-        self._obj_at = 2 * n
-        self._obj_in = 2 * n + len(env.objects)
-        self._door = 2 * n + 2 * len(env.objects)
-        self._goals = tuple(
-            (
-                tuple(i for i, o in enumerate(env.objects) if o.label == st.object_label),
-                frozenset(locs[dest] for dest in st.destinations if dest in locs),
-            )
-            for st in self.mission.subtasks
-        )
-        self._ops: dict = {}
-        safety = self.mission.safety
+        self.model = model = world.compact_model(scenario.env, n)
+        self._goals = model.goals(scenario.mission)
+        safety = scenario.mission.safety
         # per robot: (decision, check, grab bit) in space order, unsafe ones left out
         self._moves = tuple(
-            tuple(
-                (d, *self._op(r, d)) for d in self.space if not violates_safety(r, d, safety)
-            )
+            tuple((d, *model.op(r, d)) for d in self.space if not violates_safety(r, d, safety))
             for r in range(n)
         )
         self._memo: dict = {}
         self._rows: list = []  # joint decisions of the full steps replayed last
-        self._states = [self._encode(world.initial_state(env, n))]  # boundaries 0..len(rows)
+        self._states = [model.start]  # boundaries 0..len(rows)
 
     @property
     def total_iterations(self) -> int:
@@ -574,107 +554,16 @@ class FeasibilityIndex:
             if bit & grabbed:
                 continue
             eff = check(state)
-            if eff is not None and self._exists_step(
+            if eff.__class__ is tuple and self._exists_step(
                 state, t, effects + (eff,), grabbed | bit, others
             ):
                 out.append(d)
         return FeasibleResult(tuple(out), "exact")
 
-    # --- compact state -------------------------------------------------------
-
-    def _encode(self, state: world.WorldState) -> tuple[int, ...]:
-        locs, objs, conts = self._locs, self._objs, self._conts
-        return (
-            *(locs[p.at] for p in state.robots),
-            *(-1 if p.holding is None else objs[p.holding] for p in state.robots),
-            *(-1 if o.at is None else locs[o.at] for o in state.objects),
-            *(-1 if o.inside is None else conts[o.inside] for o in state.objects),
-            *(int(is_open) for is_open in state.doors_open),
-        )
-
-    def _op(self, robot: int, d: Decision):
-        """(check, grab bit) of `d` for `robot`: check(state) returns the slot
-        writes of the decision's effect, or None when it is not executable.
-        Mirrors world._plan_effect."""
-        key = (robot, d)
-        op = self._ops.get(key)
-        if op is None:
-            op = self._ops[key] = self._compile(robot, d)
-        return op
-
-    def _compile(self, robot: int, d: Decision):
-        at, hold = robot, self.n + robot
-        obj_at, obj_in, door = self._obj_at, self._obj_in, self._door
-        locs, objs, conts = self._locs, self._objs, self._conts
-
-        def never(state):
-            return None
-
-        if d.kind == IDLE:
-            return (lambda state: ()), 0
-        if d.kind == GOTO:
-            if d.target in locs or d.target in conts:
-                place = d.target if d.target in locs else self.env.containers[conts[d.target]].at
-                move = ((at, locs[place]),)
-                return (lambda state: move), 0
-            if d.target not in objs:
-                return never, 0
-            slot = obj_at + objs[d.target]
-
-            def goto_object(state):
-                dest = state[slot]
-                return None if dest < 0 else ((at, dest),)
-
-            return goto_object, 0
-        if d.kind == GRAB:
-            if d.target not in objs:
-                return never, 0
-            o = objs[d.target]
-            effect = ((hold, o), (obj_at + o, -1), (obj_in + o, -1))
-
-            def grab(state):
-                place = state[obj_at + o]
-                if place < 0 or state[hold] >= 0 or state[at] != place:
-                    return None
-                cont = state[obj_in + o]
-                if cont >= 0 and not state[door + cont]:
-                    return None
-                return effect
-
-            return grab, 1 << o
-        if d.kind == PUTDOWN:
-            if d.target not in locs:
-                return never, 0
-            dest = locs[d.target]
-
-            def put(state):
-                held = state[hold]
-                if held < 0 or state[at] != dest:
-                    return None
-                return ((hold, -1), (obj_at + held, dest), (obj_in + held, -1))
-
-            return put, 0
-        if d.kind == OPEN_DOOR:
-            if d.target not in conts:
-                return never, 0
-            c = conts[d.target]
-            site = locs[self.env.containers[c].at]
-            effect = ((door + c, 1),)
-            return (lambda state: effect if state[at] == site else None), 0
-        return never, 0
-
-    @staticmethod
-    def _merge(state, effects) -> tuple[int, ...]:
-        out = list(state)
-        for effect in effects:
-            for slot, value in effect:
-                out[slot] = value
-        return tuple(out)
-
     def _steps_left(self, state) -> int | float:
-        """0 when the mission holds in `state` (world.mission_satisfied on a
-        compact state); otherwise a lower bound, at least 1, on the joint
-        steps before it can hold.
+        """0 when the mission holds in `state` (`CompactModel.satisfied`);
+        otherwise a lower bound, at least 1, on the joint steps before it can
+        hold.
 
         The bound is the largest, over sub-tasks, of the cheapest candidate
         object's cost (inf for a sub-task with no candidate):
@@ -693,18 +582,17 @@ class FeasibilityIndex:
         lowers the bound. It never overestimates, so pruning by it keeps
         every feasible decision.
         """
-        n, obj_at, obj_in, door = self.n, self._obj_at, self._obj_in, self._door
+        n, model = self.n, self.model
+        obj_at, obj_in, door = model.obj_at, model.obj_in, model.door
         robots_at = state[:n]
         worst = 0
-        candidates = []
         for objects, dests in self._goals:
-            ids = [o for o in objects if state[obj_at + o] in dests]
-            if ids:
-                candidates.append(ids)
-                continue
             best = math.inf
             for o in objects:
                 place = state[obj_at + o]
+                if place in dests:
+                    best = 0
+                    break
                 if place < 0:  # held
                     cost = 1 if state[state.index(o, n, 2 * n) - n] in dests else 2
                 else:
@@ -718,7 +606,7 @@ class FeasibilityIndex:
                 worst = best
         if worst:
             return worst
-        return 0 if distinct_match(candidates) else 1
+        return 0 if model.satisfied(self._goals, state) else 1
 
     # --- prefix replay -------------------------------------------------------
 
@@ -727,7 +615,7 @@ class FeasibilityIndex:
         trailing partial step kept as unmerged effects. Raises ValueError on a
         duplicate, incomplete or infeasible prefix."""
         n = self.n
-        safety = self.mission.safety
+        safety = self.scenario.mission.safety
         by_step: dict[int, dict[int, Decision]] = {}
         violated = False
         for t, robot, d in entries:
@@ -747,7 +635,7 @@ class FeasibilityIndex:
                 continue
             del rows[t:], states[t + 1 :]
             effects, _ = self._step_effects(states[t], enumerate(joint))
-            states.append(self._merge(states[t], effects))
+            states.append(merge_writes(states[t], effects))
             rows.append(joint)
         state = states[current]
         partial = by_step.get(current, {})
@@ -760,9 +648,9 @@ class FeasibilityIndex:
         effects: tuple = ()
         grabbed = 0
         for robot, d in decisions:
-            check, bit = self._op(robot, d)
+            check, bit = self.model.op(robot, d)
             eff = check(state)
-            if bit & grabbed or eff is None:
+            if bit & grabbed or eff.__class__ is not tuple:
                 raise ValueError(f"history prefix is infeasible: robot {robot}, {d}")
             effects += (eff,)
             grabbed |= bit
@@ -775,7 +663,7 @@ class FeasibilityIndex:
         out = []
         for _, check, bit in self._moves[robot]:
             eff = check(state)
-            if eff is not None:
+            if eff.__class__ is tuple:
                 out.append((bit, eff))
         return out
 
@@ -783,7 +671,7 @@ class FeasibilityIndex:
         """Whether the robots still to decide at step t can pick one option
         each (no object grabbed twice) so that the mission stays completable."""
         if not options:
-            return self._exists_from_step(self._merge(state, effects), t + 1)
+            return self._exists_from_step(merge_writes(state, effects), t + 1)
         for bit, eff in options[0]:
             if bit & grabbed:
                 continue
@@ -831,15 +719,6 @@ def argmax_feasible(
     return best
 
 
-def selector_F(ctx: Context, feasible: tuple[Decision, ...], scorer) -> Decision:
-    """Pick the feasible decision with the highest scorer confidence."""
-    if not feasible:
-        raise NoFeasibleError("empty feasible set")
-    space = decision_space(ctx.scenario.env)
-    vec = scorer.score_all(ctx, space)
-    return argmax_feasible(vec.scores, feasible, decision_index(ctx.scenario.env))
-
-
 @dataclass(frozen=True)
 class LabelResult:
     """Ground-truth label sequence plus the scores that back calibration."""
@@ -854,7 +733,7 @@ class LabelResult:
         return "exact" if all(m == "exact" for m in self.modes) else "oracle"
 
 
-def label_sequence(scenario: Scenario, scorer, label_mode: str = "selector") -> LabelResult:
+def label_sequence(scenario: Scenario, scorer, label_mode: str) -> LabelResult:
     """Build the calibration label auto-regressively and score each step.
 
     In "selector" mode each iteration enumerates the feasible decisions and

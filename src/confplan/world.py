@@ -7,6 +7,10 @@ every robot's decision against the state at the *start* of the step
 grab the same object in the same step. Time advances by exactly one per joint
 step.
 
+These semantics are written once, in `CompactModel`: each decision is compiled
+into a check on a compact int-tuple state, and the plan validator, the
+`WorldState` operations and the feasibility search all run on those checks.
+
 All state values are immutable; every operation is a pure function and safe to
 call from concurrent workers.
 """
@@ -191,14 +195,6 @@ class WorldState:
     doors_open: tuple[bool, ...]  # aligned with Environment.containers
 
 
-@lru_cache(maxsize=1024)
-def _indexes(env: Environment) -> tuple[dict, dict, dict]:
-    locs = {loc.id: loc for loc in env.locations}
-    objs = {o.id: i for i, o in enumerate(env.objects)}
-    conts = {c.id: i for i, c in enumerate(env.containers)}
-    return locs, objs, conts
-
-
 def validate_environment(env: Environment) -> None:
     """Check id uniqueness and referential consistency; raise ValueError."""
     ids: set[str] = set()
@@ -206,7 +202,8 @@ def validate_environment(env: Environment) -> None:
         if entity.id in ids:
             raise ValueError(f"duplicate id {entity.id!r}")
         ids.add(entity.id)
-    locs, _, conts = _indexes(env)
+    locs = {loc.id for loc in env.locations}
+    conts = {c.id: c for c in env.containers}
     for c in env.containers:
         if c.at not in locs:
             raise ValueError(f"container {c.id} at unknown location {c.at}")
@@ -216,7 +213,7 @@ def validate_environment(env: Environment) -> None:
         if o.inside is not None:
             if o.inside not in conts:
                 raise ValueError(f"object {o.id} inside unknown container {o.inside}")
-            if env.containers[conts[o.inside]].at != o.at:
+            if conts[o.inside].at != o.at:
                 raise ValueError(
                     f"object {o.id} inside {o.inside} but not at its location"
                 )
@@ -225,138 +222,267 @@ def validate_environment(env: Environment) -> None:
             raise ValueError(f"robot start at unknown location {at}")
 
 
-def initial_state(env: Environment, n_robots: int) -> WorldState:
-    if len(env.robot_start) < n_robots:
-        raise ValueError("environment has fewer robot placements than robots")
-    return WorldState(
-        time=0,
-        robots=tuple(RobotPose(at=env.robot_start[j]) for j in range(n_robots)),
-        objects=tuple(ObjectState(at=o.at, inside=o.inside) for o in env.objects),
-        doors_open=tuple(c.door == DOOR_OPEN for c in env.containers),
-    )
+# --- compiled semantics --------------------------------------------------------
+
+@dataclass(slots=True)
+class Refusal:
+    """Why a decision is not executable: the reason and detail that
+    `InfeasibleDecision` reports. Shared by every call of its check, so never
+    modified; not frozen, as that triples the cost of compiling a check."""
+
+    reason: str
+    detail: str | None
 
 
-def _resolve_goto(env: Environment, state: WorldState, robot: int, target: str) -> str:
-    """Map `robot`'s GoTo target id to a concrete location id."""
-    locs, objs, conts = _indexes(env)
-    if target in locs:
-        return target
-    if target in conts:
-        return env.containers[conts[target]].at
-    if target in objs:
-        at = state.objects[objs[target]].at
-        if at is None:
-            raise InfeasibleDecision(NO_SUCH_ENTITY, robot, f"{target} is held")
-        return at
-    raise InfeasibleDecision(NO_SUCH_ENTITY, robot, target)
+_HANDS_FULL = Refusal(HANDS_FULL, "")
+_HANDS_EMPTY = Refusal(HANDS_EMPTY, "")
 
 
-def _plan_effect(env, state: WorldState, robot: int, d: Decision):
-    """Check `d`'s preconditions against `state`; return an effect record.
+def _constant(result):
+    """A check whose result does not depend on the state."""
+    return lambda state: result
 
-    Effects are returned rather than applied so that apply_joint can check all
-    robots against the same start-of-step snapshot before merging.
+
+_IDLE_OP = (_constant(()), 0)
+
+
+class CompactModel:
+    """The executable semantics of one (environment, robot count), compiled
+    once and shared by the plan validator and the feasibility search.
+
+    A compact state is a flat int tuple holding, in order, each robot's
+    location and held object, each object's location and enclosing container,
+    and each container's door (1 open, 0 closed). Entities are indexes into
+    the environment's tuples, and -1 marks "none". `op(robot, d)` compiles a
+    decision once into (check, grab bit): check(state) returns the slot writes
+    of the decision's effect, a tuple of (slot, value) pairs, or a `Refusal`
+    when a precondition fails. The grab bit is 1 << object index for a Grab of
+    a known object, else 0. The environment must pass `validate_environment`.
+    `start` is the initial state: robots at their start locations with empty
+    hands, objects at their initial placements, doors as declared.
     """
-    locs, objs, conts = _indexes(env)
-    pose = state.robots[robot]
-    if d.kind == IDLE:
-        return ("idle",)
-    if d.kind == GOTO:
-        return ("move", robot, _resolve_goto(env, state, robot, d.target))
-    if d.kind == GRAB:
-        if d.target not in objs:
-            raise InfeasibleDecision(NO_SUCH_ENTITY, robot, d.target or "")
-        idx = objs[d.target]
-        ostate = state.objects[idx]
-        if ostate.at is None:
-            raise InfeasibleDecision(NO_SUCH_ENTITY, robot, f"{d.target} is held")
-        if pose.holding is not None:
-            raise InfeasibleDecision(HANDS_FULL, robot)
-        if pose.at != ostate.at:
-            raise InfeasibleDecision(NOT_AT_TARGET, robot, d.target)
-        if ostate.inside is not None:
-            cidx = conts[ostate.inside]
-            if not state.doors_open[cidx]:
-                raise InfeasibleDecision(CONTAINER_CLOSED, robot, ostate.inside)
-        return ("grab", robot, idx)
-    if d.kind == PUTDOWN:
-        if d.target not in locs:
-            raise InfeasibleDecision(NO_SUCH_ENTITY, robot, d.target or "")
-        if pose.holding is None:
-            raise InfeasibleDecision(HANDS_EMPTY, robot)
-        if pose.at != d.target:
-            raise InfeasibleDecision(NOT_AT_TARGET, robot, d.target)
-        return ("put", robot, objs[pose.holding], d.target)
-    if d.kind == OPEN_DOOR:
-        if d.target not in conts:
-            raise InfeasibleDecision(NO_SUCH_ENTITY, robot, d.target or "")
-        cidx = conts[d.target]
-        if pose.at != env.containers[cidx].at:
-            raise InfeasibleDecision(NOT_AT_TARGET, robot, d.target)
-        return ("open", cidx)
-    raise InfeasibleDecision(NO_SUCH_ENTITY, robot, f"unknown action {d.kind}")
+
+    def __init__(self, env: Environment, n_robots: int):
+        if len(env.robot_start) < n_robots:
+            raise ValueError("environment has fewer robot placements than robots")
+        self.env = env
+        self.n = n = n_robots
+        self.obj_at = 2 * n
+        self.obj_in = 2 * n + len(env.objects)
+        self.door = 2 * n + 2 * len(env.objects)
+        self.locs = {loc.id: i for i, loc in enumerate(env.locations)}
+        self.objs = {o.id: i for i, o in enumerate(env.objects)}
+        self.conts = {c.id: i for i, c in enumerate(env.containers)}
+        self._closed = tuple(Refusal(CONTAINER_CLOSED, c.id) for c in env.containers)
+        self._ops: dict = {}
+        locs, conts = self.locs, self.conts
+        self.start = (
+            *(locs[at] for at in env.robot_start[:n]),
+            *(-1,) * n,
+            *(locs[o.at] for o in env.objects),
+            *(-1 if o.inside is None else conts[o.inside] for o in env.objects),
+            *(int(c.door == DOOR_OPEN) for c in env.containers),
+        )
+
+    def encode(self, state: WorldState) -> tuple[int, ...]:
+        locs, objs, conts = self.locs, self.objs, self.conts
+        return (
+            *(locs[p.at] for p in state.robots),
+            *(-1 if p.holding is None else objs[p.holding] for p in state.robots),
+            *(-1 if o.at is None else locs[o.at] for o in state.objects),
+            *(-1 if o.inside is None else conts[o.inside] for o in state.objects),
+            *(int(is_open) for is_open in state.doors_open),
+        )
+
+    def decode(self, state: tuple[int, ...], time: int) -> WorldState:
+        env, n, obj_at, obj_in = self.env, self.n, self.obj_at, self.obj_in
+
+        def name(entities, i):
+            return None if i < 0 else entities[i].id
+
+        return WorldState(
+            time,
+            tuple(
+                RobotPose(name(env.locations, state[r]), name(env.objects, state[n + r]))
+                for r in range(n)
+            ),
+            tuple(
+                ObjectState(
+                    name(env.locations, state[obj_at + i]),
+                    name(env.containers, state[obj_in + i]),
+                )
+                for i in range(len(env.objects))
+            ),
+            tuple(v == 1 for v in state[self.door :]),
+        )
+
+    def op(self, robot: int, d: Decision):
+        """(check, grab bit) of `d` for `robot`, compiled on first use."""
+        key = (robot, d.kind, d.target)  # hashed in C, unlike a Decision
+        op = self._ops.get(key)
+        if op is None:
+            op = self._ops[key] = self._make_op(robot, d)
+        return op
+
+    def _make_op(self, robot: int, d: Decision):
+        target, at = d.target, robot  # slot `robot` holds the robot's location
+        locs, objs, conts = self.locs, self.objs, self.conts
+        if d.kind == IDLE:
+            return _IDLE_OP
+        if d.kind == GOTO:
+            if target in locs:
+                return _constant(((at, locs[target]),)), 0
+            if target in conts:
+                return _constant(((at, locs[self.env.containers[conts[target]].at]),)), 0
+            if target not in objs:
+                return _constant(Refusal(NO_SUCH_ENTITY, target)), 0
+            slot = self.obj_at + objs[target]
+            held = Refusal(NO_SUCH_ENTITY, f"{target} is held")
+            return (lambda state: held if state[slot] < 0 else ((at, state[slot]),)), 0
+        if d.kind == GRAB and target in objs:
+            return self._grab(at, objs[target], target), 1 << objs[target]
+        if d.kind == PUTDOWN and target in locs:
+            return self._put(at, locs[target], target), 0
+        if d.kind == OPEN_DOOR and target in conts:
+            c = conts[target]
+            site = locs[self.env.containers[c].at]
+            effect = ((self.door + c, 1),)
+            away = Refusal(NOT_AT_TARGET, target)
+            return (lambda state: effect if state[at] == site else away), 0
+        if d.kind in (GRAB, PUTDOWN, OPEN_DOOR):
+            return _constant(Refusal(NO_SUCH_ENTITY, target or "")), 0
+        return _constant(Refusal(NO_SUCH_ENTITY, f"unknown action {d.kind}")), 0
+
+    def _grab(self, at: int, o: int, target: str):
+        hold, place_slot, cont_slot, door = self.n + at, self.obj_at + o, self.obj_in + o, self.door
+        effect = ((hold, o), (place_slot, -1), (cont_slot, -1))
+        held = Refusal(NO_SUCH_ENTITY, f"{target} is held")
+        away = Refusal(NOT_AT_TARGET, target)
+        closed = self._closed
+
+        def grab(state):
+            place = state[place_slot]
+            if place < 0:
+                return held
+            if state[hold] >= 0:
+                return _HANDS_FULL
+            if state[at] != place:
+                return away
+            cont = state[cont_slot]
+            if cont >= 0 and not state[door + cont]:
+                return closed[cont]
+            return effect
+
+        return grab
+
+    def _put(self, at: int, dest: int, target: str):
+        hold, obj_at, obj_in = self.n + at, self.obj_at, self.obj_in
+        away = Refusal(NOT_AT_TARGET, target)
+
+        def put(state):
+            held = state[hold]
+            if held < 0:
+                return _HANDS_EMPTY
+            if state[at] != dest:
+                return away
+            return ((hold, -1), (obj_at + held, dest), (obj_in + held, -1))
+
+        return put
+
+    def joint_writes(self, state: tuple[int, ...], jd: JointDecision) -> list:
+        """The slot writes of one synchronous joint step.
+
+        Two robots declaring a Grab of the same target id are a conflict,
+        reported at the later robot before any decision is checked. Then every
+        decision is checked against the start-of-step `state`, in robot index
+        order, so the first refused robot is reported with its refusal.
+        """
+        if len(jd) != self.n:
+            raise ValueError(f"joint decision length {len(jd)} != {self.n}")
+        grabbed: dict[str, int] = {}
+        for robot, d in enumerate(jd):
+            if d.kind == GRAB and d.target is not None:
+                if d.target in grabbed:
+                    raise InfeasibleDecision(
+                        CONFLICT, robot, f"{d.target} also grabbed by robot {grabbed[d.target]}"
+                    )
+                grabbed[d.target] = robot
+        writes = []
+        for robot, d in enumerate(jd):
+            eff = self.op(robot, d)[0](state)
+            if eff.__class__ is not tuple:
+                raise InfeasibleDecision(eff.reason, robot, eff.detail)
+            writes.append(eff)
+        return writes
+
+    def goals(self, mission: Mission) -> tuple:
+        """Per sub-task: (indexes of the objects with its label, location
+        indexes of its allowed destinations)."""
+        locs = self.locs
+        return tuple(
+            (
+                tuple(i for i, o in enumerate(self.env.objects) if o.label == st.object_label),
+                frozenset(locs[dest] for dest in st.destinations if dest in locs),
+            )
+            for st in mission.subtasks
+        )
+
+    def satisfied(self, goals: tuple, state: tuple[int, ...]) -> bool:
+        """True iff distinct objects can be matched one-per-sub-task of
+        `goals`, each with the sub-task's label and placed at one of its
+        allowed destinations in `state`."""
+        obj_at = self.obj_at
+        candidates = []
+        for objects, dests in goals:
+            ids = [o for o in objects if state[obj_at + o] in dests]
+            if not ids:
+                return False
+            candidates.append(ids)
+        return distinct_match(candidates)
 
 
-def _merge(env: Environment, state: WorldState, effects, time: int) -> WorldState:
-    robots = list(state.robots)
-    objects = list(state.objects)
-    doors = list(state.doors_open)
-    for eff in effects:
-        tag = eff[0]
-        if tag == "idle":
-            continue
-        if tag == "move":
-            _, robot, loc = eff
-            robots[robot] = RobotPose(loc, robots[robot].holding)
-        elif tag == "grab":
-            _, robot, idx = eff
-            robots[robot] = RobotPose(robots[robot].at, env.objects[idx].id)
-            objects[idx] = ObjectState(at=None, inside=None)
-        elif tag == "put":
-            _, robot, idx, dest = eff
-            robots[robot] = RobotPose(robots[robot].at, None)
-            objects[idx] = ObjectState(at=dest, inside=None)
-        elif tag == "open":
-            doors[eff[1]] = True
-    return WorldState(time, tuple(robots), tuple(objects), tuple(doors))
+@lru_cache(maxsize=8)
+def compact_model(env: Environment, n_robots: int) -> CompactModel:
+    """The shared model of (env, n_robots). The cache need only span the calls
+    on one scenario; a model holds its compiled checks (tens of KB after a
+    search), and long-lived checks add to the garbage collector's work."""
+    return CompactModel(env, n_robots)
+
+
+def initial_state(env: Environment, n_robots: int) -> WorldState:
+    model = compact_model(env, n_robots)
+    return model.decode(model.start, 0)
+
+
+def merge_writes(state: tuple[int, ...], writes) -> tuple[int, ...]:
+    """`state` with the slot writes of each decision in `writes` applied."""
+    out = list(state)
+    for effect in writes:
+        for slot, value in effect:
+            out[slot] = value
+    return tuple(out)
 
 
 def apply_decision(
     env: Environment, state: WorldState, robot: int, d: Decision
 ) -> WorldState:
-    """Apply one robot's decision; raises InfeasibleDecision. Time unchanged."""
-    if robot < 0 or robot >= len(state.robots):
+    """Apply one robot's decision, as a joint step in which every other robot
+    idles; raises InfeasibleDecision. Time unchanged."""
+    n = len(state.robots)
+    if robot < 0 or robot >= n:
         raise ValueError(f"robot index {robot} out of range")
-    return _merge(env, state, [_plan_effect(env, state, robot, d)], state.time)
-
-
-def decision_feasible(env, state: WorldState, robot: int, d: Decision) -> bool:
-    try:
-        _plan_effect(env, state, robot, d)
-    except InfeasibleDecision:
-        return False
-    return True
+    model = compact_model(env, n)
+    compact = model.encode(state)
+    jd = (IDLE_DECISION,) * robot + (d,) + (IDLE_DECISION,) * (n - robot - 1)
+    return model.decode(merge_writes(compact, model.joint_writes(compact, jd)), state.time)
 
 
 def apply_joint(env: Environment, state: WorldState, jd: JointDecision) -> WorldState:
-    """Apply one synchronous joint step; time advances by one.
-
-    All preconditions are checked against the start-of-step state, in robot
-    index order, so the first failing robot is reported. Two robots grabbing
-    the same object in one step is rejected as a conflict.
-    """
-    if len(jd) != len(state.robots):
-        raise ValueError(f"joint decision length {len(jd)} != {len(state.robots)}")
-    grabbed: dict[str, int] = {}
-    for robot, d in enumerate(jd):
-        if d.kind == GRAB and d.target is not None:
-            if d.target in grabbed:
-                raise InfeasibleDecision(
-                    CONFLICT, robot, f"{d.target} also grabbed by robot {grabbed[d.target]}"
-                )
-            grabbed[d.target] = robot
-    effects = [_plan_effect(env, state, robot, d) for robot, d in enumerate(jd)]
-    return _merge(env, state, effects, state.time + 1)
+    """Apply one synchronous joint step (`CompactModel.joint_writes`); raises
+    InfeasibleDecision. Time advances by one."""
+    model = compact_model(env, len(state.robots))
+    compact = model.encode(state)
+    return model.decode(merge_writes(compact, model.joint_writes(compact, jd)), state.time + 1)
 
 
 def violates_safety(robot: int, d: Decision, safety: SafetyConstraint | None) -> bool:
@@ -375,19 +501,8 @@ def mission_satisfied(env: Environment, state: WorldState, mission: Mission) -> 
 
     Placement only; safety violations are tracked by the plan validator.
     """
-    if not mission.subtasks:
-        return True
-    candidates: list[list[int]] = []
-    for st in mission.subtasks:
-        ids = [
-            i
-            for i, (o, os) in enumerate(zip(env.objects, state.objects))
-            if o.label == st.object_label and os.at in st.destinations
-        ]
-        if not ids:
-            return False
-        candidates.append(ids)
-    return distinct_match(candidates)
+    model = compact_model(env, len(state.robots))
+    return model.satisfied(model.goals(mission), model.encode(state))
 
 
 def distinct_match(candidates: list[list[int]]) -> bool:
@@ -442,12 +557,15 @@ def validate_plan(
     Complete iff every step is feasible, no safety violation occurs, and the
     mission is satisfied at some step boundary t <= horizon (trailing Idle
     steps after completion are fine). Simulation stops at the first infeasible
-    step; safety violations are recorded but do not stop it.
+    step; safety violations are recorded but do not stop it. The simulation
+    runs on the compact state of `compact_model`.
     """
     if len(plan) > horizon:
         raise ValueError(f"plan length {len(plan)} exceeds horizon {horizon}")
-    state = initial_state(env, n_robots)
-    satisfied_at: int | None = 0 if mission_satisfied(env, state, mission) else None
+    model = compact_model(env, n_robots)
+    goals = model.goals(mission)
+    state = model.start
+    satisfied_at: int | None = 0 if model.satisfied(goals, state) else None
     trace: list[StepOutcome] = []
     any_violation = False
     reason = None
@@ -457,14 +575,14 @@ def validate_plan(
         )
         any_violation = any_violation or bool(violations)
         try:
-            state = apply_joint(env, state, jd)
+            state = merge_writes(state, model.joint_writes(state, jd))
         except InfeasibleDecision as exc:
             trace.append(
                 StepOutcome(t, jd, exc.reason, exc.robot, violations, False)
             )
             reason = exc.reason
             break
-        sat = mission_satisfied(env, state, mission)
+        sat = model.satisfied(goals, state)
         if sat and satisfied_at is None:
             satisfied_at = t + 1
         trace.append(StepOutcome(t, jd, None, None, violations, sat))

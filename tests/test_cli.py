@@ -179,6 +179,42 @@ def test_missing_config_file_exits_2(tmp_path):
     assert main(["coverage", "--config", str(tmp_path / "missing.json")]) == 2
 
 
+def _set_endpoint_with_unknown_key(data):
+    data["scorer"] = {
+        "kind": "external",
+        "endpoint": {"base_url": "http://localhost:9", "model": "m", "retries": 3},
+    }
+
+
+@pytest.mark.parametrize(
+    "malform",
+    [
+        lambda data: data.update(params={"n_robots": 2}),
+        lambda data: data.update(params={"n_robots": [1]}),
+        lambda data: data.update(params=[1, 2]),
+        lambda data: data.update(params={"object_labels": 5}),
+        lambda data: data.update(alphas=0.1),
+        _set_endpoint_with_unknown_key,
+        None,  # `plan` on a scenario file holding no scenario
+    ],
+    ids=[
+        "scalar-pair", "short-pair", "list-params", "scalar-labels", "scalar-alphas",
+        "unknown-endpoint-key", "empty-scenario-file",
+    ],
+)
+def test_a_malformed_document_is_a_config_error(tmp_path, malform):
+    path = tmp_path / "doc.json"
+    if malform is None:
+        path.write_text("[]")
+        argv = ["plan", "--scenario", str(path), "--quantile", "0.9"]
+    else:
+        data = config_to_dict(tiny_config())
+        malform(data)
+        path.write_text(json.dumps(data))
+        argv = ["coverage", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+
+
 def test_coverage_cli_writes_metrics_and_is_deterministic(tmp_path, capsys):
     config = write_config(tmp_path, n_trials=4)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -14,7 +14,6 @@ from confplan.conformal import (
     Quantile,
     beta_quantile,
     build_calibration_set,
-    build_joint_calibration_set,
     calibrate,
     conformal_quantile,
     dataset_conditional_alpha,
@@ -27,12 +26,13 @@ from confplan.conformal import (
     read_records_jsonl,
     record_from_dict,
     record_to_dict,
+    score_joint_label_sequence,
     score_label_sequence,
     sequence_ncs,
     write_records_jsonl,
 )
 from confplan.errors import BudgetError, InfeasibleAlphaError
-from confplan.scenario import default_distribution_params
+from confplan.scenario import default_distribution_params, sample_scenario
 from confplan.scoring import ScorerSpec, build_scorer
 
 
@@ -287,7 +287,7 @@ def test_record_roundtrip():
 def test_joint_records_match_distributed_for_single_robot():
     params = dataclasses.replace(default_distribution_params(21), n_robots=(1, 1))
     scorer = build_scorer(ScorerSpec(rng_seed=2))
-    joint = build_joint_calibration_set(params, 4, scorer)
+    joint = [score_joint_label_sequence(sample_scenario(params, i), scorer) for i in range(4)]
     scorer2 = build_scorer(ScorerSpec(rng_seed=2))
     dist = build_calibration_set(params, 4, scorer2)
     for j, d in zip(joint, dist):

@@ -14,13 +14,11 @@ from confplan.context import (
     OrderSchedule,
     advance,
     initial_context,
-    iteration_index,
     keyed_rng,
     order_family,
     render_text,
     reset_step,
     seed_words,
-    step_position,
 )
 from confplan import scenario as scenario_module
 from confplan.scenario import (
@@ -319,13 +317,6 @@ def test_advance_rebuilds_stored_contexts(scenario):
     for snap in snapshots[1:]:
         rebuilt = advance(rebuilt, IDLE_DECISION)
         assert rebuilt == snap  # folding advance over the prefix reproduces it
-
-
-def test_iteration_index_roundtrip():
-    for n in (1, 2, 3, 5):
-        for k in range(4 * n):
-            t, pos = step_position(k, n)
-            assert iteration_index(t, pos, n) == k
 
 
 def test_history_lines_render_action_phrases(scenario):

@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -330,6 +333,17 @@ def test_metrics_files_match_recorded_digests(tmp_path, stem, digest, run):
     assert hashlib.sha256((tmp_path / f"{stem}.json").read_bytes()).hexdigest() == digest
 
 
+def test_the_benchmark_tracer_finds_every_function_it_wraps():
+    """benchmarks/tracer.py wraps confplan functions by name, so a rename
+    would otherwise break only traced benchmark runs."""
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        f"import sys; sys.path[:0] = [{str(root / 'benchmarks')!r}, {str(root / 'src')!r}]\n"
+        "import tracer; tracer.install(tracer.Tracer())"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
 def test_parallel_jobs_match_serial(tmp_path):
     cfg = tiny_config(n_trials=6)
     serial = run_coverage_experiment(cfg, out_dir=tmp_path / "serial")
@@ -425,3 +439,23 @@ def test_covered_trials_reproduce_the_label_plan_in_selector_mode():
         )
         assert trace.plan == flat_to_plan(test, labels.decisions)
     assert covered_seen >= 5
+
+
+def test_selector_trial_survives_a_budget_error_in_user_help():
+    """Oracle-user help off the canonical path of a scenario beyond the exact
+    search budget falls back to the presented set instead of aborting the run
+    (master seed 5, trial 12, where the alpha 0.2 plan leaves the path)."""
+    from confplan.scenario import default_distribution_params
+
+    cfg = ExperimentConfig(
+        params=dataclasses.replace(default_distribution_params(), n_robots=(2, 2)),
+        scorer=ScorerSpec(),
+        m_calibration=30,
+        n_trials=20,
+        label_mode="selector",
+        master_seed=5,
+    )
+    row = harness._fresh_calibration_trial(cfg, False, 12)
+    cell = row["alphas"]["0.2"]
+    assert not cell["covered"] and not cell["success"]
+    assert cell["coverage_misses"] == 5

@@ -18,6 +18,7 @@ from confplan.scenario import (
     FeasibleResult,
     Scenario,
     anchor_decision,
+    argmax_feasible,
     decision_index,
     decision_space,
     default_distribution_params,
@@ -32,7 +33,6 @@ from confplan.scenario import (
     sample_scenario,
     scenario_from_dict,
     scenario_to_dict,
-    selector_F,
     teacher_sequence,
     validate_scenario_plan,
 )
@@ -336,11 +336,15 @@ def test_feasible_with_no_subtasks_is_every_world_feasible_decision():
     result = feasible_next_decisions(s, ())
     assert result.mode == "exact"
     state = world.initial_state(env, 1)
-    expected = tuple(
-        d
-        for d in decision_space(env)
-        if world.decision_feasible(env, state, 0, d)
-    )
+
+    def executable(d):
+        try:
+            world.apply_decision(env, state, 0, d)
+        except world.InfeasibleDecision:
+            return False
+        return True
+
+    expected = tuple(d for d in decision_space(env) if executable(d))
     assert result.decisions == expected
     assert IDLE_DECISION in result.decisions
 
@@ -501,7 +505,7 @@ def satisfied_without_bound(index: FeasibilityIndex, state) -> int:
     compact state), else 1, so the search prunes only at `t < horizon`."""
     candidates = []
     for objects, dests in index._goals:
-        ids = [i for i in objects if state[index._obj_at + i] in dests]
+        ids = [i for i in objects if state[index.model.obj_at + i] in dests]
         if not ids:
             return 1
         candidates.append(ids)
@@ -600,33 +604,26 @@ def test_labeling_computes_each_step_order_once(monkeypatch):
 
 def test_selector_singleton_ignores_scores():
     env = two_object_env()
-    s = make_scenario(env, Mission(()), horizon=1)
-    scorer = StubScorer()
     only = (Decision(GOTO, "obj-2"),)
-    from confplan.context import initial_context
-
-    ctx = initial_context(s)
-    assert selector_F(ctx, only, scorer) == only[0]
+    raw = [0.0 if d == only[0] else 5.0 for d in decision_space(env)]
+    scores = ScoreVector.from_raw(raw).scores
+    assert argmax_feasible(scores, only, decision_index(env)) == only[0]
 
 
 def test_selector_picks_highest_score_and_breaks_ties_by_index():
     env = two_object_env()
-    s = make_scenario(env, Mission(()), horizon=1)
     space = decision_space(env)
-    from confplan.context import initial_context
-
-    ctx = initial_context(s)
+    index = decision_index(env)
     raw = [0.0] * len(space)
     raw[1], raw[3] = 0.6, 0.3
-    scorer = StubScorer({0: raw})
+    scores = ScoreVector.from_raw(raw).scores
     feas = (space[3], space[1])
-    assert selector_F(ctx, feas, scorer) == space[1]
+    assert argmax_feasible(scores, feas, index) == space[1]
     # exact tie: lower decision-space index wins
-    raw_tie = [0.0] * len(space)
-    scorer_tie = StubScorer({0: raw_tie})
-    assert selector_F(ctx, (space[5], space[2]), scorer_tie) == space[2]
+    tie = ScoreVector.from_raw([0.0] * len(space)).scores
+    assert argmax_feasible(tie, (space[5], space[2]), index) == space[2]
     with pytest.raises(NoFeasibleError):
-        selector_F(ctx, (), scorer)
+        argmax_feasible(scores, (), index)
 
 
 def test_label_sequence_k_zero_is_all_idle():

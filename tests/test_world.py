@@ -24,11 +24,13 @@ from confplan.world import (
     InfeasibleDecision,
     Location,
     Mission,
+    Refusal,
     SafetyConstraint,
     SemanticObject,
     SubTask,
     apply_decision,
     apply_joint,
+    compact_model,
     initial_state,
     mission_satisfied,
     validate_plan,
@@ -198,6 +200,35 @@ def test_same_step_duplicate_grab_is_a_conflict():
         apply_joint(env, state, (Decision(GRAB, "apple"), Decision(GRAB, "apple")))
     assert exc.value.reason == CONFLICT
     assert exc.value.robot == 1
+
+
+def test_grab_conflict_is_found_before_any_decision_is_checked():
+    # by target id, so two Grabs of an unknown id conflict at robot 1 rather
+    # than fail as no-such-entity at robot 0
+    env = kitchen_env(n_robots=2)
+    state = initial_state(env, 2)
+    ghost = Decision(GRAB, "ghost")
+    with pytest.raises(InfeasibleDecision) as exc:
+        apply_joint(env, state, (ghost, ghost))
+    assert (exc.value.reason, exc.value.robot, exc.value.detail) == (
+        CONFLICT,
+        1,
+        "ghost also grabbed by robot 0",
+    )
+
+
+def test_a_refusal_is_a_value_and_each_raise_is_fresh():
+    env = kitchen_env()
+    state = initial_state(env, 1)
+    check, bit = compact_model(env, 1).op(0, Decision(GRAB, "apple"))
+    assert bit == 1 << 0
+    assert check(compact_model(env, 1).encode(state)) == Refusal(NOT_AT_TARGET, "apple")
+    raised = []
+    for _ in range(2):
+        with pytest.raises(InfeasibleDecision) as exc:
+            apply_decision(env, state, 0, Decision(GRAB, "apple"))
+        raised.append(exc.value)
+    assert raised[0] is not raised[1]
 
 
 def test_joint_step_applies_distinct_targets():
