@@ -11,10 +11,6 @@ class ConfigError(ConfplanError):
     """Invalid parameters, configuration files, or CLI arguments."""
 
 
-class GenerationError(ConfplanError):
-    """Scenario sampling failed after bounded retries (contradictory params)."""
-
-
 class OracleError(ConfplanError):
     """Canonical-plan construction or label validation failed."""
 

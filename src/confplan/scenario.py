@@ -26,7 +26,7 @@ from .context import (
     seed_words,
     step_position,
 )
-from .errors import BudgetError, ConfigError, GenerationError, NoFeasibleError, OracleError
+from .errors import BudgetError, ConfigError, NoFeasibleError, OracleError
 from .world import (
     ACTION_KINDS,
     CONTAINER_SITE,
@@ -56,7 +56,6 @@ DEFAULT_CONTAINER_LABELS = ("fridge", "drawer", "cabinet")
 DEFAULT_DESTINATION_LABELS = ("table", "sink", "counter", "shelf", "stove")
 
 EXACT_SEARCH_BUDGET = 10**6
-_GENERATION_RETRIES = 32
 
 
 @dataclass(frozen=True)
@@ -270,34 +269,31 @@ def sample_scenario(params: DistributionParams, draw_index: int) -> Scenario:
     Deterministic: identical (params, draw_index) always yields the identical
     scenario. Draws are keyed independently, so trial workers can sample
     disjoint index ranges without coordination.
+
+    Drawn once, never resampled. The scenario keeps its canonical plan and the
+    plan's verdict (`oracle_plan_failure`), None by construction:
+    - distinct objects are bound to sub-tasks;
+    - a safety-forbidden robot is never chosen for its object, and with one
+      robot the forbidden object is never a sub-task object;
+    - a door is opened before a Grab, and opening an open door is harmless;
+    - the horizon is at least the plan length.
     """
     validate_params(params)
     rng = keyed_rng(np.random.SeedSequence(seed_words(params.rng_seed, draw_index)))
-    last_error: Exception | None = None
-    for _ in range(_GENERATION_RETRIES):
-        try:
-            env, mission, n_robots = _draw_scene(params, rng)
-            plan = _build_oracle(env, mission, n_robots)
-            horizon = max(1, len(plan) + params.horizon_slack)
-            scenario = Scenario(
-                id=f"scn-{params.rng_seed}-{draw_index}",
-                n_robots=n_robots,
-                skills=ACTION_KINDS,
-                mission=mission,
-                horizon=horizon,
-                env=env,
-                order_seed=int(rng.integers(2**31)),
-            )
-            object.__setattr__(scenario, "_oracle_plan", plan)
-            reason = oracle_plan_failure(scenario)
-            if reason is not None:
-                raise OracleError(f"oracle plan failed validation: {reason}")
-            return scenario
-        except (OracleError, ValueError) as exc:  # resample and try again
-            last_error = exc
-    raise GenerationError(
-        f"could not sample a feasible scenario for draw {draw_index}: {last_error}"
+    env, mission, n_robots = _draw_scene(params, rng)
+    plan = _build_oracle(env, mission, n_robots)
+    scenario = Scenario(
+        id=f"scn-{params.rng_seed}-{draw_index}",
+        n_robots=n_robots,
+        skills=ACTION_KINDS,
+        mission=mission,
+        horizon=max(1, len(plan) + params.horizon_slack),
+        env=env,
+        order_seed=int(rng.integers(2**31)),
     )
+    object.__setattr__(scenario, "_oracle_plan", plan)
+    object.__setattr__(scenario, "_plan_failure", None)
+    return scenario
 
 
 def scenario_stream(params: DistributionParams, start: int, count: int) -> list[Scenario]:
@@ -411,15 +407,20 @@ def oracle_plan(scenario: Scenario) -> Plan:
         return plan
 
 
-@lru_cache(maxsize=4096)
 def oracle_plan_failure(scenario: Scenario) -> str | None:
     """Why the canonical plan, cut to the horizon, fails validation; None when
-    it accomplishes the mission. Memoised, so a scenario's canonical plan is
-    validated once: `sample_scenario` reads the verdict, and so does every
-    oracle-mode `label_sequence`, whose labels reassemble into this plan
-    Idle-padded to the horizon (Idle steps never change the verdict)."""
-    plan = oracle_plan(scenario)
-    return validate_scenario_plan(scenario, plan[: scenario.horizon]).reason
+    it accomplishes the mission. An oracle-mode `label_sequence` reads it: its
+    labels reassemble into this plan Idle-padded to the horizon, and Idle
+    steps never change the verdict. Memoised on the instance and kept out of
+    pickles, like the plan: a sampled scenario records None (see
+    `sample_scenario`), a loaded or unpickled one validates on first use."""
+    try:
+        return scenario._plan_failure
+    except AttributeError:
+        plan = oracle_plan(scenario)
+        reason = validate_scenario_plan(scenario, plan[: scenario.horizon]).reason
+        object.__setattr__(scenario, "_plan_failure", reason)
+        return reason
 
 
 def anchor_decision(scenario: Scenario, t: int, robot: int) -> Decision:
@@ -740,8 +741,8 @@ def label_sequence(scenario: Scenario, scorer, label_mode: str) -> LabelResult:
     takes the scorer's argmax among them, and the produced sequence is
     validated through the world model. In "oracle" mode the label is the
     canonical plan flattened along the schedule (the unique-solution shortcut),
-    judged by the scenario's memoised `oracle_plan_failure` verdict. Either way
-    a label that fails validation raises OracleError.
+    judged by the scenario's `oracle_plan_failure` verdict, None for a sampled
+    scenario. Either way a label that fails validation raises OracleError.
     """
     if label_mode not in ("selector", "oracle"):
         raise ConfigError(f"unknown label mode {label_mode!r}")

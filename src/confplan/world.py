@@ -109,8 +109,8 @@ def hash_once(self) -> int:
 
 def state_without_hash(self) -> dict:
     """Pickled state of a `hash_once` instance: its fields, never the hash or
-    another value memoised on the instance (a scenario's canonical plan and
-    order schedule)."""
+    another value memoised on the instance (a scenario's canonical plan, its
+    verdict and the order schedule)."""
     return {f.name: getattr(self, f.name) for f in fields(self)}
 
 

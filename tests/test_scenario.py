@@ -3,10 +3,13 @@ import itertools
 import multiprocessing
 import pickle
 import random
+import runpy
 import types
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confplan import scenario as scenario_module
 from confplan import world
@@ -34,6 +37,7 @@ from confplan.scenario import (
     scenario_from_dict,
     scenario_to_dict,
     teacher_sequence,
+    validate_params,
     validate_scenario_plan,
 )
 from confplan.scoring import ScoreVector, ScorerSpec, build_scorer
@@ -200,7 +204,8 @@ def test_pickles_never_carry_the_cached_hash():
     loaded = pickle.loads(pickle.dumps(s))
     assert "_hash" in vars(s) and "_hash" in vars(s.env)
     assert "_hash" not in vars(loaded) and "_hash" not in vars(loaded.env)
-    assert "_oracle_plan" in vars(s) and "_oracle_plan" not in vars(loaded)
+    for memo in ("_oracle_plan", "_plan_failure"):
+        assert memo in vars(s) and memo not in vars(loaded)
     assert "_schedule" in vars(s) and "_schedule" not in vars(loaded)
     assert loaded == s and hash(loaded) == hash(s)
     assert oracle_plan(loaded) == oracle_plan(s)
@@ -689,15 +694,20 @@ def counted_validations(monkeypatch) -> list:
     return calls
 
 
-def test_a_sampled_scenario_validates_its_canonical_plan_once(monkeypatch):
+def test_only_scenarios_from_outside_validate_their_canonical_plan(monkeypatch):
     params = default_distribution_params(8)
-    oracle_plan_failure.cache_clear()
+    scorer = build_scorer(ScorerSpec())
     calls = counted_validations(monkeypatch)
     s = sample_scenario(params, 0)
-    assert len(calls) == 1 and calls[0][4] == oracle_plan(s)
-    assert sample_scenario(params, 0) == s
-    label_sequence(s, build_scorer(ScorerSpec()), label_mode="oracle")
-    assert len(calls) == 1
+    label_sequence(s, scorer, label_mode="oracle")
+    assert calls == [] and oracle_plan_failure(s) is None  # valid by construction
+    # an unpickled or loaded copy validates on its first oracle labeling, once
+    for other in (pickle.loads(pickle.dumps(s)), scenario_from_dict(scenario_to_dict(s))):
+        calls.clear()
+        for _ in range(2):
+            label_sequence(other, scorer, label_mode="oracle")
+        assert len(calls) == 1 and calls[0][4] == oracle_plan(s)
+        assert oracle_plan_failure(other) is None
 
 
 @pytest.mark.parametrize("label_mode, validations", [("oracle", 0), ("selector", 1)])
@@ -742,6 +752,145 @@ def test_oracle_validates_on_a_hundred_scenarios():
             assert validate_scenario_plan(s, oracle_plan(s)).complete
 
 
+def _benchmark_profiles() -> dict:
+    """The profile of each workload in benchmarks/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+    workloads = runpy.run_path(str(path))
+    build = workloads["build"]
+    return {f"benchmark-{name}": build(name, 0).cfg.params for name in workloads["WORKLOADS"]}
+
+
+_DEFAULT = default_distribution_params()
+_REFERENCE = reference_distribution_params()
+_TINY = DistributionParams(  # tests/test_harness.py's tiny config
+    n_robots=(1, 2),
+    n_subtasks=(1, 1),
+    n_objects=(2, 2),
+    n_containers=(0, 1),
+    n_destinations=(1, 1),
+    enclosure_prob=0.3,
+    safety_prob=0.0,
+)
+# two loose objects, an empty container and one destination: nine decisions
+_NINE = dict(
+    n_objects=(2, 2), n_containers=(1, 1), n_destinations=(1, 1),
+    enclosure_prob=0.0, safety_prob=0.0,
+)
+# every profile the suite samples from, its seed aside
+PROFILES_IN_USE = {
+    "default": _DEFAULT,
+    "default-one-robot": dataclasses.replace(_DEFAULT, n_robots=(1, 1)),
+    "default-two-robots": dataclasses.replace(_DEFAULT, n_robots=(2, 2)),
+    "default-two-robots-one-subtask": dataclasses.replace(
+        _DEFAULT, n_robots=(2, 2), n_subtasks=(1, 1)
+    ),
+    "default-three-robots": dataclasses.replace(_DEFAULT, n_robots=(3, 3), n_subtasks=(2, 2)),
+    "default-empty-missions": dataclasses.replace(
+        _DEFAULT, n_subtasks=(0, 0), safety_prob=0.0, horizon_slack=3
+    ),
+    "default-criterion-10": dataclasses.replace(_DEFAULT, n_subtasks=(0, 1), safety_prob=0.4),
+    "default-enclosed": dataclasses.replace(_DEFAULT, n_containers=(1, 1), enclosure_prob=1.0),
+    "default-slack-2": dataclasses.replace(_DEFAULT, horizon_slack=2),
+    "default-two-objects": dataclasses.replace(
+        _DEFAULT, n_subtasks=(1, 1), n_objects=(2, 2), horizon_slack=1
+    ),
+    "default-unsafe-one-robot": dataclasses.replace(
+        _DEFAULT, n_robots=(1, 1), n_subtasks=(1, 1), n_objects=(1, 2), n_destinations=(1, 1),
+        safety_prob=0.5,
+    ),
+    "default-unsafe-two-robots": dataclasses.replace(
+        _DEFAULT, n_robots=(2, 2), n_subtasks=(1, 1), n_objects=(1, 2), n_containers=(0, 0),
+        n_destinations=(1, 1), safety_prob=1.0, horizon_slack=0,
+    ),
+    "nine-decisions": dataclasses.replace(_DEFAULT, n_robots=(1, 1), n_subtasks=(1, 1), **_NINE),
+    "nine-decisions-any-mission": dataclasses.replace(_DEFAULT, n_robots=(1, 1), **_NINE),
+    "nine-decisions-empty-mission": dataclasses.replace(
+        _DEFAULT, n_robots=(1, 2), n_subtasks=(0, 0), horizon_slack=3, **_NINE
+    ),
+    "criterion-9": MULTI_FEASIBLE,
+    "criterion-10-multi": dataclasses.replace(MULTI_FEASIBLE, n_robots=(1, 2), n_objects=(2, 3)),
+    "tiny": _TINY,
+    "tiny-one-robot": dataclasses.replace(_TINY, n_robots=(1, 1)),
+    "tiny-two-robots": dataclasses.replace(
+        _TINY, n_robots=(2, 2), n_containers=(1, 1), enclosure_prob=0.0
+    ),
+    "tiny-three-objects": dataclasses.replace(
+        _TINY, n_objects=(3, 3), n_containers=(1, 1), enclosure_prob=0.0
+    ),
+    "tiny-multi-destination": dataclasses.replace(
+        _TINY, n_destinations=(2, 2), multi_destination_prob=1.0
+    ),
+    "tiny-multi-feasible": dataclasses.replace(
+        _TINY, n_robots=(1, 1), n_destinations=(2, 2), multi_destination_prob=1.0
+    ),
+    "reference": _REFERENCE,
+    "reference-one-robot": dataclasses.replace(_REFERENCE, n_robots=(1, 1), n_subtasks=(1, 2)),
+    "reference-multi-destination": dataclasses.replace(
+        _REFERENCE, n_robots=(1, 3), n_destinations=(2, 2), multi_destination_prob=0.5
+    ),
+    **_benchmark_profiles(),
+}
+
+
+def assert_valid_by_construction(params: DistributionParams, draws) -> None:
+    """What `sample_scenario` records without checking: the canonical plan
+    builds, the environment is consistent and the plan, cut to the horizon,
+    accomplishes the mission."""
+    for draw in draws:
+        s = sample_scenario(params, draw)
+        plan = scenario_module._build_oracle(s.env, s.mission, s.n_robots)
+        world.validate_environment(s.env)
+        assert plan == oracle_plan(s) and len(plan) <= s.horizon
+        result = world.validate_plan(s.env, s.mission, s.n_robots, s.horizon, plan[: s.horizon])
+        assert result.complete, (params, draw, result.reason)
+
+
+def _range(lo: int, hi: int):
+    return st.tuples(st.integers(lo, hi), st.integers(lo, hi)).map(lambda r: tuple(sorted(r)))
+
+
+@st.composite
+def accepted_params(draw) -> DistributionParams:
+    """`DistributionParams` that `validate_params` accepts: pools of one to
+    three labels, 1-3 robots, 0-4 sub-tasks, up to four objects enclosed,
+    all probabilities in [0, 1]."""
+    labels = st.sampled_from(("apple", "fridge", "table"))
+    pool = st.lists(labels, min_size=1, max_size=3, unique=True)
+    subtasks = draw(_range(0, 4))
+    params = DistributionParams(
+        n_robots=draw(_range(1, 3)),
+        n_subtasks=subtasks,
+        n_objects=draw(_range(0, 6)),
+        n_containers=draw(_range(0, 2)),
+        n_destinations=draw(_range(1, 3)),
+        enclosure_prob=draw(st.floats(0, 1)),
+        n_enclosed=draw(st.none() | _range(0, 4)),
+        safety_prob=draw(st.floats(0, 1)),
+        multi_destination_prob=draw(st.floats(0, 1)),
+        horizon_slack=draw(st.integers(1 if subtasks[0] == 0 else 0, 3)),
+        object_labels=tuple(draw(pool)),
+        container_labels=tuple(draw(pool)),
+        destination_labels=tuple(draw(pool)),
+        rng_seed=draw(st.integers(0, 2**40)),
+    )
+    validate_params(params)
+    return params
+
+
+@settings(max_examples=150, deadline=None)
+@given(params=accepted_params(), first=st.integers(0, 10**6))
+def test_sampled_scenarios_are_valid_by_construction(params, first):
+    assert_valid_by_construction(params, range(first, first + 4))
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES_IN_USE))
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**40), first=st.integers(0, 10**6))
+def test_every_profile_in_use_samples_valid_scenarios(name, seed, first):
+    params = dataclasses.replace(PROFILES_IN_USE[name], rng_seed=seed)
+    assert_valid_by_construction(params, range(first, first + 8))
+
+
 def test_a_sampled_scenario_builds_its_canonical_plan_once(monkeypatch):
     built = []
     build = scenario_module._build_oracle
@@ -751,7 +900,6 @@ def test_a_sampled_scenario_builds_its_canonical_plan_once(monkeypatch):
         return build(env, mission, n_robots)
 
     monkeypatch.setattr(scenario_module, "_build_oracle", counted)
-    oracle_plan_failure.cache_clear()
     params = default_distribution_params(12)
     scenarios = [sample_scenario(params, draw) for draw in range(40)]
     scorer = build_scorer(ScorerSpec())
@@ -763,18 +911,6 @@ def test_a_sampled_scenario_builds_its_canonical_plan_once(monkeypatch):
     loaded = scenario_from_dict(scenario_to_dict(scenarios[0]))
     assert oracle_plan(loaded) == oracle_plan(scenarios[0]) == oracle_plan(loaded)
     assert len(built) == len(scenarios) + 1
-
-
-def test_generation_error_after_bounded_retries(monkeypatch):
-    import confplan.scenario as scenario_module
-    from confplan.errors import GenerationError, OracleError
-
-    def always_fails(env, mission, n_robots):
-        raise OracleError("forced failure")
-
-    monkeypatch.setattr(scenario_module, "_build_oracle", always_fails)
-    with pytest.raises(GenerationError):
-        sample_scenario(default_distribution_params(0), 0)
 
 
 def test_scenario_from_dict_validates_cross_references():
