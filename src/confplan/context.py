@@ -49,8 +49,8 @@ def seed_words(*keys: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _pool_seed_type() -> type:
-    """The `ISeedSequence` that `keyed_rng` hands to PCG64, built on first use
+def _keyed_seed_type() -> type:
+    """The `ISeedSequence` that keyed draws hand to PCG64, built on first use
     so that importing confplan does not load `numpy.random`."""
     from numpy.random.bit_generator import ISeedSequence
 
@@ -67,34 +67,50 @@ def _pool_seed_type() -> type:
     xor = np.array([powers[i] for i in words_at], dtype=np.uint32)
     mul = np.array([powers[i + 1] for i in words_at], dtype=np.uint32)
 
-    class PoolSeed(ISeedSequence):
-        __slots__ = ("pool",)
+    class KeyedSeed(ISeedSequence):
+        __slots__ = ("state",)
 
-        def __init__(self, pool: np.ndarray):
-            self.pool = pool
+        def __init__(self, state: np.ndarray):
+            self.state = state
 
-        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-            if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
-                raise NotImplementedError("only PCG64's 4 uint64 words are provided")
-            words = self.pool[cycle]
+        @staticmethod
+        def hash(pools: np.ndarray) -> np.ndarray:
+            """`generate_state(4, np.uint64)` of each 4-word pool along the
+            last axis: (..., 4) uint32 pools give (..., 4) uint64 states."""
+            words = pools.take(cycle, axis=-1)
             words ^= xor
             words *= mul  # uint32 array arithmetic wraps mod 2^32 without a warning
             words ^= words >> 16
             return words.view(np.uint64)
 
-    return PoolSeed
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
+                raise NotImplementedError("only PCG64's 4 uint64 words are provided")
+            return self.state
+
+    return KeyedSeed
+
+
+def keyed_rngs(pools: np.ndarray) -> list["np.random.Generator"]:
+    """One generator per row of a (K, 4) matrix of SeedSequence pools, each
+    equal bit for bit to `np.random.default_rng` of that row's SeedSequence.
+
+    PCG64 is seeded from `seq.generate_state(4, np.uint64)`, which numpy
+    computes with a per-word Python loop per sequence; here the same hash runs
+    once over the whole matrix, in a few uint32 array operations.
+    SeedSequence's output is stream-stable under NEP 19, and `ISeedSequence`
+    is numpy's public interface for it. Each pool has the default 4 words, as
+    every keyed draw's does.
+    """
+    seed = _keyed_seed_type()
+    return [np.random.Generator(np.random.PCG64(seed(state))) for state in seed.hash(pools)]
 
 
 def keyed_rng(seq: "np.random.SeedSequence") -> "np.random.Generator":
-    """A generator equal to `np.random.default_rng(seq)` bit for bit.
-
-    PCG64 is seeded from `seq.generate_state(4, np.uint64)`, which numpy
-    computes with a per-word Python loop; here the same hash of `seq.pool` is
-    a few uint32 array operations. SeedSequence's output is stream-stable
-    under NEP 19, and `ISeedSequence` is numpy's public interface for it.
-    `seq` has the default pool of 4 words, as every keyed draw's does.
-    """
-    return np.random.Generator(np.random.PCG64(_pool_seed_type()(seq.pool)))
+    """A generator equal to `np.random.default_rng(seq)` bit for bit: the
+    one-row case of `keyed_rngs`."""
+    seed = _keyed_seed_type()
+    return np.random.Generator(np.random.PCG64(seed(seed.hash(seq.pool))))
 
 
 @lru_cache(maxsize=16)

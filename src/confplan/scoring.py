@@ -24,9 +24,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .context import Context, keyed_rng, render_text, seed_words
+from .context import Context, keyed_rngs, render_text, seed_words
 from .errors import AuthError, ConfigError, MalformedResponseError, TransportError
-from .scenario import anchor_decision, decision_index
+from .scenario import anchor_decision, decision_index, decision_space, oracle_plan
+from .world import IDLE_DECISION
 
 ORACLE_INDICATOR = "oracle-indicator"
 NOISY_ORACLE = "noisy-oracle"
@@ -121,14 +122,126 @@ def _scenario_key(scenario_id: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _keyed_draws(spec: ScorerSpec, scenario_id: str, ks, size: int):
+    """The noisy oracle's draws for each iteration k in `ks`, from its own
+    keyed stream on (spec.rng_seed, scenario key, k): the distractor position
+    among the size - 1 non-anchor slots (drawn when size > 1), then the noise
+    row (when spec.noise > 0; else None). The pool-to-state hash of all the
+    streams runs as one batch (`keyed_rngs`)."""
+    key = _scenario_key(scenario_id)
+    pools = np.array(
+        [np.random.SeedSequence(seed_words(spec.rng_seed, key, k)).pool for k in ks]
+    )
+    positions = []
+    noise = np.empty((len(pools), size)) if spec.noise > 0.0 else None
+    for i, rng in enumerate(keyed_rngs(pools)):
+        positions.append(int(rng.integers(size - 1)) if size > 1 else 0)
+        if noise is not None:
+            noise[i] = rng.normal(0.0, spec.noise, size=size)
+    return positions, noise
+
+
+def _raw_rows(spec: ScorerSpec, anchors, positions, noise, size: int) -> np.ndarray:
+    """Raw score rows, one per anchor index: `spec.sharpness` on the anchor,
+    the confusion bonus on the drawn distractor, plus the noise row. The
+    oracle indicator puts 1.0 on the anchor and draws nothing. (A few scalar
+    writes per row cost less than fancy indexing on tables of N·H rows.)"""
+    raw = np.zeros((len(anchors), size), dtype=np.float64)
+    if spec.kind == ORACLE_INDICATOR:
+        for i, anchor in enumerate(anchors):
+            raw[i, anchor] = 1.0
+        return raw
+    # one seeded distractor per step carries extra mass when confusion > 0:
+    # the drawn position, shifted past the anchor
+    bonus = None
+    if spec.confusion > 0.0 and size > 1:
+        bonus = spec.sharpness + math.log(spec.confusion)
+    for i, anchor in enumerate(anchors):
+        raw[i, anchor] = spec.sharpness
+        if bonus is not None:
+            pos = positions[i]
+            raw[i, pos if pos < anchor else pos + 1] += bonus
+    if noise is not None:
+        raw += noise
+    return raw
+
+
+def softmax_rows(raw: np.ndarray) -> np.ndarray:
+    """`softmax` of each row of a 2-D array, bit for bit, as one matrix."""
+    exp = np.exp(raw - np.maximum.reduce(raw, axis=1, keepdims=True))
+    return exp / np.add.reduce(exp, axis=1, keepdims=True)
+
+
+def _anchor_index(scenario, t: int, robot: int) -> int:
+    return decision_index(scenario.env)[anchor_decision(scenario, t, robot)]
+
+
+class _ScenarioTable:
+    """One scenario's synthetic score vectors under one spec.
+
+    Built on the scenario's first query: the keyed draws of every iteration
+    k < N·H, and the vectors of the schedule's own (k, robot) pairs, built as
+    one raw matrix and softmaxed as one. Any other robot at k (a reordered
+    step, a step-start joint score) gets its vector from row k's draws, on
+    first query. The step is k // N, as in every context `advance` and
+    `reset_step` build.
+    """
+
+    __slots__ = ("spec", "scenario", "size", "positions", "noise", "robots", "vectors", "others")
+
+    def __init__(self, spec: ScorerSpec, scenario, size: int):
+        plan = oracle_plan(scenario)
+        index = decision_index(scenario.env)
+        robots, anchors = [], []
+        for t in range(scenario.horizon):
+            for robot in scenario.schedule.order_at(t):
+                robots.append(robot)
+                anchors.append(index[plan[t][robot] if t < len(plan) else IDLE_DECISION])
+        if spec.kind == NOISY_ORACLE:
+            positions, noise = _keyed_draws(spec, scenario.id, range(len(robots)), size)
+        else:
+            positions, noise = None, None
+        raw = _raw_rows(spec, anchors, positions, noise, size)
+        self.spec, self.scenario, self.size = spec, scenario, size
+        self.positions, self.noise = positions, noise
+        self.robots = robots
+        self.vectors = [
+            ScoreVector(raw=tuple(r), scores=tuple(p))
+            for r, p in zip(raw.tolist(), softmax_rows(raw).tolist())
+        ]
+        self.others: dict[tuple[int, int], ScoreVector] = {}
+
+    def vector(self, k: int, t: int, robot: int) -> ScoreVector:
+        if self.robots[k] == robot:
+            return self.vectors[k]
+        vec = self.others.get((k, robot))
+        if vec is None:
+            raw = _raw_rows(
+                self.spec,
+                [_anchor_index(self.scenario, t, robot)],
+                None if self.positions is None else self.positions[k : k + 1],
+                None if self.noise is None else self.noise[k : k + 1],
+                self.size,
+            )
+            vec = self.others[(k, robot)] = ScoreVector.from_raw(raw[0])
+        return vec
+
+
 class SyntheticScorer:
-    """Ground-truth-aware scorer; deterministic per (seed, scenario id, k)."""
+    """Ground-truth-aware scorer; deterministic per (seed, scenario, k).
+
+    The unit of determinism is one keyed stream per (seed, scenario id, k),
+    drawn per scenario as a table on the scenario's first query (see
+    `_ScenarioTable`). The id keys the streams, so a scorer refuses a second,
+    different scenario under an id it has scored (ValueError); equal copies,
+    such as a reloaded or unpickled scenario, share the table.
+    """
 
     def __init__(self, spec: ScorerSpec, counter: CallCounter | None = None):
         spec.validate()
         self.spec = spec
         self.counter = counter or CallCounter()
-        self._memo: dict[tuple[str, int, int], ScoreVector] = {}
+        self._tables: dict[str, _ScenarioTable] = {}
 
     def score_all(self, ctx: Context, space, count: bool = True) -> ScoreVector:
         if ctx.cursor is None:
@@ -136,50 +249,33 @@ class SyntheticScorer:
         t, robot = ctx.cursor
         if count:
             self.counter.add(len(space))
-        key = (ctx.scenario.id, ctx.k, robot)
-        vec = self._memo.get(key)
-        if vec is None:
-            vec = self._compute(ctx, space, t, robot)
-            self._memo[key] = vec
-        return vec
-
-    def _compute(self, ctx: Context, space, t: int, robot: int) -> ScoreVector:
-        anchor = anchor_decision(ctx.scenario, t, robot)
-        anchor_idx = decision_index(ctx.scenario.env)[anchor]
-        raw = np.zeros(len(space), dtype=np.float64)
-        spec = self.spec
-        if spec.kind == ORACLE_INDICATOR:
-            raw[anchor_idx] = 1.0
-            return ScoreVector.from_raw(raw)
-        raw[anchor_idx] = spec.sharpness
-        words = seed_words(spec.rng_seed, _scenario_key(ctx.scenario.id), ctx.k)
-        rng = keyed_rng(np.random.SeedSequence(words))
-        if len(space) > 1:
-            # one seeded distractor per step carries extra mass when confusion > 0
-            pos = int(rng.integers(len(space) - 1))
-            distractor = pos if pos < anchor_idx else pos + 1
-            if spec.confusion > 0.0:
-                raw[distractor] += spec.sharpness + math.log(spec.confusion)
-        if spec.noise > 0.0:
-            raw += rng.normal(0.0, spec.noise, size=len(space))
-        return ScoreVector.from_raw(raw)
+        scenario = ctx.scenario
+        table = self._tables.get(scenario.id)
+        if table is None:
+            table = _ScenarioTable(self.spec, scenario, len(space))
+            self._tables[scenario.id] = table
+        elif table.scenario is not scenario and table.scenario != scenario:
+            raise ValueError(f"scenario id {scenario.id!r} names two different scenarios")
+        return table.vector(ctx.k, t, robot)
 
 
 def noisy_oracle_raw(spec: ScorerSpec, ctx: Context, decision) -> float:
     """Raw (pre-softmax) noisy-oracle score of one decision under `ctx`.
 
-    The full per-context vector is the unit of determinism (the seeded
-    distractor and the noise draws are keyed by (seed, scenario id, k)), so
-    this simply indexes into it.
+    The unit of determinism is one keyed stream per (seed, scenario id, k);
+    a scorer draws a scenario's streams as a table on first query. This
+    draws iteration k's stream alone, with the same row-draw function, and
+    indexes into its raw vector.
     """
     if spec.kind != NOISY_ORACLE:
         raise ConfigError("noisy_oracle_raw needs a noisy-oracle spec")
-    from .scenario import decision_space
-
-    space = decision_space(ctx.scenario.env)
-    scorer = SyntheticScorer(spec)
-    vec = scorer.score_all(ctx, space, count=False)
-    return vec.raw[decision_index(ctx.scenario.env)[decision]]
+    if ctx.cursor is None:
+        raise ValueError("context cursor is not set")
+    scenario = ctx.scenario
+    size = len(decision_space(scenario.env))
+    positions, noise = _keyed_draws(spec, scenario.id, [ctx.k], size)
+    raw = _raw_rows(spec, [_anchor_index(scenario, *ctx.cursor)], positions, noise, size)
+    return float(raw[0, decision_index(scenario.env)[decision]])
 
 
 def _requests_transport(url: str, headers: dict, payload: dict, timeout: float):

@@ -151,12 +151,12 @@ def test_keyed_rng_seed_provides_only_pcg64s_request():
 
 def test_keyed_rng_pairs_words_as_seed_sequence_does_on_a_big_endian_host(monkeypatch):
     monkeypatch.setattr(context, "sys", types.SimpleNamespace(byteorder="big"))
-    context._pool_seed_type.cache_clear()
+    context._keyed_seed_type.cache_clear()
     try:
         seq = np.random.SeedSequence(seed_words(9, 2**40))
-        state = context._pool_seed_type()(seq.pool).generate_state(4, np.uint64)
+        state = context._keyed_seed_type().hash(seq.pool)
     finally:
-        context._pool_seed_type.cache_clear()
+        context._keyed_seed_type.cache_clear()
     slots = state.view(np.uint32).tolist()
     # what a big-endian host reads from these slots as native uint64
     big_endian = [slots[2 * j] << 32 | slots[2 * j + 1] for j in range(4)]

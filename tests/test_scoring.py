@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from confplan.scoring import (
     scorer_spec_from_dict,
     scorer_spec_to_dict,
     softmax,
+    softmax_rows,
 )
 from confplan.world import (
     ACTION_KINDS,
@@ -193,6 +195,111 @@ def test_score_vectors_are_bitwise_the_tuple_seeded_ones(rng_seed):
                 assert [x.hex() for x in vec.scores] == [x.hex() for x in ref.scores]
                 t, robot = ctx.cursor
                 ctx = advance(ctx, anchor_decision(s, t, robot))
+
+
+def scheduled_contexts(s):
+    """Each iteration k's context on the scheduled path, cursor on the
+    scheduled robot."""
+    contexts = []
+    ctx = initial_context(s)
+    while ctx.cursor is not None:
+        contexts.append(ctx)
+        t, robot = ctx.cursor
+        ctx = advance(ctx, anchor_decision(s, t, robot))
+    return contexts
+
+
+def every_key(s):
+    """Per iteration k, a context for every robot at k, the scheduled robot
+    first: the keys reorders and step-start joint scoring reach too."""
+    out = []
+    for ctx in scheduled_contexts(s):
+        t, scheduled = ctx.cursor
+        others = [r for r in range(s.n_robots) if r != scheduled]
+        out.append([dataclasses.replace(ctx, cursor=(t, r)) for r in [scheduled, *others]])
+    return out
+
+
+def assert_tuple_seeded(scorer, spec, ctx):
+    space = decision_space(ctx.scenario.env)
+    vec = scorer.score_all(ctx, space)
+    ref = ScoreVector.from_raw(tuple_seeded_raw(spec, ctx, space))
+    assert [x.hex() for x in vec.raw] == [x.hex() for x in ref.raw]
+    assert [x.hex() for x in vec.scores] == [x.hex() for x in ref.scores]
+
+
+@pytest.mark.parametrize("rng_seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("profile", ["default", "reference"])
+def test_every_key_in_any_order_is_bitwise_the_tuple_seeded_one(rng_seed, profile):
+    params = (
+        default_distribution_params(4) if profile == "default" else reference_distribution_params(5)
+    )
+    spec = ScorerSpec(kind="noisy-oracle", rng_seed=rng_seed)
+    scenarios = [sample_scenario(params, draw) for draw in range(4)]
+    assert any(s.n_robots > 1 for s in scenarios)
+    for s in scenarios:
+        keys = every_key(s)
+        # the schedule's order, then k reversed, each on a fresh scorer
+        for order in (keys, keys[::-1]):
+            scorer = build_scorer(spec)
+            for step in order:
+                for ctx in step:
+                    assert_tuple_seeded(scorer, spec, ctx)
+    # off-schedule robots first, two scenarios interleaved on one scorer
+    for a, b in zip(scenarios[::2], scenarios[1::2]):
+        scorer = build_scorer(spec)
+        steps_a, steps_b = every_key(a), every_key(b)
+        for k in range(max(len(steps_a), len(steps_b))):
+            for steps in (steps_a, steps_b):
+                if k < len(steps):
+                    scheduled, *others = steps[k]
+                    for ctx in [*others, scheduled]:
+                        assert_tuple_seeded(scorer, spec, ctx)
+
+
+def rows_with_edges(rng, size: int) -> np.ndarray:
+    rows = [rng.normal(0.0, scale, size=size) for scale in (1.0, 40.0, 1e-3)]
+    rows.append(rng.integers(-3, 4, size=size).astype(float))  # ties
+    edges = [-0.0, 1e300, -1e300, 0.0, 2.5, 2.5]
+    for shift in range(len(edges)):
+        rows.append(np.resize(np.roll(edges, shift), size))
+    equal_max = rng.normal(0.0, 1.0, size=size)
+    equal_max[::3] = 7.0  # equal maxima
+    rows.append(equal_max)
+    rows.append(np.full(size, -0.0))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 8, 9, 16, 28, 127, 128, 129, 257])
+def test_row_wise_softmax_is_bitwise_the_1d_softmax(size):
+    raw = rows_with_edges(np.random.default_rng(size), size)
+    got = softmax_rows(raw).tolist()
+    for row, want in zip(raw, got):
+        assert [x.hex() for x in want] == [x.hex() for x in softmax(row).tolist()]
+
+
+def test_a_scorer_refuses_a_second_scenario_under_one_id():
+    spec = ScorerSpec(kind="noisy-oracle", rng_seed=7)
+    params = dataclasses.replace(default_distribution_params(4), n_robots=(1, 1))
+    a = sample_scenario(params, 0)
+    scorer = build_scorer(spec)
+    for ctx in scheduled_contexts(a):
+        assert_tuple_seeded(scorer, spec, ctx)
+    # one robot each, so every k's vector would be keyed by robot 0
+    for other in (
+        dataclasses.replace(sample_scenario(params, 1), id=a.id),
+        dataclasses.replace(a, horizon=a.horizon + 2),
+    ):
+        with pytest.raises(ValueError, match="two different scenarios"):
+            scorer.score_all(initial_context(other), decision_space(other.env))
+        assert_tuple_seeded(build_scorer(spec), spec, initial_context(other))
+    # an equal copy, as a reloaded or unpickled scenario is, shares the vectors
+    copy = pickle.loads(pickle.dumps(a))
+    assert copy == a and copy is not a
+    space = decision_space(a.env)
+    for ctx in scheduled_contexts(a):
+        twin = dataclasses.replace(ctx, scenario=copy)
+        assert scorer.score_all(twin, space) is scorer.score_all(ctx, space)
 
 
 def test_scorer_determinism_across_instances(nine_scenario):
