@@ -31,7 +31,7 @@ def _load_json(path: str):
 
 def _read(load, path: str):
     """`load(path)`, with a document of the wrong shape (a list where a
-    mapping belongs, a number where a pair does, an unknown key) reported as
+    mapping belongs, a number where a pair does, a missing field) reported as
     a config error instead of escaping as a program error."""
     try:
         return load(path)
@@ -54,7 +54,7 @@ def _load_scorer_spec(args) -> scoring.ScorerSpec:
     if text.endswith(".json"):
         spec = _read(lambda p: scoring.scorer_spec_from_dict(_load_json(p)), text)
     else:
-        spec = scoring.parse_scorer_spec(text)
+        spec = _read(scoring.parse_scorer_spec, text)
     if getattr(args, "seed", None) is not None:
         spec = replace(spec, rng_seed=args.seed + 1)
     return spec

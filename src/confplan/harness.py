@@ -28,7 +28,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -54,17 +54,12 @@ from .planner import (
 from .scenario import (
     DistributionParams,
     decision_space,
-    params_from_dict,
-    params_to_dict,
     sample_scenario,
+    validate_params,
     validate_scenario_plan,
 )
-from .scoring import (
-    ScorerSpec,
-    build_scorer,
-    scorer_spec_from_dict,
-    scorer_spec_to_dict,
-)
+from .scoring import ScorerSpec, build_scorer, scorer_spec_to_dict
+from .world import from_data, to_data
 
 
 @dataclass(frozen=True)
@@ -83,6 +78,12 @@ class ExperimentConfig:
     centralized_budget: int = 4096
 
     def validate(self) -> None:
+        validate_params(self.params)
+        self.scorer.validate()
+        if self.master_seed is not None and not (
+            isinstance(self.master_seed, int) and self.master_seed >= 0
+        ):
+            raise ConfigError(f"master_seed must be None or an int >= 0, got {self.master_seed!r}")
         if self.n_trials < 1 or self.m_calibration < 1:
             raise ConfigError("n_trials and m_calibration must be >= 1")
         if not self.alphas:
@@ -116,34 +117,11 @@ class ExperimentConfig:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "schema_version": 1,
-        "params": params_to_dict(cfg.params),
-        "scorer": scorer_spec_to_dict(cfg.scorer),
-        "alphas": list(cfg.alphas),
-        "m_calibration": cfg.m_calibration,
-        "n_trials": cfg.n_trials,
-        "reorder_bound": cfg.reorder_bound,
-        "help_policy": cfg.help_policy,
-        "label_mode": cfg.label_mode,
-        "master_seed": cfg.master_seed,
-        "centralized_budget": cfg.centralized_budget,
-    }
+    return {**to_data(cfg), "schema_version": 1, "scorer": scorer_spec_to_dict(cfg.scorer)}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    cfg = ExperimentConfig(
-        params=params_from_dict(data["params"]),
-        scorer=scorer_spec_from_dict(data["scorer"]),
-        alphas=tuple(float(a) for a in data.get("alphas", (0.05, 0.10, 0.20))),
-        m_calibration=int(data.get("m_calibration", 30)),
-        n_trials=int(data.get("n_trials", 200)),
-        reorder_bound=int(data.get("reorder_bound", 0)),
-        help_policy=data.get("help_policy", ORACLE_USER),
-        label_mode=data.get("label_mode", "oracle"),
-        master_seed=data.get("master_seed"),
-        centralized_budget=int(data.get("centralized_budget", 4096)),
-    )
+    cfg = from_data(ExperimentConfig, data)
     cfg.validate()
     return cfg
 
@@ -169,22 +147,7 @@ class Metrics:
     extra: dict = field(default_factory=dict)
 
 
-CSV_COLUMNS = [
-    "alpha",
-    "mode",
-    "trials",
-    "coverage",
-    "coverage_se",
-    "success_rate",
-    "success_se",
-    "singleton_rate",
-    "help_rate",
-    "mean_set_size",
-    "p50_set_size",
-    "p90_set_size",
-    "scorer_calls",
-    "n_decisions",
-]
+CSV_COLUMNS = [f.name for f in fields(Metrics) if f.name != "extra"]
 
 
 def _binomial_se(p: float, n: int) -> float:
@@ -518,9 +481,7 @@ def run_dataset_conditional(
 # --- output -----------------------------------------------------------------------
 
 def metrics_to_dict(m: Metrics) -> dict:
-    data = {col: getattr(m, col) for col in CSV_COLUMNS}
-    data["extra"] = m.extra
-    return data
+    return to_data(m)
 
 
 def write_metrics(metrics, out_dir: Path, cfg: ExperimentConfig, detail=None, stem="coverage"):

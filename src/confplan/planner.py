@@ -30,7 +30,7 @@ from .scenario import (
     decision_index,
     decision_space,
 )
-from .world import Decision, IDLE_DECISION, Plan, plan_to_dict
+from .world import Decision, IDLE_DECISION, Plan, to_data
 
 DISTRIBUTED = "distributed"
 CENTRALIZED = "centralized"
@@ -506,47 +506,12 @@ def plan_centralized(
 
 # --- trace serialization ---------------------------------------------------------------
 
-def _help_to_dict(h: HelpEvent) -> dict:
-    return {
-        "kind": h.kind,
-        "t": h.t,
-        "robot": h.robot,
-        "presented_indices": list(h.presented_indices),
-        "presented_scores": list(h.presented_scores),
-        "full_set": h.full_set,
-        "resolution_index": h.resolution_index,
-        "coverage_miss": h.coverage_miss,
-        "unresolved": h.unresolved,
-    }
-
-
 def trace_to_dict(trace: PlanTrace) -> dict:
     records = []
     for r in trace.records:
-        if isinstance(r, IterationRecord):
-            records.append(
-                {
-                    "k": r.k,
-                    "t": r.t,
-                    "robot": r.robot,
-                    "order": list(r.order),
-                    "set_indices": list(r.set_indices),
-                    "set_size": r.set_size,
-                    "set_full": r.set_full,
-                    "chosen_index": r.chosen_index,
-                    "help": [_help_to_dict(h) for h in r.help],
-                }
-            )
-        else:
-            records.append(
-                {
-                    "t": r.t,
-                    "set_size": r.set_size,
-                    "set_full": r.set_full,
-                    "chosen_tuple": None if r.chosen_tuple is None else list(r.chosen_tuple),
-                    "help": [_help_to_dict(h) for h in r.help],
-                }
-            )
+        data = {**to_data(r), "set_size": r.set_size}
+        data.pop("set_tuples", None)  # a centralized record leaves out its joint set
+        records.append(data)
     quantile = None
     if trace.quantile is not None:
         quantile = "FULL_SET" if trace.quantile.full_set else trace.quantile.value
@@ -557,6 +522,6 @@ def trace_to_dict(trace: PlanTrace) -> dict:
         "failed": trace.failed,
         "quantile": quantile,
         "scorer_calls": trace.scorer_calls,
-        "plan": plan_to_dict(trace.plan),
+        "plan": to_data(trace.plan),
         "records": records,
     }

@@ -784,70 +784,27 @@ def label_sequence(scenario: Scenario, scorer, label_mode: str) -> LabelResult:
 # --- serialization ------------------------------------------------------------
 
 def params_to_dict(params: DistributionParams) -> dict:
-    return {
-        "schema_version": params.schema_version,
-        "n_robots": list(params.n_robots),
-        "n_subtasks": list(params.n_subtasks),
-        "n_objects": list(params.n_objects),
-        "n_containers": list(params.n_containers),
-        "n_destinations": list(params.n_destinations),
-        "enclosure_prob": params.enclosure_prob,
-        "n_enclosed": None if params.n_enclosed is None else list(params.n_enclosed),
-        "safety_prob": params.safety_prob,
-        "multi_destination_prob": params.multi_destination_prob,
-        "horizon_slack": params.horizon_slack,
-        "object_labels": list(params.object_labels),
-        "container_labels": list(params.container_labels),
-        "destination_labels": list(params.destination_labels),
-        "rng_seed": params.rng_seed,
-    }
+    return world.to_data(params)
 
 
 def params_from_dict(data: dict) -> DistributionParams:
-    def pair(name, default):
-        value = data.get(name, default)
-        return None if value is None else (int(value[0]), int(value[1]))
-
-    base = DistributionParams()
-    params = DistributionParams(
-        n_robots=pair("n_robots", base.n_robots),
-        n_subtasks=pair("n_subtasks", base.n_subtasks),
-        n_objects=pair("n_objects", base.n_objects),
-        n_containers=pair("n_containers", base.n_containers),
-        n_destinations=pair("n_destinations", base.n_destinations),
-        enclosure_prob=float(data.get("enclosure_prob", base.enclosure_prob)),
-        n_enclosed=pair("n_enclosed", None),
-        safety_prob=float(data.get("safety_prob", base.safety_prob)),
-        multi_destination_prob=float(
-            data.get("multi_destination_prob", base.multi_destination_prob)
-        ),
-        horizon_slack=int(data.get("horizon_slack", base.horizon_slack)),
-        object_labels=tuple(data.get("object_labels", base.object_labels)),
-        container_labels=tuple(data.get("container_labels", base.container_labels)),
-        destination_labels=tuple(data.get("destination_labels", base.destination_labels)),
-        rng_seed=int(data.get("rng_seed", base.rng_seed)),
-        schema_version=int(data.get("schema_version", 1)),
-    )
+    params = world.from_data(DistributionParams, data)
     validate_params(params)
     return params
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     return {
+        **world.to_data(scenario),
         "schema_version": 1,
-        "id": scenario.id,
-        "n_robots": scenario.n_robots,
-        "skills": list(scenario.skills),
-        "mission": world.mission_to_dict(scenario.mission),
-        "horizon": scenario.horizon,
-        "env": world.environment_to_dict(scenario.env),
-        "order_seed": scenario.order_seed,
+        "env": {**world.to_data(scenario.env), "schema_version": 1},
         "decision_space_size": len(decision_space(scenario.env)),
     }
 
 
 def validate_scenario(scenario: Scenario) -> None:
     """Cross-reference checks for externally loaded scenarios."""
+    validate_environment(scenario.env)
     if scenario.n_robots < 1:
         raise ConfigError("scenario needs at least one robot")
     if scenario.horizon < 1:
@@ -873,15 +830,10 @@ def validate_scenario(scenario: Scenario) -> None:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    scenario = Scenario(
-        id=data["id"],
-        n_robots=int(data["n_robots"]),
-        skills=tuple(data["skills"]),
-        mission=world.mission_from_dict(data["mission"]),
-        horizon=int(data["horizon"]),
-        env=world.environment_from_dict(data["env"]),
-        order_seed=int(data["order_seed"]),
-    )
+    """The scenario `scenario_to_dict` wrote; the derived `decision_space_size`
+    is not read."""
+    data = {key: value for key, value in data.items() if key != "decision_space_size"}
+    scenario = world.from_data(Scenario, data)
     validate_scenario(scenario)
     return scenario
 

@@ -19,15 +19,14 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .context import Context, keyed_rngs, render_text, seed_words
 from .errors import AuthError, ConfigError, MalformedResponseError, TransportError
 from .scenario import anchor_decision, decision_index, decision_space, oracle_plan
-from .world import IDLE_DECISION
+from .world import IDLE_DECISION, from_data, to_data
 
 ORACLE_INDICATOR = "oracle-indicator"
 NOISY_ORACLE = "noisy-oracle"
@@ -116,7 +115,6 @@ class ScorerSpec:
             raise ConfigError("external scorer needs an endpoint config")
 
 
-@lru_cache(maxsize=4096)
 def _scenario_key(scenario_id: str) -> int:
     digest = hashlib.sha256(scenario_id.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
@@ -411,74 +409,38 @@ _PARAM_ALIASES = {
     "eps": "confusion",
     "seed": "rng_seed",
 }
+_ENDPOINT_KEYS = {f.name for f in fields(EndpointConfig)}
 
 
 def parse_scorer_spec(text: str) -> ScorerSpec:
-    """Parse 'kind' or 'kind:key=value,...'; e.g. noisy-oracle:beta=4,sigma=1."""
+    """Parse 'kind' or 'kind:key=value,...'; e.g. noisy-oracle:beta=4,sigma=1.
+    Keys are `ScorerSpec` fields or their aliases; `EndpointConfig` fields go
+    into the endpoint, which an external scorer needs."""
     kind, _, rest = text.partition(":")
-    kind = kind.strip()
-    kwargs: dict = {}
-    endpoint_kwargs: dict = {}
+    data: dict = {"kind": kind.strip()}
+    endpoint: dict = {}
     if rest:
         for item in rest.split(","):
-            key, _, value = item.partition("=")
-            if not _:
+            key, eq, value = item.partition("=")
+            if not eq:
                 raise ConfigError(f"bad scorer parameter {item!r}")
             key = _PARAM_ALIASES.get(key.strip(), key.strip())
-            value = value.strip()
-            if key in ("sharpness", "noise", "confusion"):
-                kwargs[key] = float(value)
-            elif key == "rng_seed":
-                kwargs[key] = int(value)
-            elif key in ("base_url", "model", "api_key_env", "extraction"):
-                endpoint_kwargs[key] = value
-            elif key in ("timeout",):
-                endpoint_kwargs[key] = float(value)
-            elif key in ("max_concurrency",):
-                endpoint_kwargs[key] = int(value)
-            else:
-                raise ConfigError(f"unknown scorer parameter {key!r}")
-    if kind == EXTERNAL:
-        if "base_url" not in endpoint_kwargs or "model" not in endpoint_kwargs:
-            raise ConfigError("external scorer needs base_url and model")
-        kwargs["endpoint"] = EndpointConfig(**endpoint_kwargs)
-    spec = ScorerSpec(kind=kind, **kwargs)
+            (endpoint if key in _ENDPOINT_KEYS else data)[key] = value.strip()
+    if endpoint or data["kind"] == EXTERNAL:
+        data["endpoint"] = endpoint
+    spec = from_data(ScorerSpec, data)
     spec.validate()
     return spec
 
 
 def scorer_spec_to_dict(spec: ScorerSpec) -> dict:
-    data = {
-        "kind": spec.kind,
-        "sharpness": spec.sharpness,
-        "noise": spec.noise,
-        "confusion": spec.confusion,
-        "rng_seed": spec.rng_seed,
-    }
-    if spec.endpoint is not None:
-        data["endpoint"] = {
-            "base_url": spec.endpoint.base_url,
-            "model": spec.endpoint.model,
-            "api_key_env": spec.endpoint.api_key_env,
-            "timeout": spec.endpoint.timeout,
-            "max_concurrency": spec.endpoint.max_concurrency,
-            "extraction": spec.endpoint.extraction,
-        }
+    data = to_data(spec)
+    if spec.endpoint is None:
+        del data["endpoint"]
     return data
 
 
 def scorer_spec_from_dict(data: dict) -> ScorerSpec:
-    endpoint = None
-    if data.get("endpoint"):
-        endpoint = EndpointConfig(**data["endpoint"])
-    base = ScorerSpec()
-    spec = ScorerSpec(
-        kind=data.get("kind", base.kind),
-        sharpness=float(data.get("sharpness", base.sharpness)),
-        noise=float(data.get("noise", base.noise)),
-        confusion=float(data.get("confusion", base.confusion)),
-        rng_seed=int(data.get("rng_seed", base.rng_seed)),
-        endpoint=endpoint,
-    )
+    spec = from_data(ScorerSpec, data)
     spec.validate()
     return spec

@@ -18,8 +18,12 @@ call from concurrent workers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
+
+from .errors import ConfigError
 
 # Decision kinds. The tuple order is the canonical rendering order of the
 # skill set and is relied on by the decision-space enumerator.
@@ -601,81 +605,50 @@ def validate_plan(
 
 # --- serialization -----------------------------------------------------------
 
-def environment_to_dict(env: Environment) -> dict:
-    return {
-        "schema_version": 1,
-        "locations": [
-            {"id": l.id, "label": l.label, "kind": l.kind} for l in env.locations
-        ],
-        "objects": [
-            {"id": o.id, "label": o.label, "at": o.at, "inside": o.inside}
-            for o in env.objects
-        ],
-        "containers": [
-            {"id": c.id, "label": c.label, "at": c.at, "door": c.door}
-            for c in env.containers
-        ],
-        "robot_start": list(env.robot_start),
-    }
+def to_data(value):
+    """The JSON form of a document: a dataclass becomes a dict of its fields
+    and a tuple a list, recursively. `from_data` reads it back."""
+    if is_dataclass(value):
+        return {f.name: to_data(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [to_data(v) for v in value]
+    return value
 
 
-def environment_from_dict(data: dict) -> Environment:
-    env = Environment(
-        locations=tuple(
-            Location(d["id"], d["label"], d["kind"]) for d in data["locations"]
-        ),
-        objects=tuple(
-            SemanticObject(d["id"], d["label"], d["at"], d.get("inside"))
-            for d in data["objects"]
-        ),
-        containers=tuple(
-            Container(d["id"], d["label"], d["at"], d.get("door", DOOR_CLOSED))
-            for d in data["containers"]
-        ),
-        robot_start=tuple(data["robot_start"]),
-    )
-    validate_environment(env)
-    return env
+def from_data(cls, data):
+    """The `cls` dataclass that `to_data` wrote as `data`, decoded by its type
+    hints: ints and floats are coerced, strings are checked, and `X | None`,
+    `tuple[X, ...]`, fixed tuples and nested dataclasses are decoded. A
+    missing key takes the field's default. A key that names no field raises
+    ConfigError (`schema_version` is accepted everywhere); a value of the
+    wrong shape, or a missing field with no default, raises TypeError."""
+    if not isinstance(data, dict):
+        raise TypeError(f"{cls.__name__} must be an object, not {type(data).__name__}")
+    hints = get_type_hints(cls)
+    unknown = sorted(set(data) - set(hints) - {"schema_version"})
+    if unknown:
+        raise ConfigError(f"{cls.__name__} has no field {', '.join(unknown)}")
+    return cls(**{key: _decode(hints[key], value) for key, value in data.items() if key in hints})
 
 
-def decision_to_dict(d: Decision) -> dict:
-    return {"kind": d.kind, "target": d.target}
-
-
-def plan_to_dict(plan: Plan) -> list:
-    return [[decision_to_dict(d) for d in jd] for jd in plan]
-
-
-def mission_to_dict(mission: Mission) -> dict:
-    return {
-        "subtasks": [
-            {"object_label": st.object_label, "destinations": list(st.destinations)}
-            for st in mission.subtasks
-        ],
-        "safety": (
-            None
-            if mission.safety is None
-            else {
-                "robot": mission.safety.robot,
-                "forbidden_object": mission.safety.forbidden_object,
-            }
-        ),
-    }
-
-
-def mission_from_dict(data: dict) -> Mission:
-    safety = data.get("safety")
-    return Mission(
-        subtasks=tuple(
-            SubTask(st["object_label"], tuple(st["destinations"]))
-            for st in data["subtasks"]
-        ),
-        safety=(
-            None
-            if safety is None
-            else SafetyConstraint(safety["robot"], safety["forbidden_object"])
-        ),
-    )
+def _decode(hint, value):
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:  # X | None
+        return None if value is None else _decode(args[0], value)
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise TypeError(f"expected a list, got {value!r}")
+        items = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(items) != len(value):
+            raise TypeError(f"expected {len(items)} items, got {value!r}")
+        return tuple(_decode(a, v) for a, v in zip(items, value))
+    if is_dataclass(hint):
+        return from_data(hint, value)
+    if hint in (int, float):
+        return hint(value)
+    if hint is str and not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
 
 
 def dump_json(data, path) -> None:

@@ -5,7 +5,7 @@ import pytest
 
 from confplan.cli import main
 from confplan.harness import config_to_dict
-from confplan.scenario import params_to_dict, DistributionParams
+from confplan.scenario import DistributionParams, params_to_dict, sample_scenario, scenario_to_dict
 from tests.test_harness import tiny_config
 
 
@@ -179,40 +179,58 @@ def test_missing_config_file_exits_2(tmp_path):
     assert main(["coverage", "--config", str(tmp_path / "missing.json")]) == 2
 
 
-def _set_endpoint_with_unknown_key(data):
-    data["scorer"] = {
-        "kind": "external",
-        "endpoint": {"base_url": "http://localhost:9", "model": "m", "retries": 3},
-    }
+def _config(**changes):
+    return {**config_to_dict(tiny_config()), **changes}
+
+
+SCENARIO = scenario_to_dict(sample_scenario(DistributionParams(), 0))
+
+# "DOC" is replaced by the document's path and "OUT" by an output path
+COVERAGE = ["coverage", "--config", "DOC", "--out", "OUT"]
+PLAN = ["plan", "--scenario", "DOC", "--quantile", "0.9", "--out", "OUT"]
 
 
 @pytest.mark.parametrize(
-    "malform",
+    "document, argv",
     [
-        lambda data: data.update(params={"n_robots": 2}),
-        lambda data: data.update(params={"n_robots": [1]}),
-        lambda data: data.update(params=[1, 2]),
-        lambda data: data.update(params={"object_labels": 5}),
-        lambda data: data.update(alphas=0.1),
-        _set_endpoint_with_unknown_key,
-        None,  # `plan` on a scenario file holding no scenario
-    ],
-    ids=[
-        "scalar-pair", "short-pair", "list-params", "scalar-labels", "scalar-alphas",
-        "unknown-endpoint-key", "empty-scenario-file",
+        pytest.param(_config(params={"n_robots": 2}), COVERAGE, id="scalar-pair"),
+        pytest.param(_config(params={"n_robots": [1]}), COVERAGE, id="short-pair"),
+        pytest.param(_config(params=[1, 2]), COVERAGE, id="list-params"),
+        pytest.param(_config(params={"object_labels": 5}), COVERAGE, id="scalar-labels"),
+        pytest.param(_config(alphas=0.1), COVERAGE, id="scalar-alphas"),
+        pytest.param(
+            _config(
+                scorer={
+                    "kind": "external",
+                    "endpoint": {"base_url": "http://localhost:9", "model": "m", "retries": 3},
+                }
+            ),
+            COVERAGE,
+            id="unknown-endpoint-key",
+        ),
+        pytest.param(_config(params={"n_robot": [3, 3]}), COVERAGE, id="misspelled-params-key"),
+        pytest.param(_config(reorder_bund=2), COVERAGE, id="misspelled-config-key"),
+        pytest.param(_config(master_seed="three"), COVERAGE, id="text-master-seed"),
+        pytest.param(_config(master_seed=-4), COVERAGE, id="negative-master-seed"),
+        pytest.param(_config(), [*COVERAGE, "--seed", "-1"], id="negative-seed-flag"),
+        pytest.param(
+            {"kind": "noisy-oracle", "sigma": 0.0},  # the alias holds only in the CLI string
+            ["calibrate", "--m", "2", "--scorer", "DOC", "--out", "OUT"],
+            id="alias-in-scorer-json",
+        ),
+        pytest.param({**SCENARIO, "id": 5}, PLAN, id="number-scenario-id"),
+        pytest.param(
+            {**SCENARIO, "env": {**SCENARIO["env"], "colour": "red"}}, PLAN, id="unknown-env-key"
+        ),
+        pytest.param([], PLAN, id="empty-scenario-file"),  # a file holding no scenario
     ],
 )
-def test_a_malformed_document_is_a_config_error(tmp_path, malform):
-    path = tmp_path / "doc.json"
-    if malform is None:
-        path.write_text("[]")
-        argv = ["plan", "--scenario", str(path), "--quantile", "0.9"]
-    else:
-        data = config_to_dict(tiny_config())
-        malform(data)
-        path.write_text(json.dumps(data))
-        argv = ["coverage", "--config", str(path), "--out", str(tmp_path / "out")]
-    assert main(argv) == 2
+def test_a_malformed_document_is_a_config_error(tmp_path, document, argv):
+    """Refused with exit 2 before any output is written."""
+    doc, out = tmp_path / "doc.json", tmp_path / "out"
+    doc.write_text(json.dumps(document))
+    assert main([{"DOC": str(doc), "OUT": str(out)}.get(a, a) for a in argv]) == 2
+    assert not out.exists()
 
 
 def test_coverage_cli_writes_metrics_and_is_deterministic(tmp_path, capsys):

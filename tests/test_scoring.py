@@ -333,6 +333,10 @@ def test_scorer_spec_validation_and_parsing():
     assert scorer_spec_from_dict(scorer_spec_to_dict(spec)) == spec
     ext = parse_scorer_spec("external:base_url=http://x,model=m,max_concurrency=2")
     assert ext.endpoint.max_concurrency == 2
+    # endpoint keys are kept on any kind, as in a JSON spec, never dropped
+    assert parse_scorer_spec("noisy-oracle:base_url=http://x,model=m").endpoint == EndpointConfig(
+        "http://x", "m"
+    )
 
 
 # --- external endpoint ----------------------------------------------------------
