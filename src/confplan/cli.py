@@ -90,7 +90,7 @@ def _emit_metrics(result: dict, fmt: str) -> None:
 
 def cmd_gen_scenarios(args) -> int:
     params = _load_params(args)
-    scenarios = scn.scenario_stream(params, args.start, args.count)
+    scenarios = [scn.sample_scenario(params, args.start + i) for i in range(args.count)]
     out = Path(args.out or "scenarios.json")
     scn.write_scenarios(scenarios, out)
     sizes = {len(scn.decision_space(s.env)) for s in scenarios}
@@ -138,6 +138,8 @@ def _quantile_for_plan(args) -> conformal.Quantile:
     if not 0.0 < args.alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {args.alpha}")
     if args.quantile is not None:
+        if not 0.0 <= args.quantile <= 1.0:  # NaN fails both comparisons
+            raise ConfigError(f"quantile must be in [0, 1], got {args.quantile}")
         return conformal.Quantile(args.quantile, 0, args.alpha)
     if args.calibration:
         records = _read(conformal.read_records_jsonl, args.calibration)
@@ -248,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--scenario", required=True, help="scenario JSON file")
     p.add_argument("--calibration", help="calibration JSONL file")
-    p.add_argument("--quantile", type=float, default=None, help="explicit quantile")
+    p.add_argument("--quantile", type=float, default=None, help="explicit quantile in [0, 1]")
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--scorer", default="noisy-oracle")
     p.add_argument(

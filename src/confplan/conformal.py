@@ -26,7 +26,7 @@ from itertools import product
 import numpy as np
 
 from .context import Context
-from .errors import BudgetError, InfeasibleAlphaError
+from .errors import BudgetError, ConfigError, InfeasibleAlphaError
 from .scenario import (
     DistributionParams,
     Scenario,
@@ -302,8 +302,7 @@ def score_joint_label_sequence(scenario: Scenario, scorer) -> JointCalibrationRe
             score *= vectors[robot][i]
         step_scores.append(score)
         label_indices.append(indices)
-        order = scenario.schedule.order_at(t)
-        history = history + tuple((t, r, labels[r]) for r in order)
+        history = history + tuple((t, r, labels[r]) for r in scenario.orders[t])
     return JointCalibrationRecord(
         scenario_id=scenario.id,
         space_size=len(space),
@@ -393,9 +392,22 @@ def record_to_dict(record: CalibrationRecord) -> dict:
     }
 
 
+_RECORD_KEYS = {"schema_version", "scenario_id", "space_size", "label_mode", "search_mode",
+                "decisions", "sequence_ncs"}
+_ENTRY_KEYS = {"k", "kind", "target", "index", "score"}
+
+
 def record_from_dict(data: dict) -> CalibrationRecord:
+    """The record `record_to_dict` wrote. A key it does not write, an entry
+    whose `k` is not its position, or a `sequence_ncs` other than 1 minus the
+    lowest score raises ConfigError."""
     entries = data["decisions"]
-    return CalibrationRecord(
+    unknown = set(data).difference(_RECORD_KEYS).union(*(set(e) - _ENTRY_KEYS for e in entries))
+    if unknown:
+        raise ConfigError(f"calibration record has no field {', '.join(sorted(unknown))}")
+    if any(e.get("k", k) != k for k, e in enumerate(entries)):
+        raise ConfigError(f"{data['scenario_id']}: decision entries are not numbered 0, 1, ...")
+    record = CalibrationRecord(
         scenario_id=data["scenario_id"],
         space_size=int(data["space_size"]),
         label_mode=data.get("label_mode", "oracle"),
@@ -405,6 +417,10 @@ def record_from_dict(data: dict) -> CalibrationRecord:
         scores=tuple(float(e["score"]) for e in entries),
         schema_version=int(data.get("schema_version", 1)),
     )
+    ncs = data.get("sequence_ncs", record.ncs)
+    if not math.isclose(ncs, record.ncs, rel_tol=0.0, abs_tol=1e-12):
+        raise ConfigError(f"{record.scenario_id}: sequence_ncs {ncs} is not {record.ncs}")
+    return record
 
 
 def write_records_jsonl(records, path) -> None:

@@ -9,7 +9,7 @@ scorers read the structured fields directly.
 Robot orders are drawn per step from a small fixed family of permutations
 (identity, rotations, reversal) keyed by the scenario's order seed, so the
 calibration and test sequences share the same order-generating distribution.
-Each scenario carries its schedule (`Scenario.schedule`).
+Each scenario draws its H step orders once (`Scenario.orders`).
 """
 
 from __future__ import annotations
@@ -138,7 +138,12 @@ class OrderSchedule:
     seed: int
 
     def order_at(self, t: int) -> tuple[int, ...]:
-        return _drawn_order(self.n_robots, self.seed, t)
+        """The order at step t; a one-order family needs no draw."""
+        family = order_family(self.n_robots)
+        if len(family) == 1:
+            return family[0]
+        rng = keyed_rng(np.random.SeedSequence(seed_words(self.seed, t, 0)))
+        return family[int(rng.integers(len(family)))]
 
     def reorder(self, t: int, attempt: int, used) -> tuple[int, ...] | None:
         """Draw a fresh order for step t, without replacement against `used`.
@@ -152,22 +157,6 @@ class OrderSchedule:
             return None
         rng = keyed_rng(np.random.SeedSequence(seed_words(self.seed, t, attempt)))
         return remaining[int(rng.integers(len(remaining)))]
-
-
-@lru_cache(maxsize=256)
-def _drawn_order(n_robots: int, seed: int, t: int) -> tuple[int, ...]:
-    """The schedule's order at step t, memoised per (n_robots, seed, t) in a
-    bounded cache. A one-order family needs no draw: integers(1) is always 0."""
-    family = order_family(n_robots)
-    if len(family) == 1:
-        return family[0]
-    rng = keyed_rng(np.random.SeedSequence(seed_words(seed, t, 0)))
-    return family[int(rng.integers(len(family)))]
-
-
-def step_position(k: int, n_robots: int) -> tuple[int, int]:
-    """Flat iteration index k -> (step, position within the step)."""
-    return divmod(k, n_robots)
 
 
 @dataclass(frozen=True)
@@ -188,8 +177,7 @@ def initial_context(scenario: "Scenario") -> Context:
     """Context with empty history, cursor on the first robot of step 0."""
     if scenario.horizon < 1:
         return Context(scenario=scenario, cursor=None)
-    first = scenario.schedule.order_at(0)[0]
-    return Context(scenario=scenario, cursor=(0, first))
+    return Context(scenario=scenario, cursor=(0, scenario.orders[0][0]))
 
 
 def advance(ctx: Context, chosen: Decision, *, order: tuple[int, ...] | None = None) -> Context:
@@ -206,10 +194,10 @@ def advance(ctx: Context, chosen: Decision, *, order: tuple[int, ...] | None = N
     history = ctx.history + ((t, robot, chosen),)
     scenario = ctx.scenario
     if position + 1 < scenario.n_robots:
-        step_order = order if order is not None else scenario.schedule.order_at(t)
+        step_order = order if order is not None else scenario.orders[t]
         cursor = (t, step_order[position + 1])
     elif t + 1 < scenario.horizon:
-        cursor = (t + 1, scenario.schedule.order_at(t + 1)[0])
+        cursor = (t + 1, scenario.orders[t + 1][0])
     else:
         cursor = None
     return Context(scenario=scenario, history=history, cursor=cursor)

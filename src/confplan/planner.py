@@ -272,7 +272,6 @@ def plan_distributed(
     order family; step restarts from scratch), then asks the user.
     """
     cfg.validate()
-    schedule = scenario.schedule
     space = decision_space(scenario.env)
     index = decision_index(scenario.env)
     provider = feasible_provider or teacher_feasible_provider(scenario)
@@ -282,7 +281,7 @@ def plan_distributed(
     failed = False
     t = 0
     while t < scenario.horizon and not failed:
-        order = schedule.order_at(t)
+        order = scenario.orders[t]
         used = [order]
         w = 0
         pos = 0
@@ -305,7 +304,7 @@ def plan_distributed(
             else:
                 w += 1
                 if w <= cfg.reorder_bound:
-                    new_order = schedule.reorder(t, attempt=w, used=used)
+                    new_order = scenario.schedule.reorder(t, attempt=w, used=used)
                     if new_order is not None:
                         records.append(
                             IterationRecord(
@@ -374,7 +373,7 @@ def plan_argmax(scenario: Scenario, scorer) -> PlanTrace:
                 k=ctx.k,
                 t=t,
                 robot=robot,
-                order=scenario.schedule.order_at(t),
+                order=scenario.orders[t],
                 set_indices=(chosen,),
                 set_full=False,
                 chosen_index=chosen,
@@ -491,8 +490,7 @@ def plan_centralized(
             break
         joint_decision = tuple(space[i] for i in chosen)
         plan.append(joint_decision)
-        order = scenario.schedule.order_at(t)
-        history = history + tuple((t, r, joint_decision[r]) for r in order)
+        history = history + tuple((t, r, joint_decision[r]) for r in scenario.orders[t])
     return PlanTrace(
         scenario_id=scenario.id,
         mode=CENTRALIZED,

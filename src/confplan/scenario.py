@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .context import (
     initial_context,
     keyed_rng,
     seed_words,
-    step_position,
 )
 from .errors import BudgetError, ConfigError, NoFeasibleError, OracleError
 from .world import (
@@ -115,7 +113,13 @@ def validate_params(params: DistributionParams) -> None:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One sampled planning problem; immutable and hashable."""
+    """One sampled planning problem; immutable and hashable.
+
+    Its step orders (`orders`), canonical plan (`oracle_plan`) and the plan's
+    verdict (`oracle_plan_failure`) are memoised on the instance and kept out
+    of its pickles, as the environment's decision space and models are. (Not
+    `functools.cached_property`: it writes through `__dict__`, which on
+    CPython 3.11 slows every later attribute load on the instance.)"""
 
     id: str
     n_robots: int
@@ -125,50 +129,59 @@ class Scenario:
     env: Environment
     order_seed: int
 
-    __hash__ = world.hash_once
-    __getstate__ = world.state_without_hash
+    __getstate__ = world.state_without_memos
 
     @property
     def schedule(self) -> OrderSchedule:
-        """The per-step robot-order schedule, a pure function of `n_robots`
-        and `order_seed`; memoised on the instance and kept out of its
-        pickles, like the hash. (Not `functools.cached_property`: it writes
-        through `__dict__`, which on CPython 3.11 slows every later attribute
-        load on the instance.)"""
+        """The schedule that draws the step orders and the reorders."""
+        return OrderSchedule(self.n_robots, self.order_seed)
+
+    @property
+    def orders(self) -> tuple[tuple[int, ...], ...]:
+        """The scheduled robot order of each step t < horizon, drawn once."""
         try:
-            return self._schedule
+            return self._orders
         except AttributeError:
-            schedule = OrderSchedule(self.n_robots, self.order_seed)
-            object.__setattr__(self, "_schedule", schedule)
-            return schedule
+            orders = tuple(map(self.schedule.order_at, range(self.horizon)))
+            object.__setattr__(self, "_orders", orders)
+            return orders
 
 
 # --- decision space ----------------------------------------------------------
 
-@lru_cache(maxsize=2048)
 def decision_space(env: Environment) -> tuple[Decision, ...]:
     """The ordered set of all decisions any robot can declare in `env`.
 
     Order: GoTo over loose objects, containers, then destinations; Grab over
     objects; PutDown over destinations; OpenDoor over containers; Idle last.
     Objects that start inside a container are reached via the container's GoTo
-    entry, so they add no GoTo decision of their own.
+    entry, so they add no GoTo decision of their own. Memoised on the
+    environment.
     """
-    destinations = [loc for loc in env.locations if loc.kind == DESTINATION]
-    space: list[Decision] = []
-    space.extend(Decision(GOTO, o.id) for o in env.objects if o.inside is None)
-    space.extend(Decision(GOTO, c.id) for c in env.containers)
-    space.extend(Decision(GOTO, loc.id) for loc in destinations)
-    space.extend(Decision(GRAB, o.id) for o in env.objects)
-    space.extend(Decision(PUTDOWN, loc.id) for loc in destinations)
-    space.extend(Decision(OPEN_DOOR, c.id) for c in env.containers)
-    space.append(IDLE_DECISION)
-    return tuple(space)
+    try:
+        return env._decision_space
+    except AttributeError:
+        destinations = [loc for loc in env.locations if loc.kind == DESTINATION]
+        space: list[Decision] = []
+        space.extend(Decision(GOTO, o.id) for o in env.objects if o.inside is None)
+        space.extend(Decision(GOTO, c.id) for c in env.containers)
+        space.extend(Decision(GOTO, loc.id) for loc in destinations)
+        space.extend(Decision(GRAB, o.id) for o in env.objects)
+        space.extend(Decision(PUTDOWN, loc.id) for loc in destinations)
+        space.extend(Decision(OPEN_DOOR, c.id) for c in env.containers)
+        space.append(IDLE_DECISION)
+        object.__setattr__(env, "_decision_space", tuple(space))
+        return env._decision_space
 
 
-@lru_cache(maxsize=2048)
 def decision_index(env: Environment) -> dict[Decision, int]:
-    return {d: i for i, d in enumerate(decision_space(env))}
+    """Each decision's position in `decision_space(env)`; memoised likewise."""
+    try:
+        return env._decision_index
+    except AttributeError:
+        index = {d: i for i, d in enumerate(decision_space(env))}
+        object.__setattr__(env, "_decision_index", index)
+        return index
 
 
 # --- sampling ----------------------------------------------------------------
@@ -296,10 +309,6 @@ def sample_scenario(params: DistributionParams, draw_index: int) -> Scenario:
     return scenario
 
 
-def scenario_stream(params: DistributionParams, start: int, count: int) -> list[Scenario]:
-    return [sample_scenario(params, start + i) for i in range(count)]
-
-
 def default_distribution_params(seed: int = 0) -> DistributionParams:
     """Desk-scale profile: |S| around 9-13, one or two robots, short missions."""
     return DistributionParams(rng_seed=seed)
@@ -395,9 +404,9 @@ def oracle_plan(scenario: Scenario) -> Plan:
     """Canonical ground-truth plan; independent of the robot-order schedule
     (the schedule only affects how the plan is flattened into a sequence).
 
-    Memoised on the scenario instance, like its hash, and kept out of its
-    pickles. `sample_scenario` leaves there the plan it built to size the
-    horizon, so a sampled scenario's plan is built once.
+    Memoised on the scenario instance and kept out of its pickles.
+    `sample_scenario` leaves there the plan it built to size the horizon, so
+    a sampled scenario's plan is built once.
     """
     try:
         return scenario._oracle_plan
@@ -433,12 +442,11 @@ def anchor_decision(scenario: Scenario, t: int, robot: int) -> Decision:
 
 def teacher_sequence(scenario: Scenario) -> tuple[Decision, ...]:
     """The canonical plan flattened along the schedule, Idle-padded to N*H."""
-    n, schedule = scenario.n_robots, scenario.schedule
-    out = []
-    for k in range(n * scenario.horizon):
-        t, pos = step_position(k, n)
-        out.append(anchor_decision(scenario, t, schedule.order_at(t)[pos]))
-    return tuple(out)
+    return tuple(
+        anchor_decision(scenario, t, robot)
+        for t, order in enumerate(scenario.orders)
+        for robot in order
+    )
 
 
 def flat_to_plan(scenario: Scenario, flat: tuple[Decision, ...]) -> Plan:
@@ -449,7 +457,7 @@ def flat_to_plan(scenario: Scenario, flat: tuple[Decision, ...]) -> Plan:
         raise ValueError("sequence length is not a multiple of the robot count")
     steps = []
     for t in range(len(flat) // n):
-        order = scenario.schedule.order_at(t)
+        order = scenario.orders[t]
         joint: list[Decision | None] = [None] * n
         for pos in range(n):
             joint[order[pos]] = flat[t * n + pos]
@@ -493,7 +501,6 @@ class FeasibilityIndex:
         self.budget = budget
         self.n = n = scenario.n_robots
         self.space = decision_space(scenario.env)
-        self._orders = tuple(scenario.schedule.order_at(t) for t in range(scenario.horizon))
         self.model = model = world.compact_model(scenario.env, n)
         self._goals = model.goals(scenario.mission)
         safety = scenario.mission.safety
@@ -520,10 +527,9 @@ class FeasibilityIndex:
         k = len(history)
         if k >= self.total_iterations:
             raise ValueError("sequence already complete")
-        n, orders = self.n, self._orders
+        n, orders = self.n, self.scenario.orders
         entries = tuple((i // n, orders[i // n][i % n], d) for i, d in enumerate(history))
-        t, pos = step_position(k, n)
-        return self._feasible(entries, orders[t][pos], k)
+        return self._feasible(entries, orders[k // n][k % n], k)
 
     def feasible_for_context(self, ctx: Context) -> FeasibleResult:
         """Feasible decisions for a live planning context (whose step orders

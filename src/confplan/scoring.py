@@ -25,8 +25,8 @@ import numpy as np
 
 from .context import Context, keyed_rngs, render_text, seed_words
 from .errors import AuthError, ConfigError, MalformedResponseError, TransportError
-from .scenario import anchor_decision, decision_index, decision_space, oracle_plan
-from .world import IDLE_DECISION, from_data, to_data
+from .scenario import anchor_decision, decision_index, decision_space, teacher_sequence
+from .world import from_data, to_data
 
 ORACLE_INDICATOR = "oracle-indicator"
 NOISY_ORACLE = "noisy-oracle"
@@ -188,13 +188,9 @@ class _ScenarioTable:
     __slots__ = ("spec", "scenario", "size", "positions", "noise", "robots", "vectors", "others")
 
     def __init__(self, spec: ScorerSpec, scenario, size: int):
-        plan = oracle_plan(scenario)
         index = decision_index(scenario.env)
-        robots, anchors = [], []
-        for t in range(scenario.horizon):
-            for robot in scenario.schedule.order_at(t):
-                robots.append(robot)
-                anchors.append(index[plan[t][robot] if t < len(plan) else IDLE_DECISION])
+        robots = [robot for order in scenario.orders for robot in order]
+        anchors = [index[d] for d in teacher_sequence(scenario)]
         if spec.kind == NOISY_ORACLE:
             positions, noise = _keyed_draws(spec, scenario.id, range(len(robots)), size)
         else:

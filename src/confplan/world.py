@@ -10,6 +10,8 @@ step.
 These semantics are written once, in `CompactModel`: each decision is compiled
 into a check on a compact int-tuple state, and the plan validator, the
 `WorldState` operations and the feasibility search all run on those checks.
+An environment's models (`compact_model`) are memoised on the environment,
+as its decision space is; no module-level cache holds an environment.
 
 All state values are immutable; every operation is a pure function and safe to
 call from concurrent workers.
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields, is_dataclass
-from functools import lru_cache
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -95,26 +96,10 @@ class Container:
     door: str = DOOR_CLOSED
 
 
-def hash_once(self) -> int:
-    """The dataclass field hash, computed once per instance.
-
-    Used as `__hash__` by the frozen dataclasses that key the lookup caches
-    (`Environment`, `Scenario`), which would otherwise re-hash every nested
-    field on each lookup. The value is kept out of pickles (`state_without_hash`)
-    because string hashes are salted per process.
-    """
-    try:
-        return self._hash
-    except AttributeError:
-        value = hash(tuple(getattr(self, f.name) for f in fields(self)))
-        object.__setattr__(self, "_hash", value)
-        return value
-
-
-def state_without_hash(self) -> dict:
-    """Pickled state of a `hash_once` instance: its fields, never the hash or
-    another value memoised on the instance (a scenario's canonical plan, its
-    verdict and the order schedule)."""
+def state_without_memos(self) -> dict:
+    """Pickled state of an `Environment` or a `Scenario`: its fields, never a
+    value memoised on it. Compiled checks are closures, which do not pickle,
+    and a loaded scenario must derive its verdict again."""
     return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
@@ -127,8 +112,7 @@ class Environment:
     containers: tuple[Container, ...]
     robot_start: tuple[str, ...]
 
-    __hash__ = hash_once
-    __getstate__ = state_without_hash
+    __getstate__ = state_without_memos
 
 
 @dataclass(frozen=True)
@@ -269,7 +253,9 @@ class CompactModel:
     def __init__(self, env: Environment, n_robots: int):
         if len(env.robot_start) < n_robots:
             raise ValueError("environment has fewer robot placements than robots")
-        self.env = env
+        # the entities, not `env`: the model is memoised on `env`, and a reference
+        # back would make a cycle that only the garbage collector frees
+        self.locations, self.objects, self.containers = env.locations, env.objects, env.containers
         self.n = n = n_robots
         self.obj_at = 2 * n
         self.obj_in = 2 * n + len(env.objects)
@@ -299,7 +285,7 @@ class CompactModel:
         )
 
     def decode(self, state: tuple[int, ...], time: int) -> WorldState:
-        env, n, obj_at, obj_in = self.env, self.n, self.obj_at, self.obj_in
+        n, obj_at, obj_in = self.n, self.obj_at, self.obj_in
 
         def name(entities, i):
             return None if i < 0 else entities[i].id
@@ -307,15 +293,15 @@ class CompactModel:
         return WorldState(
             time,
             tuple(
-                RobotPose(name(env.locations, state[r]), name(env.objects, state[n + r]))
+                RobotPose(name(self.locations, state[r]), name(self.objects, state[n + r]))
                 for r in range(n)
             ),
             tuple(
                 ObjectState(
-                    name(env.locations, state[obj_at + i]),
-                    name(env.containers, state[obj_in + i]),
+                    name(self.locations, state[obj_at + i]),
+                    name(self.containers, state[obj_in + i]),
                 )
-                for i in range(len(env.objects))
+                for i in range(len(self.objects))
             ),
             tuple(v == 1 for v in state[self.door :]),
         )
@@ -337,7 +323,7 @@ class CompactModel:
             if target in locs:
                 return _constant(((at, locs[target]),)), 0
             if target in conts:
-                return _constant(((at, locs[self.env.containers[conts[target]].at]),)), 0
+                return _constant(((at, locs[self.containers[conts[target]].at]),)), 0
             if target not in objs:
                 return _constant(Refusal(NO_SUCH_ENTITY, target)), 0
             slot = self.obj_at + objs[target]
@@ -349,7 +335,7 @@ class CompactModel:
             return self._put(at, locs[target], target), 0
         if d.kind == OPEN_DOOR and target in conts:
             c = conts[target]
-            site = locs[self.env.containers[c].at]
+            site = locs[self.containers[c].at]
             effect = ((self.door + c, 1),)
             away = Refusal(NOT_AT_TARGET, target)
             return (lambda state: effect if state[at] == site else away), 0
@@ -425,7 +411,7 @@ class CompactModel:
         locs = self.locs
         return tuple(
             (
-                tuple(i for i, o in enumerate(self.env.objects) if o.label == st.object_label),
+                tuple(i for i, o in enumerate(self.objects) if o.label == st.object_label),
                 frozenset(locs[dest] for dest in st.destinations if dest in locs),
             )
             for st in mission.subtasks
@@ -445,12 +431,18 @@ class CompactModel:
         return distinct_match(candidates)
 
 
-@lru_cache(maxsize=8)
 def compact_model(env: Environment, n_robots: int) -> CompactModel:
-    """The shared model of (env, n_robots). The cache need only span the calls
-    on one scenario; a model holds its compiled checks (tens of KB after a
-    search), and long-lived checks add to the garbage collector's work."""
-    return CompactModel(env, n_robots)
+    """The shared model of (env, n_robots), memoised on the environment in a
+    dict keyed by robot count and kept out of its pickles."""
+    try:
+        models = env._models
+    except AttributeError:
+        models = {}
+        object.__setattr__(env, "_models", models)
+    model = models.get(n_robots)
+    if model is None:
+        model = models[n_robots] = CompactModel(env, n_robots)
+    return model
 
 
 def initial_state(env: Environment, n_robots: int) -> WorldState:

@@ -175,6 +175,45 @@ def test_plan_with_alpha_outside_the_unit_interval_is_a_config_error(tmp_path, m
     assert not (tmp_path / "trace.json").exists()
 
 
+def _renamed(record, old, new):
+    return {new if key == old else key: value for key, value in record.items()}
+
+
+def _with_entry(record, i, **changes):
+    entries = list(record["decisions"])
+    entries[i] = {**entries[i], **changes}
+    return {**record, "decisions": entries}
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(
+            lambda r: {**_renamed(r, "label_mode", "labl_mode"), "sequence_ncs": 0.5},
+            id="misspelled-label-mode-and-made-up-ncs",
+        ),
+        pytest.param(lambda r: _renamed(r, "search_mode", "search"), id="unknown-record-key"),
+        pytest.param(lambda r: _with_entry(r, 0, scroe=0.5), id="unknown-entry-key"),
+        pytest.param(lambda r: _with_entry(r, 1, k=0), id="entry-k-not-its-position"),
+        pytest.param(lambda r: {**r, "sequence_ncs": r["sequence_ncs"] / 2}, id="wrong-ncs"),
+    ],
+)
+def test_plan_refuses_a_calibration_file_its_writer_could_not_have_written(tmp_path, corrupt):
+    """Every line of a written calibration file is corrupted the same way;
+    planning with it exits 2 before any output is written."""
+    params = write_params(tmp_path)
+    scen_path, cal_dir = tmp_path / "scenarios.json", tmp_path / "cal"
+    main(["gen-scenarios", "--params", str(params), "--count", "1", "--out", str(scen_path)])
+    main(["calibrate", "--params", str(params), "--m", "10", "--alpha", "0.2", "--out", str(cal_dir)])
+    calibration = cal_dir / "calibration.jsonl"
+    records = [json.loads(line) for line in calibration.read_text().splitlines()]
+    assert all(len(r["decisions"]) >= 2 and r["sequence_ncs"] > 0 for r in records)
+    calibration.write_text("".join(json.dumps(corrupt(r)) + "\n" for r in records))
+    argv = ["plan", "--scenario", str(scen_path), "--calibration", str(calibration), "--alpha", "0.2"]
+    assert main([*argv, "--out", str(tmp_path / "trace.json")]) == 2
+    assert not (tmp_path / "trace.json").exists()
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["coverage", "--config", str(tmp_path / "missing.json")]) == 2
 
@@ -223,6 +262,12 @@ PLAN = ["plan", "--scenario", "DOC", "--quantile", "0.9", "--out", "OUT"]
             {**SCENARIO, "env": {**SCENARIO["env"], "colour": "red"}}, PLAN, id="unknown-env-key"
         ),
         pytest.param([], PLAN, id="empty-scenario-file"),  # a file holding no scenario
+        *(
+            pytest.param(
+                SCENARIO, ["plan", "--scenario", "DOC", f"--quantile={q}", "--out", "OUT"], id=f"quantile-{q}"
+            )
+            for q in ("-3", "nan", "7")
+        ),
     ],
 )
 def test_a_malformed_document_is_a_config_error(tmp_path, document, argv):

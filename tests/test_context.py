@@ -35,12 +35,16 @@ def scenario():
     return sample_scenario(default_distribution_params(5), 0)
 
 
-@pytest.fixture(scope="module")
-def trio_scenario():
+def sample_trio():
     params = dataclasses.replace(
         default_distribution_params(6), n_robots=(3, 3), n_subtasks=(2, 2)
     )
     return sample_scenario(params, 0)
+
+
+@pytest.fixture(scope="module")
+def trio_scenario():
+    return sample_trio()
 
 
 def test_order_family_shapes():
@@ -74,12 +78,10 @@ def per_call_order(n_robots: int, seed: int, t: int) -> tuple[int, ...]:
 
 @pytest.mark.parametrize("n_robots", [1, 2, 3, 4])
 def test_order_at_equals_the_per_call_draw(n_robots):
-    context._drawn_order.cache_clear()
-    for _ in range(2):  # the second pass reads the memoised draws
-        for seed in (0, 1, 17, 123456789, 2**31 - 1):
-            schedule = OrderSchedule(n_robots=n_robots, seed=seed)
-            for t in range(31):
-                assert schedule.order_at(t) == per_call_order(n_robots, seed, t)
+    for seed in (0, 1, 17, 123456789, 2**31 - 1):
+        schedule = OrderSchedule(n_robots=n_robots, seed=seed)
+        for t in range(31):
+            assert schedule.order_at(t) == per_call_order(n_robots, seed, t)
 
 
 def tuple_seeded_state(keys) -> dict:
@@ -213,8 +215,8 @@ def test_sampled_scenarios_equal_the_tuple_seeded_samples(monkeypatch):
 
 
 def seed_sequences_built_while_labeling(monkeypatch, scenario, label_mode) -> list[str]:
-    """Modules that built a SeedSequence while `scenario` was labeled, with the
-    order draws not yet memoised."""
+    """Modules that built a SeedSequence while `scenario`, a fresh instance
+    whose step orders are not yet drawn, was labeled."""
     built = []
     seed_sequence = np.random.SeedSequence
 
@@ -222,7 +224,6 @@ def seed_sequences_built_while_labeling(monkeypatch, scenario, label_mode) -> li
         built.append(sys._getframe(1).f_globals["__name__"])
         return seed_sequence(*args, **kwargs)
 
-    context._drawn_order.cache_clear()
     monkeypatch.setattr(np.random, "SeedSequence", recording)
     label_sequence(scenario, build_scorer(ScorerSpec()), label_mode=label_mode)
     monkeypatch.undo()
@@ -238,9 +239,10 @@ def test_labeling_a_one_robot_scenario_draws_no_order(monkeypatch, label_mode):
     assert "confplan.context" not in built
 
 
-def test_labeling_draws_each_step_order_once(monkeypatch, trio_scenario):
-    built = seed_sequences_built_while_labeling(monkeypatch, trio_scenario, "oracle")
-    assert 0 < built.count("confplan.context") <= trio_scenario.horizon
+def test_labeling_draws_each_step_order_once(monkeypatch):
+    trio = sample_trio()
+    built = seed_sequences_built_while_labeling(monkeypatch, trio, "oracle")
+    assert 0 < built.count("confplan.context") <= trio.horizon
 
 
 def test_initial_context_empty_history(scenario):

@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -60,6 +62,24 @@ def test_config_roundtrip_and_validation():
 def test_alphas_that_share_a_row_key_are_refused(alphas):
     with pytest.raises(ConfigError):
         run_coverage_experiment(tiny_config(alphas=alphas, n_trials=1))
+
+
+def test_a_finished_run_keeps_no_sampled_environment_alive(monkeypatch):
+    """What is derived from a scenario lives on the scenario or its
+    environment, so nothing outlives the run that sampled them."""
+    sampled = []
+    sample = harness.sample_scenario
+
+    def recording(params, draw_index):
+        s = sample(params, draw_index)
+        sampled.append((weakref.ref(s), weakref.ref(s.env)))
+        return s
+
+    monkeypatch.setattr(harness, "sample_scenario", recording)
+    result = run_coverage_experiment(tiny_config(n_trials=2, label_mode="selector"))
+    gc.collect()
+    assert result["metrics"] and len(sampled) == 2 * 11
+    assert [(s(), env()) for s, env in sampled] == [(None, None)] * len(sampled)
 
 
 def test_coverage_run_shapes_and_invariants(tmp_path):

@@ -181,7 +181,7 @@ def test_scenario_roundtrip():
 
 def test_equal_scenarios_hash_equal_and_hash_their_fields():
     s = sample_scenario(default_distribution_params(11), 3)
-    first = hash(s)  # computed, then kept on the instance
+    first = hash(s)
     for other in (
         sample_scenario(default_distribution_params(11), 3),
         dataclasses.replace(s),
@@ -197,22 +197,30 @@ def test_equal_scenarios_hash_equal_and_hash_their_fields():
     assert moved != s and hash(moved) == hash(fields[:-1] + (s.order_seed + 1,))
 
 
-def test_pickles_never_carry_the_cached_hash():
+SCENARIO_MEMOS = ("_orders", "_oracle_plan", "_plan_failure")
+ENVIRONMENT_MEMOS = ("_decision_space", "_decision_index", "_models")
+
+
+def test_pickles_never_carry_a_memo():
     s = sample_scenario(default_distribution_params(11), 3)
-    hash(s)
-    assert s.schedule == OrderSchedule(s.n_robots, s.order_seed)
+    label_sequence(s, build_scorer(ScorerSpec()), label_mode="selector")  # derives every memo
     loaded = pickle.loads(pickle.dumps(s))
-    assert "_hash" in vars(s) and "_hash" in vars(s.env)
-    assert "_hash" not in vars(loaded) and "_hash" not in vars(loaded.env)
-    for memo in ("_oracle_plan", "_plan_failure"):
-        assert memo in vars(s) and memo not in vars(loaded)
-    assert "_schedule" in vars(s) and "_schedule" not in vars(loaded)
+    for instance, copy, memos in ((s, loaded, SCENARIO_MEMOS), (s.env, loaded.env, ENVIRONMENT_MEMOS)):
+        assert set(vars(instance)) == {f.name for f in dataclasses.fields(instance)} | set(memos)
+        assert set(vars(copy)) == {f.name for f in dataclasses.fields(copy)}
     assert loaded == s and hash(loaded) == hash(s)
+    # the copy derives each value again, equal to the original's
     assert oracle_plan(loaded) == oracle_plan(s)
-    assert loaded.schedule == s.schedule
-    # a replaced copy derives its own schedule instead of inheriting the memo
+    assert oracle_plan_failure(loaded) is None and "_plan_failure" in vars(loaded)
+    assert loaded.orders == s.orders
+    assert decision_index(loaded.env) == decision_index(s.env)
+    n = s.n_robots
+    assert world.compact_model(loaded.env, n).start == world.compact_model(s.env, n).start
+    # a replaced copy derives its own orders instead of inheriting the memo
     moved = dataclasses.replace(s, order_seed=s.order_seed + 1)
-    assert moved.schedule == OrderSchedule(s.n_robots, s.order_seed + 1)
+    assert "_orders" not in vars(moved)
+    schedule = OrderSchedule(s.n_robots, s.order_seed + 1)
+    assert moved.orders == tuple(schedule.order_at(t) for t in range(s.horizon))
     assert dataclasses.replace(s, n_robots=3).schedule == OrderSchedule(3, s.order_seed)
 
 
@@ -231,15 +239,16 @@ def lookups_in_a_fresh_process(sent):
 
 def test_scenario_with_a_cached_hash_resolves_in_a_spawned_worker():
     s = sample_scenario(default_distribution_params(11), 3)
-    plan = oracle_plan(s)  # caches hash(s) and hash(s.env)
+    plan = oracle_plan(s)
+    index = decision_index(s.env)  # memoised on the environment before it is sent
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
-        same_hash, found, sent_plan, index = pool.submit(
+        same_hash, found, sent_plan, sent_index = pool.submit(
             lookups_in_a_fresh_process, s
         ).result(timeout=120)
     assert same_hash and found
     assert sent_plan == plan
-    assert index == decision_index(s.env)[plan[0][0]]
+    assert sent_index == index[plan[0][0]]
 
 
 def test_sampled_horizon_is_oracle_length_plus_slack():
@@ -598,10 +607,10 @@ def test_labeling_computes_each_step_order_once(monkeypatch):
         return order_at(self, t)
 
     monkeypatch.setattr(OrderSchedule, "order_at", counted)
-    index = FeasibilityIndex(s)
+    index = FeasibilityIndex(dataclasses.replace(s))  # a copy whose orders are not yet drawn
     for k in range(len(labels)):
         assert labels[k] in index.feasible(labels[:k]).decisions
-    assert len(calls) <= s.horizon
+    assert sorted(calls) == list(range(s.horizon))
 
 
 # --- selector and labels ------------------------------------------------------------
