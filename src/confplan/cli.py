@@ -105,17 +105,14 @@ def cmd_calibrate(args) -> int:
     spec = _load_scorer_spec(args)
     scorer = scoring.build_scorer(spec)
     if args.scenarios:
+        if args.m is not None:
+            raise ConfigError("--m sizes a sampled set; --scenarios calibrates on the whole file")
         scenarios = _read(scn.read_scenarios, args.scenarios)
-        records = []
-        for s in scenarios:
-            record, _ = conformal.score_label_sequence(
-                s, scorer, label_mode=args.label_mode
-            )
-            records.append(record)
+        records = conformal.calibration_records(scenarios, scorer, label_mode=args.label_mode)
     else:
-        params = _load_params(args)
+        m = 30 if args.m is None else args.m
         records = conformal.build_calibration_set(
-            params, args.m, scorer, label_mode=args.label_mode
+            _load_params(args), m, scorer, label_mode=args.label_mode
         )
     quantile = conformal.calibrate(records, args.alpha)
     out_dir = Path(args.out or "calibration")
@@ -134,9 +131,14 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def _quantile_for_plan(args) -> conformal.Quantile:
+def _quantile_for_plan(args) -> conformal.Quantile | None:
+    """The plan mode's quantile; argmax mode needs none and refuses one."""
     if not 0.0 < args.alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {args.alpha}")
+    if args.mode == planner.ARGMAX:
+        if args.quantile is not None or args.calibration:
+            raise ConfigError("argmax mode takes no --quantile or --calibration")
+        return None
     if args.quantile is not None:
         if not 0.0 <= args.quantile <= 1.0:  # NaN fails both comparisons
             raise ConfigError(f"quantile must be in [0, 1], got {args.quantile}")
@@ -156,10 +158,10 @@ def cmd_plan(args) -> int:
     scorer = scoring.build_scorer(spec)
     policy = planner.INTERACTIVE_USER if args.interactive else args.help_policy
     pcfg = planner.PlannerConfig(reorder_bound=args.reorders, help_policy=policy)
+    quantile = _quantile_for_plan(args)
     if args.mode == planner.ARGMAX:
         trace = planner.plan_argmax(scenario, scorer)
     elif args.mode == planner.CENTRALIZED:
-        quantile = _quantile_for_plan(args)
         if args.calibration:
             sys.stderr.write(
                 "warning: reusing a sequence-level quantile for joint sets; the "
@@ -167,7 +169,6 @@ def cmd_plan(args) -> int:
             )
         trace = planner.plan_centralized(scenario, scorer, quantile, pcfg)
     else:
-        quantile = _quantile_for_plan(args)
         provider = None
         if args.feasible == "search":
             provider = planner.search_feasible_provider(scenario)
@@ -240,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--params", help="distribution params JSON file")
     p.add_argument("--scenarios", help="scenario JSON file (instead of sampling)")
-    p.add_argument("--m", type=int, default=30, help="calibration size")
+    p.add_argument("--m", type=int, default=None, help="sampled calibration size (default 30)")
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--scorer", default="noisy-oracle")
     p.add_argument("--label-mode", choices=("oracle", "selector"), default="oracle")

@@ -29,11 +29,13 @@ from .context import Context
 from .errors import BudgetError, ConfigError, InfeasibleAlphaError
 from .scenario import (
     DistributionParams,
+    LabelResult,
     Scenario,
     anchor_decision,
     decision_index,
     decision_space,
     label_sequence,
+    label_sequences,
     sample_scenario,
 )
 
@@ -214,16 +216,9 @@ def calibrate(records, alpha: float) -> Quantile:
     return conformal_quantile([r.ncs for r in records], alpha)
 
 
-def score_label_sequence(scenario: Scenario, scorer, label_mode: str = "oracle"):
-    """Label one scenario and package it as a CalibrationRecord.
-
-    Returns (record, label result); the label result keeps the full per-step
-    score vectors, which the coverage harness reuses to build prediction sets
-    for test sequences without re-querying the scorer.
-    """
-    lr = label_sequence(scenario, scorer, label_mode=label_mode)
+def _record(scenario: Scenario, lr: LabelResult, label_mode: str) -> CalibrationRecord:
     index = decision_index(scenario.env)
-    record = CalibrationRecord(
+    return CalibrationRecord(
         scenario_id=scenario.id,
         space_size=len(decision_space(scenario.env)),
         label_mode=label_mode,
@@ -232,7 +227,24 @@ def score_label_sequence(scenario: Scenario, scorer, label_mode: str = "oracle")
         decision_indices=tuple(index[d] for d in lr.decisions),
         scores=lr.scores,
     )
-    return record, lr
+
+
+def score_label_sequence(scenario: Scenario, scorer, label_mode: str = "oracle"):
+    """Label one scenario and package it as a CalibrationRecord.
+
+    Returns (record, label result); the label result keeps the full per-step
+    score vectors, which the coverage harness reuses to build prediction sets
+    for test sequences without re-querying the scorer.
+    """
+    lr = label_sequence(scenario, scorer, label_mode=label_mode)
+    return _record(scenario, lr, label_mode), lr
+
+
+def calibration_records(scenarios, scorer, label_mode: str = "oracle") -> list[CalibrationRecord]:
+    """Label a sequence of scenarios as one batch (`label_sequences`) and
+    record each one's labeled decisions and their scores."""
+    labels = label_sequences(scenarios, scorer, label_mode=label_mode)
+    return [_record(s, lr, label_mode) for s, lr in zip(scenarios, labels)]
 
 
 def build_calibration_set(
@@ -242,16 +254,12 @@ def build_calibration_set(
     start_index: int = 0,
     label_mode: str = "oracle",
 ) -> list[CalibrationRecord]:
-    """Sample M scenarios i.i.d. (draw indices start_index..start_index+M-1),
-    label each, and record the labeled decisions' scores."""
+    """Sample M scenarios i.i.d. (draw indices start_index..start_index+M-1)
+    and label them as one batch (`calibration_records`)."""
     if m < 1:
         raise ValueError("calibration size must be >= 1")
-    records = []
-    for i in range(m):
-        scenario = sample_scenario(params, start_index + i)
-        record, _ = score_label_sequence(scenario, scorer, label_mode=label_mode)
-        records.append(record)
-    return records
+    scenarios = [sample_scenario(params, start_index + i) for i in range(m)]
+    return calibration_records(scenarios, scorer, label_mode=label_mode)
 
 
 # --- joint (whole-team) calibration for the centralized baseline ---------------

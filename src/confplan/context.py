@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -91,24 +91,102 @@ def _keyed_seed_type() -> type:
     return KeyedSeed
 
 
-def keyed_rngs(pools: np.ndarray) -> list["np.random.Generator"]:
-    """One generator per row of a (K, 4) matrix of SeedSequence pools, each
-    equal bit for bit to `np.random.default_rng` of that row's SeedSequence.
+# SeedSequence's entropy-mixing constants (numpy's bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
-    PCG64 is seeded from `seq.generate_state(4, np.uint64)`, which numpy
-    computes with a per-word Python loop per sequence; here the same hash runs
-    once over the whole matrix, in a few uint32 array operations.
+
+@lru_cache(maxsize=8)
+def _hash_constants(n_words: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The (xor, multiplier) columns of SeedSequence's hashmix calls on an
+    entropy of n_words words, one pair per vectorised call: the 4 pool words,
+    then per source word of the all-pairs mixing its 3 targets, then per
+    entropy word past the 4th its 4 targets. Scalar call j xors with
+    INIT_A·MULT_A^j and multiplies by INIT_A·MULT_A^(j+1), both mod 2^32."""
+    powers = [_INIT_A]
+    for _ in range(16 + 4 * max(0, n_words - 4)):
+        powers.append(powers[-1] * _MULT_A % 2**32)
+    pairs, j = [], 0
+    for count in [4, 3, 3, 3, 3] + [4] * max(0, n_words - 4):
+        xor, mul = (np.array(powers[i : i + count], dtype=np.uint32)[:, None] for i in (j, j + 1))
+        pairs.append((xor, mul))
+        j += count
+    return tuple(pairs)
+
+
+def _hashmix(words: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    out = words ^ xor
+    out *= mul  # uint32 array arithmetic wraps mod 2^32 without a warning
+    out ^= out >> 16
+    return out
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_L
+    out -= y * _MIX_R
+    out ^= out >> 16
+    return out
+
+
+def entropy_pools(entropy: np.ndarray) -> np.ndarray:
+    """`np.random.SeedSequence(row).pool` of each row of an (R, W) uint32
+    entropy matrix, as one pass of uint32 array operations over all R rows.
+
+    This is SeedSequence's entropy mixing, stream-stable under NEP 19 as the
+    pool-to-state hash in `_keyed_seed_type` is: each of the pool's 4 words
+    hashes an entropy word (0 past the entropy's end), every pool word is
+    mixed into every other, then each entropy word past the 4th is mixed
+    into all 4. The hash constants run on with every call, so a row's pool
+    depends on its word count: rows of different counts go in separate
+    calls, never zero-padded to one width.
+    """
+    n_rows, n_words = entropy.shape
+    constants = iter(_hash_constants(n_words))
+    words = np.zeros((4, n_rows), dtype=np.uint32)
+    words[: min(n_words, 4)] = entropy.T[:4]
+    pool = _hashmix(words, *next(constants))
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(constants)))
+    for src in range(4, n_words):
+        pool = _mix(pool, _hashmix(entropy[:, src], *next(constants)))
+    return pool.T
+
+
+def keyed_rngs(blocks) -> Iterator["np.random.Generator"]:
+    """One generator per row of each block, in order: a block is an
+    (R, W) uint32 matrix whose rows are keyed entropy words (`seed_words`),
+    and each generator equals `np.random.default_rng` of its row's
+    SeedSequence bit for bit. The states are computed up front; each
+    generator is built as the iterator reaches it, so a batch never holds
+    all of its generators at once.
+
+    The rows of all blocks of one word count W are mixed into pools in one
+    pass (`entropy_pools`); a row's pool depends on W, so blocks of other
+    counts go in passes of their own, never zero-padded to one width. PCG64
+    is seeded from `seq.generate_state(4, np.uint64)`, which numpy computes
+    with a per-word Python loop per sequence; here the same hash runs once
+    over each pass's pool matrix, in a few uint32 array operations.
     SeedSequence's output is stream-stable under NEP 19, and `ISeedSequence`
-    is numpy's public interface for it. Each pool has the default 4 words, as
-    every keyed draw's does.
+    is numpy's public interface for it.
     """
     seed = _keyed_seed_type()
-    return [np.random.Generator(np.random.PCG64(seed(state))) for state in seed.hash(pools)]
+    states: list = [None] * len(blocks)
+    by_width: dict[int, list[int]] = {}
+    for i, block in enumerate(blocks):
+        by_width.setdefault(block.shape[1], []).append(i)
+    for members in by_width.values():
+        hashed = seed.hash(entropy_pools(np.concatenate([blocks[i] for i in members])))
+        at = 0
+        for i in members:
+            states[i] = hashed[at : at + len(blocks[i])]
+            at += len(blocks[i])
+    return (np.random.Generator(np.random.PCG64(seed(state))) for part in states for state in part)
 
 
 def keyed_rng(seq: "np.random.SeedSequence") -> "np.random.Generator":
-    """A generator equal to `np.random.default_rng(seq)` bit for bit: the
-    one-row case of `keyed_rngs`."""
+    """A generator equal to `np.random.default_rng(seq)` bit for bit, seeded
+    through the same pool-to-state hash as `keyed_rngs`."""
     seed = _keyed_seed_type()
     return np.random.Generator(np.random.PCG64(seed(seed.hash(seq.pool))))
 

@@ -1,12 +1,13 @@
 """Experiment orchestration: Monte Carlo coverage validation, distributed vs
 centralized comparisons, and the fixed-calibration (dataset-conditional) mode.
 
-The three experiments share one shape. `_calibrate_draws` samples and labels
-each calibration draw once and calibrates at each alpha's level; the kernel,
-`_trial_row`, labels one test draw and, for each alpha, builds the local sets,
-checks coverage, plans, validates and records a row per planner; `_run_trials`
-runs the kernel over the trials (coverage adds the resumable checkpoint and
-worker processes); `_aggregate` folds the rows into Metrics. The experiments
+The three experiments share one shape. `_calibrate_draws` samples the
+calibration draws, labels them once as one batch and calibrates at each
+alpha's level; the kernel, `_trial_row`, labels one test draw and, for each
+alpha, builds the local sets, checks coverage, plans, validates and records a
+row per planner; `_run_trials` runs the kernel over the trials (coverage adds
+the resumable checkpoint and worker processes); `_aggregate` folds the rows
+into Metrics. The experiments
 differ only in their calibration draws (fresh at trial * (M + 1) per trial, or
 0..M-1 once for dataset-conditional), in each alpha's calibration level
 (alpha itself, or `dataset_conditional_alpha`), and in whether the
@@ -34,6 +35,7 @@ from pathlib import Path
 
 from .conformal import (
     calibrate,
+    calibration_records,
     dataset_conditional_alpha,
     local_prediction_set,
     product_set,
@@ -244,15 +246,13 @@ def _trace_row(trace, covered: bool, success: bool, full_set: bool) -> dict:
 
 
 def _calibrate_draws(cfg: ExperimentConfig, params, scorer, draws, levels, joint=False):
-    """Sample and label each calibration draw once, then calibrate at each
-    level: one (quantile, joint quantile or None) per level. With `joint`, the
-    canonical labels are also scored jointly for the centralized planner."""
-    records, joint_records = [], []
-    for draw in draws:
-        s = sample_scenario(params, draw)
-        records.append(score_label_sequence(s, scorer, label_mode=cfg.label_mode)[0])
-        if joint:
-            joint_records.append(score_joint_label_sequence(s, scorer))
+    """Sample the calibration draws and label them once, as one batch, then
+    calibrate at each level: one (quantile, joint quantile or None) per
+    level. With `joint`, the canonical labels are also scored jointly for the
+    centralized planner."""
+    scenarios = [sample_scenario(params, draw) for draw in draws]
+    records = calibration_records(scenarios, scorer, label_mode=cfg.label_mode)
+    joint_records = [score_joint_label_sequence(s, scorer) for s in scenarios] if joint else None
     return [
         (calibrate(records, level), calibrate(joint_records, level) if joint else None)
         for level in levels

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -732,7 +733,7 @@ class LabelResult:
 
     decisions: tuple[Decision, ...]
     scores: tuple[float, ...]  # normalized score of each labeled decision
-    vectors: tuple  # full ScoreVector per iteration
+    vectors: Sequence  # full ScoreVector per iteration, maybe built on access
     modes: tuple[str, ...]
 
     @property
@@ -749,9 +750,43 @@ def label_sequence(scenario: Scenario, scorer, label_mode: str) -> LabelResult:
     canonical plan flattened along the schedule (the unique-solution shortcut),
     judged by the scenario's `oracle_plan_failure` verdict, None for a sampled
     scenario. Either way a label that fails validation raises OracleError.
+    A batch of one `label_sequences`.
+    """
+    return label_sequences((scenario,), scorer, label_mode)[0]
+
+
+def label_sequences(scenarios, scorer, label_mode: str) -> list[LabelResult]:
+    """Label each scenario of a sequence as `label_sequence` does.
+
+    A scorer that keeps score tables (`score_tables`: the synthetic
+    scorers) draws the whole batch's tables first, in one seeding pass.
+    Oracle labels are then read from them: each label's score is one fancy
+    index, N·H·|S| logical calls are charged at once, and a label's score
+    vector is built only when `LabelResult.vectors` is read. Selector
+    labels, and every label from a scorer without tables (the external
+    one), walk the sequence, one `score_all` per iteration.
     """
     if label_mode not in ("selector", "oracle"):
         raise ConfigError(f"unknown label mode {label_mode!r}")
+    tables = scorer.score_tables(scenarios) if hasattr(scorer, "score_tables") else None
+    if tables is None or label_mode == "selector":
+        return [_walked_label(s, scorer, label_mode) for s in scenarios]
+    results = []
+    for s, table in zip(scenarios, tables):
+        scorer.counter.add(len(table) * table.size)
+        _check_label(s, oracle_plan_failure(s))
+        results.append(
+            LabelResult(table.teacher, table.teacher_scores(), table, ("oracle",) * len(table))
+        )
+    return results
+
+
+def _check_label(scenario: Scenario, reason: str | None) -> None:
+    if reason is not None:
+        raise OracleError(f"{scenario.id}: label sequence fails validation ({reason})")
+
+
+def _walked_label(scenario: Scenario, scorer, label_mode: str) -> LabelResult:
     space = decision_space(scenario.env)
     index = decision_index(scenario.env)
     findex = FeasibilityIndex(scenario) if label_mode == "selector" else None
@@ -782,8 +817,7 @@ def label_sequence(scenario: Scenario, scorer, label_mode: str) -> LabelResult:
     else:
         plan = flat_to_plan(scenario, tuple(decisions))
         reason = validate_scenario_plan(scenario, plan).reason
-    if reason is not None:
-        raise OracleError(f"{scenario.id}: label sequence fails validation ({reason})")
+    _check_label(scenario, reason)
     return LabelResult(tuple(decisions), tuple(scores), tuple(vectors), tuple(modes))
 
 

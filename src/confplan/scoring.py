@@ -18,6 +18,7 @@ import hashlib
 import math
 import os
 import threading
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -25,7 +26,13 @@ import numpy as np
 
 from .context import Context, keyed_rngs, render_text, seed_words
 from .errors import AuthError, ConfigError, MalformedResponseError, TransportError
-from .scenario import anchor_decision, decision_index, decision_space, teacher_sequence
+from .scenario import (
+    Scenario,
+    anchor_decision,
+    decision_index,
+    decision_space,
+    teacher_sequence,
+)
 from .world import from_data, to_data
 
 ORACLE_INDICATOR = "oracle-indicator"
@@ -120,23 +127,32 @@ def _scenario_key(scenario_id: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _keyed_draws(spec: ScorerSpec, scenario_id: str, ks, size: int):
-    """The noisy oracle's draws for each iteration k in `ks`, from its own
-    keyed stream on (spec.rng_seed, scenario key, k): the distractor position
-    among the size - 1 non-anchor slots (drawn when size > 1), then the noise
-    row (when spec.noise > 0; else None). The pool-to-state hash of all the
-    streams runs as one batch (`keyed_rngs`)."""
-    key = _scenario_key(scenario_id)
-    pools = np.array(
-        [np.random.SeedSequence(seed_words(spec.rng_seed, key, k)).pool for k in ks]
-    )
-    positions = []
-    noise = np.empty((len(pools), size)) if spec.noise > 0.0 else None
-    for i, rng in enumerate(keyed_rngs(pools)):
-        positions.append(int(rng.integers(size - 1)) if size > 1 else 0)
-        if noise is not None:
-            noise[i] = rng.normal(0.0, spec.noise, size=size)
-    return positions, noise
+def _keyed_draws(spec: ScorerSpec, requests) -> list:
+    """The noisy oracle's draws for each (scenario id, iterations ks, space
+    size) request: per k, from its own keyed stream on (spec.rng_seed,
+    scenario key, k), the distractor position among the size - 1 non-anchor
+    slots (drawn when size > 1), then the noise row (when spec.noise > 0;
+    else None). One (positions, noise) pair per request. Every stream of
+    every request is seeded in one batch (`keyed_rngs`)."""
+    blocks = []
+    for scenario_id, ks, _ in requests:
+        prefix = seed_words(spec.rng_seed, _scenario_key(scenario_id))
+        block = np.empty((len(ks), len(prefix) + 1), dtype=np.uint32)
+        block[:, :-1] = prefix
+        block[:, -1] = ks  # k < N·H, one word
+        blocks.append(block)
+    rngs = keyed_rngs(blocks)
+    out = []
+    for _, ks, size in requests:
+        positions = []
+        noise = np.empty((len(ks), size)) if spec.noise > 0.0 else None
+        for row in range(len(ks)):
+            rng = next(rngs)
+            positions.append(int(rng.integers(size - 1)) if size > 1 else 0)
+            if noise is not None:
+                noise[row] = rng.normal(0.0, spec.noise, size=size)
+        out.append((positions, noise))
+    return out
 
 
 def _raw_rows(spec: ScorerSpec, anchors, positions, noise, size: int) -> np.ndarray:
@@ -174,40 +190,54 @@ def _anchor_index(scenario, t: int, robot: int) -> int:
     return decision_index(scenario.env)[anchor_decision(scenario, t, robot)]
 
 
-class _ScenarioTable:
-    """One scenario's synthetic score vectors under one spec.
+class _ScenarioTable(Sequence):
+    """One scenario's synthetic score vectors under one spec; as a sequence,
+    the vector of each iteration k < N·H under the schedule's own robot.
 
-    Built on the scenario's first query: the keyed draws of every iteration
-    k < N·H, and the vectors of the schedule's own (k, robot) pairs, built as
-    one raw matrix and softmaxed as one. Any other robot at k (a reordered
-    step, a step-start joint score) gets its vector from row k's draws, on
-    first query. The step is k // N, as in every context `advance` and
-    `reset_step` build.
+    Drawn in a scorer's batch (`SyntheticScorer.score_tables`): the keyed
+    draws of every k, and the schedule's (k, robot) rows as one raw matrix,
+    softmaxed as one. A row's `ScoreVector` is built on its first query, so
+    oracle labels read from the table (`teacher`, `teacher_scores`) build
+    none. Any other robot at k (a reordered step, a step-start joint score)
+    gets its vector from row k's draws, on first query. The step is k // N,
+    as in every context `advance` and `reset_step` build.
     """
 
-    __slots__ = ("spec", "scenario", "size", "positions", "noise", "robots", "vectors", "others")
+    __slots__ = (
+        "spec", "scenario", "size", "positions", "noise", "robots", "teacher", "anchors",
+        "raw", "probs", "rows", "others",
+    )
 
-    def __init__(self, spec: ScorerSpec, scenario, size: int):
+    def __init__(self, spec: ScorerSpec, scenario, size: int, positions, noise):
         index = decision_index(scenario.env)
-        robots = [robot for order in scenario.orders for robot in order]
-        anchors = [index[d] for d in teacher_sequence(scenario)]
-        if spec.kind == NOISY_ORACLE:
-            positions, noise = _keyed_draws(spec, scenario.id, range(len(robots)), size)
-        else:
-            positions, noise = None, None
-        raw = _raw_rows(spec, anchors, positions, noise, size)
         self.spec, self.scenario, self.size = spec, scenario, size
         self.positions, self.noise = positions, noise
-        self.robots = robots
-        self.vectors = [
-            ScoreVector(raw=tuple(r), scores=tuple(p))
-            for r, p in zip(raw.tolist(), softmax_rows(raw).tolist())
-        ]
+        self.robots = [robot for order in scenario.orders for robot in order]
+        self.teacher = teacher_sequence(scenario)
+        self.anchors = [index[d] for d in self.teacher]
+        self.raw = _raw_rows(spec, self.anchors, positions, noise, size)
+        self.probs = softmax_rows(self.raw)
+        self.rows: list[ScoreVector | None] = [None] * len(self.anchors)
         self.others: dict[tuple[int, int], ScoreVector] = {}
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, k: int) -> ScoreVector:
+        vec = self.rows[k]
+        if vec is None:
+            vec = self.rows[k] = ScoreVector(
+                raw=tuple(self.raw[k].tolist()), scores=tuple(self.probs[k].tolist())
+            )
+        return vec
+
+    def teacher_scores(self) -> tuple[float, ...]:
+        """The softmax score of each k's teacher label, in one fancy index."""
+        return tuple(self.probs[np.arange(len(self.rows)), self.anchors].tolist())
 
     def vector(self, k: int, t: int, robot: int) -> ScoreVector:
         if self.robots[k] == robot:
-            return self.vectors[k]
+            return self[k]
         vec = self.others.get((k, robot))
         if vec is None:
             raw = _raw_rows(
@@ -225,10 +255,11 @@ class SyntheticScorer:
     """Ground-truth-aware scorer; deterministic per (seed, scenario, k).
 
     The unit of determinism is one keyed stream per (seed, scenario id, k),
-    drawn per scenario as a table on the scenario's first query (see
-    `_ScenarioTable`). The id keys the streams, so a scorer refuses a second,
-    different scenario under an id it has scored (ValueError); equal copies,
-    such as a reloaded or unpickled scenario, share the table.
+    drawn per scenario as a table on the scenario's first query, or for a
+    batch of scenarios in one seeding pass (`score_tables`). The id keys the
+    streams, so a scorer refuses a second, different scenario under an id it
+    has scored (ValueError); equal copies, such as a reloaded or unpickled
+    scenario, share the table.
     """
 
     def __init__(self, spec: ScorerSpec, counter: CallCounter | None = None):
@@ -236,6 +267,31 @@ class SyntheticScorer:
         self.spec = spec
         self.counter = counter or CallCounter()
         self._tables: dict[str, _ScenarioTable] = {}
+
+    def score_tables(self, scenarios) -> list[_ScenarioTable]:
+        """The table of each scenario. Those of the scenarios not scored yet
+        are drawn as one batch (`_keyed_draws`); a single scenario is a batch
+        of one. Raises ValueError, before drawing, when an id names two
+        different scenarios, one scored or both in the batch."""
+        fresh: dict[str, Scenario] = {}
+        for s in scenarios:
+            table = self._tables.get(s.id)
+            first = fresh.setdefault(s.id, s) if table is None else table.scenario
+            if first is not s and first != s:
+                raise ValueError(f"scenario id {s.id!r} names two different scenarios")
+        if fresh:
+            sizes = [len(decision_space(s.env)) for s in fresh.values()]
+            if self.spec.kind == NOISY_ORACLE:
+                requests = [
+                    (s.id, range(s.n_robots * s.horizon), size)
+                    for s, size in zip(fresh.values(), sizes)
+                ]
+                draws = _keyed_draws(self.spec, requests)
+            else:
+                draws = [(None, None)] * len(sizes)
+            for s, size, (positions, noise) in zip(fresh.values(), sizes, draws):
+                self._tables[s.id] = _ScenarioTable(self.spec, s, size, positions, noise)
+        return [self._tables[s.id] for s in scenarios]
 
     def score_all(self, ctx: Context, space, count: bool = True) -> ScoreVector:
         if ctx.cursor is None:
@@ -245,21 +301,19 @@ class SyntheticScorer:
             self.counter.add(len(space))
         scenario = ctx.scenario
         table = self._tables.get(scenario.id)
-        if table is None:
-            table = _ScenarioTable(self.spec, scenario, len(space))
-            self._tables[scenario.id] = table
-        elif table.scenario is not scenario and table.scenario != scenario:
-            raise ValueError(f"scenario id {scenario.id!r} names two different scenarios")
+        if table is None or (table.scenario is not scenario and table.scenario != scenario):
+            (table,) = self.score_tables((scenario,))
         return table.vector(ctx.k, t, robot)
 
 
 def noisy_oracle_raw(spec: ScorerSpec, ctx: Context, decision) -> float:
     """Raw (pre-softmax) noisy-oracle score of one decision under `ctx`.
 
-    The unit of determinism is one keyed stream per (seed, scenario id, k);
-    a scorer draws a scenario's streams as a table on first query. This
-    draws iteration k's stream alone, with the same row-draw function, and
-    indexes into its raw vector.
+    The unit of determinism is one keyed stream per (seed, scenario id, k); a
+    scorer draws a scenario's streams as a table on first query, a batch of
+    scenarios' streams in one seeding pass, and builds a row's vector only
+    when it is queried. This draws iteration k's stream alone, a batch of one
+    row through the same draw function, and indexes into its raw vector.
     """
     if spec.kind != NOISY_ORACLE:
         raise ConfigError("noisy_oracle_raw needs a noisy-oracle spec")
@@ -267,7 +321,7 @@ def noisy_oracle_raw(spec: ScorerSpec, ctx: Context, decision) -> float:
         raise ValueError("context cursor is not set")
     scenario = ctx.scenario
     size = len(decision_space(scenario.env))
-    positions, noise = _keyed_draws(spec, scenario.id, [ctx.k], size)
+    ((positions, noise),) = _keyed_draws(spec, [(scenario.id, [ctx.k], size)])
     raw = _raw_rows(spec, [_anchor_index(scenario, *ctx.cursor)], positions, noise, size)
     return float(raw[0, decision_index(scenario.env)[decision]])
 

@@ -227,6 +227,7 @@ SCENARIO = scenario_to_dict(sample_scenario(DistributionParams(), 0))
 # "DOC" is replaced by the document's path and "OUT" by an output path
 COVERAGE = ["coverage", "--config", "DOC", "--out", "OUT"]
 PLAN = ["plan", "--scenario", "DOC", "--quantile", "0.9", "--out", "OUT"]
+ARGMAX = ["plan", "--scenario", "DOC", "--mode", "argmax", "--out", "OUT"]
 
 
 @pytest.mark.parametrize(
@@ -267,6 +268,16 @@ PLAN = ["plan", "--scenario", "DOC", "--quantile", "0.9", "--out", "OUT"]
                 SCENARIO, ["plan", "--scenario", "DOC", f"--quantile={q}", "--out", "OUT"], id=f"quantile-{q}"
             )
             for q in ("-3", "nan", "7")
+        ),
+        # argmax mode plans without a quantile: it refuses one, a calibration
+        # file and an alpha outside (0, 1)
+        pytest.param(SCENARIO, [*ARGMAX, "--quantile", "0.9"], id="argmax-quantile"),
+        pytest.param(SCENARIO, [*ARGMAX, "--calibration", "DOC"], id="argmax-calibration"),
+        pytest.param(SCENARIO, [*ARGMAX, "--alpha", "7"], id="argmax-alpha"),
+        # a scenario file calibrates on every scenario it holds
+        pytest.param(
+            [SCENARIO, SCENARIO], ["calibrate", "--scenarios", "DOC", "--m", "1", "--out", "OUT"],
+            id="calibrate-scenarios-m",
         ),
     ],
 )

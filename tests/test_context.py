@@ -7,14 +7,17 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confplan import context
 from confplan.context import (
     Context,
     OrderSchedule,
     advance,
+    entropy_pools,
     initial_context,
     keyed_rng,
+    keyed_rngs,
     order_family,
     render_text,
     reset_step,
@@ -165,6 +168,43 @@ def test_keyed_rng_pairs_words_as_seed_sequence_does_on_a_big_endian_host(monkey
     assert big_endian == seq.generate_state(4, np.uint64).tolist()
 
 
+KEY_EDGES = st.sampled_from((0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64))
+# a scorer's keys: (rng_seed, scenario key, k), the scenario key 1 or 2 words
+SCORER_KEYS = st.tuples(
+    KEY_EDGES | st.integers(0, 2**70),
+    st.integers(0, 2**32 - 1) | st.integers(2**32, 2**64 - 1),
+    st.integers(0, 60),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    keys=st.lists(
+        SCORER_KEYS | st.lists(KEY_EDGES, min_size=1, max_size=4).map(tuple),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_entropy_pools_are_seed_sequence_pools_at_every_word_count(keys):
+    """Rows of mixed word counts, grouped by count as `keyed_rngs` groups
+    them, give the pool SeedSequence computes for each row alone, and seed
+    the generator `default_rng` seeds from it."""
+    rows = [seed_words(*k) for k in keys]
+    for width in {len(r) for r in rows}:
+        group = [r for r in rows if len(r) == width]
+        got = entropy_pools(np.array(group, dtype=np.uint32))
+        assert got.tolist() == [np.random.SeedSequence(r).pool.tolist() for r in group]
+    # interleaved one-row blocks, and the same rows as blocks of 1-3 rows
+    blocks = [r[None, :] for r in rows]
+    blocks += [np.array([r] * (1 + i % 3), dtype=np.uint32) for i, r in enumerate(rows)]
+    want = rows + [r for i, r in enumerate(rows) for _ in range(1 + i % 3)]
+    got = list(keyed_rngs(blocks))
+    assert len(got) == len(want)
+    for rng, words in zip(got, want):
+        reference = np.random.default_rng(np.random.SeedSequence(words))
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+
 def loads_numpy_random(statement: str) -> bool:
     """Whether `statement` leaves `numpy.random` in sys.modules."""
     src = os.path.dirname(os.path.dirname(context.__file__))
@@ -235,8 +275,9 @@ def test_labeling_a_one_robot_scenario_draws_no_order(monkeypatch, label_mode):
     params = dataclasses.replace(default_distribution_params(5), n_robots=(1, 1))
     s = sample_scenario(params, 0)
     built = seed_sequences_built_while_labeling(monkeypatch, s, label_mode)
-    assert "confplan.scoring" in built  # the scorer's noise draws are seen
-    assert "confplan.context" not in built
+    # the scorer's pools come from `entropy_pools`, without a SeedSequence; the
+    # next test shows that order draws are recorded
+    assert built == []
 
 
 def test_labeling_draws_each_step_order_once(monkeypatch):

@@ -18,7 +18,7 @@ from confplan.harness import (
     run_coverage_experiment,
     run_dataset_conditional,
 )
-from confplan.conformal import score_label_sequence
+from confplan.conformal import calibration_records, score_label_sequence
 from confplan.errors import ConfigError
 from confplan.scenario import DistributionParams
 from confplan.scoring import ScorerSpec
@@ -283,7 +283,12 @@ def test_dataset_conditional_labels_each_draw_once(monkeypatch):
         labeled.append(scenario.id)
         return score_label_sequence(scenario, *args, **kwargs)
 
+    def counting_batch(scenarios, *args, **kwargs):
+        labeled.extend(s.id for s in scenarios)
+        return calibration_records(scenarios, *args, **kwargs)
+
     monkeypatch.setattr(harness, "score_label_sequence", counting)
+    monkeypatch.setattr(harness, "calibration_records", counting_batch)
     cfg = tiny_config(alphas=(0.3, 0.2, 0.1), m_calibration=30, n_trials=4)
     run_dataset_conditional(cfg, delta=0.2)
     assert len(labeled) == cfg.m_calibration + cfg.n_trials

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from confplan import scenario as scenario_module
 from confplan import world
-from confplan.context import Context, OrderSchedule
+from confplan.context import Context, OrderSchedule, advance, initial_context
 from confplan.errors import ConfigError, NoFeasibleError, OracleError
 from confplan.scenario import (
     DistributionParams,
@@ -28,6 +28,7 @@ from confplan.scenario import (
     feasible_next_decisions,
     flat_to_plan,
     label_sequence,
+    label_sequences,
     oracle_plan,
     oracle_plan_failure,
     params_from_dict,
@@ -40,7 +41,8 @@ from confplan.scenario import (
     validate_params,
     validate_scenario_plan,
 )
-from confplan.scoring import ScoreVector, ScorerSpec, build_scorer
+from confplan.conformal import build_calibration_set
+from confplan.scoring import CallCounter, ScoreVector, ScorerSpec, build_scorer
 from confplan.world import (
     ACTION_KINDS,
     DESTINATION,
@@ -688,6 +690,76 @@ def test_label_validates_complete_oracle_mode():
         assert len(lr.decisions) == s.n_robots * s.horizon
         assert len(lr.scores) == len(lr.decisions)
         assert all(0.0 <= v <= 1.0 for v in lr.scores)
+
+
+def walked_oracle_label(scenario, scorer):
+    """Reference: the oracle label walked per iteration k, one `score_all`
+    per k along the schedule, as a scorer without tables is labeled."""
+    space = decision_space(scenario.env)
+    index = decision_index(scenario.env)
+    ctx = initial_context(scenario)
+    decisions, scores, vectors = [], [], []
+    for _ in range(scenario.n_robots * scenario.horizon):
+        vec = scorer.score_all(ctx, space)
+        t, robot = ctx.cursor
+        d = anchor_decision(scenario, t, robot)
+        decisions.append(d)
+        scores.append(vec.scores[index[d]])
+        vectors.append(vec)
+        ctx = advance(ctx, d)
+    return tuple(decisions), tuple(scores), tuple(vectors), ("oracle",) * len(decisions)
+
+
+ORACLE_LABEL_PROFILES = {
+    "default": default_distribution_params(21),
+    "reference": reference_distribution_params(22),
+    "two-robot": dataclasses.replace(reference_distribution_params(23), n_robots=(2, 2)),
+}
+
+
+@pytest.mark.parametrize("kind", ["noisy-oracle", "oracle-indicator"])
+@pytest.mark.parametrize("profile", sorted(ORACLE_LABEL_PROFILES))
+def test_oracle_labels_read_from_the_table_equal_the_walked_labels(kind, profile):
+    scenarios = [sample_scenario(ORACLE_LABEL_PROFILES[profile], draw) for draw in range(4)]
+    spec = ScorerSpec(kind=kind, rng_seed=3)
+    batch_counter, walk_counter = CallCounter(), CallCounter()
+    batch = label_sequences(scenarios, build_scorer(spec, batch_counter), "oracle")
+    walker = build_scorer(spec, walk_counter)
+    for s, lr in zip(scenarios, batch):
+        decisions, scores, vectors, modes = walked_oracle_label(s, walker)
+        assert lr.decisions == decisions and lr.modes == modes
+        assert [x.hex() for x in lr.scores] == [x.hex() for x in scores]
+        assert tuple(lr.vectors) == vectors
+        assert [[x.hex() for x in v.scores] for v in lr.vectors] == [
+            [x.hex() for x in v.scores] for v in vectors
+        ]
+    assert batch_counter.total == walk_counter.total
+    # one at a time, through label_sequence, the same labels and calls
+    single_counter = CallCounter()
+    single = build_scorer(spec, single_counter)
+    for s, lr in zip(scenarios, batch):
+        alone = label_sequence(s, single, "oracle")
+        assert (alone.decisions, alone.scores, alone.modes) == (lr.decisions, lr.scores, lr.modes)
+    assert single_counter.total == walk_counter.total
+
+
+def test_a_calibration_draw_builds_no_score_vector(monkeypatch):
+    built = []
+    init = ScoreVector.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ScoreVector, "__init__", counting)
+    scorer = build_scorer(ScorerSpec())
+    records = build_calibration_set(default_distribution_params(4), 30, scorer)
+    assert len(records) == 30 and built == []
+    # a test draw's vectors are built when they are read, once each
+    s = sample_scenario(default_distribution_params(4), 30)
+    lr = label_sequence(s, scorer, "oracle")
+    assert built == []
+    assert list(lr.vectors) == list(lr.vectors) and len(built) == s.n_robots * s.horizon
 
 
 def counted_validations(monkeypatch) -> list:

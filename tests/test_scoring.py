@@ -4,7 +4,9 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from confplan import scoring
 from confplan.context import advance, initial_context
 from confplan.errors import AuthError, ConfigError, MalformedResponseError, TransportError
 from confplan.scenario import (
@@ -293,6 +295,12 @@ def test_a_scorer_refuses_a_second_scenario_under_one_id():
         with pytest.raises(ValueError, match="two different scenarios"):
             scorer.score_all(initial_context(other), decision_space(other.env))
         assert_tuple_seeded(build_scorer(spec), spec, initial_context(other))
+        # within one batch too, before any of the batch's tables is drawn
+        fresh = build_scorer(spec)
+        b = sample_scenario(params, 2)
+        with pytest.raises(ValueError, match="two different scenarios"):
+            fresh.score_tables([b, a, other])
+        assert fresh._tables == {}
     # an equal copy, as a reloaded or unpickled scenario is, shares the vectors
     copy = pickle.loads(pickle.dumps(a))
     assert copy == a and copy is not a
@@ -309,6 +317,71 @@ def test_scorer_determinism_across_instances(nine_scenario):
     a = build_scorer(spec).score_all(ctx, space)
     b = build_scorer(spec).score_all(ctx, space)
     assert a == b
+
+
+# scenarios of every profile the scorer meets, and an equal copy of the first
+BATCH_POOL = [
+    sample_scenario(params, draw)
+    for params in (
+        default_distribution_params(4),
+        reference_distribution_params(5),
+        dataclasses.replace(reference_distribution_params(6), n_robots=(2, 2)),
+    )
+    for draw in range(3)
+]
+BATCH_POOL.append(pickle.loads(pickle.dumps(BATCH_POOL[0])))
+
+
+def table_bits(table) -> list:
+    """Everything a table holds that a vector is built from, floats as hex."""
+    floats = [table.raw, table.probs] + ([] if table.noise is None else [table.noise])
+    hexes = [[x.hex() for x in m.ravel().tolist()] for m in floats]
+    return [table.positions, table.anchors, *hexes]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["noisy-oracle", "oracle-indicator"]),
+    rng_seed=st.sampled_from([0, 2**32 + 1, 2**64 - 1]),
+    batch=st.lists(st.integers(0, len(BATCH_POOL) - 1), min_size=1, max_size=8),
+    scored=st.lists(st.integers(0, len(BATCH_POOL) - 1), max_size=3),
+)
+def test_a_batched_table_is_the_table_built_alone(kind, rng_seed, batch, scored):
+    """In any batch order and composition (repeats, equal copies, scenarios
+    the scorer has already scored alone), each table is bit for bit the one
+    a fresh scorer draws for its scenario alone."""
+    spec = ScorerSpec(kind=kind, rng_seed=rng_seed)
+    scorer = build_scorer(spec)
+    for i in scored:
+        s = BATCH_POOL[i]
+        scorer.score_all(initial_context(s), decision_space(s.env))
+    tables = scorer.score_tables([BATCH_POOL[i] for i in batch])
+    for i, table in zip(batch, tables):
+        (alone,) = build_scorer(spec).score_tables([BATCH_POOL[i]])
+        assert table_bits(table) == table_bits(alone)
+        assert list(table) == list(alone)
+
+
+@pytest.mark.parametrize("rng_seed", [0, 2**32 + 5])
+def test_keyed_draws_group_the_batch_by_entropy_word_count(monkeypatch, rng_seed):
+    """Scenario keys of one and two words, in one batch, each draw the stream
+    seeded from their key tuple; with rng_seed >= 2**32 a row has 5 words."""
+    keys = {"one-word": 7, "edge": 2**32 - 1, "two-word": 2**32, "wide": 2**64 - 1}
+    monkeypatch.setattr(scoring, "_scenario_key", keys.__getitem__)
+    spec = ScorerSpec(kind="noisy-oracle", rng_seed=rng_seed)
+    requests = [
+        ("two-word", range(5), 9),
+        ("one-word", range(3), 4),
+        ("edge", [0, 7], 1),
+        ("wide", range(4), 12),
+        ("one-word", [2], 4),
+    ]
+    for (sid, ks, size), (positions, noise) in zip(requests, scoring._keyed_draws(spec, requests)):
+        for row, k in enumerate(ks):
+            rng = np.random.default_rng(np.random.SeedSequence((rng_seed, keys[sid], k)))
+            assert positions[row] == (int(rng.integers(size - 1)) if size > 1 else 0)
+            want = rng.normal(0.0, spec.noise, size=size).tolist()
+            assert [x.hex() for x in noise[row].tolist()] == [x.hex() for x in want]
 
 
 def test_call_counter_counts_logical_queries(nine_scenario):
