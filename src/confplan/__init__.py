@@ -27,7 +27,6 @@ from .scenario import (
     DistributionParams,
     Scenario,
     decision_space,
-    feasible_next_decisions,
     label_sequence,
     oracle_plan,
     sample_scenario,
@@ -42,9 +41,5 @@ from .world import (
     SafetyConstraint,
     SemanticObject,
     SubTask,
-    WorldState,
-    apply_decision,
-    apply_joint,
-    mission_satisfied,
     validate_plan,
 )

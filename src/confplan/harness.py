@@ -450,18 +450,25 @@ def run_dataset_conditional(
     log=None,
 ) -> dict:
     """Fixed-calibration mode: calibrate once on draws 0..M-1, then evaluate
-    coverage over n_trials fresh test draws, each alpha at its adjusted level."""
+    coverage over n_trials fresh test draws, each alpha at its adjusted level.
+
+    Each test draw gets a fresh scorer, as a marginal trial does: a scorer
+    keeps every table it draws, so one scorer for the whole run would keep
+    every test draw alive to its end. A scorer's scores do not depend on what
+    it scored before, and planners read call counts as deltas, so the rows
+    are the same either way."""
     cfg.validate()
     started = time.monotonic()
     params, scorer_spec = cfg.effective()
     targets = [1.0 - alpha for alpha in cfg.alphas]
     levels = [dataset_conditional_alpha(cfg.m_calibration, delta, t) for t in targets]
-    scorer = build_scorer(scorer_spec)
-    quantiles = _calibrate_draws(cfg, params, scorer, range(cfg.m_calibration), levels)
+    quantiles = _calibrate_draws(
+        cfg, params, build_scorer(scorer_spec), range(cfg.m_calibration), levels
+    )
 
     def trial(i: int) -> dict:
         test = sample_scenario(params, cfg.m_calibration + i)
-        return _trial_row(cfg, scorer, quantiles, i, test)
+        return _trial_row(cfg, build_scorer(scorer_spec), quantiles, i, test)
 
     rows = _run_trials(trial, cfg)
     metrics = _aggregate(rows, cfg.alphas, {"alphas": "dataset-conditional"})

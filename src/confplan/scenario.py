@@ -702,14 +702,6 @@ class FeasibilityIndex:
         return result
 
 
-def feasible_next_decisions(
-    scenario: Scenario, history: tuple[Decision, ...], budget: int = EXACT_SEARCH_BUDGET
-) -> FeasibleResult:
-    """Decisions at iteration len(history) from which the mission stays
-    completable within the horizon; see FeasibilityIndex for the search mode."""
-    return FeasibilityIndex(scenario, budget).feasible(history)
-
-
 # --- label selection ----------------------------------------------------------
 
 def argmax_feasible(

@@ -306,26 +306,6 @@ class SyntheticScorer:
         return table.vector(ctx.k, t, robot)
 
 
-def noisy_oracle_raw(spec: ScorerSpec, ctx: Context, decision) -> float:
-    """Raw (pre-softmax) noisy-oracle score of one decision under `ctx`.
-
-    The unit of determinism is one keyed stream per (seed, scenario id, k); a
-    scorer draws a scenario's streams as a table on first query, a batch of
-    scenarios' streams in one seeding pass, and builds a row's vector only
-    when it is queried. This draws iteration k's stream alone, a batch of one
-    row through the same draw function, and indexes into its raw vector.
-    """
-    if spec.kind != NOISY_ORACLE:
-        raise ConfigError("noisy_oracle_raw needs a noisy-oracle spec")
-    if ctx.cursor is None:
-        raise ValueError("context cursor is not set")
-    scenario = ctx.scenario
-    size = len(decision_space(scenario.env))
-    ((positions, noise),) = _keyed_draws(spec, [(scenario.id, [ctx.k], size)])
-    raw = _raw_rows(spec, [_anchor_index(scenario, *ctx.cursor)], positions, noise, size)
-    return float(raw[0, decision_index(scenario.env)[decision]])
-
-
 def _requests_transport(url: str, headers: dict, payload: dict, timeout: float):
     import requests
 

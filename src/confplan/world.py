@@ -8,8 +8,8 @@ grab the same object in the same step. Time advances by exactly one per joint
 step.
 
 These semantics are written once, in `CompactModel`: each decision is compiled
-into a check on a compact int-tuple state, and the plan validator, the
-`WorldState` operations and the feasibility search all run on those checks.
+into a check on a compact int-tuple state, the only world state there is, and
+the plan validator and the feasibility search both run on those checks.
 An environment's models (`compact_model`) are memoised on the environment,
 as its decision space is; no module-level cache holds an environment.
 
@@ -161,28 +161,6 @@ class Mission:
     safety: SafetyConstraint | None = None
 
 
-@dataclass(frozen=True)
-class RobotPose:
-    at: str
-    holding: str | None = None
-
-
-@dataclass(frozen=True)
-class ObjectState:
-    """Placement of one object; both fields are None while the object is held."""
-
-    at: str | None
-    inside: str | None = None
-
-
-@dataclass(frozen=True)
-class WorldState:
-    time: int
-    robots: tuple[RobotPose, ...]
-    objects: tuple[ObjectState, ...]  # aligned with Environment.objects
-    doors_open: tuple[bool, ...]  # aligned with Environment.containers
-
-
 def validate_environment(env: Environment) -> None:
     """Check id uniqueness and referential consistency; raise ValueError."""
     ids: set[str] = set()
@@ -255,7 +233,7 @@ class CompactModel:
             raise ValueError("environment has fewer robot placements than robots")
         # the entities, not `env`: the model is memoised on `env`, and a reference
         # back would make a cycle that only the garbage collector frees
-        self.locations, self.objects, self.containers = env.locations, env.objects, env.containers
+        self.objects, self.containers = env.objects, env.containers
         self.n = n = n_robots
         self.obj_at = 2 * n
         self.obj_in = 2 * n + len(env.objects)
@@ -272,38 +250,6 @@ class CompactModel:
             *(locs[o.at] for o in env.objects),
             *(-1 if o.inside is None else conts[o.inside] for o in env.objects),
             *(int(c.door == DOOR_OPEN) for c in env.containers),
-        )
-
-    def encode(self, state: WorldState) -> tuple[int, ...]:
-        locs, objs, conts = self.locs, self.objs, self.conts
-        return (
-            *(locs[p.at] for p in state.robots),
-            *(-1 if p.holding is None else objs[p.holding] for p in state.robots),
-            *(-1 if o.at is None else locs[o.at] for o in state.objects),
-            *(-1 if o.inside is None else conts[o.inside] for o in state.objects),
-            *(int(is_open) for is_open in state.doors_open),
-        )
-
-    def decode(self, state: tuple[int, ...], time: int) -> WorldState:
-        n, obj_at, obj_in = self.n, self.obj_at, self.obj_in
-
-        def name(entities, i):
-            return None if i < 0 else entities[i].id
-
-        return WorldState(
-            time,
-            tuple(
-                RobotPose(name(self.locations, state[r]), name(self.objects, state[n + r]))
-                for r in range(n)
-            ),
-            tuple(
-                ObjectState(
-                    name(self.locations, state[obj_at + i]),
-                    name(self.containers, state[obj_in + i]),
-                )
-                for i in range(len(self.objects))
-            ),
-            tuple(v == 1 for v in state[self.door :]),
         )
 
     def op(self, robot: int, d: Decision):
@@ -445,11 +391,6 @@ def compact_model(env: Environment, n_robots: int) -> CompactModel:
     return model
 
 
-def initial_state(env: Environment, n_robots: int) -> WorldState:
-    model = compact_model(env, n_robots)
-    return model.decode(model.start, 0)
-
-
 def merge_writes(state: tuple[int, ...], writes) -> tuple[int, ...]:
     """`state` with the slot writes of each decision in `writes` applied."""
     out = list(state)
@@ -457,28 +398,6 @@ def merge_writes(state: tuple[int, ...], writes) -> tuple[int, ...]:
         for slot, value in effect:
             out[slot] = value
     return tuple(out)
-
-
-def apply_decision(
-    env: Environment, state: WorldState, robot: int, d: Decision
-) -> WorldState:
-    """Apply one robot's decision, as a joint step in which every other robot
-    idles; raises InfeasibleDecision. Time unchanged."""
-    n = len(state.robots)
-    if robot < 0 or robot >= n:
-        raise ValueError(f"robot index {robot} out of range")
-    model = compact_model(env, n)
-    compact = model.encode(state)
-    jd = (IDLE_DECISION,) * robot + (d,) + (IDLE_DECISION,) * (n - robot - 1)
-    return model.decode(merge_writes(compact, model.joint_writes(compact, jd)), state.time)
-
-
-def apply_joint(env: Environment, state: WorldState, jd: JointDecision) -> WorldState:
-    """Apply one synchronous joint step (`CompactModel.joint_writes`); raises
-    InfeasibleDecision. Time advances by one."""
-    model = compact_model(env, len(state.robots))
-    compact = model.encode(state)
-    return model.decode(merge_writes(compact, model.joint_writes(compact, jd)), state.time + 1)
 
 
 def violates_safety(robot: int, d: Decision, safety: SafetyConstraint | None) -> bool:
@@ -489,16 +408,6 @@ def violates_safety(robot: int, d: Decision, safety: SafetyConstraint | None) ->
         and d.kind in (GOTO, GRAB)
         and d.target == safety.forbidden_object
     )
-
-
-def mission_satisfied(env: Environment, state: WorldState, mission: Mission) -> bool:
-    """True iff distinct objects can be matched one-per-subtask, each with the
-    subtask's label and currently placed at one of its allowed destinations.
-
-    Placement only; safety violations are tracked by the plan validator.
-    """
-    model = compact_model(env, len(state.robots))
-    return model.satisfied(model.goals(mission), model.encode(state))
 
 
 def distinct_match(candidates: list[list[int]]) -> bool:

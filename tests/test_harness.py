@@ -82,6 +82,31 @@ def test_a_finished_run_keeps_no_sampled_environment_alive(monkeypatch):
     assert [(s(), env()) for s, env in sampled] == [(None, None)] * len(sampled)
 
 
+def test_dataset_conditional_keeps_no_finished_test_draw_alive(monkeypatch):
+    """Each test draw is scored by its own scorer, so its table and
+    environment go when its trial ends: the live environments stay flat over
+    the run, where one scorer for the run kept every test draw alive."""
+    sampled = []
+    sample, trial_row = harness.sample_scenario, harness._trial_row
+    live = []
+
+    def recording(params, draw_index):
+        s = sample(params, draw_index)
+        sampled.append(weakref.ref(s.env))
+        return s
+
+    def counting(*args):
+        gc.collect()
+        live.append(sum(env() is not None for env in sampled))
+        return trial_row(*args)
+
+    monkeypatch.setattr(harness, "sample_scenario", recording)
+    monkeypatch.setattr(harness, "_trial_row", counting)
+    run_dataset_conditional(tiny_config(n_trials=60, m_calibration=99), delta=0.2)
+    assert len(sampled) == 99 + 60
+    assert live == [1] * 60  # the draw under test only
+
+
 def test_coverage_run_shapes_and_invariants(tmp_path):
     cfg = tiny_config()
     result = run_coverage_experiment(cfg, out_dir=tmp_path / "run")

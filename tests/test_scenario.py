@@ -25,7 +25,6 @@ from confplan.scenario import (
     decision_index,
     decision_space,
     default_distribution_params,
-    feasible_next_decisions,
     flat_to_plan,
     label_sequence,
     label_sequences,
@@ -349,13 +348,13 @@ def test_enclosed_subtask_expands_to_five_steps():
 def test_feasible_with_no_subtasks_is_every_world_feasible_decision():
     env = two_object_env()
     s = make_scenario(env, Mission(()), horizon=2)
-    result = feasible_next_decisions(s, ())
+    result = FeasibilityIndex(s).feasible(())
     assert result.mode == "exact"
-    state = world.initial_state(env, 1)
+    model = world.compact_model(env, 1)
 
     def executable(d):
         try:
-            world.apply_decision(env, state, 0, d)
+            model.joint_writes(model.start, (d,))
         except world.InfeasibleDecision:
             return False
         return True
@@ -378,7 +377,7 @@ def test_feasible_under_tight_horizon_forces_the_door_open():
     mission = Mission((SubTask("tomato", ("loc-dest-1",)),))
     s = make_scenario(env, mission, horizon=5)  # exactly the oracle length
     history = (Decision(GOTO, "cont-1"),)
-    result = feasible_next_decisions(s, history)
+    result = FeasibilityIndex(s).feasible(history)
     assert result.mode == "exact"
     assert result.decisions == (Decision(OPEN_DOOR, "cont-1"),)
 
@@ -421,7 +420,7 @@ def test_exact_feasible_always_contains_oracle_next_decision():
 
 def test_budget_fallback_reports_oracle_mode():
     s = fig_style_four_delivery_scenario()  # |S| = 13, T = 16: way past 10^3
-    result = feasible_next_decisions(s, (), budget=1000)
+    result = FeasibilityIndex(s, budget=1000).feasible(())
     assert result.mode == "oracle"
     assert result.decisions == (teacher_sequence(s)[0],)
 
@@ -517,8 +516,9 @@ def test_feasible_matches_brute_force_completions(params):
 
 
 def satisfied_without_bound(index: FeasibilityIndex, state) -> int:
-    """Reference: 0 when the mission holds (world.mission_satisfied on the
-    compact state), else 1, so the search prunes only at `t < horizon`."""
+    """Reference: 0 when the mission holds (the matching of
+    `CompactModel.satisfied`), else 1, so the search prunes only at
+    `t < horizon`."""
     candidates = []
     for objects, dests in index._goals:
         ids = [i for i in objects if state[index.model.obj_at + i] in dests]

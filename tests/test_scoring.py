@@ -574,21 +574,6 @@ def test_external_numeric_answer_extraction(monkeypatch):
     assert vec.argmax == 0
 
 
-def test_noisy_oracle_raw_surface(nine_scenario):
-    import math as _math
-    from confplan.scoring import noisy_oracle_raw
-    from confplan.scenario import anchor_decision as _anchor
-
-    spec = ScorerSpec(kind="noisy-oracle", sharpness=4.0, noise=0.0, confusion=0.0)
-    ctx = initial_context(nine_scenario)
-    truth = _anchor(nine_scenario, 0, ctx.cursor[1])
-    assert noisy_oracle_raw(spec, ctx, truth) == 4.0
-    others = [d for d in decision_space(nine_scenario.env) if d != truth]
-    assert noisy_oracle_raw(spec, ctx, others[0]) == 0.0
-    with pytest.raises(ConfigError):
-        noisy_oracle_raw(ScorerSpec(kind="oracle-indicator"), ctx, truth)
-
-
 def test_external_score_all_direct_surface(monkeypatch):
     from confplan.scoring import external_score_all
 

@@ -18,6 +18,7 @@ from confplan.world import (
     OBJECT_SITE,
     OPEN_DOOR,
     PUTDOWN,
+    CompactModel,
     Container,
     Decision,
     Environment,
@@ -28,11 +29,8 @@ from confplan.world import (
     SafetyConstraint,
     SemanticObject,
     SubTask,
-    apply_decision,
-    apply_joint,
     compact_model,
-    initial_state,
-    mission_satisfied,
+    merge_writes,
     validate_plan,
     validate_environment,
 )
@@ -72,63 +70,63 @@ def test_environment_rejects_inconsistent_enclosure():
         validate_environment(bad)
 
 
+def step(model, state, *decisions):
+    """One synchronous joint step on the compact state; raises InfeasibleDecision."""
+    return merge_writes(state, model.joint_writes(state, decisions))
+
+
 def test_idle_is_identity():
-    env = kitchen_env()
-    state = initial_state(env, 1)
-    assert apply_decision(env, state, 0, IDLE_DECISION) == state
+    model = compact_model(kitchen_env(), 1)
+    assert step(model, model.start, IDLE_DECISION) == model.start
 
 
 def test_goto_always_succeeds_and_moves():
-    env = kitchen_env()
-    state = initial_state(env, 1)
-    moved = apply_decision(env, state, 0, Decision(GOTO, "apple"))
-    assert moved.robots[0].at == "loc-apple"
+    model = compact_model(kitchen_env(), 1)
+    moved = step(model, model.start, Decision(GOTO, "apple"))
+    assert moved[0] == model.locs["loc-apple"]
     # goto a container resolves to its site
-    moved = apply_decision(env, state, 0, Decision(GOTO, "fridge"))
-    assert moved.robots[0].at == "loc-fridge"
+    moved = step(model, model.start, Decision(GOTO, "fridge"))
+    assert moved[0] == model.locs["loc-fridge"]
 
 
 def test_grab_from_closed_container_reports_container_closed():
-    env = kitchen_env()
-    state = initial_state(env, 1)
-    state = apply_decision(env, state, 0, Decision(GOTO, "fridge"))
+    model = compact_model(kitchen_env(), 1)
+    state = step(model, model.start, Decision(GOTO, "fridge"))
     with pytest.raises(InfeasibleDecision) as exc:
-        apply_decision(env, state, 0, Decision(GRAB, "tomato"))
-    assert exc.value.reason == CONTAINER_CLOSED
+        step(model, state, Decision(GRAB, "tomato"))
+    assert (exc.value.reason, exc.value.detail) == (CONTAINER_CLOSED, "fridge")
 
 
 def test_grab_requires_colocation_and_free_hands():
-    env = kitchen_env()
-    state = initial_state(env, 1)
+    model = compact_model(kitchen_env(), 1)
     with pytest.raises(InfeasibleDecision) as exc:
-        apply_decision(env, state, 0, Decision(GRAB, "apple"))
+        step(model, model.start, Decision(GRAB, "apple"))
     assert exc.value.reason == NOT_AT_TARGET
-    state = apply_decision(env, state, 0, Decision(GOTO, "apple"))
-    state = apply_decision(env, state, 0, Decision(GRAB, "apple"))
-    assert state.robots[0].holding == "apple"
+    state = step(model, model.start, Decision(GOTO, "apple"))
+    state = step(model, state, Decision(GRAB, "apple"))
+    assert state[model.n] == model.objs["apple"]
     with pytest.raises(InfeasibleDecision) as exc:
-        apply_decision(env, state, 0, Decision(GRAB, "apple"))
+        step(model, state, Decision(GRAB, "apple"))
     # a held object is no longer an addressable site
     assert exc.value.reason in (HANDS_FULL, NO_SUCH_ENTITY)
 
 
 def test_putdown_requires_holding_and_location_match():
-    env = kitchen_env()
-    state = initial_state(env, 1)
+    model = compact_model(kitchen_env(), 1)
     with pytest.raises(InfeasibleDecision) as exc:
-        apply_decision(env, state, 0, Decision(PUTDOWN, "loc-table"))
+        step(model, model.start, Decision(PUTDOWN, "loc-table"))
     assert exc.value.reason == HANDS_EMPTY
-    state = apply_decision(env, state, 0, Decision(GOTO, "apple"))
-    state = apply_decision(env, state, 0, Decision(GRAB, "apple"))
+    state = step(model, model.start, Decision(GOTO, "apple"))
+    state = step(model, state, Decision(GRAB, "apple"))
     with pytest.raises(InfeasibleDecision) as exc:
-        apply_decision(env, state, 0, Decision(PUTDOWN, "loc-table"))
+        step(model, state, Decision(PUTDOWN, "loc-table"))
     assert exc.value.reason == NOT_AT_TARGET
 
 
 def test_fetch_sequence_delivers_object():
     # open the fridge, grab the tomato, carry it to the table
-    env = kitchen_env()
-    state = initial_state(env, 1)
+    model = compact_model(kitchen_env(), 1)
+    state = model.start
     for d in (
         Decision(GOTO, "fridge"),
         Decision(OPEN_DOOR, "fridge"),
@@ -136,45 +134,43 @@ def test_fetch_sequence_delivers_object():
         Decision(GOTO, "loc-table"),
         Decision(PUTDOWN, "loc-table"),
     ):
-        state = apply_decision(env, state, 0, d)
-    tomato = state.objects[1]
-    assert tomato.at == "loc-table" and tomato.inside is None
-    assert state.robots[0].holding is None
+        state = step(model, state, d)
+    tomato = model.objs["tomato"]
+    assert state[model.obj_at + tomato] == model.locs["loc-table"]
+    assert state[model.obj_in + tomato] == -1
+    assert state[model.n] == -1
 
 
 def test_open_door_requires_colocation_and_is_idempotent():
-    env = kitchen_env()
-    state = initial_state(env, 1)
+    model = compact_model(kitchen_env(), 1)
     with pytest.raises(InfeasibleDecision) as exc:
-        apply_decision(env, state, 0, Decision(OPEN_DOOR, "fridge"))
+        step(model, model.start, Decision(OPEN_DOOR, "fridge"))
     assert exc.value.reason == NOT_AT_TARGET
-    state = apply_decision(env, state, 0, Decision(GOTO, "fridge"))
-    state = apply_decision(env, state, 0, Decision(OPEN_DOOR, "fridge"))
-    assert state.doors_open == (True,)
-    again = apply_decision(env, state, 0, Decision(OPEN_DOOR, "fridge"))
-    assert again.doors_open == (True,)
+    state = step(model, model.start, Decision(GOTO, "fridge"))
+    state = step(model, state, Decision(OPEN_DOOR, "fridge"))
+    assert state[model.door :] == (1,)
+    assert step(model, state, Decision(OPEN_DOOR, "fridge")) == state
 
 
 def test_unknown_entities_are_rejected():
     env = kitchen_env(n_robots=2)
-    state = initial_state(env, 2)
+    model = compact_model(env, 2)
     for d in (Decision(GOTO, "ghost"), Decision(GRAB, "ghost"), Decision(OPEN_DOOR, "ghost")):
-        for apply in (
-            lambda: apply_decision(env, state, 1, d),
-            lambda: apply_joint(env, state, (IDLE_DECISION, d)),
-        ):
-            with pytest.raises(InfeasibleDecision) as exc:
-                apply()
-            assert (exc.value.reason, exc.value.robot, exc.value.detail) == (
-                NO_SUCH_ENTITY,
-                1,
-                "ghost",
-            )
+        with pytest.raises(InfeasibleDecision) as exc:
+            step(model, model.start, IDLE_DECISION, d)
+        assert (exc.value.reason, exc.value.robot, exc.value.detail) == (
+            NO_SUCH_ENTITY,
+            1,
+            "ghost",
+        )
+        # the plan validator reports the same refusal at the same robot
+        (outcome,) = validate_plan(env, Mission(()), 2, 1, ((IDLE_DECISION, d),)).trace
+        assert (outcome.infeasible, outcome.infeasible_robot) == (NO_SUCH_ENTITY, 1)
     # a GoTo to a held object names the robot that declared it
-    state = apply_joint(env, state, (Decision(GOTO, "apple"), IDLE_DECISION))
-    state = apply_joint(env, state, (Decision(GRAB, "apple"), IDLE_DECISION))
+    state = step(model, model.start, Decision(GOTO, "apple"), IDLE_DECISION)
+    state = step(model, state, Decision(GRAB, "apple"), IDLE_DECISION)
     with pytest.raises(InfeasibleDecision) as exc:
-        apply_joint(env, state, (IDLE_DECISION, Decision(GOTO, "apple")))
+        step(model, state, IDLE_DECISION, Decision(GOTO, "apple"))
     assert (exc.value.reason, exc.value.robot, exc.value.detail) == (
         NO_SUCH_ENTITY,
         1,
@@ -184,20 +180,18 @@ def test_unknown_entities_are_rejected():
 
 def test_all_idle_joint_only_advances_time():
     env = kitchen_env(n_robots=2)
-    state = initial_state(env, 2)
-    stepped = apply_joint(env, state, (IDLE_DECISION, IDLE_DECISION))
-    assert stepped.time == state.time + 1
-    assert stepped.robots == state.robots
-    assert stepped.objects == state.objects
-    assert stepped.doors_open == state.doors_open
+    model = compact_model(env, 2)
+    assert step(model, model.start, IDLE_DECISION, IDLE_DECISION) == model.start
+    # time is the step index: the validator numbers each joint step once
+    result = validate_plan(env, Mission(()), 2, 3, ((IDLE_DECISION, IDLE_DECISION),) * 3)
+    assert [outcome.t for outcome in result.trace] == [0, 1, 2]
 
 
 def test_same_step_duplicate_grab_is_a_conflict():
-    env = kitchen_env(n_robots=2)
-    state = initial_state(env, 2)
-    state = apply_joint(env, state, (Decision(GOTO, "apple"), Decision(GOTO, "apple")))
+    model = compact_model(kitchen_env(n_robots=2), 2)
+    state = step(model, model.start, Decision(GOTO, "apple"), Decision(GOTO, "apple"))
     with pytest.raises(InfeasibleDecision) as exc:
-        apply_joint(env, state, (Decision(GRAB, "apple"), Decision(GRAB, "apple")))
+        step(model, state, Decision(GRAB, "apple"), Decision(GRAB, "apple"))
     assert exc.value.reason == CONFLICT
     assert exc.value.robot == 1
 
@@ -205,11 +199,10 @@ def test_same_step_duplicate_grab_is_a_conflict():
 def test_grab_conflict_is_found_before_any_decision_is_checked():
     # by target id, so two Grabs of an unknown id conflict at robot 1 rather
     # than fail as no-such-entity at robot 0
-    env = kitchen_env(n_robots=2)
-    state = initial_state(env, 2)
+    model = compact_model(kitchen_env(n_robots=2), 2)
     ghost = Decision(GRAB, "ghost")
     with pytest.raises(InfeasibleDecision) as exc:
-        apply_joint(env, state, (ghost, ghost))
+        step(model, model.start, ghost, ghost)
     assert (exc.value.reason, exc.value.robot, exc.value.detail) == (
         CONFLICT,
         1,
@@ -218,71 +211,62 @@ def test_grab_conflict_is_found_before_any_decision_is_checked():
 
 
 def test_a_refusal_is_a_value_and_each_raise_is_fresh():
-    env = kitchen_env()
-    state = initial_state(env, 1)
-    check, bit = compact_model(env, 1).op(0, Decision(GRAB, "apple"))
+    model = compact_model(kitchen_env(), 1)
+    check, bit = model.op(0, Decision(GRAB, "apple"))
     assert bit == 1 << 0
-    assert check(compact_model(env, 1).encode(state)) == Refusal(NOT_AT_TARGET, "apple")
+    assert check(model.start) == Refusal(NOT_AT_TARGET, "apple")
     raised = []
     for _ in range(2):
         with pytest.raises(InfeasibleDecision) as exc:
-            apply_decision(env, state, 0, Decision(GRAB, "apple"))
+            step(model, model.start, Decision(GRAB, "apple"))
         raised.append(exc.value)
     assert raised[0] is not raised[1]
 
 
 def test_joint_step_applies_distinct_targets():
-    env = kitchen_env(n_robots=3)
-    state = initial_state(env, 3)
-    state = apply_joint(
-        env,
-        state,
-        (Decision(GOTO, "apple"), Decision(GOTO, "fridge"), IDLE_DECISION),
+    model = compact_model(kitchen_env(n_robots=3), 3)
+    state = step(
+        model, model.start, Decision(GOTO, "apple"), Decision(GOTO, "fridge"), IDLE_DECISION
     )
-    state = apply_joint(
-        env,
-        state,
-        (Decision(GRAB, "apple"), Decision(OPEN_DOOR, "fridge"), IDLE_DECISION),
+    state = step(
+        model, state, Decision(GRAB, "apple"), Decision(OPEN_DOOR, "fridge"), IDLE_DECISION
     )
-    assert state.robots[0].holding == "apple"
-    assert state.doors_open == (True,)
-    assert state.robots[2].at == "loc-table"
-    assert state.time == 2
+    assert state[model.n] == model.objs["apple"]
+    assert state[model.door :] == (1,)
+    assert state[2] == model.locs["loc-table"]
 
 
 def test_joint_preconditions_use_step_start_snapshot():
     # same-step open + grab of the enclosed object must fail: the door was
     # closed when the step began
-    env = kitchen_env(n_robots=2)
-    state = initial_state(env, 2)
-    state = apply_joint(env, state, (Decision(GOTO, "fridge"), Decision(GOTO, "fridge")))
+    model = compact_model(kitchen_env(n_robots=2), 2)
+    state = step(model, model.start, Decision(GOTO, "fridge"), Decision(GOTO, "fridge"))
     with pytest.raises(InfeasibleDecision) as exc:
-        apply_joint(env, state, (Decision(OPEN_DOOR, "fridge"), Decision(GRAB, "tomato")))
+        step(model, state, Decision(OPEN_DOOR, "fridge"), Decision(GRAB, "tomato"))
     assert exc.value.reason == CONTAINER_CLOSED
     assert exc.value.robot == 1
 
 
 def test_joint_reports_first_infeasible_robot():
-    env = kitchen_env(n_robots=2)
-    state = initial_state(env, 2)
+    model = compact_model(kitchen_env(n_robots=2), 2)
     with pytest.raises(InfeasibleDecision) as exc:
-        apply_joint(env, state, (Decision(GRAB, "apple"), Decision(GRAB, "tomato")))
+        step(model, model.start, Decision(GRAB, "apple"), Decision(GRAB, "tomato"))
     assert exc.value.robot == 0
 
 
-def test_mission_satisfied_empty_and_simple():
-    env = kitchen_env()
-    state = initial_state(env, 1)
-    assert mission_satisfied(env, state, Mission(()))
-    mission = Mission((SubTask("apple", ("loc-table",)),))
-    assert not mission_satisfied(env, state, mission)
+def test_mission_holds_empty_and_simple():
+    model = compact_model(kitchen_env(), 1)
+    state = model.start
+    assert model.satisfied(model.goals(Mission(())), state)
+    goals = model.goals(Mission((SubTask("apple", ("loc-table",)),)))
+    assert not model.satisfied(goals, state)
     for d in (Decision(GOTO, "apple"), Decision(GRAB, "apple"),
               Decision(GOTO, "loc-table"), Decision(PUTDOWN, "loc-table")):
-        state = apply_decision(env, state, 0, d)
-    assert mission_satisfied(env, state, mission)
+        state = step(model, state, d)
+    assert model.satisfied(goals, state)
 
 
-def test_mission_satisfied_matches_duplicate_labels_injectively():
+def test_mission_holds_matches_duplicate_labels_injectively():
     env = Environment(
         locations=(
             Location("l1", "spot", OBJECT_SITE),
@@ -297,12 +281,12 @@ def test_mission_satisfied_matches_duplicate_labels_injectively():
         containers=(),
         robot_start=("d1",),
     )
-    state = initial_state(env, 1)
+    model = compact_model(env, 1)
     one = Mission((SubTask("tomato", ("d1",)),))
-    assert mission_satisfied(env, state, one)
+    assert model.satisfied(model.goals(one), model.start)
     # two sub-tasks need two distinct tomatoes at destinations; only one is
     both = Mission((SubTask("tomato", ("d1",)), SubTask("tomato", ("d1", "d2"))))
-    assert not mission_satisfied(env, state, both)
+    assert not model.satisfied(model.goals(both), model.start)
 
 
 def test_validate_all_idle_empty_mission():
@@ -371,21 +355,25 @@ def test_object_conservation_and_determinism(data):
         st.lists(st.tuples(_decision_strategy(env), _decision_strategy(env)),
                  min_size=1, max_size=6)
     )
-    state_a = initial_state(env, 2)
-    state_b = initial_state(env, 2)
+    # a second, separately compiled model of the same environment
+    model_a, model_b = compact_model(env, 2), CompactModel(env, 2)
+    state_a, state_b = model_a.start, model_b.start
+    n = model_a.n
     for jd in decisions:
         try:
-            next_a = apply_joint(env, state_a, jd)
+            next_a = step(model_a, state_a, *jd)
         except InfeasibleDecision as exc_a:
             with pytest.raises(InfeasibleDecision) as exc_b:
-                apply_joint(env, state_b, jd)
+                step(model_b, state_b, *jd)
             assert exc_b.value.reason == exc_a.reason
             break
         state_a = next_a
-        state_b = apply_joint(env, state_b, jd)
+        state_b = step(model_b, state_b, *jd)
         assert state_a == state_b  # same inputs, same value
-        placed = [os.at for os in state_a.objects if os.at is not None]
-        held = [p.holding for p in state_a.robots if p.holding is not None]
         # every object is either placed somewhere or held by exactly one robot
-        assert len(placed) + len(held) == len(env.objects)
-        assert len(set(held)) == len(held)
+        for i in range(len(env.objects)):
+            holders = [r for r in range(n) if state_a[n + r] == i]
+            placed = state_a[model_a.obj_at + i] >= 0
+            assert len(holders) == (0 if placed else 1)
+            assert placed or state_a[model_a.obj_in + i] == -1
+        assert all(-1 <= state_a[n + r] < len(env.objects) for r in range(n))
