@@ -505,9 +505,14 @@ class FeasibilityIndex:
         self.model = model = world.compact_model(scenario.env, n)
         self._goals = model.goals(scenario.mission)
         safety = scenario.mission.safety
-        # per robot: (decision, check, grab bit) in space order, unsafe ones left out
+        # per robot: (space index, decision, check, grab bit) in space order, unsafe
+        # ones left out
         self._moves = tuple(
-            tuple((d, *model.op(r, d)) for d in self.space if not violates_safety(r, d, safety))
+            tuple(
+                (i, d, *model.op(r, d))
+                for i, d in enumerate(self.space)
+                if not violates_safety(r, d, safety)
+            )
             for r in range(n)
         )
         self._memo: dict = {}
@@ -525,12 +530,23 @@ class FeasibilityIndex:
     def feasible(self, history: tuple[Decision, ...]) -> FeasibleResult:
         """Feasible decisions at iteration len(history), for a flat prefix laid
         out along the scenario's own order schedule."""
-        k = len(history)
-        if k >= self.total_iterations:
-            raise ValueError("sequence already complete")
-        n, orders = self.n, self.scenario.orders
-        entries = tuple((i // n, orders[i // n][i % n], d) for i, d in enumerate(history))
-        return self._feasible(entries, orders[k // n][k % n], k)
+        mode, found = self._search(*self._scheduled(history), None)
+        return FeasibleResult(tuple(found), mode)
+
+    def best(self, history: tuple[Decision, ...], scores) -> tuple[Decision, str]:
+        """The highest-scoring feasible decision at iteration len(history), a
+        tie going to the lower space index, and the search mode: that is,
+        `argmax_feasible(scores, fs.decisions, index)` and `fs.mode` for
+        `fs = feasible(history)`. `scores` is indexed by space index. The
+        scheduled robot's moves are tried best-first, and the search stops at
+        the first one with a completion. Raises NoFeasibleError when nothing
+        is feasible."""
+        entries, robot, k = self._scheduled(history)
+        mode, found = self._search(entries, robot, k, scores)
+        d = next(found, None)
+        if d is None:
+            raise NoFeasibleError(f"{self.scenario.id}: no feasible decision at k={k}")
+        return d, mode
 
     def feasible_for_context(self, ctx: Context) -> FeasibleResult:
         """Feasible decisions for a live planning context (whose step orders
@@ -538,9 +554,23 @@ class FeasibilityIndex:
         does not depend on the within-step visiting order)."""
         if ctx.cursor is None:
             raise ValueError("sequence already complete")
-        return self._feasible(ctx.history, ctx.cursor[1], ctx.k)
+        mode, found = self._search(ctx.history, ctx.cursor[1], ctx.k, None)
+        return FeasibleResult(tuple(found), mode)
 
-    def _feasible(self, entries, robot: int, k: int) -> FeasibleResult:
+    def _scheduled(self, history):
+        """(entries, robot, k) of a flat prefix laid out along the schedule."""
+        k = len(history)
+        if k >= self.total_iterations:
+            raise ValueError("sequence already complete")
+        n, orders = self.n, self.scenario.orders
+        entries = tuple((i // n, orders[i // n][i % n], d) for i, d in enumerate(history))
+        return entries, orders[k // n][k % n], k
+
+    def _search(self, entries, robot: int, k: int, scores):
+        """The mode, and an iterator over `robot`'s feasible decisions at
+        iteration k: in space order, or best-first under `scores` (descending
+        score, ties in space order). The prefix is replayed at once; each
+        move's completion is searched for only when the iterator reaches it."""
         if not self.exact_at(k):
             on_teacher = all(
                 d == anchor_decision(self.scenario, t, r) for (t, r, d) in entries
@@ -550,23 +580,29 @@ class FeasibilityIndex:
                     f"{self.scenario.id}: search budget exceeded off the canonical path"
                 )
             t = entries[-1][0] if len(entries) % self.n else len(entries) // self.n
-            return FeasibleResult((anchor_decision(self.scenario, t, robot),), "oracle")
+            return "oracle", iter((anchor_decision(self.scenario, t, robot),))
         state, t, effects, grabbed, assigned, violated = self._replay(entries)
         if violated:
-            return FeasibleResult((), "exact")
+            return "exact", iter(())
         others = [
             self._options(state, r) for r in range(self.n) if r not in assigned and r != robot
         ]
-        out = []
-        for d, check, bit in self._moves[robot]:
+        moves = self._moves[robot]
+        if scores is not None:
+            moves = sorted(moves, key=lambda move: -scores[move[0]])
+        return "exact", self._completable(state, t, effects, grabbed, others, moves)
+
+    def _completable(self, state, t, effects, grabbed, others, moves):
+        """Yield, in the given order, each of `moves` that is executable after
+        the step's `effects` and leaves the mission completable."""
+        for _, d, check, bit in moves:
             if bit & grabbed:
                 continue
             eff = check(state)
             if eff.__class__ is tuple and self._exists_step(
                 state, t, effects + (eff,), grabbed | bit, others
             ):
-                out.append(d)
-        return FeasibleResult(tuple(out), "exact")
+                yield d
 
     def _steps_left(self, state) -> int | float:
         """0 when the mission holds in `state` (`CompactModel.satisfied`);
@@ -669,7 +705,7 @@ class FeasibilityIndex:
     def _options(self, state, robot: int) -> list:
         """(grab bit, effect) of every decision `robot` may execute in `state`."""
         out = []
-        for _, check, bit in self._moves[robot]:
+        for _, _, check, bit in self._moves[robot]:
             eff = check(state)
             if eff.__class__ is tuple:
                 out.append((bit, eff))
@@ -736,11 +772,12 @@ class LabelResult:
 def label_sequence(scenario: Scenario, scorer, label_mode: str) -> LabelResult:
     """Build the calibration label auto-regressively and score each step.
 
-    In "selector" mode each iteration enumerates the feasible decisions and
-    takes the scorer's argmax among them, and the produced sequence is
-    validated through the world model. In "oracle" mode the label is the
-    canonical plan flattened along the schedule (the unique-solution shortcut),
-    judged by the scenario's `oracle_plan_failure` verdict, None for a sampled
+    In "selector" mode each iteration takes the scorer's highest-scoring
+    feasible decision (`FeasibilityIndex.best`, which is `argmax_feasible`
+    over the feasible set), and the produced sequence is validated through
+    the world model. In "oracle" mode the label is the canonical plan
+    flattened along the schedule (the unique-solution shortcut), judged by
+    the scenario's `oracle_plan_failure` verdict, None for a sampled
     scenario. Either way a label that fails validation raises OracleError.
     A batch of one `label_sequences`.
     """
@@ -751,26 +788,48 @@ def label_sequences(scenarios, scorer, label_mode: str) -> list[LabelResult]:
     """Label each scenario of a sequence as `label_sequence` does.
 
     A scorer that keeps score tables (`score_tables`: the synthetic
-    scorers) draws the whole batch's tables first, in one seeding pass.
-    Oracle labels are then read from them: each label's score is one fancy
-    index, N·H·|S| logical calls are charged at once, and a label's score
-    vector is built only when `LabelResult.vectors` is read. Selector
-    labels, and every label from a scorer without tables (the external
-    one), walk the sequence, one `score_all` per iteration.
+    scorers) draws the whole batch's tables first, in one seeding pass, and
+    labels are read from them: N·H·|S| logical calls are charged at once,
+    and `LabelResult.vectors` is the table, which builds a row's score
+    vector only when it is read. An oracle label's scores are one fancy
+    index. A selector label reads row k's scores and tries the scheduled
+    robot's moves best-first, stopping at the first with a completion
+    (`FeasibilityIndex.best`). Every label from a scorer without tables
+    (the external one) walks the sequence, one `score_all` per iteration.
     """
     if label_mode not in ("selector", "oracle"):
         raise ConfigError(f"unknown label mode {label_mode!r}")
     tables = scorer.score_tables(scenarios) if hasattr(scorer, "score_tables") else None
-    if tables is None or label_mode == "selector":
+    if tables is None:
         return [_walked_label(s, scorer, label_mode) for s in scenarios]
     results = []
     for s, table in zip(scenarios, tables):
         scorer.counter.add(len(table) * table.size)
-        _check_label(s, oracle_plan_failure(s))
-        results.append(
-            LabelResult(table.teacher, table.teacher_scores(), table, ("oracle",) * len(table))
-        )
+        if label_mode == "selector":
+            results.append(_selected_label(s, table))
+        else:
+            _check_label(s, oracle_plan_failure(s))
+            results.append(
+                LabelResult(table.teacher, table.teacher_scores(), table, ("oracle",) * len(table))
+            )
     return results
+
+
+def _selected_label(scenario: Scenario, table) -> LabelResult:
+    """The selector label read from the scenario's score table."""
+    findex = FeasibilityIndex(scenario)
+    index = decision_index(scenario.env)
+    decisions: list[Decision] = []
+    scores: list[float] = []
+    modes: list[str] = []
+    for row in table.probs.tolist():
+        d, mode = findex.best(tuple(decisions), row)
+        decisions.append(d)
+        scores.append(row[index[d]])
+        modes.append(mode)
+    plan = flat_to_plan(scenario, tuple(decisions))
+    _check_label(scenario, validate_scenario_plan(scenario, plan).reason)
+    return LabelResult(tuple(decisions), tuple(scores), table, tuple(modes))
 
 
 def _check_label(scenario: Scenario, reason: str | None) -> None:
@@ -779,6 +838,10 @@ def _check_label(scenario: Scenario, reason: str | None) -> None:
 
 
 def _walked_label(scenario: Scenario, scorer, label_mode: str) -> LabelResult:
+    """The label walked one `score_all` per iteration along the schedule: a
+    selector label takes `argmax_feasible` over each k's whole feasible set.
+    The path of a scorer without tables, and the tests' reference for the
+    labels read from a table."""
     space = decision_space(scenario.env)
     index = decision_index(scenario.env)
     findex = FeasibilityIndex(scenario) if label_mode == "selector" else None

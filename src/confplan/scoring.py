@@ -197,10 +197,11 @@ class _ScenarioTable(Sequence):
     Drawn in a scorer's batch (`SyntheticScorer.score_tables`): the keyed
     draws of every k, and the schedule's (k, robot) rows as one raw matrix,
     softmaxed as one. A row's `ScoreVector` is built on its first query, so
-    oracle labels read from the table (`teacher`, `teacher_scores`) build
-    none. Any other robot at k (a reordered step, a step-start joint score)
-    gets its vector from row k's draws, on first query. The step is k // N,
-    as in every context `advance` and `reset_step` build.
+    labels read from the table build none: oracle labels read `teacher` and
+    `teacher_scores`, selector labels the rows of `probs`. Any other robot
+    at k (a reordered step, a step-start joint score) gets its vector from
+    row k's draws, on first query. The step is k // N, as in every context
+    `advance` and `reset_step` build.
     """
 
     __slots__ = (

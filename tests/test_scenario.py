@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from confplan import scenario as scenario_module
 from confplan import world
-from confplan.context import Context, OrderSchedule, advance, initial_context
-from confplan.errors import ConfigError, NoFeasibleError, OracleError
+from confplan.context import Context, OrderSchedule
+from confplan.errors import BudgetError, ConfigError, NoFeasibleError, OracleError
 from confplan.scenario import (
     DistributionParams,
     FeasibilityIndex,
@@ -571,6 +571,8 @@ def test_feasible_prefix_contract():
     assert index.feasible((Decision(GOTO, "obj-1"),)).decisions
     # a prefix that violates safety leaves nothing feasible
     assert index.feasible((Decision(GOTO, "obj-2"),)) == FeasibleResult((), "exact")
+    with pytest.raises(NoFeasibleError):
+        index.best((Decision(GOTO, "obj-2"),), [0.0] * len(index.space))
     # a world-infeasible prefix raises, also when it extends a cached one
     with pytest.raises(ValueError):
         index.feasible((Decision(GRAB, "obj-1"),))
@@ -591,6 +593,72 @@ def test_feasible_prefix_contract():
     ctx = Context(scenario=pair, history=((0, 0, go), (0, 1, go), (1, 0, grab)), cursor=(1, 1))
     result = FeasibilityIndex(pair).feasible_for_context(ctx)
     assert result.decisions and grab not in result.decisions
+
+
+BEST_PROFILES = {
+    "default": default_distribution_params(41),
+    "criterion-9": dataclasses.replace(MULTI_FEASIBLE, rng_seed=42),
+    "two-robot-reference": dataclasses.replace(reference_distribution_params(43), n_robots=(2, 2)),
+}
+
+
+def outcome(call):
+    """What a call returns, or the type of the search error it raises."""
+    try:
+        return call()
+    except (BudgetError, NoFeasibleError, ValueError) as error:
+        return type(error)
+
+
+@pytest.mark.parametrize("profile", sorted(BEST_PROFILES))
+def test_best_is_the_argmax_of_the_feasible_set(profile):
+    seen = set()
+    for draw in range(4):
+        s = sample_scenario(BEST_PROFILES[profile], draw)
+        index, reference = FeasibilityIndex(s), FeasibilityIndex(s)
+        space, where = decision_space(s.env), decision_index(s.env)
+        teacher = teacher_sequence(s)
+        rnd = random.Random(draw)
+        # the teacher; random feasible decisions; random decisions that keep the prefix
+        # searchable (world-executable, and on the teacher above the gate); random decisions
+        for walk in ("teacher", "feasible", "searchable", "random"):
+            path: list[Decision] = []
+            for k in range(len(teacher)):
+                history = tuple(path)
+                fs = outcome(lambda: reference.feasible(history))
+                rows = (
+                    [rnd.random() for _ in space],
+                    [rnd.choice((0.25, 0.5)) for _ in space],  # exact ties
+                    [0.5] * len(space),
+                )
+                for scores in rows:
+                    expected = fs
+                    if isinstance(fs, FeasibleResult):
+                        expected = outcome(
+                            lambda: (argmax_feasible(scores, fs.decisions, where), fs.mode)
+                        )
+                    assert outcome(lambda: index.best(history, scores)) == expected, (
+                        s.id, walk, k
+                    )
+                    seen.add(expected[1] if isinstance(expected, tuple) else expected)
+                if walk == "teacher":
+                    path.append(teacher[k])
+                elif walk == "feasible":
+                    path.append(rnd.choice(fs.decisions))
+                elif walk == "searchable":
+                    options = rnd.sample(space, len(space))
+                    searchable = (
+                        d
+                        for d in options
+                        if outcome(lambda: reference.feasible(history + (d,)))
+                        not in (ValueError, BudgetError)
+                    )
+                    path.append(next(searchable, options[0]))
+                else:
+                    path.append(rnd.choice(space))
+    assert {"exact", NoFeasibleError, ValueError} <= seen
+    if profile != "criterion-9":
+        assert {"oracle", BudgetError} <= seen
 
 
 def test_labeling_computes_each_step_order_once(monkeypatch):
@@ -692,58 +760,52 @@ def test_label_validates_complete_oracle_mode():
         assert all(0.0 <= v <= 1.0 for v in lr.scores)
 
 
-def walked_oracle_label(scenario, scorer):
-    """Reference: the oracle label walked per iteration k, one `score_all`
-    per k along the schedule, as a scorer without tables is labeled."""
-    space = decision_space(scenario.env)
-    index = decision_index(scenario.env)
-    ctx = initial_context(scenario)
-    decisions, scores, vectors = [], [], []
-    for _ in range(scenario.n_robots * scenario.horizon):
-        vec = scorer.score_all(ctx, space)
-        t, robot = ctx.cursor
-        d = anchor_decision(scenario, t, robot)
-        decisions.append(d)
-        scores.append(vec.scores[index[d]])
-        vectors.append(vec)
-        ctx = advance(ctx, d)
-    return tuple(decisions), tuple(scores), tuple(vectors), ("oracle",) * len(decisions)
-
-
 ORACLE_LABEL_PROFILES = {
     "default": default_distribution_params(21),
     "reference": reference_distribution_params(22),
     "two-robot": dataclasses.replace(reference_distribution_params(23), n_robots=(2, 2)),
+    "criterion-9": dataclasses.replace(MULTI_FEASIBLE, rng_seed=24),
 }
 
 
+@pytest.mark.parametrize("label_mode", ["oracle", "selector"])
 @pytest.mark.parametrize("kind", ["noisy-oracle", "oracle-indicator"])
 @pytest.mark.parametrize("profile", sorted(ORACLE_LABEL_PROFILES))
-def test_oracle_labels_read_from_the_table_equal_the_walked_labels(kind, profile):
+def test_oracle_labels_read_from_the_table_equal_the_walked_labels(kind, profile, label_mode):
+    """Labels read from the score table equal the walked reference
+    (`_walked_label`: one `score_all` per k, and for selector labels
+    `argmax_feasible` over each k's whole feasible set)."""
     scenarios = [sample_scenario(ORACLE_LABEL_PROFILES[profile], draw) for draw in range(4)]
     spec = ScorerSpec(kind=kind, rng_seed=3)
     batch_counter, walk_counter = CallCounter(), CallCounter()
-    batch = label_sequences(scenarios, build_scorer(spec, batch_counter), "oracle")
+    batch = label_sequences(scenarios, build_scorer(spec, batch_counter), label_mode)
     walker = build_scorer(spec, walk_counter)
     for s, lr in zip(scenarios, batch):
-        decisions, scores, vectors, modes = walked_oracle_label(s, walker)
-        assert lr.decisions == decisions and lr.modes == modes
-        assert [x.hex() for x in lr.scores] == [x.hex() for x in scores]
-        assert tuple(lr.vectors) == vectors
+        walked = scenario_module._walked_label(s, walker, label_mode)
+        assert lr.decisions == walked.decisions and lr.modes == walked.modes
+        assert [x.hex() for x in lr.scores] == [x.hex() for x in walked.scores]
+        assert tuple(lr.vectors) == walked.vectors
         assert [[x.hex() for x in v.scores] for v in lr.vectors] == [
-            [x.hex() for x in v.scores] for v in vectors
+            [x.hex() for x in v.scores] for v in walked.vectors
         ]
     assert batch_counter.total == walk_counter.total
+    if (profile, kind, label_mode) == ("criterion-9", "noisy-oracle", "selector"):
+        assert any(lr.decisions != teacher_sequence(s) for s, lr in zip(scenarios, batch))
     # one at a time, through label_sequence, the same labels and calls
     single_counter = CallCounter()
     single = build_scorer(spec, single_counter)
     for s, lr in zip(scenarios, batch):
-        alone = label_sequence(s, single, "oracle")
+        alone = label_sequence(s, single, label_mode)
         assert (alone.decisions, alone.scores, alone.modes) == (lr.decisions, lr.scores, lr.modes)
     assert single_counter.total == walk_counter.total
 
 
-def test_a_calibration_draw_builds_no_score_vector(monkeypatch):
+@pytest.mark.parametrize(
+    "label_mode, params",
+    [("oracle", default_distribution_params(4)), ("selector", MULTI_FEASIBLE)],
+    ids=["oracle", "selector"],
+)
+def test_a_calibration_draw_builds_no_score_vector(monkeypatch, label_mode, params):
     built = []
     init = ScoreVector.__init__
 
@@ -753,11 +815,11 @@ def test_a_calibration_draw_builds_no_score_vector(monkeypatch):
 
     monkeypatch.setattr(ScoreVector, "__init__", counting)
     scorer = build_scorer(ScorerSpec())
-    records = build_calibration_set(default_distribution_params(4), 30, scorer)
+    records = build_calibration_set(params, 30, scorer, label_mode=label_mode)
     assert len(records) == 30 and built == []
     # a test draw's vectors are built when they are read, once each
-    s = sample_scenario(default_distribution_params(4), 30)
-    lr = label_sequence(s, scorer, "oracle")
+    s = sample_scenario(params, 30)
+    lr = label_sequence(s, scorer, label_mode)
     assert built == []
     assert list(lr.vectors) == list(lr.vectors) and len(built) == s.n_robots * s.horizon
 
