@@ -31,7 +31,7 @@ from .scenario import (
     oracle_plan,
     sample_scenario,
 )
-from .scoring import CallCounter, ScorerSpec, ScoreVector, build_scorer
+from .scoring import ScorerSpec, build_scorer
 from .world import (
     Container,
     Decision,

@@ -122,7 +122,7 @@ class PredictionSet:
 
 def local_prediction_set(scores, quantile: Quantile) -> PredictionSet:
     """Per-iteration prediction set {d : g(d) > 1 - q}; full S under sentinel."""
-    values = tuple(getattr(scores, "scores", scores))
+    values = tuple(scores)
     if quantile.full_set:
         return PredictionSet(indices=tuple(range(len(values))), scores=values, full_set=True)
     thr = quantile.threshold
@@ -133,7 +133,7 @@ def local_prediction_set(scores, quantile: Quantile) -> PredictionSet:
 def global_prediction_set(tables, quantile: Quantile, budget: int = 250_000):
     """Brute-force sequence-level set: all plans whose min step score clears
     the threshold. Reference implementation used to check the product set."""
-    tables = [tuple(getattr(tab, "scores", tab)) for tab in tables]
+    tables = [tuple(tab) for tab in tables]
     if not tables:
         raise ValueError("need at least one step table")
     size = len(tables[0])
@@ -233,7 +233,7 @@ def score_label_sequence(scenario: Scenario, scorer, label_mode: str = "oracle")
     """Label one scenario and package it as a CalibrationRecord.
 
     Returns (record, label result); the label result keeps the full per-step
-    score vectors, which the coverage harness reuses to build prediction sets
+    scores, which the coverage harness reuses to build prediction sets
     for test sequences without re-querying the scorer.
     """
     lr = label_sequence(scenario, scorer, label_mode=label_mode)
@@ -280,14 +280,11 @@ class JointCalibrationRecord:
         return sequence_ncs(self.step_scores)
 
 
-def joint_step_scores(scenario: Scenario, scorer, history, t: int, space, count: bool):
-    """Each robot's score vector against the step-start context of step t (no
-    within-step conditioning), in robot-index order; `count` is passed to the
-    scorer."""
+def joint_step_scores(scenario: Scenario, scorer, history, t: int):
+    """Each robot's scores against the step-start context of step t (no
+    within-step conditioning), in robot-index order."""
     return [
-        scorer.score_all(
-            Context(scenario=scenario, history=history, cursor=(t, robot)), space, count=count
-        ).scores
+        scorer.score_all(Context(scenario=scenario, history=history, cursor=(t, robot)))
         for robot in range(scenario.n_robots)
     ]
 
@@ -304,7 +301,7 @@ def score_joint_label_sequence(scenario: Scenario, scorer) -> JointCalibrationRe
     for t in range(scenario.horizon):
         labels = tuple(anchor_decision(scenario, t, r) for r in range(n))
         indices = tuple(index[d] for d in labels)
-        vectors = joint_step_scores(scenario, scorer, history, t, space, count=True)
+        vectors = joint_step_scores(scenario, scorer, history, t)
         score = 1.0
         for robot, i in enumerate(indices):
             score *= vectors[robot][i]

@@ -12,6 +12,11 @@ Three modes share one trace format:
   * argmax: per-iteration argmax with no uncertainty handling (ablation).
 
 Planning is open-loop: the full plan is produced before any execution.
+
+Each planner counts its own logical scorer queries (`PlanTrace.scorer_calls`):
+one per decision scored, |S| per `score_all` in the distributed and argmax
+modes and |S|^N per step in the centralized one, whether or not the scorer
+caches, so the complexity laws do not depend on the scorer.
 """
 
 from __future__ import annotations
@@ -55,6 +60,8 @@ class PlannerConfig:
             raise ConfigError(f"unknown help policy {self.help_policy!r}")
         if self.reorder_bound < 0:
             raise ConfigError("reorder bound must be >= 0")
+        if self.centralized_budget < 1:
+            raise ConfigError("centralized budget must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -229,16 +236,15 @@ def resolve_user_help(
     An empty set presents the whole decision space; see `_resolve` for the
     rule. Returns (chosen index, coverage_miss).
     """
-    values = tuple(getattr(scores, "scores", scores))
     presented = pred_set.indices or tuple(range(len(space)))
     return _resolve(
         policy,
         presented,
         pred_set,
-        values,
+        scores,
         feasible_indices,
         "decision",
-        lambda i: f"{space[i].phrase()} (score {values[i]:.4f})",
+        lambda i: f"{space[i].phrase()} (score {scores[i]:.4f})",
         io,
     )
 
@@ -275,7 +281,6 @@ def plan_distributed(
     space = decision_space(scenario.env)
     index = decision_index(scenario.env)
     provider = feasible_provider or teacher_feasible_provider(scenario)
-    calls_before = scorer.counter.snapshot()
     ctx = initial_context(scenario)
     records: list[IterationRecord] = []
     failed = False
@@ -288,7 +293,7 @@ def plan_distributed(
         while pos < scenario.n_robots:
             robot = order[pos]
             k = ctx.k
-            vec = scorer.score_all(ctx, space)
+            vec = scorer.score_all(ctx)
             ps = local_prediction_set(vec, quantile)
             base = dict(
                 k=k,
@@ -332,7 +337,7 @@ def plan_distributed(
                     t,
                     robot,
                     presented_indices=ps.indices or tuple(range(len(space))),
-                    presented_scores=ps.scores or vec.scores,
+                    presented_scores=ps.scores or vec,
                     full_set=ps.full_set,
                     resolution_index=chosen,
                     coverage_miss=miss,
@@ -350,7 +355,7 @@ def plan_distributed(
         mode=DISTRIBUTED,
         plan=_history_to_plan(scenario, ctx.history),
         records=tuple(records),
-        scorer_calls=scorer.counter.snapshot() - calls_before,
+        scorer_calls=len(records) * len(space),  # one record per score_all
         quantile=quantile,
         failed=failed,
     )
@@ -361,13 +366,12 @@ def plan_distributed(
 def plan_argmax(scenario: Scenario, scorer) -> PlanTrace:
     """Per-iteration argmax; never asks for help and needs no quantile."""
     space = decision_space(scenario.env)
-    calls_before = scorer.counter.snapshot()
     ctx = initial_context(scenario)
     records = []
     for _ in range(scenario.n_robots * scenario.horizon):
         t, robot = ctx.cursor
-        vec = scorer.score_all(ctx, space)
-        chosen = vec.argmax
+        vec = scorer.score_all(ctx)
+        chosen = vec.index(max(vec))  # the first maximum
         records.append(
             IterationRecord(
                 k=ctx.k,
@@ -385,7 +389,7 @@ def plan_argmax(scenario: Scenario, scorer) -> PlanTrace:
         mode=ARGMAX,
         plan=_history_to_plan(scenario, ctx.history),
         records=tuple(records),
-        scorer_calls=scorer.counter.snapshot() - calls_before,
+        scorer_calls=len(records) * len(space),
         quantile=None,
     )
 
@@ -430,14 +434,12 @@ def plan_centralized(
             f"|S|^N = {joint_count} exceeds the centralized budget {cfg.centralized_budget}"
         )
     provider = joint_feasible_provider or joint_teacher_provider(scenario)
-    calls_before = scorer.counter.snapshot()
     history: tuple = ()
     records: list[CentralStepRecord] = []
     plan: list = []
     failed = False
     for t in range(scenario.horizon):
-        vectors = joint_step_scores(scenario, scorer, history, t, space, count=False)
-        scorer.counter.add(joint_count)
+        vectors = joint_step_scores(scenario, scorer, history, t)
         joint: dict[tuple[int, ...], float] = {}
         for combo in product(range(len(space)), repeat=n):
             score = 1.0
@@ -496,7 +498,7 @@ def plan_centralized(
         mode=CENTRALIZED,
         plan=tuple(plan),
         records=tuple(records),
-        scorer_calls=scorer.counter.snapshot() - calls_before,
+        scorer_calls=len(records) * joint_count,
         quantile=quantile,
         failed=failed,
     )

@@ -761,7 +761,7 @@ class LabelResult:
 
     decisions: tuple[Decision, ...]
     scores: tuple[float, ...]  # normalized score of each labeled decision
-    vectors: Sequence  # full ScoreVector per iteration, maybe built on access
+    vectors: Sequence  # each iteration's score tuple, maybe built on access
     modes: tuple[str, ...]
 
     @property
@@ -789,12 +789,11 @@ def label_sequences(scenarios, scorer, label_mode: str) -> list[LabelResult]:
 
     A scorer that keeps score tables (`score_tables`: the synthetic
     scorers) draws the whole batch's tables first, in one seeding pass, and
-    labels are read from them: N·H·|S| logical calls are charged at once,
-    and `LabelResult.vectors` is the table, which builds a row's score
-    vector only when it is read. An oracle label's scores are one fancy
-    index. A selector label reads row k's scores and tries the scheduled
-    robot's moves best-first, stopping at the first with a completion
-    (`FeasibilityIndex.best`). Every label from a scorer without tables
+    labels are read from them. `LabelResult.vectors` is the table, which
+    builds a row's score tuple only when it is read. An oracle label's
+    scores are one fancy index. A selector label reads row k's scores and
+    tries the scheduled robot's moves best-first, stopping at the first with
+    a completion (`FeasibilityIndex.best`). Every label from a scorer without tables
     (the external one) walks the sequence, one `score_all` per iteration.
     """
     if label_mode not in ("selector", "oracle"):
@@ -804,7 +803,6 @@ def label_sequences(scenarios, scorer, label_mode: str) -> list[LabelResult]:
         return [_walked_label(s, scorer, label_mode) for s in scenarios]
     results = []
     for s, table in zip(scenarios, tables):
-        scorer.counter.add(len(table) * table.size)
         if label_mode == "selector":
             results.append(_selected_label(s, table))
         else:
@@ -842,7 +840,6 @@ def _walked_label(scenario: Scenario, scorer, label_mode: str) -> LabelResult:
     selector label takes `argmax_feasible` over each k's whole feasible set.
     The path of a scorer without tables, and the tests' reference for the
     labels read from a table."""
-    space = decision_space(scenario.env)
     index = decision_index(scenario.env)
     findex = FeasibilityIndex(scenario) if label_mode == "selector" else None
     ctx = initial_context(scenario)
@@ -851,7 +848,7 @@ def _walked_label(scenario: Scenario, scorer, label_mode: str) -> LabelResult:
     vectors = []
     modes: list[str] = []
     for _ in range(scenario.n_robots * scenario.horizon):
-        vec = scorer.score_all(ctx, space)
+        vec = scorer.score_all(ctx)
         if findex is None:
             t, robot = ctx.cursor
             d = anchor_decision(scenario, t, robot)
@@ -860,10 +857,10 @@ def _walked_label(scenario: Scenario, scorer, label_mode: str) -> LabelResult:
             fs = findex.feasible(tuple(decisions))
             if not fs.decisions:
                 raise NoFeasibleError(f"{scenario.id}: no feasible decision at k={len(decisions)}")
-            d = argmax_feasible(vec.scores, fs.decisions, index)
+            d = argmax_feasible(vec, fs.decisions, index)
             mode = fs.mode
         decisions.append(d)
-        scores.append(vec.scores[index[d]])
+        scores.append(vec[index[d]])
         vectors.append(vec)
         modes.append(mode)
         ctx = advance(ctx, d)

@@ -1,15 +1,13 @@
 """Decision scorers: per-decision confidence over the decision space.
 
-A scorer maps (context, decision space) to a softmax-normalized confidence
-vector. Synthetic scorers (oracle indicator, noisy oracle) stand in for a
-language model at desk scale: they are pure functions of (spec seed, scenario
-id, iteration index), so calibration and test scoring are exchangeable by
+A scorer is one call, `score_all(ctx)`: the softmax-normalized confidence of
+each decision in the context's decision space, as a tuple in space order.
+Synthetic scorers (oracle indicator, noisy oracle) stand in for a language
+model at desk scale: they are pure functions of (spec seed, scenario id,
+iteration index), so calibration and test scoring are exchangeable by
 construction. The external scorer talks to a chat-completion style endpoint
-that returns log-probabilities.
-
-Call accounting is logical: one query per decision, even when an
-implementation batches or caches, so complexity assertions are
-implementation-independent.
+that returns log-probabilities. The planners count their own queries (see
+`planner`).
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import threading
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -38,6 +35,7 @@ from .world import from_data, to_data
 ORACLE_INDICATOR = "oracle-indicator"
 NOISY_ORACLE = "noisy-oracle"
 EXTERNAL = "external"
+EXTRACTIONS = ("token-logprob", "numeric-answer")
 
 
 def softmax(raw) -> np.ndarray:
@@ -49,40 +47,6 @@ def softmax(raw) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ScoreVector:
-    """Raw scores and their softmax normalization, in decision-space order."""
-
-    raw: tuple[float, ...]
-    scores: tuple[float, ...]
-
-    @property
-    def argmax(self) -> int:
-        return int(np.argmax(self.scores))
-
-    @staticmethod
-    def from_raw(raw) -> "ScoreVector":
-        arr = np.asarray(raw, dtype=np.float64)
-        return ScoreVector(raw=tuple(arr.tolist()), scores=tuple(softmax(arr).tolist()))
-
-
-class CallCounter:
-    """Monotone counter of logical scorer queries."""
-
-    def __init__(self):
-        self.total = 0
-        self._lock = threading.Lock()
-
-    def add(self, n: int) -> None:
-        if n < 0:
-            raise ValueError("call counts only grow")
-        with self._lock:
-            self.total += n
-
-    def snapshot(self) -> int:
-        return self.total
-
-
-@dataclass(frozen=True)
 class EndpointConfig:
     """External completion endpoint; the API key is read from the environment."""
 
@@ -91,7 +55,15 @@ class EndpointConfig:
     api_key_env: str = "CONFPLAN_API_KEY"
     timeout: float = 30.0
     max_concurrency: int = 4
-    extraction: str = "token-logprob"  # or "numeric-answer"
+    extraction: str = "token-logprob"  # one of EXTRACTIONS
+
+    def validate(self) -> None:
+        if self.extraction not in EXTRACTIONS:
+            raise ConfigError(
+                f"unknown extraction {self.extraction!r}; expected one of {', '.join(EXTRACTIONS)}"
+            )
+        if self.max_concurrency < 1 or not self.timeout > 0:
+            raise ConfigError("endpoint needs max_concurrency >= 1 and timeout > 0")
 
 
 @dataclass(frozen=True)
@@ -120,6 +92,8 @@ class ScorerSpec:
             raise ConfigError("rng_seed must be nonnegative")
         if self.kind == EXTERNAL and self.endpoint is None:
             raise ConfigError("external scorer needs an endpoint config")
+        if self.endpoint is not None:
+            self.endpoint.validate()
 
 
 def _scenario_key(scenario_id: str) -> int:
@@ -191,15 +165,15 @@ def _anchor_index(scenario, t: int, robot: int) -> int:
 
 
 class _ScenarioTable(Sequence):
-    """One scenario's synthetic score vectors under one spec; as a sequence,
-    the vector of each iteration k < N·H under the schedule's own robot.
+    """One scenario's synthetic scores under one spec; as a sequence, the
+    score tuple of each iteration k < N·H under the schedule's own robot.
 
     Drawn in a scorer's batch (`SyntheticScorer.score_tables`): the keyed
     draws of every k, and the schedule's (k, robot) rows as one raw matrix,
-    softmaxed as one. A row's `ScoreVector` is built on its first query, so
-    labels read from the table build none: oracle labels read `teacher` and
+    softmaxed as one. A row's tuple is built on its first query, so labels
+    read from the table build none: oracle labels read `teacher` and
     `teacher_scores`, selector labels the rows of `probs`. Any other robot
-    at k (a reordered step, a step-start joint score) gets its vector from
+    at k (a reordered step, a step-start joint score) gets its scores from
     row k's draws, on first query. The step is k // N, as in every context
     `advance` and `reset_step` build.
     """
@@ -218,25 +192,23 @@ class _ScenarioTable(Sequence):
         self.anchors = [index[d] for d in self.teacher]
         self.raw = _raw_rows(spec, self.anchors, positions, noise, size)
         self.probs = softmax_rows(self.raw)
-        self.rows: list[ScoreVector | None] = [None] * len(self.anchors)
-        self.others: dict[tuple[int, int], ScoreVector] = {}
+        self.rows: list[tuple[float, ...] | None] = [None] * len(self.anchors)
+        self.others: dict[tuple[int, int], tuple[float, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, k: int) -> ScoreVector:
+    def __getitem__(self, k: int) -> tuple[float, ...]:
         vec = self.rows[k]
         if vec is None:
-            vec = self.rows[k] = ScoreVector(
-                raw=tuple(self.raw[k].tolist()), scores=tuple(self.probs[k].tolist())
-            )
+            vec = self.rows[k] = tuple(self.probs[k].tolist())
         return vec
 
     def teacher_scores(self) -> tuple[float, ...]:
         """The softmax score of each k's teacher label, in one fancy index."""
         return tuple(self.probs[np.arange(len(self.rows)), self.anchors].tolist())
 
-    def vector(self, k: int, t: int, robot: int) -> ScoreVector:
+    def vector(self, k: int, t: int, robot: int) -> tuple[float, ...]:
         if self.robots[k] == robot:
             return self[k]
         vec = self.others.get((k, robot))
@@ -248,7 +220,7 @@ class _ScenarioTable(Sequence):
                 None if self.noise is None else self.noise[k : k + 1],
                 self.size,
             )
-            vec = self.others[(k, robot)] = ScoreVector.from_raw(raw[0])
+            vec = self.others[(k, robot)] = tuple(softmax(raw[0]).tolist())
         return vec
 
 
@@ -263,10 +235,9 @@ class SyntheticScorer:
     scenario, share the table.
     """
 
-    def __init__(self, spec: ScorerSpec, counter: CallCounter | None = None):
+    def __init__(self, spec: ScorerSpec):
         spec.validate()
         self.spec = spec
-        self.counter = counter or CallCounter()
         self._tables: dict[str, _ScenarioTable] = {}
 
     def score_tables(self, scenarios) -> list[_ScenarioTable]:
@@ -294,12 +265,10 @@ class SyntheticScorer:
                 self._tables[s.id] = _ScenarioTable(self.spec, s, size, positions, noise)
         return [self._tables[s.id] for s in scenarios]
 
-    def score_all(self, ctx: Context, space, count: bool = True) -> ScoreVector:
+    def score_all(self, ctx: Context) -> tuple[float, ...]:
         if ctx.cursor is None:
             raise ValueError("context cursor is not set")
         t, robot = ctx.cursor
-        if count:
-            self.counter.add(len(space))
         scenario = ctx.scenario
         table = self._tables.get(scenario.id)
         if table is None or (table.scenario is not scenario and table.scenario != scenario):
@@ -366,7 +335,7 @@ def _score_one(endpoint: EndpointConfig, transport, headers, text, option) -> fl
 
 def external_score_all(
     endpoint: EndpointConfig, text: str, space, transport=None
-) -> ScoreVector:
+) -> tuple[float, ...]:
     """Score every decision in `space` against the rendered context `text`.
 
     One request per decision, possibly concurrent up to the endpoint's bound;
@@ -390,7 +359,7 @@ def external_score_all(
             )
     else:
         raws = [_score_one(endpoint, transport, headers, text, opt) for opt in options]
-    return ScoreVector.from_raw(raws)
+    return tuple(softmax(raws).tolist())
 
 
 class ExternalScorer:
@@ -401,35 +370,30 @@ class ExternalScorer:
     concurrently up to the configured bound.
     """
 
-    def __init__(
-        self,
-        spec: ScorerSpec,
-        counter: CallCounter | None = None,
-        transport=None,
-    ):
+    def __init__(self, spec: ScorerSpec, transport=None):
         spec.validate()
         if spec.endpoint is None:
             raise ConfigError("external scorer needs an endpoint config")
         self.spec = spec
         self.endpoint = spec.endpoint
-        self.counter = counter or CallCounter()
         self._transport = transport or _requests_transport
 
-    def score_all(self, ctx: Context, space, count: bool = True) -> ScoreVector:
+    def score_all(self, ctx: Context) -> tuple[float, ...]:
         if ctx.cursor is None:
             raise ValueError("context cursor is not set")
-        if count:
-            self.counter.add(len(space))
         return external_score_all(
-            self.endpoint, render_text(ctx), space, transport=self._transport
+            self.endpoint,
+            render_text(ctx),
+            decision_space(ctx.scenario.env),
+            transport=self._transport,
         )
 
 
-def build_scorer(spec: ScorerSpec, counter: CallCounter | None = None, transport=None):
+def build_scorer(spec: ScorerSpec, transport=None):
     spec.validate()
     if spec.kind == EXTERNAL:
-        return ExternalScorer(spec, counter, transport)
-    return SyntheticScorer(spec, counter)
+        return ExternalScorer(spec, transport)
+    return SyntheticScorer(spec)
 
 
 # --- CLI / config parsing -----------------------------------------------------

@@ -46,7 +46,7 @@ from confplan.scenario import (
     sample_scenario,
     validate_scenario_plan,
 )
-from confplan.scoring import CallCounter, ScoreVector, ScorerSpec, build_scorer
+from confplan.scoring import ScorerSpec, build_scorer
 from confplan.world import IDLE_DECISION
 
 
@@ -165,17 +165,16 @@ def _nine_decision_params(n_robots: int) -> DistributionParams:
 
 
 class _AmbiguousLastScorer:
-    """Uniform scores exactly once: at the last position of step 0."""
+    """Uniform scores exactly once: at the last position of step 0. A bare
+    `score_all(ctx)`: the planners count the queries."""
 
     def __init__(self, scenario):
-        self.counter = CallCounter()
         schedule = scenario.schedule
         n = scenario.n_robots
         self._trigger = (n - 1, schedule.order_at(0)[n - 1])
 
-    def score_all(self, ctx, space, count=True):
-        if count:
-            self.counter.add(len(space))
+    def score_all(self, ctx):
+        space = decision_space(ctx.scenario.env)
         if (ctx.k, ctx.cursor[1]) == self._trigger:
             scores = tuple(1.0 / len(space) for _ in space)
         else:
@@ -186,7 +185,7 @@ class _AmbiguousLastScorer:
             ]
             rest = 0.1 / (len(space) - 1)
             scores = tuple(0.9 if i == idx else rest for i in range(len(space)))
-        return ScoreVector(raw=scores, scores=scores)
+        return scores
 
 
 def test_criterion_5_call_count_laws():
@@ -343,8 +342,8 @@ def _brute_force_stepwise_argmax(scenario, scorer):
         options = sorted(
             {seq[k] for seq in feasible if seq[: k] == prefix}, key=lambda d: index[d]
         )
-        vec = scorer.score_all(ctx, space, count=False)
-        best = max(options, key=lambda d: (vec.scores[index[d]], -index[d]))
+        vec = scorer.score_all(ctx)
+        best = max(options, key=lambda d: (vec[index[d]], -index[d]))
         chosen.append(best)
         ctx = advance(ctx, best)
     return tuple(chosen)

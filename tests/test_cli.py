@@ -338,6 +338,16 @@ def test_compare_cli_budget_error(tmp_path):
     assert main(["compare", "--config", str(config)]) == 4
 
 
+@pytest.mark.parametrize("budget", [0, -4])
+def test_compare_cli_refuses_a_centralized_budget_below_one(tmp_path, capsys, budget):
+    """A config error (exit 2) at load, not a budget error after calibrating."""
+    config = write_config(tmp_path, centralized_budget=budget)
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(config), "--out", str(out)]) == 2
+    assert "centralized budget must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_cli_under_fail_on_help_exits_0(tmp_path, capsys):
     config = write_config(tmp_path, n_trials=3, help_policy="fail-on-help")
     assert main(["compare", "--config", str(config)]) == 0
@@ -372,6 +382,30 @@ def test_external_scorer_without_key_exits_3(tmp_path, monkeypatch):
         ]
     )
     assert code == 3
+
+
+def test_plan_refuses_a_misspelt_extraction_before_any_request(tmp_path, monkeypatch, capsys):
+    import requests
+
+    monkeypatch.setenv("CONFPLAN_API_KEY", "token")
+    posted = []
+    monkeypatch.setattr(requests, "post", lambda *args, **kwargs: posted.append(args))
+    params = write_params(tmp_path)
+    scen_path = tmp_path / "scenarios.json"
+    main(["gen-scenarios", "--params", str(params), "--count", "1", "--out", str(scen_path)])
+    code = main(
+        [
+            "plan",
+            "--scenario",
+            str(scen_path),
+            "--quantile",
+            "0.9",
+            "--scorer",
+            "external:base_url=http://localhost:9,model=m,extraction=numeric",
+        ]
+    )
+    assert code == 2 and posted == []
+    assert "unknown extraction 'numeric'" in capsys.readouterr().err
 
 
 def test_external_http_error_with_html_body_exits_3(tmp_path, monkeypatch):

@@ -53,9 +53,16 @@ def test_config_roundtrip_and_validation():
     with pytest.raises(ConfigError):
         config_from_dict(config_to_dict(dataclasses.replace(cfg, alphas=(1.5,))))
     # the planner settings are checked at load too, by PlannerConfig's own rule
-    for bad in ({"help_policy": "bogus"}, {"reorder_bound": -3}):
+    bads = (
+        {"help_policy": "bogus"},
+        {"reorder_bound": -3},
+        {"centralized_budget": 0},
+        {"centralized_budget": -1},
+    )
+    for bad in bads:
         with pytest.raises(ConfigError):
             config_from_dict({**config_to_dict(cfg), **bad})
+    assert config_from_dict({**config_to_dict(cfg), "centralized_budget": 1}).centralized_budget == 1
 
 
 @pytest.mark.parametrize("alphas", [(0.1, 0.1), (0.1, 0.3, 0.1000001)])

@@ -33,32 +33,30 @@ from confplan.scenario import (
     teacher_sequence,
     validate_scenario_plan,
 )
-from confplan.scoring import CallCounter, ScoreVector, ScorerSpec, build_scorer
+from confplan.scoring import ScorerSpec, build_scorer
 from confplan.world import IDLE_DECISION
 
 
 class StubScorer:
-    """Normalized score vectors keyed by (k, robot); else near-one-hot on the
-    canonical decision."""
+    """Normalized scores keyed by (k, robot); else near-one-hot on the
+    canonical decision. A bare `score_all(ctx)`: the planners count the
+    queries."""
 
     def __init__(self, tables=None, default_top=0.9):
         self.tables = tables or {}
         self.default_top = default_top
-        self.counter = CallCounter()
 
-    def score_all(self, ctx, space, count=True):
+    def score_all(self, ctx):
         t, robot = ctx.cursor
-        if count:
-            self.counter.add(len(space))
-        key = (ctx.k, robot)
-        scores = self.tables.get(key)
+        scores = self.tables.get((ctx.k, robot))
         if scores is None:
+            size = len(decision_space(ctx.scenario.env))
             anchor = anchor_decision(ctx.scenario, t, robot)
             idx = decision_index(ctx.scenario.env)[anchor]
-            rest = (1.0 - self.default_top) / (len(space) - 1)
-            scores = [rest] * len(space)
+            rest = (1.0 - self.default_top) / (size - 1)
+            scores = [rest] * size
             scores[idx] = self.default_top
-        return ScoreVector(raw=tuple(scores), scores=tuple(scores))
+        return tuple(scores)
 
 
 def seeded_scenario(seed=3, **overrides):
@@ -287,6 +285,28 @@ def test_distributed_call_count_law_without_reorders():
     trace = plan_distributed(scenario, scorer, quantile, cfg)
     n, h = scenario.n_robots, scenario.horizon
     assert trace.scorer_calls == n * len(decision_space(scenario.env)) * h
+
+
+def test_a_context_scored_again_after_a_reorder_counts_again():
+    """The planner counts |S| logical queries per score_all: a context scored
+    again after a reorder restarts its step counts again."""
+    scenario = seeded_scenario(6, n_robots=(3, 3))
+    size = len(decision_space(scenario.env))
+    uniform = tuple([1.0 / size] * size)
+    stub = StubScorer({(2, scenario.orders[0][2]): uniform})  # the last robot of step 0
+    scored = []
+
+    class Recording:
+        def score_all(self, ctx):
+            scored.append(ctx)
+            return stub.score_all(ctx)
+
+    cfg = PlannerConfig(reorder_bound=1)
+    trace = plan_distributed(scenario, Recording(), Quantile(0.5, 20, 0.1), cfg)
+    assert trace.n_reorder == 1
+    # the redrawn order starts with the same robot: step 0 opens on the same context
+    assert scored.count(scored[0]) == 2
+    assert trace.scorer_calls == len(scored) * size
 
 
 def test_argmax_mode_follows_indicator_and_never_asks():

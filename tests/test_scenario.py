@@ -41,7 +41,7 @@ from confplan.scenario import (
     validate_scenario_plan,
 )
 from confplan.conformal import build_calibration_set
-from confplan.scoring import CallCounter, ScoreVector, ScorerSpec, build_scorer
+from confplan.scoring import ScorerSpec, build_scorer, softmax
 from confplan.world import (
     ACTION_KINDS,
     DESTINATION,
@@ -94,21 +94,17 @@ def two_object_env(n_robots=1):
 
 
 class StubScorer:
-    """Fixed score tables keyed by iteration index; uniform elsewhere."""
+    """Fixed raw score rows keyed by iteration index; uniform elsewhere. A
+    bare `score_all(ctx)`, with no score tables: labels walk the sequence."""
 
     def __init__(self, tables=None):
         self.tables = tables or {}
-        from confplan.scoring import CallCounter
 
-        self.counter = CallCounter()
-
-    def score_all(self, ctx, space, count=True):
-        if count:
-            self.counter.add(len(space))
+    def score_all(self, ctx):
         raw = self.tables.get(ctx.k)
         if raw is None:
-            raw = [0.0] * len(space)
-        return ScoreVector.from_raw(raw)
+            raw = [0.0] * len(decision_space(ctx.scenario.env))
+        return tuple(softmax(raw).tolist())
 
 
 # --- decision space -----------------------------------------------------------
@@ -690,7 +686,7 @@ def test_selector_singleton_ignores_scores():
     env = two_object_env()
     only = (Decision(GOTO, "obj-2"),)
     raw = [0.0 if d == only[0] else 5.0 for d in decision_space(env)]
-    scores = ScoreVector.from_raw(raw).scores
+    scores = softmax(raw).tolist()
     assert argmax_feasible(scores, only, decision_index(env)) == only[0]
 
 
@@ -700,11 +696,11 @@ def test_selector_picks_highest_score_and_breaks_ties_by_index():
     index = decision_index(env)
     raw = [0.0] * len(space)
     raw[1], raw[3] = 0.6, 0.3
-    scores = ScoreVector.from_raw(raw).scores
+    scores = softmax(raw).tolist()
     feas = (space[3], space[1])
     assert argmax_feasible(scores, feas, index) == space[1]
     # exact tie: lower decision-space index wins
-    tie = ScoreVector.from_raw([0.0] * len(space)).scores
+    tie = softmax([0.0] * len(space)).tolist()
     assert argmax_feasible(tie, (space[5], space[2]), index) == space[2]
     with pytest.raises(NoFeasibleError):
         argmax_feasible(scores, (), index)
@@ -777,27 +773,23 @@ def test_oracle_labels_read_from_the_table_equal_the_walked_labels(kind, profile
     `argmax_feasible` over each k's whole feasible set)."""
     scenarios = [sample_scenario(ORACLE_LABEL_PROFILES[profile], draw) for draw in range(4)]
     spec = ScorerSpec(kind=kind, rng_seed=3)
-    batch_counter, walk_counter = CallCounter(), CallCounter()
-    batch = label_sequences(scenarios, build_scorer(spec, batch_counter), label_mode)
-    walker = build_scorer(spec, walk_counter)
+    batch = label_sequences(scenarios, build_scorer(spec), label_mode)
+    walker = build_scorer(spec)
     for s, lr in zip(scenarios, batch):
         walked = scenario_module._walked_label(s, walker, label_mode)
         assert lr.decisions == walked.decisions and lr.modes == walked.modes
         assert [x.hex() for x in lr.scores] == [x.hex() for x in walked.scores]
         assert tuple(lr.vectors) == walked.vectors
-        assert [[x.hex() for x in v.scores] for v in lr.vectors] == [
-            [x.hex() for x in v.scores] for v in walked.vectors
+        assert [[x.hex() for x in v] for v in lr.vectors] == [
+            [x.hex() for x in v] for v in walked.vectors
         ]
-    assert batch_counter.total == walk_counter.total
     if (profile, kind, label_mode) == ("criterion-9", "noisy-oracle", "selector"):
         assert any(lr.decisions != teacher_sequence(s) for s, lr in zip(scenarios, batch))
-    # one at a time, through label_sequence, the same labels and calls
-    single_counter = CallCounter()
-    single = build_scorer(spec, single_counter)
+    # one at a time, through label_sequence, the same labels
+    single = build_scorer(spec)
     for s, lr in zip(scenarios, batch):
         alone = label_sequence(s, single, label_mode)
         assert (alone.decisions, alone.scores, alone.modes) == (lr.decisions, lr.scores, lr.modes)
-    assert single_counter.total == walk_counter.total
 
 
 @pytest.mark.parametrize(
@@ -805,23 +797,19 @@ def test_oracle_labels_read_from_the_table_equal_the_walked_labels(kind, profile
     [("oracle", default_distribution_params(4)), ("selector", MULTI_FEASIBLE)],
     ids=["oracle", "selector"],
 )
-def test_a_calibration_draw_builds_no_score_vector(monkeypatch, label_mode, params):
-    built = []
-    init = ScoreVector.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(ScoreVector, "__init__", counting)
+def test_a_calibration_draw_builds_no_score_vector(label_mode, params):
     scorer = build_scorer(ScorerSpec())
     records = build_calibration_set(params, 30, scorer, label_mode=label_mode)
-    assert len(records) == 30 and built == []
-    # a test draw's vectors are built when they are read, once each
+    assert len(records) == 30 and len(scorer._tables) == 30
+    assert all(row is None for table in scorer._tables.values() for row in table.rows)
+    # a test draw's rows are built when they are read, once each
     s = sample_scenario(params, 30)
     lr = label_sequence(s, scorer, label_mode)
-    assert built == []
-    assert list(lr.vectors) == list(lr.vectors) and len(built) == s.n_robots * s.horizon
+    (table,) = scorer.score_tables([s])
+    assert lr.vectors is table and all(row is None for row in table.rows)
+    first, second = list(lr.vectors), list(lr.vectors)
+    assert len(first) == s.n_robots * s.horizon
+    assert all(a is b and a is row for a, b, row in zip(first, second, table.rows))
 
 
 def counted_validations(monkeypatch) -> list:

@@ -19,10 +19,8 @@ from confplan.scenario import (
     anchor_decision,
 )
 from confplan.scoring import (
-    CallCounter,
     EndpointConfig,
     ExternalScorer,
-    ScoreVector,
     ScorerSpec,
     _scenario_key,
     build_scorer,
@@ -68,6 +66,10 @@ def test_softmax_shift_invariance():
     assert abs(a.sum() - 1.0) < 1e-12
 
 
+def hexes(values) -> list[str]:
+    return [float(x).hex() for x in values]
+
+
 @pytest.mark.parametrize(
     "raw",
     [
@@ -77,12 +79,18 @@ def test_softmax_shift_invariance():
         [1, 2, 3],
     ],
 )
-def test_score_vector_from_raw_is_bitwise_the_float_loop(raw):
-    arr = np.asarray(raw, dtype=np.float64)
-    vec = ScoreVector.from_raw(raw)
-    for got, want in ((vec.raw, arr), (vec.scores, softmax(arr))):
-        assert all(type(x) is float for x in got)
-        assert [x.hex() for x in got] == [float(x).hex() for x in want]
+def test_external_scores_are_bitwise_the_softmax_of_the_logprobs(monkeypatch, raw):
+    monkeypatch.setenv("CONFPLAN_API_KEY", "token")
+    replies = iter(raw)
+
+    def transport(url, headers, payload, timeout):
+        return 200, {"choices": [{"logprobs": {"content": [{"logprob": next(replies)}]}}]}
+
+    space = [IDLE_DECISION] * len(raw)
+    scores = scoring.external_score_all(_external_spec().endpoint, "prompt", space, transport)
+    want = softmax(np.asarray(raw, dtype=np.float64))
+    assert type(scores) is tuple and all(type(x) is float for x in scores)
+    assert hexes(scores) == hexes(want)
 
 
 def method_softmax(raw) -> np.ndarray:
@@ -104,50 +112,44 @@ def test_softmax_is_bitwise_the_method_reductions():
 
 
 def test_uniform_raw_scores_normalize_uniformly():
-    vec = ScoreVector.from_raw([2.5] * 7)
-    assert all(abs(s - 1 / 7) < 1e-12 for s in vec.scores)
+    assert all(abs(s - 1 / 7) < 1e-12 for s in softmax([2.5] * 7))
 
 
 def test_oracle_indicator_softmax_closed_form(nine_scenario):
     scorer = build_scorer(ScorerSpec(kind="oracle-indicator"))
     ctx = initial_context(nine_scenario)
-    space = decision_space(nine_scenario.env)
-    vec = scorer.score_all(ctx, space)
+    vec = scorer.score_all(ctx)
     top = math.e / (math.e + 8)
     rest = 1 / (math.e + 8)
     anchor = anchor_decision(nine_scenario, 0, ctx.cursor[1])
     aidx = decision_index(nine_scenario.env)[anchor]
-    assert abs(vec.scores[aidx] - top) < 1e-12
-    assert all(abs(vec.scores[i] - rest) < 1e-12 for i in range(9) if i != aidx)
+    assert abs(vec[aidx] - top) < 1e-12
+    assert all(abs(vec[i] - rest) < 1e-12 for i in range(9) if i != aidx)
     # the values the closed form evaluates to
     assert abs(top - 0.2534) < 3e-4 and abs(rest - 0.0933) < 1e-4
-    assert abs(sum(vec.scores) - 1.0) < 1e-9
+    assert abs(sum(vec) - 1.0) < 1e-9
 
 
 def test_noisy_oracle_noise_free_raw_is_indicator_times_sharpness(nine_scenario):
     scorer = build_scorer(ScorerSpec(kind="noisy-oracle", sharpness=4.0, noise=0.0, confusion=0.0))
-    ctx = initial_context(nine_scenario)
-    space = decision_space(nine_scenario.env)
-    vec = scorer.score_all(ctx, space)
-    assert sorted(vec.raw) == [0.0] * 8 + [4.0]
+    (table,) = scorer.score_tables([nine_scenario])
+    assert sorted(table.raw[0].tolist()) == [0.0] * 8 + [4.0]
 
 
 def test_noisy_oracle_sharpness_limit_approaches_one_hot(nine_scenario):
     scorer = build_scorer(ScorerSpec(kind="noisy-oracle", sharpness=60.0, noise=0.0, confusion=0.0))
-    ctx = initial_context(nine_scenario)
-    vec = scorer.score_all(ctx, decision_space(nine_scenario.env))
-    assert max(vec.scores) > 1.0 - 1e-12
+    vec = scorer.score_all(initial_context(nine_scenario))
+    assert max(vec) > 1.0 - 1e-12
 
 
 def test_noisy_oracle_seeds_exactly_one_distractor(nine_scenario):
     spec = ScorerSpec(kind="noisy-oracle", sharpness=4.0, noise=0.0, confusion=0.15)
-    scorer = build_scorer(spec)
-    ctx = initial_context(nine_scenario)
-    vec = scorer.score_all(ctx, decision_space(nine_scenario.env))
+    (table,) = build_scorer(spec).score_tables([nine_scenario])
+    raw = table.raw[0].tolist()
     expected = 4.0 + math.log(0.15)
-    boosted = [r for r in vec.raw if abs(r - expected) < 1e-12]
+    boosted = [r for r in raw if abs(r - expected) < 1e-12]
     assert len(boosted) == 1
-    assert sorted(vec.raw)[-1] == 4.0  # the truth still outranks the distractor
+    assert sorted(raw)[-1] == 4.0  # the truth still outranks the distractor
 
 
 def test_noise_streams_are_keyed_by_iteration(nine_scenario):
@@ -155,10 +157,10 @@ def test_noise_streams_are_keyed_by_iteration(nine_scenario):
     scorer = build_scorer(spec)
     ctx0 = initial_context(nine_scenario)
     ctx1 = advance(ctx0, IDLE_DECISION)
-    space = decision_space(nine_scenario.env)
-    v0 = scorer.score_all(ctx0, space)
-    v1 = scorer.score_all(ctx1, space)
-    assert v0.raw != v1.raw
+    (table,) = scorer.score_tables([nine_scenario])
+    assert (ctx0.k, ctx1.k) == (0, 1)
+    assert table.raw[0].tolist() != table.raw[1].tolist()
+    assert scorer.score_all(ctx0) != scorer.score_all(ctx1)
 
 
 def tuple_seeded_raw(spec: ScorerSpec, ctx, space) -> np.ndarray:
@@ -191,10 +193,11 @@ def test_score_vectors_are_bitwise_the_tuple_seeded_ones(rng_seed):
             space = decision_space(s.env)
             ctx = initial_context(s)
             while ctx.cursor is not None:
-                vec = scorer.score_all(ctx, space)
-                ref = ScoreVector.from_raw(tuple_seeded_raw(spec, ctx, space))
-                assert [x.hex() for x in vec.raw] == [x.hex() for x in ref.raw]
-                assert [x.hex() for x in vec.scores] == [x.hex() for x in ref.scores]
+                vec = scorer.score_all(ctx)
+                ref = tuple_seeded_raw(spec, ctx, space)
+                (table,) = scorer.score_tables([s])
+                assert hexes(table.raw[ctx.k]) == hexes(ref)
+                assert hexes(vec) == hexes(softmax(ref))
                 t, robot = ctx.cursor
                 ctx = advance(ctx, anchor_decision(s, t, robot))
 
@@ -223,11 +226,24 @@ def every_key(s):
 
 
 def assert_tuple_seeded(scorer, spec, ctx):
+    """The scores of ctx are bitwise the softmax of the tuple-seeded raw
+    vector. The table keeps the raw rows of the schedule's own robots, which
+    must be bitwise the reference too; any other robot's row is built from
+    row k's draws, which must be the tuple-seeded ones."""
     space = decision_space(ctx.scenario.env)
-    vec = scorer.score_all(ctx, space)
-    ref = ScoreVector.from_raw(tuple_seeded_raw(spec, ctx, space))
-    assert [x.hex() for x in vec.raw] == [x.hex() for x in ref.raw]
-    assert [x.hex() for x in vec.scores] == [x.hex() for x in ref.scores]
+    ref = tuple_seeded_raw(spec, ctx, space)
+    assert hexes(scorer.score_all(ctx)) == hexes(softmax(ref))
+    (table,) = scorer.score_tables([ctx.scenario])
+    t, robot = ctx.cursor
+    if table.robots[ctx.k] == robot:
+        assert hexes(table.raw[ctx.k]) == hexes(ref)
+    rng = np.random.default_rng(
+        np.random.SeedSequence((spec.rng_seed, _scenario_key(ctx.scenario.id), ctx.k))
+    )
+    if len(space) > 1:
+        assert table.positions[ctx.k] == int(rng.integers(len(space) - 1))
+    if spec.noise > 0.0:
+        assert hexes(table.noise[ctx.k]) == hexes(rng.normal(0.0, spec.noise, size=len(space)))
 
 
 @pytest.mark.parametrize("rng_seed", [0, 2**64 - 1])
@@ -293,7 +309,7 @@ def test_a_scorer_refuses_a_second_scenario_under_one_id():
         dataclasses.replace(a, horizon=a.horizon + 2),
     ):
         with pytest.raises(ValueError, match="two different scenarios"):
-            scorer.score_all(initial_context(other), decision_space(other.env))
+            scorer.score_all(initial_context(other))
         assert_tuple_seeded(build_scorer(spec), spec, initial_context(other))
         # within one batch too, before any of the batch's tables is drawn
         fresh = build_scorer(spec)
@@ -304,18 +320,16 @@ def test_a_scorer_refuses_a_second_scenario_under_one_id():
     # an equal copy, as a reloaded or unpickled scenario is, shares the vectors
     copy = pickle.loads(pickle.dumps(a))
     assert copy == a and copy is not a
-    space = decision_space(a.env)
     for ctx in scheduled_contexts(a):
         twin = dataclasses.replace(ctx, scenario=copy)
-        assert scorer.score_all(twin, space) is scorer.score_all(ctx, space)
+        assert scorer.score_all(twin) is scorer.score_all(ctx)
 
 
 def test_scorer_determinism_across_instances(nine_scenario):
     spec = ScorerSpec(kind="noisy-oracle", rng_seed=11)
     ctx = initial_context(nine_scenario)
-    space = decision_space(nine_scenario.env)
-    a = build_scorer(spec).score_all(ctx, space)
-    b = build_scorer(spec).score_all(ctx, space)
+    a = build_scorer(spec).score_all(ctx)
+    b = build_scorer(spec).score_all(ctx)
     assert a == b
 
 
@@ -354,7 +368,7 @@ def test_a_batched_table_is_the_table_built_alone(kind, rng_seed, batch, scored)
     scorer = build_scorer(spec)
     for i in scored:
         s = BATCH_POOL[i]
-        scorer.score_all(initial_context(s), decision_space(s.env))
+        scorer.score_all(initial_context(s))
     tables = scorer.score_tables([BATCH_POOL[i] for i in batch])
     for i, table in zip(batch, tables):
         (alone,) = build_scorer(spec).score_tables([BATCH_POOL[i]])
@@ -384,18 +398,6 @@ def test_keyed_draws_group_the_batch_by_entropy_word_count(monkeypatch, rng_seed
             assert [x.hex() for x in noise[row].tolist()] == [x.hex() for x in want]
 
 
-def test_call_counter_counts_logical_queries(nine_scenario):
-    counter = CallCounter()
-    scorer = build_scorer(ScorerSpec(), counter)
-    ctx = initial_context(nine_scenario)
-    space = decision_space(nine_scenario.env)
-    scorer.score_all(ctx, space)
-    scorer.score_all(ctx, space)  # memoized result still counts logically
-    assert counter.total == 18
-    with pytest.raises(ValueError):
-        counter.add(-1)
-
-
 def test_scorer_spec_validation_and_parsing():
     with pytest.raises(ConfigError):
         ScorerSpec(kind="nope").validate()
@@ -406,10 +408,39 @@ def test_scorer_spec_validation_and_parsing():
     assert scorer_spec_from_dict(scorer_spec_to_dict(spec)) == spec
     ext = parse_scorer_spec("external:base_url=http://x,model=m,max_concurrency=2")
     assert ext.endpoint.max_concurrency == 2
+    # every extraction mode, and the smallest bounds, load
+    for extraction in scoring.EXTRACTIONS:
+        ext = parse_scorer_spec(
+            f"external:base_url=http://x,model=m,extraction={extraction},max_concurrency=1,"
+            "timeout=0.5"
+        )
+        assert (ext.endpoint.extraction, ext.endpoint.max_concurrency) == (extraction, 1)
+        assert scorer_spec_from_dict(scorer_spec_to_dict(ext)) == ext
     # endpoint keys are kept on any kind, as in a JSON spec, never dropped
     assert parse_scorer_spec("noisy-oracle:base_url=http://x,model=m").endpoint == EndpointConfig(
         "http://x", "m"
     )
+
+
+@pytest.mark.parametrize(
+    "endpoint",
+    [
+        {"extraction": "numeric"},
+        {"extraction": "Token-Logprob"},
+        {"max_concurrency": 0},
+        {"max_concurrency": -3},
+        {"timeout": 0},
+        {"timeout": -1},
+        {"timeout": "nan"},
+    ],
+)
+def test_an_endpoint_out_of_range_is_refused_at_load(endpoint):
+    items = ",".join(f"{key}={value}" for key, value in endpoint.items())
+    with pytest.raises(ConfigError):
+        parse_scorer_spec(f"external:base_url=http://x,model=m,{items}")
+    data = {"kind": "external", "endpoint": {"base_url": "http://x", "model": "m", **endpoint}}
+    with pytest.raises(ConfigError):
+        scorer_spec_from_dict(data)
 
 
 # --- external endpoint ----------------------------------------------------------
@@ -454,10 +485,10 @@ def test_external_scorer_softmaxes_logprobs(monkeypatch):
     s = three_option_scenario()
     scorer = ExternalScorer(_external_spec(), transport=transport)
     ctx = initial_context(s)
-    vec = scorer.score_all(ctx, decision_space(s.env))
+    vec = scorer.score_all(ctx)
     assert len(calls) == 3
     expected = (0.6652, 0.2447, 0.0900)
-    for got, want in zip(vec.scores, expected):
+    for got, want in zip(vec, expected):
         assert abs(got - want) < 5e-5
 
 
@@ -473,7 +504,7 @@ def test_external_missing_key_fails_before_any_request(monkeypatch):
     scorer = ExternalScorer(_external_spec(), transport=transport)
     ctx = initial_context(s)
     with pytest.raises(AuthError):
-        scorer.score_all(ctx, decision_space(s.env))
+        scorer.score_all(ctx)
     assert calls == []
 
 
@@ -491,22 +522,21 @@ def test_external_timeout_is_all_or_nothing(monkeypatch):
     scorer = ExternalScorer(_external_spec(), transport=transport)
     ctx = initial_context(s)
     with pytest.raises(TransportError):
-        scorer.score_all(ctx, decision_space(s.env))
+        scorer.score_all(ctx)
 
 
 def test_external_auth_and_malformed_responses(monkeypatch):
     monkeypatch.setenv("CONFPLAN_API_KEY", "token")
     s = three_option_scenario()
     ctx = initial_context(s)
-    space = decision_space(s.env)
 
     scorer = ExternalScorer(_external_spec(), transport=lambda *a: (401, {}))
     with pytest.raises(AuthError):
-        scorer.score_all(ctx, space)
+        scorer.score_all(ctx)
 
     scorer = ExternalScorer(_external_spec(), transport=lambda *a: (200, {"nope": 1}))
     with pytest.raises(MalformedResponseError):
-        scorer.score_all(ctx, space)
+        scorer.score_all(ctx)
 
 
 def fake_requests_post(monkeypatch, status, body: bytes):
@@ -529,7 +559,7 @@ def test_external_http_error_with_html_body_is_a_transport_error(monkeypatch):
     scorer = ExternalScorer(_external_spec())
     ctx = initial_context(s)
     with pytest.raises(TransportError, match="HTTP 502"):
-        scorer.score_all(ctx, decision_space(s.env))
+        scorer.score_all(ctx)
 
 
 def test_external_non_json_body_is_malformed(monkeypatch):
@@ -539,7 +569,7 @@ def test_external_non_json_body_is_malformed(monkeypatch):
     scorer = ExternalScorer(_external_spec())
     ctx = initial_context(s)
     with pytest.raises(MalformedResponseError, match="not JSON"):
-        scorer.score_all(ctx, decision_space(s.env))
+        scorer.score_all(ctx)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -557,7 +587,7 @@ def test_external_non_finite_score_is_malformed(monkeypatch, value):
     for extraction, transport in (("numeric-answer", numeric), ("token-logprob", logprob)):
         scorer = ExternalScorer(_external_spec(extraction=extraction), transport=transport)
         with pytest.raises(MalformedResponseError, match="non-finite"):
-            scorer.score_all(ctx, decision_space(s.env))
+            scorer.score_all(ctx)
 
 
 def test_external_numeric_answer_extraction(monkeypatch):
@@ -570,8 +600,8 @@ def test_external_numeric_answer_extraction(monkeypatch):
     s = three_option_scenario()
     scorer = ExternalScorer(_external_spec(extraction="numeric-answer"), transport=transport)
     ctx = initial_context(s)
-    vec = scorer.score_all(ctx, decision_space(s.env))
-    assert vec.argmax == 0
+    vec = scorer.score_all(ctx)
+    assert vec.index(max(vec)) == 0
 
 
 def test_external_score_all_direct_surface(monkeypatch):
@@ -589,4 +619,4 @@ def test_external_score_all_direct_surface(monkeypatch):
     vec = external_score_all(
         _external_spec().endpoint, "rendered prompt", decision_space(s.env), transport=transport
     )
-    assert vec.argmax == 0 and abs(sum(vec.scores) - 1.0) < 1e-9
+    assert vec.index(max(vec)) == 0 and abs(sum(vec) - 1.0) < 1e-9
