@@ -40,22 +40,22 @@ def _read(load, path: str):
 
 
 def _load_params(args) -> scn.DistributionParams:
-    if getattr(args, "params", None):
+    if args.params:
         params = _read(lambda p: scn.params_from_dict(_load_json(p)), args.params)
     else:
         params = scn.default_distribution_params()
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         params = replace(params, rng_seed=args.seed)
     return params
 
 
 def _load_scorer_spec(args) -> scoring.ScorerSpec:
-    text = getattr(args, "scorer", None) or "noisy-oracle"
+    text = args.scorer or "noisy-oracle"
     if text.endswith(".json"):
         spec = _read(lambda p: scoring.scorer_spec_from_dict(_load_json(p)), text)
     else:
         spec = _read(scoring.parse_scorer_spec, text)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         spec = replace(spec, rng_seed=args.seed + 1)
     return spec
 
@@ -63,13 +63,13 @@ def _load_scorer_spec(args) -> scoring.ScorerSpec:
 def _load_config(args) -> harness.ExperimentConfig:
     cfg = _read(lambda p: harness.config_from_dict(_load_json(p)), args.config)
     overrides = {}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides["master_seed"] = args.seed
-    if getattr(args, "alpha", None):
+    if args.alpha:
         overrides["alphas"] = tuple(args.alpha)
-    if getattr(args, "scorer", None):
+    if args.scorer:
         overrides["scorer"] = _load_scorer_spec(args)
-    if getattr(args, "trials", None):
+    if args.trials is not None:
         overrides["n_trials"] = args.trials
     return replace(cfg, **overrides) if overrides else cfg
 
@@ -191,27 +191,14 @@ def cmd_plan(args) -> int:
     return 1 if trace.failed else 0
 
 
-def cmd_coverage(args) -> int:
+def cmd_experiment(args) -> int:
+    """coverage, compare and dataset-conditional: the harness run named by
+    `args.experiment` on the loaded config, with the run's own flags (coverage
+    --jobs, dataset-conditional --delta), and its metrics on stdout."""
     cfg = _load_config(args)
-    result = harness.run_coverage_experiment(
-        cfg, out_dir=args.out, jobs=args.jobs, log=sys.stderr.write
-    )
-    _emit_metrics(result, args.format)
-    return 0
-
-
-def cmd_compare(args) -> int:
-    cfg = _load_config(args)
-    result = harness.run_comparison(cfg, out_dir=args.out, log=sys.stderr.write)
-    _emit_metrics(result, args.format)
-    return 0
-
-
-def cmd_dataset_conditional(args) -> int:
-    cfg = _load_config(args)
-    result = harness.run_dataset_conditional(
-        cfg, args.delta, out_dir=args.out, log=sys.stderr.write
-    )
+    own = {name: getattr(args, name) for name in ("jobs", "delta") if name in args}
+    run = getattr(harness, args.experiment)
+    result = run(cfg, out_dir=args.out, log=sys.stderr.write, **own)
     _emit_metrics(result, args.format)
     return 0
 
@@ -223,12 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, jobs=False):
+    def common(p):
         p.add_argument("--seed", type=int, default=None, help="master seed")
         p.add_argument("--out", default=None, help="output file or directory")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        if jobs:
-            p.add_argument("--jobs", type=int, default=1, help="worker count")
 
     p = sub.add_parser("gen-scenarios", help="sample scenarios to a JSON file")
     common(p)
@@ -278,32 +262,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_plan)
 
-    p = sub.add_parser("coverage", help="marginal coverage experiment")
-    common(p, jobs=True)
-    p.add_argument("--config", required=True, help="experiment config JSON")
-    p.add_argument("--alpha", type=float, action="append", default=None)
-    p.add_argument("--scorer", default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.set_defaults(func=cmd_coverage)
-
-    p = sub.add_parser("compare", help="distributed vs centralized comparison")
-    common(p)
-    p.add_argument("--config", required=True)
-    p.add_argument("--alpha", type=float, action="append", default=None)
-    p.add_argument("--scorer", default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser(
-        "dataset-conditional", help="fixed-calibration coverage experiment"
-    )
-    common(p)
-    p.add_argument("--config", required=True)
-    p.add_argument("--delta", type=float, default=0.01)
-    p.add_argument("--alpha", type=float, action="append", default=None)
-    p.add_argument("--scorer", default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.set_defaults(func=cmd_dataset_conditional)
+    for name, help_text, experiment in (
+        ("coverage", "marginal coverage experiment", "run_coverage_experiment"),
+        ("compare", "distributed vs centralized comparison", "run_comparison"),
+        ("dataset-conditional", "fixed-calibration coverage experiment", "run_dataset_conditional"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        common(p)
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--config", required=True, help="experiment config JSON")
+        p.add_argument("--alpha", type=float, action="append", default=None)
+        p.add_argument("--scorer", default=None)
+        p.add_argument("--trials", type=int, default=None)
+        if name == "coverage":
+            p.add_argument("--jobs", type=int, default=1, help="worker count")
+        elif name == "dataset-conditional":
+            p.add_argument("--delta", type=float, default=0.01)
+        p.set_defaults(func=cmd_experiment, experiment=experiment)
 
     return parser
 

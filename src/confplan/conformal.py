@@ -251,14 +251,13 @@ def build_calibration_set(
     params: DistributionParams,
     m: int,
     scorer,
-    start_index: int = 0,
     label_mode: str = "oracle",
 ) -> list[CalibrationRecord]:
-    """Sample M scenarios i.i.d. (draw indices start_index..start_index+M-1)
-    and label them as one batch (`calibration_records`)."""
+    """Sample M scenarios i.i.d. (draw indices 0..M-1) and label them as one
+    batch (`calibration_records`)."""
     if m < 1:
         raise ValueError("calibration size must be >= 1")
-    scenarios = [sample_scenario(params, start_index + i) for i in range(m)]
+    scenarios = [sample_scenario(params, i) for i in range(m)]
     return calibration_records(scenarios, scorer, label_mode=label_mode)
 
 

@@ -289,8 +289,8 @@ def reset_step(ctx: Context, t: int, new_order: tuple[int, ...]) -> Context:
     return Context(scenario=ctx.scenario, history=history, cursor=(t, new_order[0]))
 
 
-@lru_cache(maxsize=8)
-def _default_template() -> str:
+@lru_cache(maxsize=1)
+def _template() -> str:
     return (
         resources.files("confplan.templates").joinpath("context.txt").read_text("utf-8")
     )
@@ -336,11 +336,10 @@ RESPONSE_EXEMPLAR = (
 )
 
 
-def render_text(ctx: Context, template: str | None = None) -> str:
+def render_text(ctx: Context) -> str:
     """Render the context as canonical text; deterministic per structure.
 
-    The template is overridable (same placeholder names); the packaged default
-    lives in confplan/templates/context.txt.
+    The template is the packaged confplan/templates/context.txt.
     """
     scenario = ctx.scenario
     if ctx.history:
@@ -355,7 +354,7 @@ def render_text(ctx: Context, template: str | None = None) -> str:
     else:
         t, robot = ctx.cursor
         cursor = f"current step {t + 1}; choose the next decision for robot {robot + 1}"
-    text = (template or _default_template()).format(
+    return _template().format(
         scenario_id=scenario.id,
         n_robots=scenario.n_robots,
         horizon=scenario.horizon,
@@ -366,4 +365,3 @@ def render_text(ctx: Context, template: str | None = None) -> str:
         history=history,
         cursor=cursor,
     )
-    return text

@@ -420,6 +420,8 @@ def run_coverage_experiment(
     and the aggregate lands in coverage.json / coverage.csv.
     """
     cfg.validate()
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     started = time.monotonic()
     trials = _run_trials(partial(_fresh_calibration_trial, cfg, False), cfg, out_dir, jobs)
     metrics = _aggregate(trials, cfg.alphas, {"alphas": DISTRIBUTED})

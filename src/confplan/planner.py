@@ -34,8 +34,9 @@ from .scenario import (
     anchor_decision,
     decision_index,
     decision_space,
+    entries_to_plan,
 )
-from .world import Decision, IDLE_DECISION, Plan, to_data
+from .world import Decision, Plan, to_data
 
 DISTRIBUTED = "distributed"
 CENTRALIZED = "centralized"
@@ -249,17 +250,6 @@ def resolve_user_help(
     )
 
 
-def _history_to_plan(scenario: Scenario, history) -> Plan:
-    steps: dict[int, dict[int, Decision]] = {}
-    for t, robot, d in history:
-        steps.setdefault(t, {})[robot] = d
-    plan = []
-    for t in sorted(steps):
-        row = steps[t]
-        plan.append(tuple(row.get(r, IDLE_DECISION) for r in range(scenario.n_robots)))
-    return tuple(plan)
-
-
 # --- distributed mode --------------------------------------------------------------
 
 def plan_distributed(
@@ -353,7 +343,7 @@ def plan_distributed(
     return PlanTrace(
         scenario_id=scenario.id,
         mode=DISTRIBUTED,
-        plan=_history_to_plan(scenario, ctx.history),
+        plan=entries_to_plan(scenario, ctx.history),
         records=tuple(records),
         scorer_calls=len(records) * len(space),  # one record per score_all
         quantile=quantile,
@@ -387,7 +377,7 @@ def plan_argmax(scenario: Scenario, scorer) -> PlanTrace:
     return PlanTrace(
         scenario_id=scenario.id,
         mode=ARGMAX,
-        plan=_history_to_plan(scenario, ctx.history),
+        plan=entries_to_plan(scenario, ctx.history),
         records=tuple(records),
         scorer_calls=len(records) * len(space),
         quantile=None,
@@ -436,7 +426,6 @@ def plan_centralized(
     provider = joint_feasible_provider or joint_teacher_provider(scenario)
     history: tuple = ()
     records: list[CentralStepRecord] = []
-    plan: list = []
     failed = False
     for t in range(scenario.horizon):
         vectors = joint_step_scores(scenario, scorer, history, t)
@@ -490,13 +479,11 @@ def plan_centralized(
         if chosen is None:  # fail-on-help
             failed = True
             break
-        joint_decision = tuple(space[i] for i in chosen)
-        plan.append(joint_decision)
-        history = history + tuple((t, r, joint_decision[r]) for r in scenario.orders[t])
+        history = history + tuple((t, r, space[chosen[r]]) for r in scenario.orders[t])
     return PlanTrace(
         scenario_id=scenario.id,
         mode=CENTRALIZED,
-        plan=tuple(plan),
+        plan=entries_to_plan(scenario, history),
         records=tuple(records),
         scorer_calls=len(records) * joint_count,
         quantile=quantile,

@@ -450,20 +450,29 @@ def teacher_sequence(scenario: Scenario) -> tuple[Decision, ...]:
     )
 
 
+def scheduled_entries(scenario: Scenario, flat) -> tuple[tuple[int, int, Decision], ...]:
+    """A flat iteration-ordered prefix laid out along the scenario's schedule,
+    as (t, robot, decision) entries."""
+    n, orders = scenario.n_robots, scenario.orders
+    return tuple((i // n, orders[i // n][i % n], d) for i, d in enumerate(flat))
+
+
+def entries_to_plan(scenario: Scenario, entries) -> Plan:
+    """Per-step joint decisions from (t, robot, decision) entries, one step
+    for each t that has an entry; a robot with no entry at a step idles."""
+    steps: dict[int, dict[int, Decision]] = {}
+    for t, robot, d in entries:
+        steps.setdefault(t, {})[robot] = d
+    robots = range(scenario.n_robots)
+    return tuple(tuple(steps[t].get(r, IDLE_DECISION) for r in robots) for t in sorted(steps))
+
+
 def flat_to_plan(scenario: Scenario, flat: tuple[Decision, ...]) -> Plan:
     """Reassemble a flat iteration-ordered sequence, laid out along the
     scenario's schedule, into per-step joint decisions."""
-    n = scenario.n_robots
-    if len(flat) % n:
+    if len(flat) % scenario.n_robots:
         raise ValueError("sequence length is not a multiple of the robot count")
-    steps = []
-    for t in range(len(flat) // n):
-        order = scenario.orders[t]
-        joint: list[Decision | None] = [None] * n
-        for pos in range(n):
-            joint[order[pos]] = flat[t * n + pos]
-        steps.append(tuple(joint))
-    return tuple(steps)
+    return entries_to_plan(scenario, scheduled_entries(scenario, flat))
 
 
 def validate_scenario_plan(scenario: Scenario, plan: Plan) -> world.ValidationResult:
@@ -562,9 +571,8 @@ class FeasibilityIndex:
         k = len(history)
         if k >= self.total_iterations:
             raise ValueError("sequence already complete")
-        n, orders = self.n, self.scenario.orders
-        entries = tuple((i // n, orders[i // n][i % n], d) for i, d in enumerate(history))
-        return entries, orders[k // n][k % n], k
+        robot = self.scenario.orders[k // self.n][k % self.n]
+        return scheduled_entries(self.scenario, history), robot, k
 
     def _search(self, entries, robot: int, k: int, scores):
         """The mode, and an iterator over `robot`'s feasible decisions at

@@ -39,11 +39,12 @@ EXTRACTIONS = ("token-logprob", "numeric-answer")
 
 
 def softmax(raw) -> np.ndarray:
-    """Numerically stable softmax with fixed-order float64 summation."""
+    """Numerically stable softmax over the last axis, with fixed-order float64
+    summation: one score vector, or each row of a score table as one matrix."""
     arr = np.asarray(raw, dtype=np.float64)
     # the ufunc reductions behind .max() and .sum(), without their wrappers
-    exp = np.exp(arr - np.maximum.reduce(arr))
-    return exp / np.add.reduce(exp)
+    exp = np.exp(arr - np.maximum.reduce(arr, axis=-1, keepdims=True))
+    return exp / np.add.reduce(exp, axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,9 @@ class EndpointConfig:
     extraction: str = "token-logprob"  # one of EXTRACTIONS
 
     def validate(self) -> None:
+        for name in ("base_url", "model", "api_key_env"):
+            if not getattr(self, name):
+                raise ConfigError(f"endpoint {name} must not be empty")
         if self.extraction not in EXTRACTIONS:
             raise ConfigError(
                 f"unknown extraction {self.extraction!r}; expected one of {', '.join(EXTRACTIONS)}"
@@ -154,12 +158,6 @@ def _raw_rows(spec: ScorerSpec, anchors, positions, noise, size: int) -> np.ndar
     return raw
 
 
-def softmax_rows(raw: np.ndarray) -> np.ndarray:
-    """`softmax` of each row of a 2-D array, bit for bit, as one matrix."""
-    exp = np.exp(raw - np.maximum.reduce(raw, axis=1, keepdims=True))
-    return exp / np.add.reduce(exp, axis=1, keepdims=True)
-
-
 def _anchor_index(scenario, t: int, robot: int) -> int:
     return decision_index(scenario.env)[anchor_decision(scenario, t, robot)]
 
@@ -191,7 +189,7 @@ class _ScenarioTable(Sequence):
         self.teacher = teacher_sequence(scenario)
         self.anchors = [index[d] for d in self.teacher]
         self.raw = _raw_rows(spec, self.anchors, positions, noise, size)
-        self.probs = softmax_rows(self.raw)
+        self.probs = softmax(self.raw)
         self.rows: list[tuple[float, ...] | None] = [None] * len(self.anchors)
         self.others: dict[tuple[int, int], tuple[float, ...]] = {}
 

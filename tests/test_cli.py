@@ -318,6 +318,44 @@ def test_coverage_cli_csv_format(tmp_path, capsys):
     assert out.splitlines()[0].startswith("alpha,mode,trials,coverage")
 
 
+@pytest.mark.parametrize("command", ["coverage", "compare", "dataset-conditional"])
+def test_zero_trials_on_the_command_line_is_a_config_error(tmp_path, capsys, command):
+    """--trials 0 overrides the config's n_trials, and is then refused."""
+    config = write_config(tmp_path, n_trials=2)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--trials", "0", "--out", str(out)]) == 2
+    assert "n_trials and m_calibration must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_coverage_cli_refuses_a_worker_count_below_one(tmp_path, capsys, jobs):
+    config = write_config(tmp_path, n_trials=2)
+    out = tmp_path / "out"
+    assert main(["coverage", "--config", str(config), "--jobs", jobs, "--out", str(out)]) == 2
+    assert "jobs must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-scenarios", "--count", "1"],
+        ["calibrate", "--m", "2"],
+        ["plan", "--scenario", "scenarios.json", "--quantile", "0.9"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_only_the_experiment_commands_take_a_format(tmp_path, capsys, argv):
+    """--format sets how an experiment prints its metrics; the other
+    commands print none, and refuse it as argparse does any unknown flag."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--format", "csv", "--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_compare_cli_budget_error(tmp_path):
     config = write_config(
         tmp_path,

@@ -386,9 +386,3 @@ def test_rendering_is_injective_on_a_small_corpus():
                 break
             ctx = advance(ctx, IDLE_DECISION)
     assert len(seen) > 10
-
-
-def test_template_override_changes_rendering(scenario):
-    ctx = initial_context(scenario)
-    text = render_text(ctx, template="only history: {history}\n[{scenario_id}/{cursor}/{skills}/{environment}/{task}/{response}/{n_robots}/{horizon}]")
-    assert text.startswith("only history: (no actions yet)")

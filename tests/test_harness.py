@@ -411,6 +411,14 @@ def test_parallel_jobs_match_serial(tmp_path):
     ).read_bytes()
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_a_worker_count_below_one_is_refused(tmp_path, jobs):
+    """Refused before any trial runs or any output is written."""
+    with pytest.raises(ConfigError, match="jobs must be >= 1"):
+        run_coverage_experiment(tiny_config(n_trials=2), out_dir=tmp_path / "out", jobs=jobs)
+    assert not (tmp_path / "out").exists()
+
+
 def test_indicator_scorer_coverage_is_total_once_the_threshold_clears():
     """With the indicator scorer every label is the unique argmax at the
     maximal score, so as soon as the calibrated threshold sits strictly below

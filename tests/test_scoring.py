@@ -28,7 +28,6 @@ from confplan.scoring import (
     scorer_spec_from_dict,
     scorer_spec_to_dict,
     softmax,
-    softmax_rows,
 )
 from confplan.world import (
     ACTION_KINDS,
@@ -291,7 +290,7 @@ def rows_with_edges(rng, size: int) -> np.ndarray:
 @pytest.mark.parametrize("size", [1, 2, 7, 8, 9, 16, 28, 127, 128, 129, 257])
 def test_row_wise_softmax_is_bitwise_the_1d_softmax(size):
     raw = rows_with_edges(np.random.default_rng(size), size)
-    got = softmax_rows(raw).tolist()
+    got = softmax(raw).tolist()
     for row, want in zip(raw, got):
         assert [x.hex() for x in want] == [x.hex() for x in softmax(row).tolist()]
 
@@ -432,6 +431,9 @@ def test_scorer_spec_validation_and_parsing():
         {"timeout": 0},
         {"timeout": -1},
         {"timeout": "nan"},
+        {"base_url": ""},
+        {"model": ""},
+        {"api_key_env": ""},
     ],
 )
 def test_an_endpoint_out_of_range_is_refused_at_load(endpoint):
