@@ -83,12 +83,15 @@ def _emit_metrics(result: dict, fmt: str) -> None:
                 ",".join(str(getattr(m, col)) for col in harness.CSV_COLUMNS) + "\n"
             )
     else:
-        payload = [harness.metrics_to_dict(m) for m in metrics]
+        payload = [world.to_data(m) for m in metrics]
         json.dump(payload, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
 
 
 def cmd_gen_scenarios(args) -> int:
+    if args.count < 1:
+        # every reader refuses a file that holds no scenario
+        raise ConfigError(f"--count must be >= 1, got {args.count}")
     params = _load_params(args)
     scenarios = [scn.sample_scenario(params, args.start + i) for i in range(args.count)]
     out = Path(args.out or "scenarios.json")

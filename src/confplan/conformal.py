@@ -105,7 +105,6 @@ class PredictionSet:
     """Decisions whose score clears the threshold, as decision-space indices."""
 
     indices: tuple[int, ...]
-    scores: tuple[float, ...]  # scores of the members, aligned with indices
     full_set: bool = False
 
     @property
@@ -122,12 +121,10 @@ class PredictionSet:
 
 def local_prediction_set(scores, quantile: Quantile) -> PredictionSet:
     """Per-iteration prediction set {d : g(d) > 1 - q}; full S under sentinel."""
-    values = tuple(scores)
     if quantile.full_set:
-        return PredictionSet(indices=tuple(range(len(values))), scores=values, full_set=True)
+        return PredictionSet(indices=tuple(range(len(scores))), full_set=True)
     thr = quantile.threshold
-    indices = tuple(i for i, s in enumerate(values) if s > thr)
-    return PredictionSet(indices=indices, scores=tuple(values[i] for i in indices))
+    return PredictionSet(indices=tuple(i for i, s in enumerate(scores) if s > thr))
 
 
 def global_prediction_set(tables, quantile: Quantile, budget: int = 250_000):
@@ -269,10 +266,7 @@ class JointCalibrationRecord:
     the joint score is the product of the robots' per-decision scores."""
 
     scenario_id: str
-    space_size: int
-    n_robots: int
     step_scores: tuple[float, ...]
-    label_indices: tuple[tuple[int, ...], ...]  # per step, one index per robot
 
     @property
     def ncs(self) -> float:
@@ -291,29 +285,18 @@ def joint_step_scores(scenario: Scenario, scorer, history, t: int):
 def score_joint_label_sequence(scenario: Scenario, scorer) -> JointCalibrationRecord:
     """Score the canonical labels jointly: the team score of a step is the
     product over robots of their step-start scores (see joint_step_scores)."""
-    space = decision_space(scenario.env)
     index = decision_index(scenario.env)
-    n = scenario.n_robots
     history: tuple = ()
     step_scores = []
-    label_indices = []
     for t in range(scenario.horizon):
-        labels = tuple(anchor_decision(scenario, t, r) for r in range(n))
-        indices = tuple(index[d] for d in labels)
+        labels = tuple(anchor_decision(scenario, t, r) for r in range(scenario.n_robots))
         vectors = joint_step_scores(scenario, scorer, history, t)
         score = 1.0
-        for robot, i in enumerate(indices):
-            score *= vectors[robot][i]
+        for robot, label in enumerate(labels):
+            score *= vectors[robot][index[label]]
         step_scores.append(score)
-        label_indices.append(indices)
         history = history + tuple((t, r, labels[r]) for r in scenario.orders[t])
-    return JointCalibrationRecord(
-        scenario_id=scenario.id,
-        space_size=len(space),
-        n_robots=n,
-        step_scores=tuple(step_scores),
-        label_indices=tuple(label_indices),
-    )
+    return JointCalibrationRecord(scenario_id=scenario.id, step_scores=tuple(step_scores))
 
 
 # --- dataset-conditional adjustment --------------------------------------------

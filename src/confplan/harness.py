@@ -61,7 +61,7 @@ from .scenario import (
     validate_scenario_plan,
 )
 from .scoring import ScorerSpec, build_scorer, scorer_spec_to_dict
-from .world import from_data, to_data
+from .world import dump_json, from_data, to_data
 
 
 @dataclass(frozen=True)
@@ -171,71 +171,46 @@ def _hist_percentile(hist: dict[int, int], q: float) -> float:
     return float(max(hist))
 
 
-class _CellAccumulator:
-    def __init__(self, alpha: float, mode: str):
-        self.alpha = alpha
-        self.mode = mode
-        self.trials = 0
-        self.covered = 0
-        self.success = 0
-        self.singleton = 0
-        self.help_slots = 0
-        self.decisions = 0
-        self.set_sum = 0
-        self.set_hist: dict[int, int] = {}
-        self.calls = 0
-        self.coverage_implies_success = True
-        self.full_set_trials = 0
-
-    def add(self, row: dict) -> None:
-        self.trials += 1
-        self.covered += bool(row["covered"])
-        self.success += bool(row["success"])
-        self.singleton += row["n_singleton"]
-        self.help_slots += row["n_help_slots"]
-        self.decisions += row["n_sets"]
-        self.calls += row["scorer_calls"]
-        self.full_set_trials += bool(row.get("full_set", False))
+def _cell(alpha: float, mode: str, rows: list[dict]) -> Metrics:
+    """One (alpha, mode) cell from its trial rows. Every set statistic is read
+    off the rows' merged set-size histogram: each decision is one set, and
+    each set that is not a singleton is a help slot."""
+    hist: dict[int, int] = {}
+    for row in rows:
         for size, count in row["set_hist"].items():
-            size = int(size)
-            self.set_hist[size] = self.set_hist.get(size, 0) + count
-            self.set_sum += size * count
-        if row["covered"] and not row["success"]:
-            self.coverage_implies_success = False
-
-    def metrics(self) -> Metrics:
-        n = self.trials
-        coverage = self.covered / n if n else 0.0
-        success = self.success / n if n else 0.0
-        return Metrics(
-            alpha=self.alpha,
-            mode=self.mode,
-            trials=n,
-            coverage=coverage,
-            coverage_se=_binomial_se(coverage, n),
-            success_rate=success,
-            success_se=_binomial_se(success, n),
-            singleton_rate=self.singleton / self.decisions if self.decisions else 0.0,
-            help_rate=self.help_slots / self.decisions if self.decisions else 0.0,
-            mean_set_size=self.set_sum / self.decisions if self.decisions else 0.0,
-            p50_set_size=_hist_percentile(self.set_hist, 0.5),
-            p90_set_size=_hist_percentile(self.set_hist, 0.9),
-            scorer_calls=self.calls,
-            n_decisions=self.decisions,
-            extra={
-                "coverage_le_success": self.coverage_implies_success,
-                "full_set_trials": self.full_set_trials,
-            },
-        )
+            hist[int(size)] = hist.get(int(size), 0) + count
+    n = len(rows)
+    decisions = sum(hist.values())
+    singletons = hist.get(1, 0)
+    set_sum = sum(size * count for size, count in hist.items())
+    coverage = sum(bool(r["covered"]) for r in rows) / n
+    success = sum(bool(r["success"]) for r in rows) / n
+    return Metrics(
+        alpha=alpha,
+        mode=mode,
+        trials=n,
+        coverage=coverage,
+        coverage_se=_binomial_se(coverage, n),
+        success_rate=success,
+        success_se=_binomial_se(success, n),
+        singleton_rate=singletons / decisions if decisions else 0.0,
+        help_rate=(decisions - singletons) / decisions if decisions else 0.0,
+        mean_set_size=set_sum / decisions if decisions else 0.0,
+        p50_set_size=_hist_percentile(hist, 0.5),
+        p90_set_size=_hist_percentile(hist, 0.9),
+        scorer_calls=sum(r["scorer_calls"] for r in rows),
+        n_decisions=decisions,
+        extra={
+            "coverage_le_success": all(r["success"] or not r["covered"] for r in rows),
+            "full_set_trials": sum(bool(r.get("full_set", False)) for r in rows),
+        },
+    )
 
 
 def _trace_row(trace, covered: bool, success: bool, full_set: bool) -> dict:
     return {
         "covered": covered,
         "success": success,
-        "n_sets": trace.n_sets,
-        "n_singleton": trace.n_singleton,
-        "n_help_slots": trace.n_sets - trace.n_singleton,
         "n_user_help": trace.n_user_help,
         "n_reorder": trace.n_reorder,
         "coverage_misses": trace.coverage_misses,
@@ -384,14 +359,11 @@ def _run_trials(trial, cfg: ExperimentConfig, checkpoint_dir=None, jobs: int = 1
 def _aggregate(rows: list[dict], alphas, modes: dict[str, str]) -> list[Metrics]:
     """One Metrics per (alpha, mode), alphas in the given order; `modes` maps
     each planner's key in the rows to the mode name its cells report."""
-    metrics = []
-    for alpha in alphas:
-        for planner, mode in modes.items():
-            cell = _CellAccumulator(alpha, mode)
-            for row in rows:
-                cell.add(row[planner][f"{alpha:g}"])
-            metrics.append(cell.metrics())
-    return metrics
+    return [
+        _cell(alpha, mode, [row[planner][f"{alpha:g}"] for row in rows])
+        for alpha in alphas
+        for planner, mode in modes.items()
+    ]
 
 
 def _report(cfg, metrics, detail: dict, out_dir, stem: str, log, started: float) -> dict:
@@ -402,7 +374,7 @@ def _report(cfg, metrics, detail: dict, out_dir, stem: str, log, started: float)
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_metrics(metrics, out_dir, cfg, detail=detail, stem=stem)
+        write_metrics(metrics, out_dir, cfg, detail, stem)
     return {"metrics": metrics, **detail}
 
 
@@ -457,8 +429,8 @@ def run_dataset_conditional(
     Each test draw gets a fresh scorer, as a marginal trial does: a scorer
     keeps every table it draws, so one scorer for the whole run would keep
     every test draw alive to its end. A scorer's scores do not depend on what
-    it scored before, and planners read call counts as deltas, so the rows
-    are the same either way."""
+    it scored before, and each planner counts its own queries
+    (`PlanTrace.scorer_calls`), so the rows are the same either way."""
     cfg.validate()
     started = time.monotonic()
     params, scorer_spec = cfg.effective()
@@ -489,11 +461,7 @@ def run_dataset_conditional(
 
 # --- output -----------------------------------------------------------------------
 
-def metrics_to_dict(m: Metrics) -> dict:
-    return to_data(m)
-
-
-def write_metrics(metrics, out_dir: Path, cfg: ExperimentConfig, detail=None, stem="coverage"):
+def write_metrics(metrics, out_dir: Path, cfg: ExperimentConfig, detail: dict, stem: str):
     out_dir = Path(out_dir)
     with open(out_dir / f"{stem}.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
@@ -502,9 +470,7 @@ def write_metrics(metrics, out_dir: Path, cfg: ExperimentConfig, detail=None, st
             writer.writerow({col: getattr(m, col) for col in CSV_COLUMNS})
     payload = {
         "config": config_to_dict(cfg),
-        "detail": detail or {},
-        "metrics": [metrics_to_dict(m) for m in metrics],
+        "detail": detail,
+        "metrics": [to_data(m) for m in metrics],
     }
-    with open(out_dir / f"{stem}.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dump_json(payload, out_dir / f"{stem}.json")

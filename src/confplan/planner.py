@@ -122,14 +122,6 @@ class PlanTrace:
     failed: bool = False
 
     @property
-    def n_sets(self) -> int:
-        return len(self.records)
-
-    @property
-    def n_singleton(self) -> int:
-        return sum(1 for r in self.records if r.set_size == 1)
-
-    @property
     def n_user_help(self) -> int:
         return sum(1 for r in self.records for h in r.help if h.kind == "user")
 
@@ -327,7 +319,7 @@ def plan_distributed(
                     t,
                     robot,
                     presented_indices=ps.indices or tuple(range(len(space))),
-                    presented_scores=ps.scores or vec,
+                    presented_scores=tuple(vec[i] for i in ps.indices) or vec,
                     full_set=ps.full_set,
                     resolution_index=chosen,
                     coverage_miss=miss,

@@ -41,6 +41,18 @@ def test_gen_scenarios_writes_file(tmp_path, capsys):
     assert all(d["decision_space_size"] == 9 for d in data)
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_gen_scenarios_refuses_a_count_below_one(tmp_path, capsys, count):
+    """A file of no scenario is one that `plan` and `calibrate --scenarios`
+    both refuse, so it is not written."""
+    params = write_params(tmp_path)
+    out = tmp_path / "scenarios.json"
+    argv = ["gen-scenarios", "--params", str(params), "--count", count, "--out", str(out)]
+    assert main(argv) == 2
+    assert "--count must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_calibrate_warns_on_full_set_sentinel(tmp_path, capsys):
     params = write_params(tmp_path)
     out = tmp_path / "cal"

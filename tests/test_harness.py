@@ -139,19 +139,35 @@ def test_coverage_metrics_files_are_reproducible(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def _with_derived_counts(line: str) -> str:
+    """A checkpoint row as it was written when rows also carried the set
+    counts that their set-size histogram holds."""
+    row = json.loads(line)
+    for cell in row["alphas"].values():
+        n_sets = sum(cell["set_hist"].values())
+        n_singleton = cell["set_hist"].get("1", 0)
+        cell.update(n_sets=n_sets, n_singleton=n_singleton, n_help_slots=n_sets - n_singleton)
+    return json.dumps(row, sort_keys=True)
+
+
 def test_coverage_checkpoint_resume(tmp_path):
     cfg_small = tiny_config(n_trials=3)
     cfg_full = tiny_config(n_trials=6)
-    out = tmp_path / "resume"
-    run_coverage_experiment(cfg_small, out_dir=out)
-    lines_before = (out / "trials.jsonl").read_text().strip().splitlines()
-    assert len(lines_before) == 3
-    resumed = run_coverage_experiment(cfg_full, out_dir=out)
     fresh = run_coverage_experiment(cfg_full, out_dir=tmp_path / "fresh")
-    assert [m.__dict__ for m in resumed["metrics"]] == [m.__dict__ for m in fresh["metrics"]]
-    lines_after = (out / "trials.jsonl").read_text().strip().splitlines()
-    assert len(lines_after) == 6
-    assert lines_after[:3] == lines_before  # earlier trials were not recomputed
+    # the second checkpoint's rows carry the set counts rows once repeated
+    for derived_counts in (False, True):
+        out = tmp_path / f"resume-{derived_counts}"
+        run_coverage_experiment(cfg_small, out_dir=out)
+        lines_before = (out / "trials.jsonl").read_text().strip().splitlines()
+        assert len(lines_before) == 3
+        if derived_counts:
+            lines_before = [_with_derived_counts(line) for line in lines_before]
+            (out / "trials.jsonl").write_text("".join(line + "\n" for line in lines_before))
+        resumed = run_coverage_experiment(cfg_full, out_dir=out)
+        assert [m.__dict__ for m in resumed["metrics"]] == [m.__dict__ for m in fresh["metrics"]]
+        lines_after = (out / "trials.jsonl").read_text().strip().splitlines()
+        assert len(lines_after) == 6
+        assert lines_after[:3] == lines_before  # earlier trials were not recomputed
 
 
 def test_coverage_resume_drops_a_torn_last_line(tmp_path):
