@@ -135,13 +135,21 @@ def cmd_calibrate(args) -> int:
 
 
 def _quantile_for_plan(args) -> conformal.Quantile | None:
-    """The plan mode's quantile; argmax mode needs none and refuses one."""
+    """The plan mode's quantile; argmax mode needs none and refuses one. An
+    option that the mode never reads is refused too."""
     if not 0.0 < args.alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {args.alpha}")
+    if args.mode != planner.DISTRIBUTED and (args.feasible == "search" or args.reorders):
+        raise ConfigError(f"{args.mode} mode takes no --feasible search or --reorders")
     if args.mode == planner.ARGMAX:
-        if args.quantile is not None or args.calibration:
-            raise ConfigError("argmax mode takes no --quantile or --calibration")
+        asks_help = args.interactive or args.help_policy != planner.ORACLE_USER
+        if args.quantile is not None or args.calibration or asks_help:
+            raise ConfigError(
+                "argmax mode takes no --quantile, --calibration, --interactive or --help-policy"
+            )
         return None
+    if args.quantile is not None and args.calibration:
+        raise ConfigError("plan takes --quantile or --calibration, not both")
     if args.quantile is not None:
         if not 0.0 <= args.quantile <= 1.0:  # NaN fails both comparisons
             raise ConfigError(f"quantile must be in [0, 1], got {args.quantile}")

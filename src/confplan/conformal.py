@@ -4,8 +4,9 @@ A whole multi-robot plan is one calibration example: its nonconformity score
 is one minus the lowest per-iteration confidence of the labeled decision. The
 empirical quantile of M such scores thresholds the per-iteration local
 prediction sets at test time; the Cartesian product of the local sets equals
-the brute-force sequence-level set, so membership of a plan is decidable in
-O(T) (see ProductSet).
+the brute-force sequence-level set (see ProductSet). So a plan is in the set
+exactly when its lowest step score is above 1 - quantile, and a labeled
+plan's coverage is one comparison of its record's scores.
 
 Conventions, kept exactly:
   * quantile = the ceil((M+1)(1-alpha))-th smallest calibration score; when
@@ -227,14 +228,11 @@ def _record(scenario: Scenario, lr: LabelResult, label_mode: str) -> Calibration
 
 
 def score_label_sequence(scenario: Scenario, scorer, label_mode: str = "oracle"):
-    """Label one scenario and package it as a CalibrationRecord.
-
-    Returns (record, label result); the label result keeps the full per-step
-    scores, which the coverage harness reuses to build prediction sets
-    for test sequences without re-querying the scorer.
-    """
+    """Label one scenario and package it as a CalibrationRecord. Its scores
+    also decide a test label's coverage: the label is in the product set
+    exactly when its lowest score is above the threshold."""
     lr = label_sequence(scenario, scorer, label_mode=label_mode)
-    return _record(scenario, lr, label_mode), lr
+    return _record(scenario, lr, label_mode)
 
 
 def calibration_records(scenarios, scorer, label_mode: str = "oracle") -> list[CalibrationRecord]:

@@ -4,20 +4,20 @@ centralized comparisons, and the fixed-calibration (dataset-conditional) mode.
 The three experiments share one shape. `_calibrate_draws` samples the
 calibration draws, labels them once as one batch and calibrates at each
 alpha's level; the kernel, `_trial_row`, labels one test draw and, for each
-alpha, builds the local sets, checks coverage, plans, validates and records a
-row per planner; `_run_trials` runs the kernel over the trials (coverage adds
-the resumable checkpoint and worker processes); `_aggregate` folds the rows
-into Metrics. The experiments
-differ only in their calibration draws (fresh at trial * (M + 1) per trial, or
-0..M-1 once for dataset-conditional), in each alpha's calibration level
-(alpha itself, or `dataset_conditional_alpha`), and in whether the
-centralized planner runs (compare, with oracle labels and W = 0).
+alpha, checks coverage, plans, validates and records a row per planner;
+`_run_trials` runs the kernel over the trials (coverage adds the resumable
+checkpoint and worker processes); `_aggregate` folds the rows into Metrics.
+The experiments differ only in their calibration draws (fresh at
+trial * (M + 1) per trial, or 0..M-1 once for dataset-conditional), in each
+alpha's calibration level (alpha itself, or `dataset_conditional_alpha`),
+and in whether the centralized planner runs (compare, with oracle labels and
+W = 0).
 
 All randomness is keyed by (seed, draw index), so trial i's results do not
 depend on which other trials run, and synthetic scores are pure in (seed,
 scenario id, k), so one calibration serves every alpha. Timing is reported on
 stderr only; metrics files are a pure function of the serialized experiment
-configuration.
+configuration, so an experiment refuses the interactive-user help policy.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ from .conformal import (
     calibrate,
     calibration_records,
     dataset_conditional_alpha,
-    local_prediction_set,
-    product_set,
     score_joint_label_sequence,
     score_label_sequence,
 )
@@ -46,6 +44,7 @@ from .errors import ConfigError
 from .planner import (
     CENTRALIZED,
     DISTRIBUTED,
+    INTERACTIVE_USER,
     ORACLE_USER,
     PlannerConfig,
     plan_centralized,
@@ -98,6 +97,8 @@ class ExperimentConfig:
             raise ConfigError(f"alphas {list(self.alphas)} repeat at 6 significant digits")
         if self.label_mode not in ("oracle", "selector"):
             raise ConfigError(f"unknown label mode {self.label_mode!r}")
+        if self.help_policy == INTERACTIVE_USER:
+            raise ConfigError("experiments take no interactive-user help policy")
         self.planner_config().validate()
 
     def planner_config(self) -> PlannerConfig:
@@ -236,12 +237,13 @@ def _calibrate_draws(cfg: ExperimentConfig, params, scorer, draws, levels, joint
 
 def _trial_row(cfg: ExperimentConfig, scorer, quantiles, trial: int, test) -> dict:
     """The experiment kernel: label the test draw once, then for each alpha's
-    calibrated quantile build the local sets, check coverage, plan, validate
-    and record a row per planner ("alphas" for the distributed one). With a
-    joint quantile the centralized planner runs too ("centralized"), and each
-    planner's call-count law is asserted exactly when its plan ran to the end."""
-    test_record, test_labels = score_label_sequence(test, scorer, label_mode=cfg.label_mode)
-    label = tuple(test_record.decision_indices)
+    calibrated quantile check coverage, plan, validate and record a row per
+    planner ("alphas" for the distributed one). The label is in the product
+    of the local sets exactly when its lowest score is above the threshold
+    (-inf under the FULL-SET sentinel). With a joint quantile the centralized
+    planner runs too ("centralized"), and each planner's call-count law is
+    asserted exactly when its plan ran to the end."""
+    test_record = score_label_sequence(test, scorer, label_mode=cfg.label_mode)
     if cfg.label_mode == "selector":
         provider = search_feasible_provider(test)
     else:
@@ -249,8 +251,7 @@ def _trial_row(cfg: ExperimentConfig, scorer, quantiles, trial: int, test) -> di
     pcfg = cfg.planner_config()
     row = {"trial": trial, "test_scenario": test.id}
     for alpha, (quantile, q_joint) in zip(cfg.alphas, quantiles):
-        local_sets = [local_prediction_set(vec, quantile) for vec in test_labels.vectors]
-        covered = label in product_set(local_sets)
+        covered = min(test_record.scores) > quantile.threshold
         trace_d = plan_distributed(test, scorer, quantile, pcfg, feasible_provider=provider)
         plans = {"alphas": (trace_d, quantile.full_set)}
         if q_joint is not None:

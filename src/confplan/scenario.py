@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -765,11 +764,12 @@ def argmax_feasible(
 
 @dataclass(frozen=True)
 class LabelResult:
-    """Ground-truth label sequence plus the scores that back calibration."""
+    """Ground-truth label sequence, the score of each labeled decision (they
+    back calibration and decide a test label's coverage) and how each
+    iteration's decision was found."""
 
     decisions: tuple[Decision, ...]
     scores: tuple[float, ...]  # normalized score of each labeled decision
-    vectors: Sequence  # each iteration's score tuple, maybe built on access
     modes: tuple[str, ...]
 
     @property
@@ -797,12 +797,12 @@ def label_sequences(scenarios, scorer, label_mode: str) -> list[LabelResult]:
 
     A scorer that keeps score tables (`score_tables`: the synthetic
     scorers) draws the whole batch's tables first, in one seeding pass, and
-    labels are read from them. `LabelResult.vectors` is the table, which
-    builds a row's score tuple only when it is read. An oracle label's
-    scores are one fancy index. A selector label reads row k's scores and
-    tries the scheduled robot's moves best-first, stopping at the first with
-    a completion (`FeasibilityIndex.best`). Every label from a scorer without tables
-    (the external one) walks the sequence, one `score_all` per iteration.
+    labels are read from them without building a row's score tuple. An
+    oracle label's scores are one fancy index. A selector label reads row k
+    of the softmaxed matrix and tries the scheduled robot's moves best-first,
+    stopping at the first with a completion (`FeasibilityIndex.best`). Every
+    label from a scorer without tables (the external one) walks the
+    sequence, one `score_all` per iteration.
     """
     if label_mode not in ("selector", "oracle"):
         raise ConfigError(f"unknown label mode {label_mode!r}")
@@ -815,9 +815,8 @@ def label_sequences(scenarios, scorer, label_mode: str) -> list[LabelResult]:
             results.append(_selected_label(s, table))
         else:
             _check_label(s, oracle_plan_failure(s))
-            results.append(
-                LabelResult(table.teacher, table.teacher_scores(), table, ("oracle",) * len(table))
-            )
+            modes = ("oracle",) * len(table.teacher)
+            results.append(LabelResult(table.teacher, table.teacher_scores(), modes))
     return results
 
 
@@ -835,7 +834,7 @@ def _selected_label(scenario: Scenario, table) -> LabelResult:
         modes.append(mode)
     plan = flat_to_plan(scenario, tuple(decisions))
     _check_label(scenario, validate_scenario_plan(scenario, plan).reason)
-    return LabelResult(tuple(decisions), tuple(scores), table, tuple(modes))
+    return LabelResult(tuple(decisions), tuple(scores), tuple(modes))
 
 
 def _check_label(scenario: Scenario, reason: str | None) -> None:
@@ -853,7 +852,6 @@ def _walked_label(scenario: Scenario, scorer, label_mode: str) -> LabelResult:
     ctx = initial_context(scenario)
     decisions: list[Decision] = []
     scores: list[float] = []
-    vectors = []
     modes: list[str] = []
     for _ in range(scenario.n_robots * scenario.horizon):
         vec = scorer.score_all(ctx)
@@ -869,7 +867,6 @@ def _walked_label(scenario: Scenario, scorer, label_mode: str) -> LabelResult:
             mode = fs.mode
         decisions.append(d)
         scores.append(vec[index[d]])
-        vectors.append(vec)
         modes.append(mode)
         ctx = advance(ctx, d)
     if findex is None:
@@ -878,7 +875,7 @@ def _walked_label(scenario: Scenario, scorer, label_mode: str) -> LabelResult:
         plan = flat_to_plan(scenario, tuple(decisions))
         reason = validate_scenario_plan(scenario, plan).reason
     _check_label(scenario, reason)
-    return LabelResult(tuple(decisions), tuple(scores), tuple(vectors), tuple(modes))
+    return LabelResult(tuple(decisions), tuple(scores), tuple(modes))
 
 
 # --- serialization ------------------------------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -162,18 +161,19 @@ def _anchor_index(scenario, t: int, robot: int) -> int:
     return decision_index(scenario.env)[anchor_decision(scenario, t, robot)]
 
 
-class _ScenarioTable(Sequence):
-    """One scenario's synthetic scores under one spec; as a sequence, the
-    score tuple of each iteration k < N·H under the schedule's own robot.
+class _ScenarioTable:
+    """One scenario's synthetic scores under one spec: `vector` gives the
+    score tuple of any robot at iteration k < N·H.
 
     Drawn in a scorer's batch (`SyntheticScorer.score_tables`): the keyed
     draws of every k, and the schedule's (k, robot) rows as one raw matrix,
-    softmaxed as one. A row's tuple is built on its first query, so labels
-    read from the table build none: oracle labels read `teacher` and
-    `teacher_scores`, selector labels the rows of `probs`. Any other robot
-    at k (a reordered step, a step-start joint score) gets its scores from
-    row k's draws, on first query. The step is k // N, as in every context
-    `advance` and `reset_step` build.
+    softmaxed as one. The schedule's own robot's tuple at k is built on its
+    first query and kept in `rows`, so labels read from the table build
+    none: oracle labels read `teacher` and `teacher_scores`, selector labels
+    the rows of `probs`. Any other robot at k (a reordered step, a
+    step-start joint score) gets its scores from row k's draws, on first
+    query. The step is k // N, as in every context `advance` and
+    `reset_step` build.
     """
 
     __slots__ = (
@@ -193,22 +193,16 @@ class _ScenarioTable(Sequence):
         self.rows: list[tuple[float, ...] | None] = [None] * len(self.anchors)
         self.others: dict[tuple[int, int], tuple[float, ...]] = {}
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, k: int) -> tuple[float, ...]:
-        vec = self.rows[k]
-        if vec is None:
-            vec = self.rows[k] = tuple(self.probs[k].tolist())
-        return vec
-
     def teacher_scores(self) -> tuple[float, ...]:
         """The softmax score of each k's teacher label, in one fancy index."""
         return tuple(self.probs[np.arange(len(self.rows)), self.anchors].tolist())
 
     def vector(self, k: int, t: int, robot: int) -> tuple[float, ...]:
         if self.robots[k] == robot:
-            return self[k]
+            vec = self.rows[k]
+            if vec is None:
+                vec = self.rows[k] = tuple(self.probs[k].tolist())
+            return vec
         vec = self.others.get((k, robot))
         if vec is None:
             raw = _raw_rows(

@@ -230,7 +230,7 @@ def test_criterion_6_single_robot_mode_equivalence():
     joint_records = []
     for i in range(15):
         s = sample_scenario(params, i)
-        record, _ = score_label_sequence(s, scorer, label_mode="oracle")
+        record = score_label_sequence(s, scorer, label_mode="oracle")
         dist_records.append(record)
         joint_records.append(score_joint_label_sequence(s, scorer))
     q_dist = calibrate(dist_records, 0.1)

@@ -240,6 +240,7 @@ SCENARIO = scenario_to_dict(sample_scenario(DistributionParams(), 0))
 COVERAGE = ["coverage", "--config", "DOC", "--out", "OUT"]
 PLAN = ["plan", "--scenario", "DOC", "--quantile", "0.9", "--out", "OUT"]
 ARGMAX = ["plan", "--scenario", "DOC", "--mode", "argmax", "--out", "OUT"]
+CENTRALIZED = ["plan", "--scenario", "DOC", "--mode", "centralized", "--quantile", "0.9", "--out", "OUT"]
 
 
 @pytest.mark.parametrize(
@@ -265,6 +266,8 @@ ARGMAX = ["plan", "--scenario", "DOC", "--mode", "argmax", "--out", "OUT"]
         pytest.param(_config(master_seed="three"), COVERAGE, id="text-master-seed"),
         pytest.param(_config(master_seed=-4), COVERAGE, id="negative-master-seed"),
         pytest.param(_config(), [*COVERAGE, "--seed", "-1"], id="negative-seed-flag"),
+        # an experiment's metrics are a function of its config, not of a user's answers
+        pytest.param(_config(help_policy="interactive-user"), COVERAGE, id="interactive-help"),
         pytest.param(
             {"kind": "noisy-oracle", "sigma": 0.0},  # the alias holds only in the CLI string
             ["calibrate", "--m", "2", "--scorer", "DOC", "--out", "OUT"],
@@ -286,6 +289,16 @@ ARGMAX = ["plan", "--scenario", "DOC", "--mode", "argmax", "--out", "OUT"]
         pytest.param(SCENARIO, [*ARGMAX, "--quantile", "0.9"], id="argmax-quantile"),
         pytest.param(SCENARIO, [*ARGMAX, "--calibration", "DOC"], id="argmax-calibration"),
         pytest.param(SCENARIO, [*ARGMAX, "--alpha", "7"], id="argmax-alpha"),
+        # plan refuses an option its mode never reads: an explicit quantile
+        # leaves a calibration unread, only the distributed planner reorders
+        # and searches for help options, and the argmax ablation asks no help
+        pytest.param(SCENARIO, [*PLAN, "--calibration", "DOC"], id="quantile-and-calibration"),
+        pytest.param(SCENARIO, [*CENTRALIZED, "--feasible", "search"], id="centralized-search"),
+        pytest.param(SCENARIO, [*CENTRALIZED, "--reorders", "3"], id="centralized-reorders"),
+        pytest.param(SCENARIO, [*ARGMAX, "--feasible", "search"], id="argmax-search"),
+        pytest.param(SCENARIO, [*ARGMAX, "--reorders", "2"], id="argmax-reorders"),
+        pytest.param(SCENARIO, [*ARGMAX, "--interactive"], id="argmax-interactive"),
+        pytest.param(SCENARIO, [*ARGMAX, "--help-policy", "fail-on-help"], id="argmax-help-policy"),
         # a scenario file calibrates on every scenario it holds
         pytest.param(
             [SCENARIO, SCENARIO], ["calibrate", "--scenarios", "DOC", "--m", "1", "--out", "OUT"],

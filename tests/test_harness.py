@@ -18,10 +18,17 @@ from confplan.harness import (
     run_coverage_experiment,
     run_dataset_conditional,
 )
-from confplan.conformal import calibration_records, score_label_sequence
+from confplan.conformal import (
+    calibrate,
+    calibration_records,
+    local_prediction_set,
+    product_set,
+    score_label_sequence,
+)
+from confplan.context import advance, initial_context
 from confplan.errors import ConfigError
-from confplan.scenario import DistributionParams
-from confplan.scoring import ScorerSpec
+from confplan.scenario import DistributionParams, decision_space, sample_scenario
+from confplan.scoring import ScorerSpec, build_scorer
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -47,14 +54,28 @@ def tiny_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
+def label_rows(scenario, scorer, record) -> list:
+    """The scorer's row at each k of a labeled record, read through
+    `score_all` along the label."""
+    space = decision_space(scenario.env)
+    ctx = initial_context(scenario)
+    rows = []
+    for i in record.decision_indices:
+        rows.append(scorer.score_all(ctx))
+        ctx = advance(ctx, space[i])
+    return rows
+
+
 def test_config_roundtrip_and_validation():
     cfg = tiny_config(master_seed=5)
     assert config_from_dict(config_to_dict(cfg)) == cfg
     with pytest.raises(ConfigError):
         config_from_dict(config_to_dict(dataclasses.replace(cfg, alphas=(1.5,))))
-    # the planner settings are checked at load too, by PlannerConfig's own rule
+    # the planner settings are checked at load too, by PlannerConfig's own
+    # rule, and an experiment refuses interactive help
     bads = (
         {"help_policy": "bogus"},
+        {"help_policy": "interactive-user"},
         {"reorder_bound": -3},
         {"centralized_budget": 0},
         {"centralized_budget": -1},
@@ -63,6 +84,33 @@ def test_config_roundtrip_and_validation():
         with pytest.raises(ConfigError):
             config_from_dict({**config_to_dict(cfg), **bad})
     assert config_from_dict({**config_to_dict(cfg), "centralized_budget": 1}).centralized_budget == 1
+
+
+@pytest.mark.parametrize("label_mode", ["oracle", "selector"])
+def test_the_covered_flag_is_the_label_in_the_product_of_the_local_sets(label_mode):
+    """The reference rebuilds each trial's local sets from the scorer's rows
+    along the test label and asks whether the label is in their product.
+    Alpha 0.05 is below what M = 10 can calibrate (the FULL-SET sentinel),
+    and alpha 0.5 leaves some labels uncovered."""
+    cfg = tiny_config(label_mode=label_mode, alphas=(0.05, 0.3, 0.5), n_trials=6)
+    params, spec = cfg.effective()
+    seen = set()
+    for row in run_coverage_experiment(cfg)["trials"]:
+        scorer = build_scorer(spec)
+        base = row["trial"] * (cfg.m_calibration + 1)
+        draws = range(base, base + cfg.m_calibration)
+        records = calibration_records([sample_scenario(params, d) for d in draws], scorer, label_mode)
+        test = sample_scenario(params, base + cfg.m_calibration)
+        record = score_label_sequence(test, scorer, label_mode)
+        rows = label_rows(test, scorer, record)
+        for alpha in cfg.alphas:
+            quantile = calibrate(records, alpha)
+            covered = record.decision_indices in product_set(
+                local_prediction_set(r, quantile) for r in rows
+            )
+            assert row["alphas"][f"{alpha:g}"]["covered"] == covered
+            seen.add((quantile.full_set, covered))
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 @pytest.mark.parametrize("alphas", [(0.1, 0.1), (0.1, 0.3, 0.1000001)])
@@ -442,16 +490,8 @@ def test_indicator_scorer_coverage_is_total_once_the_threshold_clears():
     space), every trial is covered with zero help."""
     import dataclasses as _dc
 
-    from confplan.conformal import (
-        build_calibration_set,
-        calibrate,
-        local_prediction_set,
-        product_set,
-        score_label_sequence,
-    )
+    from confplan.conformal import build_calibration_set
     from confplan.planner import PlannerConfig, plan_distributed, teacher_feasible_provider
-    from confplan.scenario import sample_scenario
-    from confplan.scoring import ScorerSpec, build_scorer
     from confplan.scenario import validate_scenario_plan
 
     base = tiny_config().params
@@ -465,8 +505,8 @@ def test_indicator_scorer_coverage_is_total_once_the_threshold_clears():
         covered = helps = trials = 0
         for draw in range(6):
             test = sample_scenario(test_params, 100 + draw)
-            record, labels = score_label_sequence(test, scorer)
-            sets = [local_prediction_set(v, quantile) for v in labels.vectors]
+            record = score_label_sequence(test, scorer)
+            sets = [local_prediction_set(v, quantile) for v in label_rows(test, scorer, record)]
             covered += tuple(record.decision_indices) in product_set(sets)
             trace = plan_distributed(
                 test,
@@ -488,11 +528,9 @@ def test_covered_trials_reproduce_the_label_plan_in_selector_mode():
     success >= coverage)."""
     import dataclasses as _dc
 
-    from confplan.conformal import calibrate, local_prediction_set, product_set, score_label_sequence
     from confplan.conformal import build_calibration_set
     from confplan.planner import PlannerConfig, plan_distributed, search_feasible_provider
-    from confplan.scenario import flat_to_plan, sample_scenario
-    from confplan.scoring import ScorerSpec, build_scorer
+    from confplan.scenario import flat_to_plan
 
     params = _dc.replace(
         tiny_config().params,
@@ -506,8 +544,8 @@ def test_covered_trials_reproduce_the_label_plan_in_selector_mode():
     covered_seen = 0
     for draw in range(100, 110):
         test = sample_scenario(params, draw)
-        record, labels = score_label_sequence(test, scorer, label_mode="selector")
-        sets = [local_prediction_set(v, quantile) for v in labels.vectors]
+        record = score_label_sequence(test, scorer, label_mode="selector")
+        sets = [local_prediction_set(v, quantile) for v in label_rows(test, scorer, record)]
         if tuple(record.decision_indices) not in product_set(sets):
             continue
         covered_seen += 1
@@ -518,7 +556,8 @@ def test_covered_trials_reproduce_the_label_plan_in_selector_mode():
             PlannerConfig(),
             feasible_provider=search_feasible_provider(test),
         )
-        assert trace.plan == flat_to_plan(test, labels.decisions)
+        space = decision_space(test.env)
+        assert trace.plan == flat_to_plan(test, tuple(space[i] for i in record.decision_indices))
     assert covered_seen >= 5
 
 

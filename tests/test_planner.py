@@ -69,7 +69,7 @@ def matching_quantile(scenario, scorer, margin=0.02, alpha=0.1):
     scores, so singleton sets appear wherever the scorer is confident."""
     from confplan.conformal import score_label_sequence
 
-    record, _ = score_label_sequence(scenario, scorer, label_mode="oracle")
+    record = score_label_sequence(scenario, scorer, label_mode="oracle")
     top = min(record.scores)
     records = [
         CalibrationRecord(

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from confplan import scenario as scenario_module
 from confplan import world
-from confplan.context import Context, OrderSchedule
+from confplan.context import Context, OrderSchedule, advance, initial_context
 from confplan.errors import BudgetError, ConfigError, NoFeasibleError, OracleError
 from confplan.scenario import (
     DistributionParams,
@@ -770,19 +770,22 @@ ORACLE_LABEL_PROFILES = {
 def test_oracle_labels_read_from_the_table_equal_the_walked_labels(kind, profile, label_mode):
     """Labels read from the score table equal the walked reference
     (`_walked_label`: one `score_all` per k, and for selector labels
-    `argmax_feasible` over each k's whole feasible set)."""
+    `argmax_feasible` over each k's whole feasible set), and so does each
+    k's row of the batch's table, bit for bit."""
     scenarios = [sample_scenario(ORACLE_LABEL_PROFILES[profile], draw) for draw in range(4)]
     spec = ScorerSpec(kind=kind, rng_seed=3)
-    batch = label_sequences(scenarios, build_scorer(spec), label_mode)
+    scorer = build_scorer(spec)
+    batch = label_sequences(scenarios, scorer, label_mode)
     walker = build_scorer(spec)
-    for s, lr in zip(scenarios, batch):
+    for s, lr, table in zip(scenarios, batch, scorer.score_tables(scenarios)):
         walked = scenario_module._walked_label(s, walker, label_mode)
         assert lr.decisions == walked.decisions and lr.modes == walked.modes
         assert [x.hex() for x in lr.scores] == [x.hex() for x in walked.scores]
-        assert tuple(lr.vectors) == walked.vectors
-        assert [[x.hex() for x in v] for v in lr.vectors] == [
-            [x.hex() for x in v] for v in walked.vectors
-        ]
+        ctx = initial_context(s)
+        for d in walked.decisions:
+            row, walked_row = table.vector(ctx.k, *ctx.cursor), walker.score_all(ctx)
+            assert [x.hex() for x in row] == [x.hex() for x in walked_row]
+            ctx = advance(ctx, d)
     if (profile, kind, label_mode) == ("criterion-9", "noisy-oracle", "selector"):
         assert any(lr.decisions != teacher_sequence(s) for s, lr in zip(scenarios, batch))
     # one at a time, through label_sequence, the same labels
@@ -802,12 +805,14 @@ def test_a_calibration_draw_builds_no_score_vector(label_mode, params):
     records = build_calibration_set(params, 30, scorer, label_mode=label_mode)
     assert len(records) == 30 and len(scorer._tables) == 30
     assert all(row is None for table in scorer._tables.values() for row in table.rows)
-    # a test draw's rows are built when they are read, once each
+    # labeling a test draw builds no row either; a row is built when it is
+    # read, once
     s = sample_scenario(params, 30)
-    lr = label_sequence(s, scorer, label_mode)
+    label_sequence(s, scorer, label_mode)
     (table,) = scorer.score_tables([s])
-    assert lr.vectors is table and all(row is None for row in table.rows)
-    first, second = list(lr.vectors), list(lr.vectors)
+    assert all(row is None for row in table.rows)
+    keys = [(k, k // s.n_robots, robot) for k, robot in enumerate(table.robots)]
+    first, second = [table.vector(*key) for key in keys], [table.vector(*key) for key in keys]
     assert len(first) == s.n_robots * s.horizon
     assert all(a is b and a is row for a, b, row in zip(first, second, table.rows))
 
