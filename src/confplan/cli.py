@@ -142,11 +142,8 @@ def _quantile_for_plan(args) -> conformal.Quantile | None:
     if args.mode != planner.DISTRIBUTED and (args.feasible == "search" or args.reorders):
         raise ConfigError(f"{args.mode} mode takes no --feasible search or --reorders")
     if args.mode == planner.ARGMAX:
-        asks_help = args.interactive or args.help_policy != planner.ORACLE_USER
-        if args.quantile is not None or args.calibration or asks_help:
-            raise ConfigError(
-                "argmax mode takes no --quantile, --calibration, --interactive or --help-policy"
-            )
+        if args.quantile is not None or args.calibration or args.help_policy != planner.ORACLE_USER:
+            raise ConfigError("argmax mode takes no --quantile, --calibration or --help-policy")
         return None
     if args.quantile is not None and args.calibration:
         raise ConfigError("plan takes --quantile or --calibration, not both")
@@ -167,8 +164,7 @@ def cmd_plan(args) -> int:
     scenario = scenarios[0]
     spec = _load_scorer_spec(args)
     scorer = scoring.build_scorer(spec)
-    policy = planner.INTERACTIVE_USER if args.interactive else args.help_policy
-    pcfg = planner.PlannerConfig(reorder_bound=args.reorders, help_policy=policy)
+    pcfg = planner.PlannerConfig(reorder_bound=args.reorders, help_policy=args.help_policy)
     quantile = _quantile_for_plan(args)
     if args.mode == planner.ARGMAX:
         trace = planner.plan_argmax(scenario, scorer)
@@ -257,13 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reorders", type=int, default=0, help="reorder bound W")
     p.add_argument(
         "--help-policy",
-        choices=(planner.ORACLE_USER, planner.FAIL_ON_HELP),
+        choices=(planner.ORACLE_USER, planner.FAIL_ON_HELP, planner.INTERACTIVE_USER),
         default=planner.ORACLE_USER,
-    )
-    p.add_argument(
-        "--interactive",
-        action="store_true",
-        help="resolve help on the terminal (numbered set with scores)",
+        help="interactive-user resolves help on the terminal (numbered set with scores)",
     )
     p.add_argument(
         "--feasible",

@@ -10,8 +10,9 @@ plan's coverage is one comparison of its record's scores.
 
 Conventions, kept exactly:
   * quantile = the ceil((M+1)(1-alpha))-th smallest calibration score; when
-    that index exceeds M the quantile is the FULL-SET sentinel and prediction
-    sets are all of the decision space (coverage holds trivially);
+    that index exceeds M the quantile is the FULL-SET sentinel, whose
+    threshold is -inf, so prediction sets are all of the decision space
+    (coverage holds trivially);
   * set membership uses the strict inequality score > 1 - quantile, so a
     degenerate all-perfect calibration (quantile 0) can produce empty sets;
     planners treat an empty local set like a non-singleton (help path).
@@ -22,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -121,11 +123,12 @@ class PredictionSet:
 
 
 def local_prediction_set(scores, quantile: Quantile) -> PredictionSet:
-    """Per-iteration prediction set {d : g(d) > 1 - q}; full S under sentinel."""
-    if quantile.full_set:
-        return PredictionSet(indices=tuple(range(len(scores))), full_set=True)
-    thr = quantile.threshold
-    return PredictionSet(indices=tuple(i for i, s in enumerate(scores) if s > thr))
+    """Per-iteration prediction set {d : g(d) > 1 - q}. Under the FULL-SET
+    sentinel the threshold is -inf, so every decision is in the set."""
+    threshold = quantile.threshold
+    return PredictionSet(
+        tuple(i for i, s in enumerate(scores) if s > threshold), quantile.full_set
+    )
 
 
 def global_prediction_set(tables, quantile: Quantile, budget: int = 250_000):
@@ -271,28 +274,28 @@ class JointCalibrationRecord:
         return sequence_ncs(self.step_scores)
 
 
-def joint_step_scores(scenario: Scenario, scorer, history, t: int):
-    """Each robot's scores against the step-start context of step t (no
-    within-step conditioning), in robot-index order."""
-    return [
+def joint_scores(scenario: Scenario, scorer, history, t: int) -> np.ndarray:
+    """The team scores of step t as one N-axis array: entry (i_0, ..., i_N-1)
+    is the product ((1.0 * a_0) * a_1) * ... of each robot's score of its
+    decision i_r against the step-start context of step t (no within-step
+    conditioning), taken in robot-index order."""
+    rows = (
         scorer.score_all(Context(scenario=scenario, history=history, cursor=(t, robot)))
         for robot in range(scenario.n_robots)
-    ]
+    )
+    return reduce(np.multiply.outer, rows, 1.0)
 
 
 def score_joint_label_sequence(scenario: Scenario, scorer) -> JointCalibrationRecord:
-    """Score the canonical labels jointly: the team score of a step is the
-    product over robots of their step-start scores (see joint_step_scores)."""
+    """Score the canonical labels jointly: a step's score is the labeled
+    tuple's entry of `joint_scores`."""
     index = decision_index(scenario.env)
     history: tuple = ()
     step_scores = []
     for t in range(scenario.horizon):
         labels = tuple(anchor_decision(scenario, t, r) for r in range(scenario.n_robots))
-        vectors = joint_step_scores(scenario, scorer, history, t)
-        score = 1.0
-        for robot, label in enumerate(labels):
-            score *= vectors[robot][index[label]]
-        step_scores.append(score)
+        joint = joint_scores(scenario, scorer, history, t)
+        step_scores.append(float(joint[tuple(index[label] for label in labels)]))
         history = history + tuple((t, r, labels[r]) for r in scenario.orders[t])
     return JointCalibrationRecord(scenario_id=scenario.id, step_scores=tuple(step_scores))
 

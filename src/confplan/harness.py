@@ -208,7 +208,7 @@ def _cell(alpha: float, mode: str, rows: list[dict]) -> Metrics:
     )
 
 
-def _trace_row(trace, covered: bool, success: bool, full_set: bool) -> dict:
+def _trace_row(trace, covered: bool, success: bool) -> dict:
     return {
         "covered": covered,
         "success": success,
@@ -217,7 +217,7 @@ def _trace_row(trace, covered: bool, success: bool, full_set: bool) -> dict:
         "coverage_misses": trace.coverage_misses,
         "set_hist": {str(k): v for k, v in trace.set_size_histogram().items()},
         "scorer_calls": trace.scorer_calls,
-        "full_set": full_set,
+        "full_set": trace.quantile.full_set,
     }
 
 
@@ -253,7 +253,7 @@ def _trial_row(cfg: ExperimentConfig, scorer, quantiles, trial: int, test) -> di
     for alpha, (quantile, q_joint) in zip(cfg.alphas, quantiles):
         covered = min(test_record.scores) > quantile.threshold
         trace_d = plan_distributed(test, scorer, quantile, pcfg, feasible_provider=provider)
-        plans = {"alphas": (trace_d, quantile.full_set)}
+        plans = {"alphas": trace_d}
         if q_joint is not None:
             trace_c = plan_centralized(test, scorer, q_joint, pcfg)
             size = len(decision_space(test.env))
@@ -267,10 +267,10 @@ def _trial_row(cfg: ExperimentConfig, scorer, quantiles, trial: int, test) -> di
                 raise RuntimeError(
                     f"centralized call-count law violated: {trace_c.scorer_calls} != {expected_c}"
                 )
-            plans["centralized"] = (trace_c, q_joint.full_set)
-        for planner, (trace, full) in plans.items():
+            plans["centralized"] = trace_c
+        for planner, trace in plans.items():
             success = (not trace.failed) and validate_scenario_plan(test, trace.plan).complete
-            row.setdefault(planner, {})[f"{alpha:g}"] = _trace_row(trace, covered, success, full)
+            row.setdefault(planner, {})[f"{alpha:g}"] = _trace_row(trace, covered, success)
     return row
 
 

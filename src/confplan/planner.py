@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import product
 
-from .conformal import PredictionSet, Quantile, joint_step_scores, local_prediction_set
+import numpy as np
+
+from .conformal import PredictionSet, Quantile, joint_scores, local_prediction_set
 from .context import Context, advance, initial_context, reset_step
 from .errors import BudgetError, ConfigError, PlanningAborted
 from .scenario import (
@@ -402,10 +403,13 @@ def plan_centralized(
 ) -> PlanTrace:
     """Whole-team baseline: one MCQA over the S^N joint decisions per step.
 
-    The joint score of a tuple is the product of the robots' scores given the
-    step-start context (no within-step conditioning); the logical query count
-    grows by |S|^N per step. Non-singleton joint sets flag the whole team, not
-    a specific robot; the reorder mechanism does not apply.
+    A step's scores are one N-axis array (`joint_scores`: the product of the
+    robots' scores given the step-start context, no within-step
+    conditioning), and its set is the tuples whose entry clears the
+    threshold, in lexicographic order; an empty set presents every tuple.
+    The logical query count grows by |S|^N per step. Non-singleton joint sets
+    flag the whole team, not a specific robot; the reorder mechanism does not
+    apply.
     """
     cfg.validate()
     space = decision_space(scenario.env)
@@ -420,16 +424,10 @@ def plan_centralized(
     records: list[CentralStepRecord] = []
     failed = False
     for t in range(scenario.horizon):
-        vectors = joint_step_scores(scenario, scorer, history, t)
-        joint: dict[tuple[int, ...], float] = {}
-        for combo in product(range(len(space)), repeat=n):
-            score = 1.0
-            for robot, i in enumerate(combo):
-                score *= vectors[robot][i]
-            joint[combo] = score
+        joint = joint_scores(scenario, scorer, history, t)
         full = quantile.full_set
-        thr = quantile.threshold  # -inf under the FULL-SET sentinel
-        tuples = tuple(c for c, s in joint.items() if s > thr)
+        # argwhere reads C order, the lexicographic order of the tuples
+        tuples = tuple(map(tuple, np.argwhere(joint > quantile.threshold).tolist()))
         help_events = ()
         if len(tuples) == 1:
             chosen = tuples[0]
@@ -438,7 +436,7 @@ def plan_centralized(
             if cfg.help_policy != FAIL_ON_HELP:
                 chosen, miss = _resolve(
                     cfg.help_policy,
-                    tuples or tuple(joint),
+                    tuples or tuple(np.ndindex(joint.shape)),
                     set(tuples),
                     joint,
                     provider(t) if cfg.help_policy == ORACLE_USER else (),

@@ -127,7 +127,8 @@ def test_plan_interactive_reads_stdin(tmp_path, monkeypatch):
     params = write_params(tmp_path)
     scen_path = tmp_path / "scenarios.json"
     main(["gen-scenarios", "--params", str(params), "--count", "1", "--out", str(scen_path)])
-    monkeypatch.setattr("sys.stdin", io.StringIO("1\n" * 64))
+    answers = io.StringIO("1\n" * 64)
+    monkeypatch.setattr("sys.stdin", answers)
     code = main(
         [
             "plan",
@@ -137,12 +138,14 @@ def test_plan_interactive_reads_stdin(tmp_path, monkeypatch):
             "0.99",
             "--scorer",
             "noisy-oracle:beta=0.5,sigma=0.1,eps=0",
-            "--interactive",
+            "--help-policy",
+            "interactive-user",
             "--out",
             str(tmp_path / "trace.json"),
         ]
     )
     assert code == 0
+    assert answers.tell() > 0  # the help prompts read the answers
 
 
 def test_plan_runs_on_a_loaded_scenario_its_canonical_plan_overruns(tmp_path):
@@ -297,7 +300,9 @@ CENTRALIZED = ["plan", "--scenario", "DOC", "--mode", "centralized", "--quantile
         pytest.param(SCENARIO, [*CENTRALIZED, "--reorders", "3"], id="centralized-reorders"),
         pytest.param(SCENARIO, [*ARGMAX, "--feasible", "search"], id="argmax-search"),
         pytest.param(SCENARIO, [*ARGMAX, "--reorders", "2"], id="argmax-reorders"),
-        pytest.param(SCENARIO, [*ARGMAX, "--interactive"], id="argmax-interactive"),
+        pytest.param(
+            SCENARIO, [*ARGMAX, "--help-policy", "interactive-user"], id="argmax-interactive"
+        ),
         pytest.param(SCENARIO, [*ARGMAX, "--help-policy", "fail-on-help"], id="argmax-help-policy"),
         # a scenario file calibrates on every scenario it holds
         pytest.param(

@@ -334,9 +334,9 @@ def test_comparison_two_robot_call_counts():
 def test_comparison_under_fail_on_help_counts_stopped_plans_as_failures(monkeypatch):
     recorded = []
 
-    def recording(trace, covered, success, full_set):
+    def recording(trace, covered, success):
         recorded.append((trace.failed, success))
-        return trace_row(trace, covered, success, full_set)
+        return trace_row(trace, covered, success)
 
     trace_row = harness._trace_row
     monkeypatch.setattr(harness, "_trace_row", recording)
@@ -372,7 +372,27 @@ def test_dataset_conditional_mode_runs_once_and_reports_adjustment():
     assert 0.0 <= m.coverage <= 1.0
 
 
-def test_dataset_conditional_labels_each_draw_once(monkeypatch):
+@pytest.mark.parametrize(
+    "run, n_draws",
+    [
+        pytest.param(
+            run_coverage_experiment,
+            lambda cfg: cfg.n_trials * (cfg.m_calibration + 1),
+            id="coverage",
+        ),
+        pytest.param(
+            run_comparison, lambda cfg: cfg.n_trials * (cfg.m_calibration + 1), id="compare"
+        ),
+        pytest.param(
+            lambda cfg: run_dataset_conditional(cfg, delta=0.2),
+            lambda cfg: cfg.m_calibration + cfg.n_trials,
+            id="dataset-conditional",
+        ),
+    ],
+)
+def test_each_experiment_labels_each_draw_once(monkeypatch, run, n_draws):
+    """No draw is labeled twice: a trial's test draw is none of its
+    calibration draws, and no two trials share a draw."""
     labeled = []
 
     def counting(scenario, *args, **kwargs):
@@ -386,8 +406,9 @@ def test_dataset_conditional_labels_each_draw_once(monkeypatch):
     monkeypatch.setattr(harness, "score_label_sequence", counting)
     monkeypatch.setattr(harness, "calibration_records", counting_batch)
     cfg = tiny_config(alphas=(0.3, 0.2, 0.1), m_calibration=30, n_trials=4)
-    run_dataset_conditional(cfg, delta=0.2)
-    assert len(labeled) == cfg.m_calibration + cfg.n_trials
+    run(cfg)
+    assert len(labeled) == n_draws(cfg)
+    assert len(set(labeled)) == len(labeled)
 
 
 def test_metric_order_with_unsorted_alphas():

@@ -1,4 +1,5 @@
 import dataclasses
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
@@ -7,9 +8,10 @@ from confplan.conformal import (
     CalibrationRecord,
     Quantile,
     calibrate,
+    joint_scores,
     local_prediction_set,
 )
-from confplan.context import order_family
+from confplan.context import Context, order_family
 from confplan.errors import BudgetError, PlanningAborted
 from confplan.planner import (
     FAIL_ON_HELP,
@@ -344,6 +346,73 @@ def test_centralized_matches_distributed_for_single_robot():
             assert dr.set_size == cr.set_size
             assert tuple((i,) for i in dr.set_indices) == cr.set_tuples
             assert (dr.chosen_index,) == cr.chosen_tuple
+
+
+def python_joint(scenario, scorer, history, t):
+    """The reference for `joint_scores`: each joint tuple's team score as a
+    Python product ((1.0 * a) * b) * ... in robot-index order, the tuples in
+    itertools.product order."""
+    rows = [
+        scorer.score_all(Context(scenario=scenario, history=history, cursor=(t, r)))
+        for r in range(scenario.n_robots)
+    ]
+    joint = {}
+    for combo in product(range(len(rows[0])), repeat=len(rows)):
+        score = 1.0
+        for robot, i in enumerate(combo):
+            score *= rows[robot][i]
+        joint[combo] = score
+    return joint
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_joint_scores_are_bitwise_the_robot_order_product(n):
+    # at step start every robot after the first of the step's order scores an
+    # off-schedule row
+    scenario = seeded_scenario(3, n_robots=(n, n), n_subtasks=(1, 1))
+    scorer = build_scorer(ScorerSpec(kind="noisy-oracle", rng_seed=5))
+    history: tuple = ()
+    for t in range(scenario.horizon):
+        joint = joint_scores(scenario, scorer, history, t)
+        want = python_joint(scenario, scorer, history, t)
+        assert joint.shape == (len(decision_space(scenario.env)),) * n
+        assert {c: float(joint[c]).hex() for c in want} == {c: s.hex() for c, s in want.items()}
+        labels = [anchor_decision(scenario, t, r) for r in range(n)]
+        history = history + tuple((t, r, labels[r]) for r in scenario.orders[t])
+
+
+def central_quantile(kind, scenario, scorer):
+    if kind == "between-scores":  # between the 3rd and 4th best team scores of step 0
+        top = sorted(set(python_joint(scenario, scorer, (), 0).values()), reverse=True)
+        return Quantile(1.0 - (top[2] + top[3]) / 2, 19, 0.1)
+    return Quantile(None if kind == "full-set" else 0.0, 19, 0.1)
+
+
+@pytest.mark.parametrize("kind", ["between-scores", "full-set", "quantile-0"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_centralized_sets_are_the_product_order_filter(n, kind):
+    scenario = seeded_scenario(3, n_robots=(n, n), n_subtasks=(1, 1))
+    space = decision_space(scenario.env)
+    scorer = build_scorer(ScorerSpec(kind="noisy-oracle", rng_seed=5))
+    quantile = central_quantile(kind, scenario, scorer)
+    out = []
+    io = SimpleNamespace(write=out.append, readline=lambda: "1\n")
+    cfg = PlannerConfig(help_policy=INTERACTIVE_USER)
+    trace = plan_centralized(scenario, scorer, quantile, cfg, io=io)
+    assert not trace.failed and len(trace.records) == scenario.horizon
+    history: tuple = ()
+    for r in trace.records:
+        joint = python_joint(scenario, scorer, history, r.t)
+        assert r.set_tuples == tuple(c for c, s in joint.items() if s > quantile.threshold)
+        assert r.set_full == (kind == "full-set")
+        assert all(type(i) is int for c in (*r.set_tuples, r.chosen_tuple) for i in c)
+        history = history + tuple((r.t, i, space[r.chosen_tuple[i]]) for i in scenario.orders[r.t])
+    if kind == "quantile-0":
+        # every set is empty, and each prompt presents the whole joint space,
+        # the first option being the smallest tuple
+        assert all(r.set_size == 0 and r.chosen_tuple == (0,) * n for r in trace.records)
+        options = sum(line.startswith("  [") for line in out)
+        assert options == scenario.horizon * len(space) ** n
 
 
 def test_centralized_call_count_and_joint_flagging():
