@@ -92,6 +92,9 @@ def cmd_gen_scenarios(args) -> int:
     if args.count < 1:
         # every reader refuses a file that holds no scenario
         raise ConfigError(f"--count must be >= 1, got {args.count}")
+    if args.start < 0:
+        # draw indices key the scenarios' seeds, which are nonnegative
+        raise ConfigError(f"--start must be >= 0, got {args.start}")
     params = _load_params(args)
     scenarios = [scn.sample_scenario(params, args.start + i) for i in range(args.count)]
     out = Path(args.out or "scenarios.json")

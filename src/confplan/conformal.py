@@ -288,7 +288,14 @@ def joint_scores(scenario: Scenario, scorer, history, t: int) -> np.ndarray:
 
 def score_joint_label_sequence(scenario: Scenario, scorer) -> JointCalibrationRecord:
     """Score the canonical labels jointly: a step's score is the labeled
-    tuple's entry of `joint_scores`."""
+    tuple's entry of `joint_scores`. A scorer that keeps score tables (the
+    synthetic ones) reads every step's entry from the scenario's table in
+    one pass (`joint_label_scores`), drawing nothing that its calibration
+    batch drew; a scorer without tables (the external one) walks the steps
+    through `joint_scores`, and that walk is the tests' reference."""
+    if hasattr(scorer, "score_tables"):
+        (table,) = scorer.score_tables((scenario,))
+        return JointCalibrationRecord(scenario.id, table.joint_label_scores())
     index = decision_index(scenario.env)
     history: tuple = ()
     step_scores = []

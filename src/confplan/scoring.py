@@ -170,10 +170,10 @@ class _ScenarioTable:
     softmaxed as one. The schedule's own robot's tuple at k is built on its
     first query and kept in `rows`, so labels read from the table build
     none: oracle labels read `teacher` and `teacher_scores`, selector labels
-    the rows of `probs`. Any other robot at k (a reordered step, a
-    step-start joint score) gets its scores from row k's draws, on first
-    query. The step is k // N, as in every context `advance` and
-    `reset_step` build.
+    the rows of `probs`, joint labels `joint_label_scores`. Any other robot
+    at k (a reordered step, a centralized planner's step start) gets its
+    scores from row k's draws, on first query, kept in `others`. The step
+    is k // N, as in every context `advance` and `reset_step` build.
     """
 
     __slots__ = (
@@ -196,6 +196,32 @@ class _ScenarioTable:
     def teacher_scores(self) -> tuple[float, ...]:
         """The softmax score of each k's teacher label, in one fancy index."""
         return tuple(self.probs[np.arange(len(self.rows)), self.anchors].tolist())
+
+    def joint_label_scores(self) -> tuple[float, ...]:
+        """Each step's joint score of the canonical team decision: the product
+        ((1.0 * s_0) * s_1) * ... in robot-index order, where s_r is robot
+        r's score of `anchor_decision(t, r)` against the step-start row
+        k = t * N. The scheduled robot's s_r is `probs[k, anchors[k]]`. The
+        other robots' rows, H * (N - 1) of them, are built from row k's draws
+        as one raw matrix, softmaxed as one and read in one fancy index; they
+        are neither read from nor kept in `others`."""
+        n, horizon = self.scenario.n_robots, self.scenario.horizon
+        starts = range(0, n * horizon, n)
+        scheduled = [self.robots[k] for k in starts]
+        off = [(t, r) for t in range(horizon) for r in range(n) if r != scheduled[t]]
+        ks = [t * n for t, _ in off]
+        anchors = [_anchor_index(self.scenario, t, r) for t, r in off]
+        raw = _raw_rows(
+            self.spec,
+            anchors,
+            None if self.positions is None else [self.positions[k] for k in ks],
+            None if self.noise is None else self.noise[ks],
+            self.size,
+        )
+        scores = np.empty((horizon, n))
+        scores[range(horizon), scheduled] = self.probs[starts, [self.anchors[k] for k in starts]]
+        scores[[t for t, _ in off], [r for _, r in off]] = softmax(raw)[range(len(off)), anchors]
+        return tuple(math.prod(row) for row in scores.tolist())
 
     def vector(self, k: int, t: int, robot: int) -> tuple[float, ...]:
         if self.robots[k] == robot:

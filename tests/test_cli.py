@@ -53,6 +53,15 @@ def test_gen_scenarios_refuses_a_count_below_one(tmp_path, capsys, count):
     assert not out.exists()
 
 
+def test_gen_scenarios_refuses_a_start_below_zero(tmp_path, capsys):
+    params = write_params(tmp_path)
+    out = tmp_path / "scenarios.json"
+    argv = ["gen-scenarios", "--params", str(params), "--start", "-1", "--count", "1", "--out", str(out)]
+    assert main(argv) == 2
+    assert "--start must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_calibrate_warns_on_full_set_sentinel(tmp_path, capsys):
     params = write_params(tmp_path)
     out = tmp_path / "cal"

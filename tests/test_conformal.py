@@ -15,6 +15,7 @@ from confplan.conformal import (
     beta_quantile,
     build_calibration_set,
     calibrate,
+    calibration_records,
     conformal_quantile,
     dataset_conditional_alpha,
     global_prediction_set,
@@ -293,6 +294,52 @@ def test_joint_records_match_distributed_for_single_robot():
     for j, d in zip(joint, dist):
         assert j.step_scores == d.scores
         assert j.ncs == pytest.approx(d.ncs)
+
+
+class _Walker:
+    """A scorer without score tables, so `score_joint_label_sequence` walks
+    its steps through `joint_scores`."""
+
+    def __init__(self, scorer):
+        self.score_all = scorer.score_all
+
+
+JOINT_SPECS = {
+    "noisy-oracle": ScorerSpec(rng_seed=4),
+    "noise-0": ScorerSpec(noise=0.0, rng_seed=4),
+    "confusion-0": ScorerSpec(confusion=0.0, rng_seed=4),
+    "oracle-indicator": ScorerSpec(kind="oracle-indicator"),
+}
+
+
+@pytest.mark.parametrize("spec", JOINT_SPECS.values(), ids=JOINT_SPECS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_joint_labels_read_from_the_table_equal_the_walked_labels(n, spec):
+    # at N = 3 a step's product has two off-schedule factors, so its order shows
+    params = dataclasses.replace(default_distribution_params(7), n_robots=(n, n))
+    scenarios = [sample_scenario(params, i) for i in range(8)]
+    scorer = build_scorer(spec)
+    scorer.score_tables(scenarios)  # drawn as a calibration batch draws them
+    walker = _Walker(build_scorer(spec))
+    for s in scenarios:
+        read = score_joint_label_sequence(s, scorer)
+        walked = score_joint_label_sequence(s, walker)
+        assert read.scenario_id == walked.scenario_id == s.id
+        assert [x.hex() for x in read.step_scores] == [x.hex() for x in walked.step_scores]
+
+
+@pytest.mark.parametrize("label_mode", ["oracle", "selector"])
+def test_a_joint_calibration_batch_builds_no_score_row(monkeypatch, label_mode):
+    params = dataclasses.replace(default_distribution_params(7), n_robots=(2, 3))
+    scenarios = [sample_scenario(params, i) for i in range(6)]
+    scorer = build_scorer(ScorerSpec(rng_seed=4))
+    contexts, score_all = [], scorer.score_all
+    monkeypatch.setattr(scorer, "score_all", lambda ctx: contexts.append(ctx) or score_all(ctx))
+    calibration_records(scenarios, scorer, label_mode)
+    for s in scenarios:
+        score_joint_label_sequence(s, scorer)
+    assert contexts == []
+    assert all(not table.others for table in scorer.score_tables(scenarios))
 
 
 def test_quantile_summary_reports_sentinel_and_histogram():
