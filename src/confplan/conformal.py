@@ -77,11 +77,20 @@ def quantile_index(m: int, alpha: float) -> int:
 
 
 def min_calibration_size(alpha: float) -> int:
-    """Smallest M whose quantile index stays within the calibration set."""
-    m = 1
-    while quantile_index(m, alpha) > m:
-        m += 1
-    return m
+    """Smallest M whose quantile index stays within the calibration set:
+    `quantile_index(m, alpha) <= m` is monotone in m, so doubling and then
+    bisection find it in O(log 1/alpha) steps. (The closed form
+    (1 - alpha) / alpha is off by float rounding: by 28 at alpha = 1e-9.)"""
+    lo, hi = 0, 1  # the index exceeds lo (or lo is 0) and stays within hi
+    while quantile_index(hi, alpha) > hi:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if quantile_index(mid, alpha) > mid:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def conformal_quantile(ncs_values, alpha: float) -> Quantile:

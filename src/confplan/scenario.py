@@ -797,12 +797,13 @@ def label_sequences(scenarios, scorer, label_mode: str) -> list[LabelResult]:
 
     A scorer that keeps score tables (`score_tables`: the synthetic
     scorers) draws the whole batch's tables first, in one seeding pass, and
-    labels are read from them without building a row's score tuple. An
-    oracle label's scores are one fancy index. A selector label reads row k
-    of the softmaxed matrix and tries the scheduled robot's moves best-first,
-    stopping at the first with a completion (`FeasibilityIndex.best`). Every
-    label from a scorer without tables (the external one) walks the
-    sequence, one `score_all` per iteration.
+    labels are read from their matrices: no label calls the table's
+    `vector`, so none builds a row's score tuple. An oracle label's scores
+    are one fancy index. A selector label reads row k of the softmaxed
+    matrix and tries the scheduled robot's moves best-first, stopping at the
+    first with a completion (`FeasibilityIndex.best`). Every label from a
+    scorer without tables (the external one) walks the sequence, one
+    `score_all` per iteration.
     """
     if label_mode not in ("selector", "oracle"):
         raise ConfigError(f"unknown label mode {label_mode!r}")

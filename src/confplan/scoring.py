@@ -167,18 +167,21 @@ class _ScenarioTable:
 
     Drawn in a scorer's batch (`SyntheticScorer.score_tables`): the keyed
     draws of every k, and the schedule's (k, robot) rows as one raw matrix,
-    softmaxed as one. The schedule's own robot's tuple at k is built on its
-    first query and kept in `rows`, so labels read from the table build
-    none: oracle labels read `teacher` and `teacher_scores`, selector labels
-    the rows of `probs`, joint labels `joint_label_scores`. Any other robot
-    at k (a reordered step, a centralized planner's step start) gets its
-    scores from row k's draws, on first query, kept in `others`. The step
-    is k // N, as in every context `advance` and `reset_step` build.
+    softmaxed as one. Labels read the table without building a score tuple:
+    oracle labels read `teacher` and `teacher_scores`, selector labels the
+    rows of `probs`, joint labels `joint_label_scores`. The scheduled
+    robot's tuple at k is `probs[k]`, built on each query and not kept:
+    keeping it would spare a repeat one `tolist()` of at most 28 floats,
+    under 1 µs. Any other robot at k (a reordered step, a centralized
+    planner's step start) gets its scores from row k's draws, kept in
+    `others`, where a repeat is spared a raw row and a softmax; most of
+    `dataset-conditional`'s off-schedule queries repeat. The step is k // N,
+    as in every context `advance` and `reset_step` build.
     """
 
     __slots__ = (
         "spec", "scenario", "size", "positions", "noise", "robots", "teacher", "anchors",
-        "raw", "probs", "rows", "others",
+        "raw", "probs", "others",
     )
 
     def __init__(self, spec: ScorerSpec, scenario, size: int, positions, noise):
@@ -190,12 +193,11 @@ class _ScenarioTable:
         self.anchors = [index[d] for d in self.teacher]
         self.raw = _raw_rows(spec, self.anchors, positions, noise, size)
         self.probs = softmax(self.raw)
-        self.rows: list[tuple[float, ...] | None] = [None] * len(self.anchors)
         self.others: dict[tuple[int, int], tuple[float, ...]] = {}
 
     def teacher_scores(self) -> tuple[float, ...]:
         """The softmax score of each k's teacher label, in one fancy index."""
-        return tuple(self.probs[np.arange(len(self.rows)), self.anchors].tolist())
+        return tuple(self.probs[np.arange(len(self.anchors)), self.anchors].tolist())
 
     def joint_label_scores(self) -> tuple[float, ...]:
         """Each step's joint score of the canonical team decision: the product
@@ -225,10 +227,7 @@ class _ScenarioTable:
 
     def vector(self, k: int, t: int, robot: int) -> tuple[float, ...]:
         if self.robots[k] == robot:
-            vec = self.rows[k]
-            if vec is None:
-                vec = self.rows[k] = tuple(self.probs[k].tolist())
-            return vec
+            return tuple(self.probs[k].tolist())
         vec = self.others.get((k, robot))
         if vec is None:
             raw = _raw_rows(

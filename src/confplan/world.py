@@ -433,21 +433,15 @@ def distinct_match(candidates: list[list[int]]) -> bool:
 
 
 @dataclass(frozen=True)
-class StepOutcome:
-    t: int
-    decisions: JointDecision
-    infeasible: str | None  # reason, or None
-    infeasible_robot: int | None
-    safety_violations: tuple[int, ...]  # robot indices that violated safety
-    satisfied_after: bool
-
-
-@dataclass(frozen=True)
 class ValidationResult:
+    """The verdict on a plan: `complete`; `steps_used`, the first step
+    boundary at which the mission holds, or the plan's length if it never
+    does; and `reason`, None when complete, else the first refused step's
+    refusal, then "safety-violation", then "mission-unsatisfied"."""
+
     complete: bool
     steps_used: int
-    trace: tuple[StepOutcome, ...]
-    reason: str | None = None
+    reason: str | None
 
 
 def validate_plan(
@@ -461,47 +455,34 @@ def validate_plan(
 
     Complete iff every step is feasible, no safety violation occurs, and the
     mission is satisfied at some step boundary t <= horizon (trailing Idle
-    steps after completion are fine). Simulation stops at the first infeasible
-    step; safety violations are recorded but do not stop it. The simulation
-    runs on the compact state of `compact_model`.
+    steps after completion are fine). Simulation stops at the first refused
+    step; a safety violation does not stop it, as a later refusal's reason
+    wins. Once the mission has held it is not tested again, and once a
+    violation is seen safety is not checked again: neither can change the
+    verdict. The simulation runs on the compact state of `compact_model`.
     """
     if len(plan) > horizon:
         raise ValueError(f"plan length {len(plan)} exceeds horizon {horizon}")
     model = compact_model(env, n_robots)
     goals = model.goals(mission)
     state = model.start
-    satisfied_at: int | None = 0 if model.satisfied(goals, state) else None
-    trace: list[StepOutcome] = []
-    any_violation = False
+    held_at = 0 if model.satisfied(goals, state) else None
+    unsafe = False
     reason = None
     for t, jd in enumerate(plan):
-        violations = tuple(
-            j for j, d in enumerate(jd) if violates_safety(j, d, mission.safety)
-        )
-        any_violation = any_violation or bool(violations)
+        unsafe = unsafe or any(violates_safety(j, d, mission.safety) for j, d in enumerate(jd))
         try:
             state = merge_writes(state, model.joint_writes(state, jd))
         except InfeasibleDecision as exc:
-            trace.append(
-                StepOutcome(t, jd, exc.reason, exc.robot, violations, False)
-            )
             reason = exc.reason
             break
-        sat = model.satisfied(goals, state)
-        if sat and satisfied_at is None:
-            satisfied_at = t + 1
-        trace.append(StepOutcome(t, jd, None, None, violations, sat))
-    complete = reason is None and not any_violation and satisfied_at is not None
-    if reason is None and any_violation:
+        if held_at is None and model.satisfied(goals, state):
+            held_at = t + 1
+    if reason is None and unsafe:
         reason = "safety-violation"
-    if reason is None and satisfied_at is None:
+    if reason is None and held_at is None:
         reason = "mission-unsatisfied"
-    return ValidationResult(
-        complete=complete,
-        steps_used=satisfied_at if satisfied_at is not None else len(plan),
-        trace=tuple(trace),
-        reason=None if complete else reason,
-    )
+    return ValidationResult(reason is None, len(plan) if held_at is None else held_at, reason)
 
 
 # --- serialization -----------------------------------------------------------
@@ -518,7 +499,8 @@ def to_data(value):
 
 def from_data(cls, data):
     """The `cls` dataclass that `to_data` wrote as `data`, decoded by its type
-    hints: ints and floats are coerced, strings are checked, and `X | None`,
+    hints: ints and floats are coerced (a boolean, or a fractional float for
+    an int, is refused), strings are checked, and `X | None`,
     `tuple[X, ...]`, fixed tuples and nested dataclasses are decoded. A
     missing key takes the field's default. A key that names no field raises
     ConfigError (`schema_version` is accepted everywhere); a value of the
@@ -546,6 +528,11 @@ def _decode(hint, value):
     if is_dataclass(hint):
         return from_data(hint, value)
     if hint in (int, float):
+        # int() and float() would truncate 2.7 to 2 and read true as 1
+        if isinstance(value, bool) or (
+            hint is int and isinstance(value, float) and not value.is_integer()
+        ):
+            raise TypeError(f"expected {hint.__name__}, got {value!r}")
         return hint(value)
     if hint is str and not isinstance(value, str):
         raise TypeError(f"expected a string, got {value!r}")

@@ -277,6 +277,8 @@ CENTRALIZED = ["plan", "--scenario", "DOC", "--mode", "centralized", "--quantile
         pytest.param(_config(reorder_bund=2), COVERAGE, id="misspelled-config-key"),
         pytest.param(_config(master_seed="three"), COVERAGE, id="text-master-seed"),
         pytest.param(_config(master_seed=-4), COVERAGE, id="negative-master-seed"),
+        # int() would run 2 trials
+        pytest.param(_config(n_trials=2.5), COVERAGE, id="fractional-trials"),
         pytest.param(_config(), [*COVERAGE, "--seed", "-1"], id="negative-seed-flag"),
         # an experiment's metrics are a function of its config, not of a user's answers
         pytest.param(_config(help_policy="interactive-user"), COVERAGE, id="interactive-help"),

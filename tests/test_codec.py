@@ -39,6 +39,7 @@ from confplan.scoring import (
     EndpointConfig,
     ScorerSpec,
     build_scorer,
+    parse_scorer_spec,
     scorer_spec_from_dict,
     scorer_spec_to_dict,
 )
@@ -322,6 +323,8 @@ def test_config_stamps_are_unchanged(name):
 
 # --- decoding rule ------------------------------------------------------------------
 
+MINIMAL = {"params": {}, "scorer": {}}
+
 
 def test_a_partial_document_takes_the_dataclass_defaults():
     cfg = config_from_dict({"params": {"n_robots": [1, 1]}, "scorer": {"noise": 0}})
@@ -340,8 +343,24 @@ def test_a_partial_document_takes_the_dataclass_defaults():
         (DistributionParams, {"n_robots": [1, 2, 3]}, TypeError),
         (DistributionParams, {"object_labels": "apple"}, TypeError),
         (DistributionParams, {"rng_seed": "three"}, ValueError),
+        # int() and float() would truncate a fraction and read a boolean as 0 or 1
+        (ExperimentConfig, {**MINIMAL, "n_trials": 2.7}, TypeError),
+        (ExperimentConfig, {**MINIMAL, "m_calibration": 30.9}, TypeError),
+        (DistributionParams, {"n_robots": [1.9, 2.2]}, TypeError),
+        (ExperimentConfig, {**MINIMAL, "master_seed": True}, TypeError),
+        (ExperimentConfig, {**MINIMAL, "alphas": [0.1, False]}, TypeError),
+        (ScorerSpec, {"noise": True}, TypeError),
+        (ScorerSpec, {"rng_seed": False}, TypeError),
     ],
 )
 def test_from_data_refuses_what_it_cannot_decode(cls, data, error):
     with pytest.raises(error):
         from_data(cls, data)
+
+
+def test_integral_numbers_and_numeric_strings_still_decode():
+    cfg = from_data(ExperimentConfig, {**MINIMAL, "n_trials": 3.0, "master_seed": 2})
+    assert (cfg.n_trials, cfg.master_seed) == (3, 2) and isinstance(cfg.n_trials, int)
+    assert from_data(ScorerSpec, {"noise": 1, "rng_seed": "7"}) == ScorerSpec(noise=1.0, rng_seed=7)
+    # the CLI's scorer string passes every value as text
+    assert parse_scorer_spec("noisy-oracle:seed=7,sigma=0.5") == ScorerSpec(noise=0.5, rng_seed=7)

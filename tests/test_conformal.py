@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -75,6 +76,33 @@ def test_quantile_full_set_sentinel():
         conformal_quantile([0.5], 0.0)
     with pytest.raises(ValueError):
         conformal_quantile([], 0.1)
+
+
+def counted_up_min_calibration_size(alpha):
+    """The definition: M counted up from 1 until the index stays within it."""
+    m = 1
+    while quantile_index(m, alpha) > m:
+        m += 1
+    return m
+
+
+def test_min_calibration_size_equals_counting_up():
+    # a uniform grid, the alphas at which the size steps, and either side of them
+    alphas = [i / 1000 for i in range(1, 1000)]
+    alphas += [1 / k + e for k in range(2, 1001) for e in (-1e-12, 0.0, 1e-12)]
+    assert [min_calibration_size(a) for a in alphas] == [
+        counted_up_min_calibration_size(a) for a in alphas
+    ]
+
+
+def test_min_calibration_size_is_fast_at_a_tiny_alpha():
+    start = time.perf_counter()
+    size = min_calibration_size(1e-9)
+    assert time.perf_counter() - start < 0.05
+    # a vectorised scan of every M from 1 finds the first at 999999968; the
+    # float product in quantile_index puts it 28 below (1 - alpha) / alpha
+    assert size == 999_999_968
+    assert quantile_index(size, 1e-9) <= size and quantile_index(size - 1, 1e-9) > size - 1
 
 
 def test_quantile_index_handles_float_fuzz():

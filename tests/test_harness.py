@@ -372,6 +372,22 @@ def test_dataset_conditional_mode_runs_once_and_reports_adjustment():
     assert 0.0 <= m.coverage <= 1.0
 
 
+def test_dataset_conditional_calibrates_at_the_adjusted_levels(monkeypatch):
+    """Each cell's quantile comes from its adjusted level, never its alpha."""
+    levels = []
+    calibrate_at = harness.calibrate
+
+    def spy(records, level):
+        levels.append(level)
+        return calibrate_at(records, level)
+
+    monkeypatch.setattr(harness, "calibrate", spy)
+    cfg = tiny_config(alphas=(0.2, 0.3), m_calibration=30, n_trials=2)
+    metrics = run_dataset_conditional(cfg, delta=0.2)["metrics"]
+    assert levels == [m.extra["alpha_adjusted"] for m in metrics]
+    assert not set(levels) & set(cfg.alphas)
+
+
 @pytest.mark.parametrize(
     "run, n_draws",
     [

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confplan import scenario as scenario_module
-from confplan import world
+from confplan import scoring, world
 from confplan.context import Context, OrderSchedule, advance, initial_context
 from confplan.errors import BudgetError, ConfigError, NoFeasibleError, OracleError
 from confplan.scenario import (
@@ -422,8 +422,8 @@ def test_budget_fallback_reports_oracle_mode():
 
 
 def brute_force_feasible(s, history):
-    """Feasible set at len(history) by enumerating completions and judging
-    each with world.validate_plan.
+    """Feasible set at len(history) by enumerating completions and running
+    each on the world model (`world.compact_model`) step by step.
 
     Like the search, it asks the mission to hold at a step boundary after the
     current step: validate_plan alone also accepts a plan whose mission held
@@ -432,13 +432,21 @@ def brute_force_feasible(s, history):
     n, horizon = s.n_robots, s.horizon
     space = decision_space(s.env)
     current = len(history) // n
+    model = world.compact_model(s.env, n)
+    goals = model.goals(s.mission)
 
     def completable(flat):
         plan = flat_to_plan(s, flat)
-        trace = validate_scenario_plan(s, plan).trace
-        if any(o.infeasible or o.safety_violations for o in trace):
-            return False
-        if any(o.satisfied_after for o in trace[current:]):
+        state, held = model.start, False
+        for t, jd in enumerate(plan):
+            if any(world.violates_safety(r, d, s.mission.safety) for r, d in enumerate(jd)):
+                return False
+            try:
+                state = world.merge_writes(state, model.joint_writes(state, jd))
+            except world.InfeasibleDecision:
+                return False
+            held = held or (t >= current and model.satisfied(goals, state))
+        if held:
             return True
         return len(plan) < horizon and any(
             completable(flat + rest) for rest in itertools.product(space, repeat=n)
@@ -800,21 +808,29 @@ def test_oracle_labels_read_from_the_table_equal_the_walked_labels(kind, profile
     [("oracle", default_distribution_params(4)), ("selector", MULTI_FEASIBLE)],
     ids=["oracle", "selector"],
 )
-def test_a_calibration_draw_builds_no_score_vector(label_mode, params):
+def test_a_calibration_draw_builds_no_score_vector(label_mode, params, monkeypatch):
+    vectors = []
+    vector = scoring._ScenarioTable.vector
+
+    def counting(table, *key):
+        vectors.append(key)
+        return vector(table, *key)
+
+    monkeypatch.setattr(scoring._ScenarioTable, "vector", counting)
     scorer = build_scorer(ScorerSpec())
     records = build_calibration_set(params, 30, scorer, label_mode=label_mode)
     assert len(records) == 30 and len(scorer._tables) == 30
-    assert all(row is None for table in scorer._tables.values() for row in table.rows)
-    # labeling a test draw builds no row either; a row is built when it is
-    # read, once
+    # labeling a test draw builds no vector either
     s = sample_scenario(params, 30)
     label_sequence(s, scorer, label_mode)
+    assert vectors == []
+    # the scheduled robot's vector at k is row k of the softmaxed table
     (table,) = scorer.score_tables([s])
-    assert all(row is None for row in table.rows)
     keys = [(k, k // s.n_robots, robot) for k, robot in enumerate(table.robots)]
-    first, second = [table.vector(*key) for key in keys], [table.vector(*key) for key in keys]
-    assert len(first) == s.n_robots * s.horizon
-    assert all(a is b and a is row for a, b, row in zip(first, second, table.rows))
+    rows = [tuple(row) for row in table.probs.tolist()]
+    assert len(rows) == s.n_robots * s.horizon
+    assert [table.vector(*key) for key in keys] == rows
+    assert vectors == keys
 
 
 def counted_validations(monkeypatch) -> list:

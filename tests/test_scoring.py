@@ -316,12 +316,13 @@ def test_a_scorer_refuses_a_second_scenario_under_one_id():
         with pytest.raises(ValueError, match="two different scenarios"):
             fresh.score_tables([b, a, other])
         assert fresh._tables == {}
-    # an equal copy, as a reloaded or unpickled scenario is, shares the vectors
+    # an equal copy, as a reloaded or unpickled scenario is, shares the table
     copy = pickle.loads(pickle.dumps(a))
     assert copy == a and copy is not a
+    assert scorer.score_tables([copy])[0] is scorer.score_tables([a])[0]
     for ctx in scheduled_contexts(a):
         twin = dataclasses.replace(ctx, scenario=copy)
-        assert scorer.score_all(twin) is scorer.score_all(ctx)
+        assert scorer.score_all(twin) == scorer.score_all(ctx)
 
 
 def test_scorer_determinism_across_instances(nine_scenario):

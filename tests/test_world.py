@@ -33,6 +33,7 @@ from confplan.world import (
     merge_writes,
     validate_plan,
     validate_environment,
+    violates_safety,
 )
 
 
@@ -163,9 +164,9 @@ def test_unknown_entities_are_rejected():
             1,
             "ghost",
         )
-        # the plan validator reports the same refusal at the same robot
-        (outcome,) = validate_plan(env, Mission(()), 2, 1, ((IDLE_DECISION, d),)).trace
-        assert (outcome.infeasible, outcome.infeasible_robot) == (NO_SUCH_ENTITY, 1)
+        # the plan validator reports the same refusal
+        result = validate_plan(env, Mission(()), 2, 1, ((IDLE_DECISION, d),))
+        assert (result.complete, result.reason) == (False, NO_SUCH_ENTITY)
     # a GoTo to a held object names the robot that declared it
     state = step(model, model.start, Decision(GOTO, "apple"), IDLE_DECISION)
     state = step(model, state, Decision(GRAB, "apple"), IDLE_DECISION)
@@ -179,12 +180,8 @@ def test_unknown_entities_are_rejected():
 
 
 def test_all_idle_joint_only_advances_time():
-    env = kitchen_env(n_robots=2)
-    model = compact_model(env, 2)
+    model = compact_model(kitchen_env(n_robots=2), 2)
     assert step(model, model.start, IDLE_DECISION, IDLE_DECISION) == model.start
-    # time is the step index: the validator numbers each joint step once
-    result = validate_plan(env, Mission(()), 2, 3, ((IDLE_DECISION, IDLE_DECISION),) * 3)
-    assert [outcome.t for outcome in result.trace] == [0, 1, 2]
 
 
 def test_same_step_duplicate_grab_is_a_conflict():
@@ -305,7 +302,7 @@ def test_validate_flags_closed_container_grab():
     )
     result = validate_plan(env, Mission((SubTask("tomato", ("loc-table",)),)), 1, 6, plan)
     assert not result.complete
-    assert result.trace[-1].infeasible == CONTAINER_CLOSED
+    assert result.reason == CONTAINER_CLOSED
 
 
 def test_validate_safety_violation_fails_but_keeps_simulating():
@@ -323,8 +320,8 @@ def test_validate_safety_violation_fails_but_keeps_simulating():
     result = validate_plan(env, mission, 1, 4, plan)
     assert not result.complete
     assert result.reason == "safety-violation"
-    # the simulation ran to the end: the object did arrive
-    assert len(result.trace) == 4 and result.trace[-1].satisfied_after
+    # the simulation ran to the end: the object did arrive, at boundary 4
+    assert result.steps_used == 4
 
 
 def test_validate_rejects_overlong_plan():
@@ -377,3 +374,94 @@ def test_object_conservation_and_determinism(data):
             assert len(holders) == (0 if placed else 1)
             assert placed or state_a[model_a.obj_in + i] == -1
         assert all(-1 <= state_a[n + r] < len(env.objects) for r in range(n))
+
+
+def reference_verdict(env, mission, n_robots, plan):
+    """(complete, steps_used, reason) from every step's facts on
+    `compact_model`, with no early exit: each step's safety check, its
+    refusal, and whether the mission holds at each boundary reached."""
+    model = compact_model(env, n_robots)
+    goals = model.goals(mission)
+    state = model.start
+    holds = [model.satisfied(goals, state)]
+    unsafe, refusal = [], None
+    for jd in plan:
+        unsafe += [r for r, d in enumerate(jd) if violates_safety(r, d, mission.safety)]
+        try:
+            state = step(model, state, *jd)
+        except InfeasibleDecision as exc:
+            refusal = exc.reason
+            break
+        holds.append(model.satisfied(goals, state))
+    steps_used = holds.index(True) if any(holds) else len(plan)
+    if refusal is not None:
+        return False, steps_used, refusal
+    if unsafe:
+        return False, steps_used, "safety-violation"
+    if not any(holds):
+        return False, steps_used, "mission-unsatisfied"
+    return True, steps_used, None
+
+
+def verdict(env, mission, n_robots, plan):
+    result = validate_plan(env, mission, n_robots, len(plan), plan)
+    return result.complete, result.steps_used, result.reason
+
+
+DELIVER_APPLE = (
+    (Decision(GOTO, "apple"),),
+    (Decision(GRAB, "apple"),),
+    (Decision(GOTO, "loc-table"),),
+    (Decision(PUTDOWN, "loc-table"),),
+)
+
+
+def test_a_refusal_after_the_mission_held_is_the_verdict():
+    env, mission = kitchen_env(), Mission((SubTask("apple", ("loc-table",)),))
+    assert verdict(env, mission, 1, DELIVER_APPLE) == (True, 4, None)
+    # the tomato is at the fridge and the robot at the table
+    plan = DELIVER_APPLE + ((IDLE_DECISION,), (Decision(GRAB, "tomato"),))
+    assert verdict(env, mission, 1, plan) == (False, 4, NOT_AT_TARGET)
+    assert reference_verdict(env, mission, 1, plan) == (False, 4, NOT_AT_TARGET)
+
+
+def test_an_unsafe_step_after_the_mission_held_is_the_verdict():
+    mission = Mission(
+        (SubTask("apple", ("loc-table",)),),
+        safety=SafetyConstraint(robot=0, forbidden_object="tomato"),
+    )
+    env = kitchen_env()
+    plan = DELIVER_APPLE + ((Decision(GOTO, "tomato"),), (IDLE_DECISION,))
+    assert verdict(env, mission, 1, plan) == (False, 4, "safety-violation")
+    assert reference_verdict(env, mission, 1, plan) == (False, 4, "safety-violation")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_the_verdict_equals_a_step_by_step_reference(data):
+    n_robots = data.draw(st.integers(1, 2))
+    env = kitchen_env(n_robots=n_robots)
+    labels = st.sampled_from(("apple", "tomato", "pear"))
+    destinations = st.lists(
+        st.sampled_from([loc.id for loc in env.locations] + ["loc-ghost"]),
+        min_size=1,
+        max_size=2,
+    ).map(tuple)
+    safety = st.none() | st.builds(
+        SafetyConstraint,
+        robot=st.integers(0, n_robots - 1),
+        forbidden_object=st.sampled_from(("apple", "tomato")),
+    )
+    mission = data.draw(
+        st.builds(
+            Mission,
+            subtasks=st.lists(st.builds(SubTask, labels, destinations), max_size=2).map(tuple),
+            safety=safety,
+        )
+    )
+    # random steps, after the apple's delivery by robot 0 or not
+    delivery = tuple(jd + (IDLE_DECISION,) * (n_robots - 1) for jd in DELIVER_APPLE)
+    head = data.draw(st.sampled_from(((), delivery)))
+    steps = st.tuples(*[_decision_strategy(env)] * n_robots)
+    plan = head + tuple(data.draw(st.lists(steps, max_size=6)))
+    assert verdict(env, mission, n_robots, plan) == reference_verdict(env, mission, n_robots, plan)
