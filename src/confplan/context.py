@@ -9,7 +9,10 @@ scorers read the structured fields directly.
 Robot orders are drawn per step from a small fixed family of permutations
 (identity, rotations, reversal) keyed by the scenario's order seed, so the
 calibration and test sequences share the same order-generating distribution.
-Each scenario draws its H step orders once (`Scenario.orders`).
+`OrderSchedule.order_at` is the one-step law. Each scenario draws its H step
+orders once (`Scenario.orders`), and a labeled batch draws all of its
+scenarios' step orders in one seeding pass (`step_orders`), each equal to
+`order_at` bit for bit.
 """
 
 from __future__ import annotations
@@ -216,7 +219,9 @@ class OrderSchedule:
     seed: int
 
     def order_at(self, t: int) -> tuple[int, ...]:
-        """The order at step t; a one-order family needs no draw."""
+        """The order at step t; a one-order family needs no draw. This is
+        the one-step law: a scenario's orders come from `step_orders`, which
+        seeds a batch's steps in one pass and draws this order for each."""
         family = order_family(self.n_robots)
         if len(family) == 1:
             return family[0]
@@ -235,6 +240,33 @@ class OrderSchedule:
             return None
         rng = keyed_rng(np.random.SeedSequence(seed_words(self.seed, t, attempt)))
         return remaining[int(rng.integers(len(remaining)))]
+
+
+def step_orders(requests) -> list[tuple[tuple[int, ...], ...]]:
+    """The step orders `schedule.order_at(t)`, t < horizon, of each
+    (schedule, horizon) request, with every drawn step of the batch seeded
+    in one `keyed_rngs` pass. Step t is keyed `seed_words(seed, t, 0)`, as
+    `order_at` keys it, so each order is the one-step law's bit for bit; a
+    seed of more than one word widens its rows, which `keyed_rngs` then
+    mixes in a pass of their own. A one-order family draws nothing."""
+    requests = list(requests)
+    blocks = []
+    for schedule, horizon in requests:
+        if len(order_family(schedule.n_robots)) > 1 and horizon > 0:
+            prefix = seed_words(schedule.seed)
+            block = np.zeros((horizon, len(prefix) + 2), dtype=np.uint32)
+            block[:, :-2] = prefix
+            block[:, -2] = range(horizon)  # t < horizon, one word
+            blocks.append(block)
+    rngs = keyed_rngs(blocks)
+    out = []
+    for schedule, horizon in requests:
+        family = order_family(schedule.n_robots)
+        if len(family) == 1:
+            out.append(family * horizon)
+        else:
+            out.append(tuple(family[int(next(rngs).integers(len(family)))] for _ in range(horizon)))
+    return out
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ import hashlib
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -348,6 +347,9 @@ def _run_trials(trial, cfg: ExperimentConfig, checkpoint_dir=None, jobs: int = 1
         pending = [t for t in range(cfg.n_trials) if t not in rows]
         run = map
         if jobs > 1 and pending:
+            # imported here: it loads multiprocessing, which no serial run needs
+            from concurrent.futures import ProcessPoolExecutor
+
             run = stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
         for row in run(trial, pending):
             rows[row["trial"]] = row

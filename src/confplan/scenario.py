@@ -23,6 +23,7 @@ from .context import (
     initial_context,
     keyed_rng,
     seed_words,
+    step_orders,
 )
 from .errors import BudgetError, ConfigError, NoFeasibleError, OracleError
 from .world import (
@@ -138,13 +139,22 @@ class Scenario:
 
     @property
     def orders(self) -> tuple[tuple[int, ...], ...]:
-        """The scheduled robot order of each step t < horizon, drawn once."""
+        """The scheduled robot order of each step t < horizon, drawn once:
+        `schedule.order_at(t)` for each t, as the batch of one `draw_orders`
+        (labeling draws a whole batch's orders in one seeding pass)."""
         try:
             return self._orders
         except AttributeError:
-            orders = tuple(map(self.schedule.order_at, range(self.horizon)))
-            object.__setattr__(self, "_orders", orders)
-            return orders
+            draw_orders((self,))
+            return self._orders
+
+
+def draw_orders(scenarios) -> None:
+    """Draw and memoise the step orders of each scenario of a batch that has
+    none yet, in one seeding pass (`context.step_orders`)."""
+    fresh = [s for s in scenarios if "_orders" not in s.__dict__]
+    for s, orders in zip(fresh, step_orders((s.schedule, s.horizon) for s in fresh)):
+        object.__setattr__(s, "_orders", orders)
 
 
 # --- decision space ----------------------------------------------------------
@@ -803,10 +813,12 @@ def label_sequences(scenarios, scorer, label_mode: str) -> list[LabelResult]:
     matrix and tries the scheduled robot's moves best-first, stopping at the
     first with a completion (`FeasibilityIndex.best`). Every label from a
     scorer without tables (the external one) walks the sequence, one
-    `score_all` per iteration.
+    `score_all` per iteration. Either way the batch's step orders are drawn
+    first, in one seeding pass (`draw_orders`).
     """
     if label_mode not in ("selector", "oracle"):
         raise ConfigError(f"unknown label mode {label_mode!r}")
+    draw_orders(scenarios)
     tables = scorer.score_tables(scenarios) if hasattr(scorer, "score_tables") else None
     if tables is None:
         return [_walked_label(s, scorer, label_mode) for s in scenarios]

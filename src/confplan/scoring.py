@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -89,7 +88,8 @@ class ScorerSpec:
     def validate(self) -> None:
         if self.kind not in (ORACLE_INDICATOR, NOISY_ORACLE, EXTERNAL):
             raise ConfigError(f"unknown scorer kind {self.kind!r}")
-        if self.sharpness < 0 or self.noise < 0 or not 0.0 <= self.confusion < 1.0:
+        finite = math.isfinite(self.sharpness) and math.isfinite(self.noise)
+        if not finite or self.sharpness < 0 or self.noise < 0 or not 0.0 <= self.confusion < 1.0:
             raise ConfigError("scorer parameters out of range")
         if self.rng_seed < 0:
             raise ConfigError("rng_seed must be nonnegative")
@@ -367,6 +367,8 @@ def external_score_all(
     headers = {"Authorization": f"Bearer {key}"}
     options = [d.phrase() for d in space]
     if endpoint.max_concurrency > 1 and len(options) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only the external scorer needs it
+
         with ThreadPoolExecutor(endpoint.max_concurrency) as pool:
             raws = list(
                 pool.map(

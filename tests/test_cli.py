@@ -1,8 +1,12 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import confplan
 from confplan.cli import main
 from confplan.harness import config_to_dict
 from confplan.scenario import DistributionParams, params_to_dict, sample_scenario, scenario_to_dict
@@ -461,6 +465,39 @@ def test_external_scorer_without_key_exits_3(tmp_path, monkeypatch):
         ]
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("scorer", ["noisy-oracle:beta=nan", "noisy-oracle:sigma=inf", "json"])
+def test_plan_refuses_a_non_finite_scorer_parameter(tmp_path, capsys, scorer):
+    """At the parent `beta=nan` planned on NaN scores and `sigma=inf` on NaN
+    after a RuntimeWarning, both with exit 0 and a trace written."""
+    params = write_params(tmp_path)
+    scen_path = tmp_path / "scenarios.json"
+    main(["gen-scenarios", "--params", str(params), "--count", "1", "--out", str(scen_path)])
+    if scorer == "json":
+        scorer = str(tmp_path / "scorer.json")
+        (tmp_path / "scorer.json").write_text('{"kind": "noisy-oracle", "sharpness": NaN}')
+    out = tmp_path / "trace.json"
+    argv = ["plan", "--scenario", str(scen_path), "--quantile", "0.9", "--scorer", scorer]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "scorer parameters out of range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_importing_the_cli_loads_no_executor():
+    """A serial run needs no worker processes or threads: `multiprocessing`
+    (with `socket` and `subprocess`) loads only for `--jobs` above 1, and a
+    thread pool only for the external scorer."""
+    src = os.path.dirname(os.path.dirname(confplan.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, confplan.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_plan_refuses_a_misspelt_extraction_before_any_request(tmp_path, monkeypatch, capsys):

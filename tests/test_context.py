@@ -22,8 +22,10 @@ from confplan.context import (
     render_text,
     reset_step,
     seed_words,
+    step_orders,
 )
 from confplan import scenario as scenario_module
+from confplan.conformal import calibration_records
 from confplan.scenario import (
     default_distribution_params,
     label_sequence,
@@ -280,10 +282,78 @@ def test_labeling_a_one_robot_scenario_draws_no_order(monkeypatch, label_mode):
     assert built == []
 
 
+def record_order_passes(monkeypatch) -> list[list]:
+    """Record the row words of each `keyed_rngs` pass made inside
+    `confplan.context`, where only step orders call it (the scorer calls its
+    own import of the name): one list of rows per pass."""
+    passes = []
+    keyed = context.keyed_rngs
+
+    def recording(blocks):
+        passes.append([row for block in blocks for row in block.tolist()])
+        return keyed(blocks)
+
+    monkeypatch.setattr(context, "keyed_rngs", recording)
+    return passes
+
+
 def test_labeling_draws_each_step_order_once(monkeypatch):
+    """A fresh multi-robot scenario's step orders are seeded in one keyed
+    pass, with no SeedSequence, one row `seed_words(order_seed, t, 0)` per
+    step t, each t exactly once."""
     trio = sample_trio()
+    passes = record_order_passes(monkeypatch)
     built = seed_sequences_built_while_labeling(monkeypatch, trio, "oracle")
-    assert 0 < built.count("confplan.context") <= trio.horizon
+    assert "confplan.context" not in built
+    rows = [seed_words(trio.order_seed, t, 0).tolist() for t in range(trio.horizon)]
+    assert passes == [rows]
+
+
+def test_a_calibration_batch_draws_its_orders_in_one_pass(monkeypatch):
+    params = dataclasses.replace(default_distribution_params(8), n_robots=(2, 2))
+    scenarios = [sample_scenario(params, draw) for draw in range(30)]
+    passes = record_order_passes(monkeypatch)
+    calibration_records(scenarios, build_scorer(ScorerSpec()), label_mode="oracle")
+    monkeypatch.undo()
+    (rows,) = passes
+    assert sorted(rows) == sorted(
+        seed_words(s.order_seed, t, 0).tolist() for s in scenarios for t in range(s.horizon)
+    )
+    for s in scenarios:
+        assert s.orders == tuple(map(s.schedule.order_at, range(s.horizon)))
+
+
+def test_batch_orders_are_the_one_step_law_bit_for_bit():
+    """Every robot count, horizons from 1, and one- to three-word seeds mixed
+    in one batch: each step's order is `order_at`'s and the tuple-seeded
+    draw's."""
+    rnd = random.Random(20261017)
+    requests = [
+        (OrderSchedule(n_robots, seed), horizon)
+        for n_robots in (1, 2, 3, 4)
+        for seed in (0, 1, 17, 2**31 - 1, 2**32, 2**32 + 1, 2**40 + 5, 2**64 + 3)
+        for horizon in (1, 2, 7, 19)
+    ]
+    rnd.shuffle(requests)
+    got = step_orders(requests)
+    assert len(got) == len(requests)
+    for (schedule, horizon), orders in zip(requests, got):
+        assert orders == tuple(schedule.order_at(t) for t in range(horizon))
+        assert orders == tuple(
+            per_call_order(schedule.n_robots, schedule.seed, t) for t in range(horizon)
+        )
+    assert step_orders([]) == [] and step_orders([(OrderSchedule(3, 5), 0)]) == [()]
+
+
+def test_a_scenario_with_a_wide_order_seed_draws_the_one_step_law():
+    """A loaded scenario's order seed may pass 2^32; in a batch with narrow
+    ones its rows are mixed in a pass of their own."""
+    params = dataclasses.replace(default_distribution_params(6), n_robots=(2, 3))
+    narrow = [sample_scenario(params, draw) for draw in range(3)]
+    wide = [dataclasses.replace(s, order_seed=2**40 + i) for i, s in enumerate(narrow)]
+    scenario_module.draw_orders(narrow + wide)
+    for s in narrow + wide:
+        assert s.orders == tuple(map(s.schedule.order_at, range(s.horizon)))
 
 
 def test_initial_context_empty_history(scenario):

@@ -179,6 +179,17 @@ def test_coverage_run_shapes_and_invariants(tmp_path):
     assert (tmp_path / "run" / "trials.jsonl").exists()
 
 
+def test_a_cells_coverage_is_the_share_of_covered_trials():
+    """Coverage is marginal over trials: a trial counts once, however many
+    decisions its plan took. Weighted by decisions these rows read 0.9."""
+    rows = [
+        {"covered": covered, "success": covered, "set_hist": {"1": n}, "scorer_calls": 0}
+        for covered, n in ((True, 9), (False, 1))
+    ]
+    cell = harness._cell(0.1, "distributed", rows)
+    assert (cell.trials, cell.n_decisions, cell.coverage) == (2, 10, 0.5)
+
+
 def test_coverage_metrics_files_are_reproducible(tmp_path):
     cfg = tiny_config(n_trials=5)
     run_coverage_experiment(cfg, out_dir=tmp_path / "a")

@@ -673,18 +673,22 @@ def test_labeling_computes_each_step_order_once(monkeypatch):
     )
     scorer = build_scorer(ScorerSpec())
     labels = label_sequence(s, scorer, label_mode="selector").decisions
-    calls = []
-    order_at = OrderSchedule.order_at
+    requests = []
+    orders_of = scenario_module.step_orders
 
-    def counted(self, t):
-        calls.append(t)
-        return order_at(self, t)
+    def counted(batch):
+        batch = list(batch)
+        requests.append([(schedule, horizon) for schedule, horizon in batch])
+        return orders_of(batch)
 
-    monkeypatch.setattr(OrderSchedule, "order_at", counted)
-    index = FeasibilityIndex(dataclasses.replace(s))  # a copy whose orders are not yet drawn
+    monkeypatch.setattr(scenario_module, "step_orders", counted)
+    copy = dataclasses.replace(s)  # a copy whose orders are not yet drawn
+    index = FeasibilityIndex(copy)
     for k in range(len(labels)):
         assert labels[k] in index.feasible(labels[:k]).decisions
-    assert sorted(calls) == list(range(s.horizon))
+    # one batch of one, which draws steps 0..H-1 once each
+    assert requests == [[(copy.schedule, s.horizon)]]
+    assert copy.orders == s.orders
 
 
 # --- selector and labels ------------------------------------------------------------

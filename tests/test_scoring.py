@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import pickle
 
@@ -422,6 +423,27 @@ def test_scorer_spec_validation_and_parsing():
     assert parse_scorer_spec("noisy-oracle:base_url=http://x,model=m").endpoint == EndpointConfig(
         "http://x", "m"
     )
+
+
+@pytest.mark.parametrize(
+    "text", ["beta=nan", "beta=inf", "sigma=nan", "sigma=inf", "sigma=-inf", "eps=nan"]
+)
+def test_a_non_finite_scorer_parameter_is_refused_at_load(text):
+    """NaN slips past a `< 0` check and infinity has no upper one: `beta=nan`
+    scored every decision NaN, `sigma=nan` ran noise-free and `sigma=inf`
+    softmaxed infinities into NaN."""
+    with pytest.raises(ConfigError):
+        parse_scorer_spec(f"noisy-oracle:{text}")
+
+
+@pytest.mark.parametrize("field", ["sharpness", "noise"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_a_json_scorer_with_a_non_finite_parameter_is_refused(field, value):
+    """Python's json reads the NaN and Infinity tokens as floats."""
+    data = json.loads(f'{{"kind": "noisy-oracle", "{field}": {value}}}')
+    assert not math.isfinite(data[field])
+    with pytest.raises(ConfigError):
+        scorer_spec_from_dict(data)
 
 
 @pytest.mark.parametrize(
