@@ -510,14 +510,15 @@ class FeasibilityIndex:
 
     The search runs on the world model's compact state and compiled decision
     checks (`world.CompactModel`), the same semantics the plan validator runs
-    on. The step boundaries of the last history are kept, so a call whose
-    history extends the previous one replays only the new full steps. That
-    cache makes an index unsafe to share between threads.
+    on. A label is built in one `walk`, which carries the search state across
+    iterations. A one-shot query replays its prefix, keeping the step
+    boundaries of the last one, so a query whose history extends the previous
+    one replays only the new full steps. That cache makes an index unsafe to
+    share between threads.
     """
 
     def __init__(self, scenario: Scenario, budget: int = EXACT_SEARCH_BUDGET):
         self.scenario = scenario
-        self.budget = budget
         self.n = n = scenario.n_robots
         self.space = decision_space(scenario.env)
         self.model = model = world.compact_model(scenario.env, n)
@@ -536,14 +537,19 @@ class FeasibilityIndex:
         self._memo: dict = {}
         self._rows: list = []  # joint decisions of the full steps replayed last
         self._states = [model.start]  # boundaries 0..len(rows)
+        # the largest `remaining` with |S|^remaining <= budget, in exact integers
+        size, depth, reach = max(len(self.space), 2), -1, 1
+        while reach <= budget:
+            depth, reach = depth + 1, reach * size
+        self._first_exact = self.total_iterations - depth
 
     @property
     def total_iterations(self) -> int:
         return self.n * self.scenario.horizon
 
     def exact_at(self, k: int) -> bool:
-        remaining = self.total_iterations - k
-        return remaining * math.log(max(len(self.space), 2)) <= math.log(self.budget)
+        """Whether iteration k is searched exactly: |S|^(N·H − k) <= budget."""
+        return k >= self._first_exact
 
     def feasible(self, history: tuple[Decision, ...]) -> FeasibleResult:
         """Feasible decisions at iteration len(history), for a flat prefix laid
@@ -565,6 +571,45 @@ class FeasibilityIndex:
         if d is None:
             raise NoFeasibleError(f"{self.scenario.id}: no feasible decision at k={k}")
         return d, mode
+
+    def walk(self, rows):
+        """Yield, for each score row in turn, what `best` returns for the
+        decisions yielded so far and that row: a selector label built in one
+        pass, with no prefix replayed per iteration.
+
+        Above the gate the prefix is the teacher's, because exactness only
+        grows with k, so each decision is the anchor, in mode "oracle". At the
+        first exact iteration the prefix is replayed once (`_replay`). From
+        there the boundary state, the step's effects and grab bits and the
+        options of the robots still to decide are carried, and each iteration
+        takes the first of the scheduled robot's moves, best-first, that
+        `_completable` yields. Raises where `best` would, the same error."""
+        scenario, n, orders = self.scenario, self.n, self.scenario.orders
+        state = None  # the boundary state of step t, once exact
+        for k, row in enumerate(rows):
+            t, pos = divmod(k, n)
+            order = orders[t]
+            robot = order[pos]
+            if state is None:
+                if not self.exact_at(k):
+                    yield anchor_decision(scenario, t, robot), "oracle"
+                    continue
+                entries = scheduled_entries(scenario, teacher_sequence(scenario)[:k])
+                state, _, effects, grabbed, _, violated = self._replay(entries)
+                if violated:
+                    raise NoFeasibleError(f"{scenario.id}: no feasible decision at k={k}")
+                others = [self._options(state, r) for r in order[pos + 1 :]]
+            elif pos == 0:
+                others = [self._options(state, r) for r in order[1:]]
+            moves = sorted(self._moves[robot], key=lambda move: -row[move[0]])
+            d = next(self._completable(state, t, effects, grabbed, others, moves), None)
+            if d is None:
+                raise NoFeasibleError(f"{scenario.id}: no feasible decision at k={k}")
+            check, bit = self.model.op(robot, d)
+            effects, grabbed, others = effects + (check(state),), grabbed | bit, others[1:]
+            if pos == n - 1:
+                state, effects, grabbed = merge_writes(state, effects), (), 0
+            yield d, "exact"
 
     def feasible_for_context(self, ctx: Context) -> FeasibleResult:
         """Feasible decisions for a live planning context (whose step orders
@@ -791,13 +836,13 @@ def label_sequence(scenario: Scenario, scorer, label_mode: str) -> LabelResult:
     """Build the calibration label auto-regressively and score each step.
 
     In "selector" mode each iteration takes the scorer's highest-scoring
-    feasible decision (`FeasibilityIndex.best`, which is `argmax_feasible`
-    over the feasible set), and the produced sequence is validated through
-    the world model. In "oracle" mode the label is the canonical plan
-    flattened along the schedule (the unique-solution shortcut), judged by
-    the scenario's `oracle_plan_failure` verdict, None for a sampled
-    scenario. Either way a label that fails validation raises OracleError.
-    A batch of one `label_sequences`.
+    feasible decision (`argmax_feasible` over the feasible set; a label read
+    from score tables finds it in one `FeasibilityIndex.walk`), and the
+    produced sequence is validated through the world model. In "oracle" mode
+    the label is the canonical plan flattened along the schedule (the
+    unique-solution shortcut), judged by the scenario's `oracle_plan_failure`
+    verdict, None for a sampled scenario. Either way a label that fails
+    validation raises OracleError. A batch of one `label_sequences`.
     """
     return label_sequences((scenario,), scorer, label_mode)[0]
 
@@ -809,11 +854,11 @@ def label_sequences(scenarios, scorer, label_mode: str) -> list[LabelResult]:
     scorers) draws the whole batch's tables first, in one seeding pass, and
     labels are read from their matrices: no label calls the table's
     `vector`, so none builds a row's score tuple. An oracle label's scores
-    are one fancy index. A selector label reads row k of the softmaxed
-    matrix and tries the scheduled robot's moves best-first, stopping at the
-    first with a completion (`FeasibilityIndex.best`). Every label from a
-    scorer without tables (the external one) walks the sequence, one
-    `score_all` per iteration. Either way the batch's step orders are drawn
+    are one fancy index. A selector label is one `FeasibilityIndex.walk`
+    over the softmaxed matrix's rows: it tries the scheduled robot's moves
+    best-first, stops at the first with a completion, and replays no prefix.
+    Every label from a scorer without tables (the external one) walks the
+    sequence, one `score_all` per iteration. Either way the batch's step orders are drawn
     first, in one seeding pass (`draw_orders`).
     """
     if label_mode not in ("selector", "oracle"):
@@ -834,20 +879,14 @@ def label_sequences(scenarios, scorer, label_mode: str) -> list[LabelResult]:
 
 
 def _selected_label(scenario: Scenario, table) -> LabelResult:
-    """The selector label read from the scenario's score table."""
-    findex = FeasibilityIndex(scenario)
+    """The selector label read from the scenario's score table in one walk."""
     index = decision_index(scenario.env)
-    decisions: list[Decision] = []
-    scores: list[float] = []
-    modes: list[str] = []
-    for row in table.probs.tolist():
-        d, mode = findex.best(tuple(decisions), row)
-        decisions.append(d)
-        scores.append(row[index[d]])
-        modes.append(mode)
-    plan = flat_to_plan(scenario, tuple(decisions))
+    rows = table.probs.tolist()
+    decisions, modes = zip(*FeasibilityIndex(scenario).walk(rows))
+    scores = tuple(row[index[d]] for row, d in zip(rows, decisions))
+    plan = flat_to_plan(scenario, decisions)
     _check_label(scenario, validate_scenario_plan(scenario, plan).reason)
-    return LabelResult(tuple(decisions), tuple(scores), tuple(modes))
+    return LabelResult(decisions, scores, modes)
 
 
 def _check_label(scenario: Scenario, reason: str | None) -> None:

@@ -421,6 +421,15 @@ def test_budget_fallback_reports_oracle_mode():
     assert result.decisions == (teacher_sequence(s)[0],)
 
 
+def test_the_gate_is_the_integer_rule():
+    # |S| = 10: 10^6 <= 10^6 is exact, 10^7 is not
+    s = sample_scenario(default_distribution_params(5), 24)
+    index = FeasibilityIndex(s)
+    assert (s.id, len(index.space)) == ("scn-5-24", 10)
+    assert index.exact_at(index.total_iterations - 6)
+    assert not index.exact_at(index.total_iterations - 7)
+
+
 def brute_force_feasible(s, history):
     """Feasible set at len(history) by enumerating completions and running
     each on the world model (`world.compact_model`) step by step.
@@ -663,6 +672,87 @@ def test_best_is_the_argmax_of_the_feasible_set(profile):
     assert {"exact", NoFeasibleError, ValueError} <= seen
     if profile != "criterion-9":
         assert {"oracle", BudgetError} <= seen
+
+
+def walk_against_best(s, rows, budget=scenario_module.EXACT_SEARCH_BUDGET):
+    """Step `FeasibilityIndex.walk` over `rows` and assert that each step
+    equals `best` on the walk's own prefix, the error type included. Returns
+    the decisions, the modes and the error that ended the walk, if any."""
+    reference = FeasibilityIndex(s, budget=budget)
+    walk = FeasibilityIndex(s, budget=budget).walk(rows)
+    labeled: list[Decision] = []
+    modes: list[str] = []
+    for k, row in enumerate(rows):
+        expected = outcome(lambda: reference.best(tuple(labeled), row))
+        assert outcome(lambda: next(walk)) == expected, (s.id, k)
+        if not isinstance(expected, tuple):
+            return labeled, modes, expected
+        labeled.append(expected[0])
+        modes.append(expected[1])
+    return labeled, modes, None
+
+
+@pytest.mark.parametrize("profile", sorted(BEST_PROFILES))
+def test_the_walk_is_best_at_every_iteration(profile):
+    seen, crossed = set(), 0
+    for draw in range(4):
+        s = sample_scenario(BEST_PROFILES[profile], draw)
+        size, total = len(decision_space(s.env)), s.n_robots * s.horizon
+        rnd = random.Random(draw)
+        tables = (
+            [[rnd.random() for _ in range(size)] for _ in range(total)],
+            [[rnd.choice((0.25, 0.5)) for _ in range(size)] for _ in range(total)],  # ties
+            [[0.5] * size] * total,
+        )
+        for rows in tables:
+            _, modes, error = walk_against_best(s, rows)
+            seen |= {*modes, error}
+            crossed += {*modes} == {"oracle", "exact"}
+    assert "exact" in seen
+    if profile != "criterion-9":
+        assert crossed  # labels that start above the gate and turn exact
+
+
+def test_the_walk_is_best_on_hand_built_scenarios():
+    # two robots with no step to spare: each must start on its own object at k = 0
+    env = two_object_env(n_robots=2)
+    mission = Mission((SubTask("apple", ("loc-dest-1",)), SubTask("bread", ("loc-dest-1",))))
+    s = make_scenario(env, mission, n_robots=2, horizon=4)
+    rows = [[0.5] * len(decision_space(env))] * 8
+    labeled, modes, error = walk_against_best(s, rows, LIFTED_BUDGET)
+    assert (len(labeled), modes[0], error) == (8, "exact", None)
+    # one robot grabs the object it delivered, in a later step than the first grab
+    env = two_object_env()
+    s = make_scenario(env, Mission((SubTask("apple", ("loc-dest-1",)),)), horizon=6)
+    space = decision_space(env)
+    path = [
+        Decision(GOTO, "obj-1"),
+        Decision(GRAB, "obj-1"),
+        Decision(GOTO, "loc-dest-1"),
+        Decision(PUTDOWN, "loc-dest-1"),
+        Decision(GRAB, "obj-1"),
+        Decision(PUTDOWN, "loc-dest-1"),
+    ]
+    rows = [[float(d == want) for d in space] for want in path]
+    assert walk_against_best(s, rows) == (path, ["exact"] * 6, None)
+
+
+def test_the_walk_raises_where_best_raises():
+    env = two_object_env()
+    size = len(decision_space(env))
+    rows = [[0.5] * size] * 5
+    budget = size**4  # exact from k = 1
+    mission = Mission((SubTask("apple", ("loc-dest-1",)),), SafetyConstraint(0, "obj-2"))
+    s = make_scenario(env, mission, horizon=5)
+    # a canonical prefix that breaks the safety constraint above the gate, though
+    # the mission could still be accomplished after it
+    object.__setattr__(s, "_oracle_plan", ((Decision(GOTO, "obj-2"),),))
+    assert walk_against_best(s, rows, budget) == (
+        [Decision(GOTO, "obj-2")], ["oracle"], NoFeasibleError
+    )
+    # a world-infeasible canonical prefix raises as its replay does
+    object.__setattr__(s, "_oracle_plan", ((Decision(GRAB, "obj-1"),),))
+    assert walk_against_best(s, rows, budget) == ([Decision(GRAB, "obj-1")], ["oracle"], ValueError)
 
 
 def test_labeling_computes_each_step_order_once(monkeypatch):
