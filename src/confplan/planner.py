@@ -379,26 +379,11 @@ def plan_argmax(scenario: Scenario, scorer) -> PlanTrace:
 
 # --- centralized baseline ------------------------------------------------------------
 
-def joint_teacher_provider(scenario: Scenario):
-    """Feasible joint decisions in unique-solution mode: the canonical tuple."""
-    index = decision_index(scenario.env)
-
-    def provide(t: int) -> tuple[tuple[int, ...], ...]:
-        return (
-            tuple(
-                index[anchor_decision(scenario, t, r)] for r in range(scenario.n_robots)
-            ),
-        )
-
-    return provide
-
-
 def plan_centralized(
     scenario: Scenario,
     scorer,
     quantile: Quantile,
     cfg: PlannerConfig,
-    joint_feasible_provider=None,
     io=None,
 ) -> PlanTrace:
     """Whole-team baseline: one MCQA over the S^N joint decisions per step.
@@ -413,13 +398,13 @@ def plan_centralized(
     """
     cfg.validate()
     space = decision_space(scenario.env)
+    index = decision_index(scenario.env)
     n = scenario.n_robots
     joint_count = len(space) ** n
     if joint_count > cfg.centralized_budget:
         raise BudgetError(
             f"|S|^N = {joint_count} exceeds the centralized budget {cfg.centralized_budget}"
         )
-    provider = joint_feasible_provider or joint_teacher_provider(scenario)
     history: tuple = ()
     records: list[CentralStepRecord] = []
     failed = False
@@ -434,12 +419,16 @@ def plan_centralized(
         else:
             chosen, miss = None, False
             if cfg.help_policy != FAIL_ON_HELP:
+                feasible = ()
+                if cfg.help_policy == ORACLE_USER:  # the only reader
+                    # unique-solution mode: the canonical tuple is the only feasible one
+                    feasible = (tuple(index[anchor_decision(scenario, t, r)] for r in range(n)),)
                 chosen, miss = _resolve(
                     cfg.help_policy,
                     tuples or tuple(np.ndindex(joint.shape)),
                     set(tuples),
                     joint,
-                    provider(t) if cfg.help_policy == ORACLE_USER else (),
+                    feasible,
                     "joint decision",
                     lambda c: (
                         f"{'; '.join(space[i].phrase() for i in c)} "

@@ -511,10 +511,9 @@ class FeasibilityIndex:
     The search runs on the world model's compact state and compiled decision
     checks (`world.CompactModel`), the same semantics the plan validator runs
     on. A label is built in one `walk`, which carries the search state across
-    iterations. A one-shot query replays its prefix, keeping the step
-    boundaries of the last one, so a query whose history extends the previous
-    one replays only the new full steps. That cache makes an index unsafe to
-    share between threads.
+    iterations. A query replays its prefix from the start state every time;
+    the index keeps only the memo, keyed by (step, state), so an answer
+    depends on the prefix alone.
     """
 
     def __init__(self, scenario: Scenario, budget: int = EXACT_SEARCH_BUDGET):
@@ -535,8 +534,6 @@ class FeasibilityIndex:
             for r in range(n)
         )
         self._memo: dict = {}
-        self._rows: list = []  # joint decisions of the full steps replayed last
-        self._states = [model.start]  # boundaries 0..len(rows)
         # the largest `remaining` with |S|^remaining <= budget, in exact integers
         size, depth, reach = max(len(self.space), 2), -1, 1
         while reach <= budget:
@@ -554,28 +551,18 @@ class FeasibilityIndex:
     def feasible(self, history: tuple[Decision, ...]) -> FeasibleResult:
         """Feasible decisions at iteration len(history), for a flat prefix laid
         out along the scenario's own order schedule."""
-        mode, found = self._search(*self._scheduled(history), None)
-        return FeasibleResult(tuple(found), mode)
-
-    def best(self, history: tuple[Decision, ...], scores) -> tuple[Decision, str]:
-        """The highest-scoring feasible decision at iteration len(history), a
-        tie going to the lower space index, and the search mode: that is,
-        `argmax_feasible(scores, fs.decisions, index)` and `fs.mode` for
-        `fs = feasible(history)`. `scores` is indexed by space index. The
-        scheduled robot's moves are tried best-first, and the search stops at
-        the first one with a completion. Raises NoFeasibleError when nothing
-        is feasible."""
-        entries, robot, k = self._scheduled(history)
-        mode, found = self._search(entries, robot, k, scores)
-        d = next(found, None)
-        if d is None:
-            raise NoFeasibleError(f"{self.scenario.id}: no feasible decision at k={k}")
-        return d, mode
+        k = len(history)
+        if k >= self.total_iterations:
+            raise ValueError("sequence already complete")
+        robot = self.scenario.orders[k // self.n][k % self.n]
+        return self._search(scheduled_entries(self.scenario, history), robot, k)
 
     def walk(self, rows):
-        """Yield, for each score row in turn, what `best` returns for the
-        decisions yielded so far and that row: a selector label built in one
-        pass, with no prefix replayed per iteration.
+        """Yield, for each score row in turn, the highest-scoring feasible
+        decision after the decisions yielded so far, a tie going to the lower
+        space index, and the search mode: `argmax_feasible(row, fs.decisions,
+        index)` and `fs.mode` for `fs = feasible(prefix)`. A selector label is
+        built in one pass, with no prefix replayed per iteration.
 
         Above the gate the prefix is the teacher's, because exactness only
         grows with k, so each decision is the anchor, in mode "oracle". At the
@@ -583,7 +570,8 @@ class FeasibilityIndex:
         there the boundary state, the step's effects and grab bits and the
         options of the robots still to decide are carried, and each iteration
         takes the first of the scheduled robot's moves, best-first, that
-        `_completable` yields. Raises where `best` would, the same error."""
+        `_completable` yields. Raises NoFeasibleError where that feasible set
+        is empty, and ValueError where the teacher's prefix is infeasible."""
         scenario, n, orders = self.scenario, self.n, self.scenario.orders
         state = None  # the boundary state of step t, once exact
         for k, row in enumerate(rows):
@@ -617,22 +605,11 @@ class FeasibilityIndex:
         does not depend on the within-step visiting order)."""
         if ctx.cursor is None:
             raise ValueError("sequence already complete")
-        mode, found = self._search(ctx.history, ctx.cursor[1], ctx.k, None)
-        return FeasibleResult(tuple(found), mode)
+        return self._search(ctx.history, ctx.cursor[1], ctx.k)
 
-    def _scheduled(self, history):
-        """(entries, robot, k) of a flat prefix laid out along the schedule."""
-        k = len(history)
-        if k >= self.total_iterations:
-            raise ValueError("sequence already complete")
-        robot = self.scenario.orders[k // self.n][k % self.n]
-        return scheduled_entries(self.scenario, history), robot, k
-
-    def _search(self, entries, robot: int, k: int, scores):
-        """The mode, and an iterator over `robot`'s feasible decisions at
-        iteration k: in space order, or best-first under `scores` (descending
-        score, ties in space order). The prefix is replayed at once; each
-        move's completion is searched for only when the iterator reaches it."""
+    def _search(self, entries, robot: int, k: int) -> FeasibleResult:
+        """`robot`'s feasible decisions at iteration k after the (t, robot,
+        decision) `entries`, in space order, and the search mode."""
         if not self.exact_at(k):
             on_teacher = all(
                 d == anchor_decision(self.scenario, t, r) for (t, r, d) in entries
@@ -642,17 +619,15 @@ class FeasibilityIndex:
                     f"{self.scenario.id}: search budget exceeded off the canonical path"
                 )
             t = entries[-1][0] if len(entries) % self.n else len(entries) // self.n
-            return "oracle", iter((anchor_decision(self.scenario, t, robot),))
+            return FeasibleResult((anchor_decision(self.scenario, t, robot),), "oracle")
         state, t, effects, grabbed, assigned, violated = self._replay(entries)
         if violated:
-            return "exact", iter(())
+            return FeasibleResult((), "exact")
         others = [
             self._options(state, r) for r in range(self.n) if r not in assigned and r != robot
         ]
-        moves = self._moves[robot]
-        if scores is not None:
-            moves = sorted(moves, key=lambda move: -scores[move[0]])
-        return "exact", self._completable(state, t, effects, grabbed, others, moves)
+        found = self._completable(state, t, effects, grabbed, others, self._moves[robot])
+        return FeasibleResult(tuple(found), "exact")
 
     def _completable(self, state, t, effects, grabbed, others, moves):
         """Yield, in the given order, each of `moves` that is executable after
@@ -717,9 +692,9 @@ class FeasibilityIndex:
     # --- prefix replay -------------------------------------------------------
 
     def _replay(self, entries):
-        """Fold (t, robot, decision) entries: full steps applied jointly, the
-        trailing partial step kept as unmerged effects. Raises ValueError on a
-        duplicate, incomplete or infeasible prefix."""
+        """Fold (t, robot, decision) entries from the start state: full steps
+        applied jointly, the trailing partial step kept as unmerged effects.
+        Raises ValueError on a duplicate, incomplete or infeasible prefix."""
         n = self.n
         safety = self.scenario.mission.safety
         by_step: dict[int, dict[int, Decision]] = {}
@@ -731,19 +706,13 @@ class FeasibilityIndex:
                 raise ValueError(f"robot {robot} decided twice at step {t}")
             row[robot] = d
         current = len(entries) // n
-        rows, states = self._rows, self._states
+        state = self.model.start
         for t in range(current):
             row = by_step.get(t, {})
-            joint = tuple(row.get(r, IDLE_DECISION) for r in range(n))
             if len(row) != n:
                 raise ValueError(f"step {t} is incomplete in the prefix")
-            if t < len(rows) and rows[t] == joint:
-                continue
-            del rows[t:], states[t + 1 :]
-            effects, _ = self._step_effects(states[t], enumerate(joint))
-            states.append(merge_writes(states[t], effects))
-            rows.append(joint)
-        state = states[current]
+            effects, _ = self._step_effects(state, sorted(row.items()))
+            state = merge_writes(state, effects)
         partial = by_step.get(current, {})
         effects, grabbed = self._step_effects(state, sorted(partial.items()))
         return state, current, effects, grabbed, frozenset(partial), violated
@@ -958,6 +927,8 @@ def validate_scenario(scenario: Scenario) -> None:
         raise ConfigError("scenario needs at least one robot")
     if scenario.horizon < 1:
         raise ConfigError("scenario horizon must be >= 1")
+    if scenario.order_seed < 0:
+        raise ConfigError("order_seed must be nonnegative")
     if len(scenario.env.robot_start) < scenario.n_robots:
         raise ConfigError("environment places fewer robots than the scenario uses")
     labels = {o.label for o in scenario.env.objects}

@@ -251,6 +251,7 @@ def _config(**changes):
 
 
 SCENARIO = scenario_to_dict(sample_scenario(DistributionParams(), 0))
+ONE_ROBOT = scenario_to_dict(sample_scenario(DistributionParams(n_robots=(1, 1)), 0))
 
 # "DOC" is replaced by the document's path and "OUT" by an output path
 COVERAGE = ["coverage", "--config", "DOC", "--out", "OUT"]
@@ -296,6 +297,8 @@ CENTRALIZED = ["plan", "--scenario", "DOC", "--mode", "centralized", "--quantile
             {**SCENARIO, "env": {**SCENARIO["env"], "colour": "red"}}, PLAN, id="unknown-env-key"
         ),
         pytest.param([], PLAN, id="empty-scenario-file"),  # a file holding no scenario
+        # one robot draws no step order, so only loading can refuse the seed
+        pytest.param({**ONE_ROBOT, "order_seed": -1}, PLAN, id="negative-order-seed"),
         *(
             pytest.param(
                 SCENARIO, ["plan", "--scenario", "DOC", f"--quantile={q}", "--out", "OUT"], id=f"quantile-{q}"

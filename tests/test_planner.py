@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from confplan import planner as planner_module
 from confplan.conformal import (
     CalibrationRecord,
     Quantile,
@@ -430,18 +431,18 @@ def test_centralized_call_count_and_joint_flagging():
 
 
 def test_centralized_oracle_help_breaks_ties_to_the_smallest_tuple():
+    # plan_centralized's oracle user knows one feasible tuple, the canonical one, so
+    # the tie rule over several is pinned on the help resolver it calls, on a
+    # uniform joint array as the planner builds it
     scenario = seeded_scenario(8, n_robots=(2, 2), n_subtasks=(1, 1))
     space = decision_space(scenario.env)
     uniform = tuple(1 / len(space) for _ in space)
-    scorer = StubScorer({(0, 0): uniform, (0, 1): uniform})
-    quantile = Quantile(1.0, 19, 0.1)  # threshold 0: every joint decision is in the set
-    cfg = PlannerConfig(help_policy=ORACLE_USER)
-    trace = plan_centralized(
-        scenario, scorer, quantile, cfg, joint_feasible_provider=lambda t: ((1, 1), (0, 1), (1, 0))
+    joint = joint_scores(scenario, StubScorer({(0, 0): uniform, (0, 1): uniform}), (), 0)
+    every = tuple(product(range(len(space)), repeat=2))
+    chosen, miss = planner_module._resolve(
+        ORACLE_USER, every, set(every), joint, ((1, 1), (0, 1), (1, 0)), "joint decision", str, None
     )
-    first = trace.records[0]
-    assert first.chosen_tuple == (0, 1)
-    assert not first.help[0].coverage_miss
+    assert (chosen, miss) == ((0, 1), False)
 
 
 def test_centralized_oracle_help_takes_the_canonical_tuple_outside_the_set():
@@ -467,7 +468,7 @@ def test_centralized_oracle_help_takes_the_canonical_tuple_outside_the_set():
     assert first.help[0].coverage_miss and not first.help[0].unresolved
 
 
-def test_fail_on_help_records_the_full_set_flag_in_both_planners():
+def test_fail_on_help_records_the_full_set_flag_in_both_planners(monkeypatch):
     scenario = seeded_scenario(3, n_robots=(2, 2))
     scorer = build_scorer(ScorerSpec(kind="oracle-indicator"))
     quantile = Quantile(None, 5, 0.1)  # FULL-SET sentinel
@@ -475,9 +476,11 @@ def test_fail_on_help_records_the_full_set_flag_in_both_planners():
     def never(*_):
         raise AssertionError("fail-on-help must not ask for feasible decisions")
 
+    # the centralized planner builds its feasible tuple from the canonical decisions
+    monkeypatch.setattr(planner_module, "anchor_decision", never)
     cfg = PlannerConfig(help_policy=FAIL_ON_HELP)
     dist = plan_distributed(scenario, scorer, quantile, cfg, feasible_provider=never)
-    cent = plan_centralized(scenario, scorer, quantile, cfg, joint_feasible_provider=never)
+    cent = plan_centralized(scenario, scorer, quantile, cfg)
     for trace in (dist, cent):
         assert trace.failed
         last = trace.records[-1]
@@ -486,7 +489,7 @@ def test_fail_on_help_records_the_full_set_flag_in_both_planners():
         assert event.unresolved and event.full_set and not event.coverage_miss
 
 
-def test_interactive_help_never_asks_for_feasible_decisions_in_both_planners():
+def test_interactive_help_never_asks_for_feasible_decisions_in_both_planners(monkeypatch):
     scenario = seeded_scenario(3, n_robots=(2, 2))
     scorer = build_scorer(ScorerSpec(kind="oracle-indicator"))
     quantile = Quantile(None, 5, 0.1)  # FULL-SET sentinel: every step asks
@@ -495,9 +498,10 @@ def test_interactive_help_never_asks_for_feasible_decisions_in_both_planners():
     def never(*_):
         raise AssertionError("the user's pick must not read feasible decisions")
 
+    monkeypatch.setattr(planner_module, "anchor_decision", never)
     cfg = PlannerConfig(help_policy=INTERACTIVE_USER)
     dist = plan_distributed(scenario, scorer, quantile, cfg, feasible_provider=never, io=io)
-    cent = plan_centralized(scenario, scorer, quantile, cfg, joint_feasible_provider=never, io=io)
+    cent = plan_centralized(scenario, scorer, quantile, cfg, io=io)
     for trace in (dist, cent):
         assert not trace.failed
         events = [e for r in trace.records for e in r.help]

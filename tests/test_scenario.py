@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from confplan import scenario as scenario_module
 from confplan import scoring, world
-from confplan.context import Context, OrderSchedule, advance, initial_context
+from confplan.context import Context, OrderSchedule, advance, initial_context, reset_step
 from confplan.errors import BudgetError, ConfigError, NoFeasibleError, OracleError
 from confplan.scenario import (
     DistributionParams,
@@ -416,9 +416,14 @@ def test_exact_feasible_always_contains_oracle_next_decision():
 
 def test_budget_fallback_reports_oracle_mode():
     s = fig_style_four_delivery_scenario()  # |S| = 13, T = 16: way past 10^3
-    result = FeasibilityIndex(s, budget=1000).feasible(())
+    index = FeasibilityIndex(s, budget=1000)
+    result = index.feasible(())
     assert result.mode == "oracle"
     assert result.decisions == (teacher_sequence(s)[0],)
+    # a prefix that leaves the canonical path above the gate cannot be searched
+    off_path = next(d for d in index.space if d != result.decisions[0])
+    with pytest.raises(BudgetError):
+        index.feasible((off_path,))
 
 
 def test_the_gate_is_the_integer_rule():
@@ -584,9 +589,7 @@ def test_feasible_prefix_contract():
     assert index.feasible((Decision(GOTO, "obj-1"),)).decisions
     # a prefix that violates safety leaves nothing feasible
     assert index.feasible((Decision(GOTO, "obj-2"),)) == FeasibleResult((), "exact")
-    with pytest.raises(NoFeasibleError):
-        index.best((Decision(GOTO, "obj-2"),), [0.0] * len(index.space))
-    # a world-infeasible prefix raises, also when it extends a cached one
+    # a world-infeasible prefix raises, also after a feasible query on the same index
     with pytest.raises(ValueError):
         index.feasible((Decision(GRAB, "obj-1"),))
     with pytest.raises(ValueError):
@@ -623,67 +626,23 @@ def outcome(call):
         return type(error)
 
 
-@pytest.mark.parametrize("profile", sorted(BEST_PROFILES))
-def test_best_is_the_argmax_of_the_feasible_set(profile):
-    seen = set()
-    for draw in range(4):
-        s = sample_scenario(BEST_PROFILES[profile], draw)
-        index, reference = FeasibilityIndex(s), FeasibilityIndex(s)
-        space, where = decision_space(s.env), decision_index(s.env)
-        teacher = teacher_sequence(s)
-        rnd = random.Random(draw)
-        # the teacher; random feasible decisions; random decisions that keep the prefix
-        # searchable (world-executable, and on the teacher above the gate); random decisions
-        for walk in ("teacher", "feasible", "searchable", "random"):
-            path: list[Decision] = []
-            for k in range(len(teacher)):
-                history = tuple(path)
-                fs = outcome(lambda: reference.feasible(history))
-                rows = (
-                    [rnd.random() for _ in space],
-                    [rnd.choice((0.25, 0.5)) for _ in space],  # exact ties
-                    [0.5] * len(space),
-                )
-                for scores in rows:
-                    expected = fs
-                    if isinstance(fs, FeasibleResult):
-                        expected = outcome(
-                            lambda: (argmax_feasible(scores, fs.decisions, where), fs.mode)
-                        )
-                    assert outcome(lambda: index.best(history, scores)) == expected, (
-                        s.id, walk, k
-                    )
-                    seen.add(expected[1] if isinstance(expected, tuple) else expected)
-                if walk == "teacher":
-                    path.append(teacher[k])
-                elif walk == "feasible":
-                    path.append(rnd.choice(fs.decisions))
-                elif walk == "searchable":
-                    options = rnd.sample(space, len(space))
-                    searchable = (
-                        d
-                        for d in options
-                        if outcome(lambda: reference.feasible(history + (d,)))
-                        not in (ValueError, BudgetError)
-                    )
-                    path.append(next(searchable, options[0]))
-                else:
-                    path.append(rnd.choice(space))
-    assert {"exact", NoFeasibleError, ValueError} <= seen
-    if profile != "criterion-9":
-        assert {"oracle", BudgetError} <= seen
-
-
-def walk_against_best(s, rows, budget=scenario_module.EXACT_SEARCH_BUDGET):
+def walk_against_argmax(s, rows, budget=scenario_module.EXACT_SEARCH_BUDGET):
     """Step `FeasibilityIndex.walk` over `rows` and assert that each step
-    equals `best` on the walk's own prefix, the error type included. Returns
-    the decisions, the modes and the error that ended the walk, if any."""
+    equals the argmax of the feasible set on the walk's own prefix, with its
+    mode, the error type included. Returns the decisions, the modes and the
+    error that ended the walk, if any."""
     reference = FeasibilityIndex(s, budget=budget)
+    where = decision_index(s.env)
     walk = FeasibilityIndex(s, budget=budget).walk(rows)
     labeled: list[Decision] = []
     modes: list[str] = []
+
+    def argmax(row):
+        fs = reference.feasible(tuple(labeled))
+        return argmax_feasible(row, fs.decisions, where), fs.mode
+
     for k, row in enumerate(rows):
-        expected = outcome(lambda: reference.best(tuple(labeled), row))
+        expected = outcome(lambda: argmax(row))
         assert outcome(lambda: next(walk)) == expected, (s.id, k)
         if not isinstance(expected, tuple):
             return labeled, modes, expected
@@ -705,7 +664,7 @@ def test_the_walk_is_best_at_every_iteration(profile):
             [[0.5] * size] * total,
         )
         for rows in tables:
-            _, modes, error = walk_against_best(s, rows)
+            _, modes, error = walk_against_argmax(s, rows)
             seen |= {*modes, error}
             crossed += {*modes} == {"oracle", "exact"}
     assert "exact" in seen
@@ -719,7 +678,7 @@ def test_the_walk_is_best_on_hand_built_scenarios():
     mission = Mission((SubTask("apple", ("loc-dest-1",)), SubTask("bread", ("loc-dest-1",))))
     s = make_scenario(env, mission, n_robots=2, horizon=4)
     rows = [[0.5] * len(decision_space(env))] * 8
-    labeled, modes, error = walk_against_best(s, rows, LIFTED_BUDGET)
+    labeled, modes, error = walk_against_argmax(s, rows, LIFTED_BUDGET)
     assert (len(labeled), modes[0], error) == (8, "exact", None)
     # one robot grabs the object it delivered, in a later step than the first grab
     env = two_object_env()
@@ -734,7 +693,7 @@ def test_the_walk_is_best_on_hand_built_scenarios():
         Decision(PUTDOWN, "loc-dest-1"),
     ]
     rows = [[float(d == want) for d in space] for want in path]
-    assert walk_against_best(s, rows) == (path, ["exact"] * 6, None)
+    assert walk_against_argmax(s, rows) == (path, ["exact"] * 6, None)
 
 
 def test_the_walk_raises_where_best_raises():
@@ -747,12 +706,82 @@ def test_the_walk_raises_where_best_raises():
     # a canonical prefix that breaks the safety constraint above the gate, though
     # the mission could still be accomplished after it
     object.__setattr__(s, "_oracle_plan", ((Decision(GOTO, "obj-2"),),))
-    assert walk_against_best(s, rows, budget) == (
+    assert walk_against_argmax(s, rows, budget) == (
         [Decision(GOTO, "obj-2")], ["oracle"], NoFeasibleError
     )
     # a world-infeasible canonical prefix raises as its replay does
     object.__setattr__(s, "_oracle_plan", ((Decision(GRAB, "obj-1"),),))
-    assert walk_against_best(s, rows, budget) == ([Decision(GRAB, "obj-1")], ["oracle"], ValueError)
+    assert walk_against_argmax(s, rows, budget) == (
+        [Decision(GRAB, "obj-1")], ["oracle"], ValueError
+    )
+
+
+def random_feasible_walk(index, prefix, length, rnd):
+    """`prefix` extended by random feasible decisions up to `length`, or until
+    nothing is feasible."""
+    path = tuple(prefix)
+    while len(path) < length:
+        options = index.feasible(path).decisions
+        if not options:
+            break
+        path += (rnd.choice(options),)
+    return path
+
+
+@pytest.mark.parametrize("profile", sorted(BEST_PROFILES))
+def test_an_index_answers_from_the_prefix_alone(profile):
+    seen = set()
+    for draw in range(4):
+        s = sample_scenario(BEST_PROFILES[profile], draw)
+        probe = FeasibilityIndex(s)
+        space, total = probe.space, probe.total_iterations
+        first_exact = next(k for k in range(total) if probe.exact_at(k))
+        rnd = random.Random(draw)
+        first = random_feasible_walk(probe, teacher_sequence(s)[:first_exact], total - 1, rnd)
+        # a sibling that leaves `first` at an exact iteration by a decision that
+        # keeps its prefix executable, then goes on feasibly
+        j = rnd.randrange(first_exact, len(first))
+        turns = (
+            first[:j] + (d,)
+            for d in rnd.sample(space, len(space))
+            if d != first[j]
+            and outcome(lambda: probe.feasible(first[:j] + (d,))) is not ValueError
+        )
+        sibling = random_feasible_walk(probe, next(turns, first[: j + 1]), total - 1, rnd)
+        # an extension of a prefix of `first` that the world cannot execute
+        m = rnd.randrange(first_exact, len(first))
+        infeasible = next(
+            (
+                first[:m] + (d,)
+                for d in rnd.sample(space, len(space))
+                if outcome(lambda: probe.feasible(first[:m] + (d,))) is ValueError
+            ),
+            first[:m],
+        )
+        # a prefix of `first` whose current step restarts under its reversed
+        # order, with one decision taken under that order when one is feasible
+        ctx = initial_context(s)
+        for d in first[: rnd.randrange(first_exact, len(first) + 1)]:
+            ctx = advance(ctx, d)
+        t = ctx.cursor[0]
+        order = tuple(reversed(s.orders[t]))
+        restarted = reset_step(ctx, t, order)
+        options = probe.feasible_for_context(restarted).decisions
+        if options:
+            restarted = advance(restarted, rnd.choice(options), order=order)
+        queries = (
+            lambda index: index.feasible(first),
+            lambda index: index.feasible(sibling),
+            lambda index: index.feasible(infeasible),
+            lambda index: index.feasible(first),
+            lambda index: index.feasible_for_context(restarted),
+        )
+        index = FeasibilityIndex(s)
+        for step, query in enumerate(queries):
+            answer = outcome(lambda: query(index))
+            assert answer == outcome(lambda: query(FeasibilityIndex(s))), (s.id, step)
+            seen.add(answer.mode if isinstance(answer, FeasibleResult) else answer)
+    assert {"exact", ValueError} <= seen
 
 
 def test_labeling_computes_each_step_order_once(monkeypatch):
@@ -1176,3 +1205,6 @@ def test_scenario_from_dict_validates_cross_references():
     bad["n_robots"] = 0
     with pytest.raises(ConfigError):
         scenario_from_dict(bad)
+    # step orders are drawn from a seed key, which must be nonnegative
+    with pytest.raises(ConfigError, match="order_seed"):
+        scenario_from_dict({**data, "order_seed": -1})
