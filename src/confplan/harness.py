@@ -4,7 +4,8 @@ centralized comparisons, and the fixed-calibration (dataset-conditional) mode.
 The three experiments share one shape. `_calibrate_draws` samples the
 calibration draws, labels them once as one batch and calibrates at each
 alpha's level; the kernel, `_trial_row`, labels one test draw and, for each
-alpha, checks coverage, plans, validates and records a row per planner;
+distinct calibrated threshold, checks coverage, plans, validates and records
+a cell per planner, which every alpha at that threshold shares;
 `_run_trials` runs the kernel over the trials (coverage adds the resumable
 checkpoint and worker processes); `_aggregate` folds the rows into Metrics.
 The experiments differ only in their calibration draws (fresh at
@@ -235,21 +236,31 @@ def _calibrate_draws(cfg: ExperimentConfig, params, scorer, draws, levels, joint
 
 
 def _trial_row(cfg: ExperimentConfig, scorer, quantiles, trial: int, test) -> dict:
-    """The experiment kernel: label the test draw once, then for each alpha's
-    calibrated quantile check coverage, plan, validate and record a row per
-    planner ("alphas" for the distributed one). The label is in the product
-    of the local sets exactly when its lowest score is above the threshold
-    (-inf under the FULL-SET sentinel). With a joint quantile the centralized
-    planner runs too ("centralized"), and each planner's call-count law is
-    asserted exactly when its plan ran to the end."""
+    """The experiment kernel: label the test draw once, then for each distinct
+    calibrated threshold pair (distributed, joint or None) check coverage,
+    plan, validate and record a cell per planner ("alphas" for the
+    distributed one), and give those cells to every alpha that calibrated to
+    the pair. A plan and its cells depend on the quantile only through its
+    threshold (-inf under the FULL-SET sentinel), so alphas that share a
+    level, or all fall to the sentinel, share one plan. The label is in the
+    product of the local sets exactly when its lowest score is above the
+    threshold. With a joint quantile the centralized planner runs too
+    ("centralized"), and each planner's call-count law is asserted exactly
+    when its plan ran to the end."""
     test_record = score_label_sequence(test, scorer, label_mode=cfg.label_mode)
     if cfg.label_mode == "selector":
         provider = search_feasible_provider(test)
     else:
         provider = teacher_feasible_provider(test)
     pcfg = cfg.planner_config()
-    row = {"trial": trial, "test_scenario": test.id}
-    for alpha, (quantile, q_joint) in zip(cfg.alphas, quantiles):
+    keys = [
+        (quantile.threshold, None if q_joint is None else q_joint.threshold)
+        for quantile, q_joint in quantiles
+    ]
+    cells: dict[tuple, dict] = {}
+    for key, (quantile, q_joint) in zip(keys, quantiles):
+        if key in cells:
+            continue
         covered = min(test_record.scores) > quantile.threshold
         trace_d = plan_distributed(test, scorer, quantile, pcfg, feasible_provider=provider)
         plans = {"alphas": trace_d}
@@ -267,9 +278,14 @@ def _trial_row(cfg: ExperimentConfig, scorer, quantiles, trial: int, test) -> di
                     f"centralized call-count law violated: {trace_c.scorer_calls} != {expected_c}"
                 )
             plans["centralized"] = trace_c
+        cells[key] = {}
         for planner, trace in plans.items():
             success = (not trace.failed) and validate_scenario_plan(test, trace.plan).complete
-            row.setdefault(planner, {})[f"{alpha:g}"] = _trace_row(trace, covered, success)
+            cells[key][planner] = _trace_row(trace, covered, success)
+    row = {"trial": trial, "test_scenario": test.id}
+    for alpha, key in zip(cfg.alphas, keys):
+        for planner, cell in cells[key].items():
+            row.setdefault(planner, {})[f"{alpha:g}"] = cell
     return row
 
 

@@ -299,6 +299,8 @@ CENTRALIZED = ["plan", "--scenario", "DOC", "--mode", "centralized", "--quantile
         pytest.param([], PLAN, id="empty-scenario-file"),  # a file holding no scenario
         # one robot draws no step order, so only loading can refuse the seed
         pytest.param({**ONE_ROBOT, "order_seed": -1}, PLAN, id="negative-order-seed"),
+        # a synthetic scorer never renders the prompt, so only loading can refuse it
+        pytest.param({**SCENARIO, "skills": ["Fly"]}, PLAN, id="unknown-skill"),
         *(
             pytest.param(
                 SCENARIO, ["plan", "--scenario", "DOC", f"--quantile={q}", "--out", "OUT"], id=f"quantile-{q}"

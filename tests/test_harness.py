@@ -19,6 +19,7 @@ from confplan.harness import (
     run_dataset_conditional,
 )
 from confplan.conformal import (
+    Quantile,
     calibrate,
     calibration_records,
     local_prediction_set,
@@ -436,6 +437,80 @@ def test_each_experiment_labels_each_draw_once(monkeypatch, run, n_draws):
     run(cfg)
     assert len(labeled) == n_draws(cfg)
     assert len(set(labeled)) == len(labeled)
+
+
+def count_plans(monkeypatch, name: str) -> list:
+    """Spy on the harness's planner `name`: the returned list gains one
+    entry, the quantile, per plan."""
+    plan = getattr(harness, name)
+    quantiles = []
+
+    def counting(scenario, scorer, quantile, *args, **kwargs):
+        quantiles.append(quantile)
+        return plan(scenario, scorer, quantile, *args, **kwargs)
+
+    monkeypatch.setattr(harness, name, counting)
+    return quantiles
+
+
+def test_alphas_at_one_dataset_conditional_level_share_one_plan(monkeypatch):
+    """At M = 20 and delta = 0.2 the three alphas calibrate at one level, so
+    each test draw is planned once; each alpha's cell is the one a run of
+    that alpha alone reports."""
+    cfg = tiny_config(alphas=(0.1, 0.2, 0.3), m_calibration=20, n_trials=4)
+    planned = count_plans(monkeypatch, "plan_distributed")
+    metrics = run_dataset_conditional(cfg, delta=0.2)["metrics"]
+    assert len({m.extra["alpha_adjusted"] for m in metrics}) == 1
+    assert len(planned) == cfg.n_trials
+    for m in metrics:
+        alone = run_dataset_conditional(dataclasses.replace(cfg, alphas=(m.alpha,)), delta=0.2)
+        assert alone["metrics"] == [m]
+
+
+def test_alphas_at_distinct_thresholds_each_plan(monkeypatch):
+    cfg = tiny_config(n_trials=4)
+    planned = count_plans(monkeypatch, "plan_distributed")
+    run_coverage_experiment(cfg)
+    assert len(planned) == cfg.n_trials * len(cfg.alphas)
+    for trial in range(cfg.n_trials):
+        per_alpha = planned[trial * len(cfg.alphas) : (trial + 1) * len(cfg.alphas)]
+        assert len({q.threshold for q in per_alpha}) == len(cfg.alphas)
+
+
+def test_a_shared_distributed_threshold_with_distinct_joint_ones_plans_both(monkeypatch):
+    """Two pairs whose distributed thresholds are equal but whose joint ones
+    differ are two plans for each planner, and each alpha's cells are those
+    of a row planned for that alpha alone."""
+    cfg = tiny_config(params=dataclasses.replace(tiny_config().params, n_robots=(2, 2)))
+    scorer = build_scorer(cfg.scorer)
+    test = sample_scenario(cfg.params, 0)
+    quantiles = [
+        (Quantile(0.7, 10, alpha), Quantile(joint, 10, alpha))
+        for alpha, joint in zip(cfg.alphas, (0.5, 0.9))
+    ]
+    distributed = count_plans(monkeypatch, "plan_distributed")
+    centralized = count_plans(monkeypatch, "plan_centralized")
+    row = harness._trial_row(cfg, scorer, quantiles, 0, test)
+    assert [q.threshold for q in distributed] == [quantiles[0][0].threshold] * 2
+    assert [q.threshold for q in centralized] == [q_joint.threshold for _, q_joint in quantiles]
+    for alpha, pair in zip(cfg.alphas, quantiles):
+        alone = harness._trial_row(
+            dataclasses.replace(cfg, alphas=(alpha,)), scorer, [pair], 0, test
+        )
+        for planner in ("alphas", "centralized"):
+            assert row[planner][f"{alpha:g}"] == alone[planner][f"{alpha:g}"]
+
+
+def test_alphas_that_all_fall_to_the_full_set_share_one_plan(monkeypatch):
+    """M = 10 is below the minimal calibration size of both alphas, so both
+    quantiles are the FULL-SET sentinel: one plan per trial, and the two
+    cells differ only in their alpha."""
+    cfg = tiny_config(alphas=(0.02, 0.05), n_trials=3)
+    planned = count_plans(monkeypatch, "plan_distributed")
+    first, second = run_coverage_experiment(cfg)["metrics"]
+    assert len(planned) == cfg.n_trials and all(q.full_set for q in planned)
+    assert first.extra["full_set_trials"] == cfg.n_trials
+    assert dataclasses.replace(first, alpha=second.alpha) == second
 
 
 def test_metric_order_with_unsorted_alphas():
