@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="plan one scenario and write the trace")
     common(p)
-    p.add_argument("--scenario", required=True, help="scenario JSON file")
+    p.add_argument("--scenario", required=True, help="scenario JSON file (its first scenario)")
     p.add_argument("--calibration", help="calibration JSONL file")
     p.add_argument("--quantile", type=float, default=None, help="explicit quantile in [0, 1]")
     p.add_argument("--alpha", type=float, default=0.1)
@@ -303,7 +303,7 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         sys.stderr.write(f"budget error: {exc}\n")
         return 4
-    except (ConfplanError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (ConfplanError, OSError, KeyError, ValueError) as exc:  # OSError: a bad path
         sys.stderr.write(f"config error: {exc}\n")
         return 2
 

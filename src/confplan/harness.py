@@ -50,7 +50,6 @@ from .planner import (
     plan_centralized,
     plan_distributed,
     search_feasible_provider,
-    teacher_feasible_provider,
 )
 from .scenario import (
     DistributionParams,
@@ -248,10 +247,7 @@ def _trial_row(cfg: ExperimentConfig, scorer, quantiles, trial: int, test) -> di
     ("centralized"), and each planner's call-count law is asserted exactly
     when its plan ran to the end."""
     test_record = score_label_sequence(test, scorer, label_mode=cfg.label_mode)
-    if cfg.label_mode == "selector":
-        provider = search_feasible_provider(test)
-    else:
-        provider = teacher_feasible_provider(test)
+    provider = search_feasible_provider(test) if cfg.label_mode == "selector" else None
     pcfg = cfg.planner_config()
     keys = [
         (quantile.threshold, None if q_joint is None else q_joint.threshold)

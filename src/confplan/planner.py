@@ -11,6 +11,9 @@ Three modes share one trace format:
     implementation, budget-bounded);
   * argmax: per-iteration argmax with no uncertainty handling (ablation).
 
+The distributed and centralized planners resolve user help through one rule,
+`_help`, which reads the help policy; neither planner branches on it.
+
 Planning is open-loop: the full plan is produced before any execution.
 
 Each planner counts its own logical scorer queries (`PlanTrace.scorer_calls`):
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import PredictionSet, Quantile, joint_scores, local_prediction_set
+from .conformal import Quantile, joint_scores, local_prediction_set
 from .context import Context, advance, initial_context, reset_step
 from .errors import BudgetError, ConfigError, PlanningAborted
 from .scenario import (
@@ -179,14 +182,14 @@ def _best(options, scores):
     return max(sorted(options), key=scores.__getitem__)
 
 
-def _ask_user(what: str, options, lines, io=None):
-    """Print `lines` numbered from 1 and return the option the user picks;
-    three invalid selections abort the run."""
+def _ask_user(what: str, options, describe, io):
+    """Print the options by `describe`, numbered from 1, and return the one
+    the user picks; three invalid selections abort the run."""
     out = io.write if io else sys.stdout.write
     readline = io.readline if io else sys.stdin.readline
     out(f"help needed; pick one {what}:\n")
-    for n, line in enumerate(lines, start=1):
-        out(f"  [{n}] {line}\n")
+    for n, option in enumerate(options, start=1):
+        out(f"  [{n}] {describe(option)}\n")
     for _ in range(3):
         out("selection: ")
         raw = readline().strip()
@@ -196,51 +199,27 @@ def _ask_user(what: str, options, lines, io=None):
     raise PlanningAborted("three invalid selections; aborting")
 
 
-def _resolve(policy, presented, members, scores, feasible, what, describe, io):
-    """Resolve help by the policy; returns (chosen option, coverage_miss).
+def _help(cfg: PlannerConfig, presented, members, scores, feasible, what, describe, io):
+    """The one help rule of both planners: resolve a non-singleton (or empty)
+    set by `cfg.help_policy`. Returns (chosen option, coverage_miss), or
+    (None, False) under fail-on-help.
 
-    oracle-user: the best feasible member of the set; if no feasible option is
-    in the set, the best feasible option, or else (nothing feasible, only
-    reachable after an uncovered divergence) the best presented one, and a
-    coverage miss is flagged. interactive-user: the presented options are
-    printed by `describe` and the user picks one (three invalid entries abort
-    the run).
+    oracle-user: the best member of the set among `feasible()`; if no
+    feasible option is in the set, the best feasible option, or else (nothing
+    feasible, only reachable after an uncovered divergence) the best
+    presented one, and a coverage miss is flagged. interactive-user: the
+    presented options are printed by `describe` and the user picks one (three
+    invalid entries abort the run). Only oracle-user calls `feasible`.
     """
-    if policy == ORACLE_USER:
-        inter = [o for o in feasible if o in members]
-        if inter:
-            return _best(inter, scores), False
-        return _best(feasible or presented, scores), True
-    if policy == INTERACTIVE_USER:
-        lines = [describe(o) for o in presented]
-        return _ask_user(what, presented, lines, io), False
-    raise ConfigError(f"help policy {policy!r} cannot resolve help")
-
-
-def resolve_user_help(
-    pred_set: PredictionSet,
-    scores,
-    feasible_indices,
-    policy: str,
-    space,
-    io=None,
-) -> tuple[int, bool]:
-    """Resolve a non-singleton (or empty) prediction set via the help policy.
-
-    An empty set presents the whole decision space; see `_resolve` for the
-    rule. Returns (chosen index, coverage_miss).
-    """
-    presented = pred_set.indices or tuple(range(len(space)))
-    return _resolve(
-        policy,
-        presented,
-        pred_set,
-        scores,
-        feasible_indices,
-        "decision",
-        lambda i: f"{space[i].phrase()} (score {scores[i]:.4f})",
-        io,
-    )
+    if cfg.help_policy == FAIL_ON_HELP:
+        return None, False
+    if cfg.help_policy == INTERACTIVE_USER:
+        return _ask_user(what, presented, describe, io), False
+    options = feasible()
+    inter = [o for o in options if o in members]
+    if inter:
+        return _best(inter, scores), False
+    return _best(options or presented, scores), True
 
 
 # --- distributed mode --------------------------------------------------------------
@@ -258,7 +237,10 @@ def plan_distributed(
     At each step the robots decide in the scheduled order; a robot whose local
     set is not a singleton (empty counts as needing help) first redraws the
     step's order up to `cfg.reorder_bound` times (without replacement from the
-    order family; step restarts from scratch), then asks the user.
+    order family; step restarts from scratch), then asks for help by `_help`.
+    An empty set presents the whole decision space. The feasible decisions
+    come from `feasible_provider` (the canonical one when None), read only
+    under oracle-user; under fail-on-help the plan stops at the first request.
     """
     cfg.validate()
     space = decision_space(scenario.env)
@@ -275,11 +257,10 @@ def plan_distributed(
         pos = 0
         while pos < scenario.n_robots:
             robot = order[pos]
-            k = ctx.k
             vec = scorer.score_all(ctx)
             ps = local_prediction_set(vec, quantile)
             base = dict(
-                k=k,
+                k=ctx.k,
                 t=t,
                 robot=robot,
                 order=order,
@@ -306,20 +287,24 @@ def plan_distributed(
                         ctx = reset_step(ctx, t, new_order)
                         pos = 0
                         continue
-                chosen, miss = None, False
-                if cfg.help_policy != FAIL_ON_HELP:
-                    oracle = cfg.help_policy == ORACLE_USER  # the only reader
-                    feasible = tuple(index[d] for d in provider(ctx)) if oracle else ()
-                    chosen, miss = resolve_user_help(
-                        ps, vec, feasible, cfg.help_policy, space, io=io
-                    )
                 # an empty set presents the whole space (user events always
                 # carry a nonempty presented set)
+                presented = ps.indices or tuple(range(len(space)))
+                chosen, miss = _help(
+                    cfg,
+                    presented,
+                    ps,
+                    vec,
+                    lambda: tuple(index[d] for d in provider(ctx)),
+                    "decision",
+                    lambda i: f"{space[i].phrase()} (score {vec[i]:.4f})",
+                    io,
+                )
                 event = HelpEvent(
                     "user",
                     t,
                     robot,
-                    presented_indices=ps.indices or tuple(range(len(space))),
+                    presented_indices=presented,
                     presented_scores=tuple(vec[i] for i in ps.indices) or vec,
                     full_set=ps.full_set,
                     resolution_index=chosen,
@@ -393,8 +378,9 @@ def plan_centralized(
     conditioning), and its set is the tuples whose entry clears the
     threshold, in lexicographic order; an empty set presents every tuple.
     The logical query count grows by |S|^N per step. Non-singleton joint sets
-    flag the whole team, not a specific robot; the reorder mechanism does not
-    apply.
+    flag the whole team, not a specific robot, and ask for help by `_help`,
+    whose one feasible option is the canonical tuple; the reorder mechanism
+    does not apply.
     """
     cfg.validate()
     space = decision_space(scenario.env)
@@ -417,25 +403,17 @@ def plan_centralized(
         if len(tuples) == 1:
             chosen = tuples[0]
         else:
-            chosen, miss = None, False
-            if cfg.help_policy != FAIL_ON_HELP:
-                feasible = ()
-                if cfg.help_policy == ORACLE_USER:  # the only reader
-                    # unique-solution mode: the canonical tuple is the only feasible one
-                    feasible = (tuple(index[anchor_decision(scenario, t, r)] for r in range(n)),)
-                chosen, miss = _resolve(
-                    cfg.help_policy,
-                    tuples or tuple(np.ndindex(joint.shape)),
-                    set(tuples),
-                    joint,
-                    feasible,
-                    "joint decision",
-                    lambda c: (
-                        f"{'; '.join(space[i].phrase() for i in c)} "
-                        f"(score {joint[c]:.6f})"
-                    ),
-                    io,
-                )
+            # unique-solution mode: the canonical tuple is the only feasible one
+            chosen, miss = _help(
+                cfg,
+                tuples or tuple(np.ndindex(joint.shape)),
+                set(tuples),
+                joint,
+                lambda: (tuple(index[anchor_decision(scenario, t, r)] for r in range(n)),),
+                "joint decision",
+                lambda c: f"{'; '.join(space[i].phrase() for i in c)} (score {joint[c]:.6f})",
+                io,
+            )
             help_events = (
                 HelpEvent(
                     "user",

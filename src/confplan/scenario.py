@@ -931,9 +931,9 @@ def validate_scenario(scenario: Scenario) -> None:
         raise ConfigError("order_seed must be nonnegative")
     if len(scenario.env.robot_start) < scenario.n_robots:
         raise ConfigError("environment places fewer robots than the scenario uses")
-    unknown = [kind for kind in scenario.skills if kind not in ACTION_KINDS]
-    if unknown:
-        raise ConfigError(f"unknown skills {unknown}; known: {list(ACTION_KINDS)}")
+    kinds = sorted(ACTION_KINDS)
+    if sorted(scenario.skills) != kinds:  # the planners plan with every kind
+        raise ConfigError(f"skills must list each of {kinds} once, got {list(scenario.skills)}")
     labels = {o.label for o in scenario.env.objects}
     locations = {loc.id for loc in scenario.env.locations}
     for st in scenario.mission.subtasks:

@@ -301,6 +301,8 @@ CENTRALIZED = ["plan", "--scenario", "DOC", "--mode", "centralized", "--quantile
         pytest.param({**ONE_ROBOT, "order_seed": -1}, PLAN, id="negative-order-seed"),
         # a synthetic scorer never renders the prompt, so only loading can refuse it
         pytest.param({**SCENARIO, "skills": ["Fly"]}, PLAN, id="unknown-skill"),
+        # the planners plan with every action kind, so skills must name them all
+        pytest.param({**SCENARIO, "skills": ["goto"]}, PLAN, id="skills-subset"),
         *(
             pytest.param(
                 SCENARIO, ["plan", "--scenario", "DOC", f"--quantile={q}", "--out", "OUT"], id=f"quantile-{q}"
@@ -337,6 +339,48 @@ def test_a_malformed_document_is_a_config_error(tmp_path, document, argv):
     doc.write_text(json.dumps(document))
     assert main([{"DOC": str(doc), "OUT": str(out)}.get(a, a) for a in argv]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["plan", "--scenario", "DOC", "--quantile", "0.9", "--out", "DIR"], id="plan-out"),
+        pytest.param(["plan", "--scenario", "DIR", "--quantile", "0.9", "--out", "OUT"], id="plan-scenario"),
+        pytest.param(["gen-scenarios", "--count", "1", "--out", "DIR"], id="gen-scenarios-out"),
+    ],
+)
+def test_a_path_naming_a_directory_is_a_config_error(tmp_path, capsys, argv):
+    """An OSError on a path exits 2 with a message, not 1 with a traceback."""
+    doc, out, folder = tmp_path / "doc.json", tmp_path / "out", tmp_path / "dir"
+    doc.write_text(json.dumps(SCENARIO))
+    folder.mkdir()
+    paths = {"DOC": str(doc), "OUT": str(out), "DIR": str(folder)}
+    assert main([paths.get(a, a) for a in argv]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists() and not any(folder.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, answers",
+    [
+        pytest.param([*PLAN, "--help-policy", "fail-on-help"], None, id="distributed-fail-on-help"),
+        pytest.param([*CENTRALIZED, "--help-policy", "fail-on-help"], None, id="centralized-fail-on-help"),
+        pytest.param([*PLAN, "--help-policy", "interactive-user"], "x\n0\n99\n", id="aborted-interactive"),
+    ],
+)
+def test_a_planning_failure_exits_1(tmp_path, monkeypatch, argv, answers):
+    """fail-on-help writes the failed trace, its last help event unresolved;
+    an interactive session aborted by three invalid answers writes none."""
+    doc, out = tmp_path / "doc.json", tmp_path / "out"
+    doc.write_text(json.dumps(SCENARIO))
+    monkeypatch.setattr("sys.stdin", io.StringIO(answers or ""))
+    assert main([{"DOC": str(doc), "OUT": str(out)}.get(a, a) for a in argv]) == 1
+    if answers:
+        assert not out.exists()
+    else:
+        trace = json.loads(out.read_text())
+        assert trace["failed"] is True
+        assert trace["records"][-1]["help"][0]["unresolved"] is True
 
 
 def test_coverage_cli_writes_metrics_and_is_deterministic(tmp_path, capsys):

@@ -22,7 +22,6 @@ from confplan.planner import (
     plan_argmax,
     plan_centralized,
     plan_distributed,
-    resolve_user_help,
     search_feasible_provider,
     trace_to_dict,
 )
@@ -142,31 +141,46 @@ def test_single_seeded_ambiguity_triggers_exactly_one_user_help():
     assert validate_scenario_plan(scenario, trace.plan).complete
 
 
+def oracle_help(pred, scores, feasible):
+    """The planners' help rule under oracle-user on a local set, presented as
+    `plan_distributed` presents it."""
+    presented = pred.indices or tuple(range(len(scores)))
+    return planner_module._help(
+        PlannerConfig(), presented, pred, scores, lambda: feasible, "decision", str, None
+    )
+
+
 def test_resolve_user_help_cases():
     scores = (0.40, 0.35, 0.05, 0.20)
-    space = decision_space(seeded_scenario(3).env)[:4]
     pred = local_prediction_set(scores, Quantile(0.7, 9, 0.1))  # {0, 1}
     assert pred.indices == (0, 1)
-    chosen, miss = resolve_user_help(pred, scores, (0,), ORACLE_USER, space)
+    chosen, miss = oracle_help(pred, scores, (0,))
     assert (chosen, miss) == (0, False)
     # prediction set misses the only feasible decision
     pred_b = local_prediction_set((0.05, 0.9, 0.03, 0.02), Quantile(0.7, 9, 0.1))
-    chosen, miss = resolve_user_help(pred_b, (0.05, 0.9, 0.03, 0.02), (0,), ORACLE_USER, space)
+    chosen, miss = oracle_help(pred_b, (0.05, 0.9, 0.03, 0.02), (0,))
     assert (chosen, miss) == (0, True)
     # FULL-SET sentinel: argmax over the feasible decisions
     full = local_prediction_set((0.2, 0.1, 0.5, 0.2), Quantile(None, 4, 0.1))
-    chosen, miss = resolve_user_help(full, (0.2, 0.1, 0.5, 0.2), (0, 2), ORACLE_USER, space)
+    chosen, miss = oracle_help(full, (0.2, 0.1, 0.5, 0.2), (0, 2))
     assert (chosen, miss) == (2, False)
     # nothing feasible: the best presented decision, flagged as a miss
-    chosen, miss = resolve_user_help(pred, scores, (), ORACLE_USER, space)
+    chosen, miss = oracle_help(pred, scores, ())
     assert (chosen, miss) == (0, True)
 
 
-def test_interactive_help_reads_selection_and_aborts_after_three_bad_inputs():
-    scores = (0.40, 0.35, 0.25)
-    space = decision_space(seeded_scenario(3).env)[:3]
-    pred = local_prediction_set(scores, Quantile(0.7, 9, 0.1))
+def plan_with_one_prompt(io):
+    """Interactive distributed planning whose one help request is at k = 0,
+    over the set {0, 1} of decisions scored 0.40, 0.35 and 0.25 (0 beyond)."""
+    scenario = seeded_scenario(3)
+    space = decision_space(scenario.env)
+    scores = (0.40, 0.35, 0.25) + (0.0,) * (len(space) - 3)
+    scorer = StubScorer({(0, scenario.orders[0][0]): scores})
+    cfg = PlannerConfig(help_policy=INTERACTIVE_USER)
+    return plan_distributed(scenario, scorer, Quantile(0.7, 9, 0.1), cfg, io=io), space
 
+
+def test_interactive_help_reads_selection_and_aborts_after_three_bad_inputs():
     class FakeIO:
         def __init__(self, replies):
             self.replies = iter(replies)
@@ -179,22 +193,21 @@ def test_interactive_help_reads_selection_and_aborts_after_three_bad_inputs():
             return next(self.replies)
 
     good = FakeIO(["2\n"])
-    chosen, miss = resolve_user_help(pred, scores, (0, 1), INTERACTIVE_USER, space, io=good)
-    assert chosen == pred.indices[1] and not miss
+    trace, _ = plan_with_one_prompt(good)
+    (event,) = [h for r in trace.records for h in r.help]
+    assert event.presented_indices == (0, 1)
+    assert event.resolution_index == event.presented_indices[1] and not event.coverage_miss
     printed = "".join(good.out)
     assert "[1]" in printed and "score" in printed
     bad = FakeIO(["x\n", "99\n", "\n"])
     with pytest.raises(PlanningAborted):
-        resolve_user_help(pred, scores, (0, 1), INTERACTIVE_USER, space, io=bad)
+        plan_with_one_prompt(bad)
 
 
 def test_interactive_prompt_prints_four_decimal_scores():
-    scores = (0.40, 0.35, 0.25)
-    space = decision_space(seeded_scenario(3).env)[:3]
-    pred = local_prediction_set(scores, Quantile(0.7, 9, 0.1))
     out = []
     io = SimpleNamespace(write=out.append, readline=lambda: "1\n")
-    resolve_user_help(pred, scores, (0, 1), INTERACTIVE_USER, space, io=io)
+    _, space = plan_with_one_prompt(io)
     assert "".join(out) == (
         "help needed; pick one decision:\n"
         f"  [1] {space[0].phrase()} (score 0.4000)\n"
@@ -432,15 +445,16 @@ def test_centralized_call_count_and_joint_flagging():
 
 def test_centralized_oracle_help_breaks_ties_to_the_smallest_tuple():
     # plan_centralized's oracle user knows one feasible tuple, the canonical one, so
-    # the tie rule over several is pinned on the help resolver it calls, on a
+    # the tie rule over several is pinned on the help rule it calls, on a
     # uniform joint array as the planner builds it
     scenario = seeded_scenario(8, n_robots=(2, 2), n_subtasks=(1, 1))
     space = decision_space(scenario.env)
     uniform = tuple(1 / len(space) for _ in space)
     joint = joint_scores(scenario, StubScorer({(0, 0): uniform, (0, 1): uniform}), (), 0)
     every = tuple(product(range(len(space)), repeat=2))
-    chosen, miss = planner_module._resolve(
-        ORACLE_USER, every, set(every), joint, ((1, 1), (0, 1), (1, 0)), "joint decision", str, None
+    feasible = ((1, 1), (0, 1), (1, 0))
+    chosen, miss = planner_module._help(
+        PlannerConfig(), every, set(every), joint, lambda: feasible, "joint decision", str, None
     )
     assert (chosen, miss) == ((0, 1), False)
 
