@@ -74,20 +74,6 @@ def _load_config(args) -> harness.ExperimentConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
-def _emit_metrics(result: dict, fmt: str) -> None:
-    metrics = result["metrics"]
-    if fmt == "csv":
-        sys.stdout.write(",".join(harness.CSV_COLUMNS) + "\n")
-        for m in metrics:
-            sys.stdout.write(
-                ",".join(str(getattr(m, col)) for col in harness.CSV_COLUMNS) + "\n"
-            )
-    else:
-        payload = [world.to_data(m) for m in metrics]
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-
-
 def cmd_gen_scenarios(args) -> int:
     if args.count < 1:
         # every reader refuses a file that holds no scenario
@@ -208,8 +194,12 @@ def cmd_experiment(args) -> int:
     cfg = _load_config(args)
     own = {name: getattr(args, name) for name in ("jobs", "delta") if name in args}
     run = getattr(harness, args.experiment)
-    result = run(cfg, out_dir=args.out, log=sys.stderr.write, **own)
-    _emit_metrics(result, args.format)
+    metrics = run(cfg, out_dir=args.out, log=sys.stderr.write, **own)["metrics"]
+    if args.format == "csv":
+        harness.write_csv(metrics, sys.stdout)
+    else:
+        json.dump([world.to_data(m) for m in metrics], sys.stdout, indent=2, sort_keys=True)
+        sys.stdout.write("\n")
     return 0
 
 

@@ -41,6 +41,7 @@ from .scenario import (
     label_sequences,
     sample_scenario,
 )
+from .world import check_schema_version
 
 
 def sequence_ncs(step_scores) -> float:
@@ -204,7 +205,6 @@ class CalibrationRecord:
     decisions: tuple[tuple[str, str | None], ...]
     decision_indices: tuple[int, ...]
     scores: tuple[float, ...]
-    schema_version: int = 1
 
     def __post_init__(self):
         if not (len(self.decisions) == len(self.decision_indices) == len(self.scores)):
@@ -381,7 +381,7 @@ def dataset_conditional_alpha(m: int, delta: float, target_coverage: float) -> f
 
 def record_to_dict(record: CalibrationRecord) -> dict:
     return {
-        "schema_version": record.schema_version,
+        "schema_version": 1,
         "scenario_id": record.scenario_id,
         "space_size": record.space_size,
         "label_mode": record.label_mode,
@@ -402,9 +402,10 @@ _ENTRY_KEYS = {"k", "kind", "target", "index", "score"}
 
 
 def record_from_dict(data: dict) -> CalibrationRecord:
-    """The record `record_to_dict` wrote. A key it does not write, an entry
-    whose `k` is not its position, or a `sequence_ncs` other than 1 minus the
-    lowest score raises ConfigError."""
+    """The record `record_to_dict` wrote. A key it does not write, a
+    `schema_version` other than 1, an entry whose `k` is not its position, or
+    a `sequence_ncs` other than 1 minus the lowest score raises ConfigError."""
+    check_schema_version(data)
     entries = data["decisions"]
     unknown = set(data).difference(_RECORD_KEYS).union(*(set(e) - _ENTRY_KEYS for e in entries))
     if unknown:
@@ -419,7 +420,6 @@ def record_from_dict(data: dict) -> CalibrationRecord:
         decisions=tuple((e["kind"], e.get("target")) for e in entries),
         decision_indices=tuple(int(e["index"]) for e in entries),
         scores=tuple(float(e["score"]) for e in entries),
-        schema_version=int(data.get("schema_version", 1)),
     )
     ncs = data.get("sequence_ncs", record.ncs)
     if not math.isclose(ncs, record.ncs, rel_tol=0.0, abs_tol=1e-12):

@@ -476,13 +476,18 @@ def run_dataset_conditional(
 
 # --- output -----------------------------------------------------------------------
 
+def write_csv(metrics, fh) -> None:
+    """`metrics` as CSV on the text stream `fh`, lines ended by CRLF: the
+    metrics file, and the CLI's `--format csv` stdout."""
+    writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+    writer.writeheader()
+    writer.writerows({col: getattr(m, col) for col in CSV_COLUMNS} for m in metrics)
+
+
 def write_metrics(metrics, out_dir: Path, cfg: ExperimentConfig, detail: dict, stem: str):
     out_dir = Path(out_dir)
     with open(out_dir / f"{stem}.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        for m in metrics:
-            writer.writerow({col: getattr(m, col) for col in CSV_COLUMNS})
+        write_csv(metrics, fh)
     payload = {
         "config": config_to_dict(cfg),
         "detail": detail,

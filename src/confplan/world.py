@@ -60,17 +60,6 @@ DOOR_OPEN = "open"
 DOOR_CLOSED = "closed"
 
 
-class InfeasibleDecision(Exception):
-    """A decision whose preconditions do not hold in the current state."""
-
-    def __init__(self, reason: str, robot: int | None = None, detail: str = ""):
-        self.reason = reason
-        self.robot = robot
-        self.detail = detail
-        msg = reason if robot is None else f"robot {robot}: {reason}"
-        super().__init__(f"{msg} ({detail})" if detail else msg)
-
-
 @dataclass(frozen=True)
 class Location:
     id: str
@@ -190,20 +179,6 @@ def validate_environment(env: Environment) -> None:
 
 # --- compiled semantics --------------------------------------------------------
 
-@dataclass(slots=True)
-class Refusal:
-    """Why a decision is not executable: the reason and detail that
-    `InfeasibleDecision` reports. Shared by every call of its check, so never
-    modified; not frozen, as that triples the cost of compiling a check."""
-
-    reason: str
-    detail: str | None
-
-
-_HANDS_FULL = Refusal(HANDS_FULL, "")
-_HANDS_EMPTY = Refusal(HANDS_EMPTY, "")
-
-
 def _constant(result):
     """A check whose result does not depend on the state."""
     return lambda state: result
@@ -221,11 +196,12 @@ class CompactModel:
     and each container's door (1 open, 0 closed). Entities are indexes into
     the environment's tuples, and -1 marks "none". `op(robot, d)` compiles a
     decision once into (check, grab bit): check(state) returns the slot writes
-    of the decision's effect, a tuple of (slot, value) pairs, or a `Refusal`
-    when a precondition fails. The grab bit is 1 << object index for a Grab of
-    a known object, else 0. The environment must pass `validate_environment`.
-    `start` is the initial state: robots at their start locations with empty
-    hands, objects at their initial placements, doors as declared.
+    of the decision's effect, a tuple of (slot, value) pairs, or the reason
+    string of the first precondition that fails. The grab bit is 1 << object
+    index for a Grab of a known object, else 0. The environment must pass
+    `validate_environment`. `start` is the initial state: robots at their
+    start locations with empty hands, objects at their initial placements,
+    doors as declared.
     """
 
     def __init__(self, env: Environment, n_robots: int):
@@ -241,7 +217,6 @@ class CompactModel:
         self.locs = {loc.id: i for i, loc in enumerate(env.locations)}
         self.objs = {o.id: i for i, o in enumerate(env.objects)}
         self.conts = {c.id: i for i, c in enumerate(env.containers)}
-        self._closed = tuple(Refusal(CONTAINER_CLOSED, c.id) for c in env.containers)
         self._ops: dict = {}
         locs, conts = self.locs, self.conts
         self.start = (
@@ -270,84 +245,71 @@ class CompactModel:
                 return _constant(((at, locs[target]),)), 0
             if target in conts:
                 return _constant(((at, locs[self.containers[conts[target]].at]),)), 0
-            if target not in objs:
-                return _constant(Refusal(NO_SUCH_ENTITY, target)), 0
-            slot = self.obj_at + objs[target]
-            held = Refusal(NO_SUCH_ENTITY, f"{target} is held")
-            return (lambda state: held if state[slot] < 0 else ((at, state[slot]),)), 0
+            if target in objs:
+                slot = self.obj_at + objs[target]
+                return (lambda s: NO_SUCH_ENTITY if s[slot] < 0 else ((at, s[slot]),)), 0
         if d.kind == GRAB and target in objs:
-            return self._grab(at, objs[target], target), 1 << objs[target]
+            return self._grab(at, objs[target]), 1 << objs[target]
         if d.kind == PUTDOWN and target in locs:
-            return self._put(at, locs[target], target), 0
+            return self._put(at, locs[target]), 0
         if d.kind == OPEN_DOOR and target in conts:
             c = conts[target]
             site = locs[self.containers[c].at]
             effect = ((self.door + c, 1),)
-            away = Refusal(NOT_AT_TARGET, target)
-            return (lambda state: effect if state[at] == site else away), 0
-        if d.kind in (GRAB, PUTDOWN, OPEN_DOOR):
-            return _constant(Refusal(NO_SUCH_ENTITY, target or "")), 0
-        return _constant(Refusal(NO_SUCH_ENTITY, f"unknown action {d.kind}")), 0
+            return (lambda state: effect if state[at] == site else NOT_AT_TARGET), 0
+        return _constant(NO_SUCH_ENTITY), 0
 
-    def _grab(self, at: int, o: int, target: str):
+    def _grab(self, at: int, o: int):
         hold, place_slot, cont_slot, door = self.n + at, self.obj_at + o, self.obj_in + o, self.door
         effect = ((hold, o), (place_slot, -1), (cont_slot, -1))
-        held = Refusal(NO_SUCH_ENTITY, f"{target} is held")
-        away = Refusal(NOT_AT_TARGET, target)
-        closed = self._closed
 
         def grab(state):
             place = state[place_slot]
             if place < 0:
-                return held
+                return NO_SUCH_ENTITY  # held objects are not addressable
             if state[hold] >= 0:
-                return _HANDS_FULL
+                return HANDS_FULL
             if state[at] != place:
-                return away
+                return NOT_AT_TARGET
             cont = state[cont_slot]
             if cont >= 0 and not state[door + cont]:
-                return closed[cont]
+                return CONTAINER_CLOSED
             return effect
 
         return grab
 
-    def _put(self, at: int, dest: int, target: str):
+    def _put(self, at: int, dest: int):
         hold, obj_at, obj_in = self.n + at, self.obj_at, self.obj_in
-        away = Refusal(NOT_AT_TARGET, target)
 
         def put(state):
             held = state[hold]
             if held < 0:
-                return _HANDS_EMPTY
+                return HANDS_EMPTY
             if state[at] != dest:
-                return away
+                return NOT_AT_TARGET
             return ((hold, -1), (obj_at + held, dest), (obj_in + held, -1))
 
         return put
 
-    def joint_writes(self, state: tuple[int, ...], jd: JointDecision) -> list:
-        """The slot writes of one synchronous joint step.
-
-        Two robots declaring a Grab of the same target id are a conflict,
-        reported at the later robot before any decision is checked. Then every
-        decision is checked against the start-of-step `state`, in robot index
-        order, so the first refused robot is reported with its refusal.
-        """
+    def joint_writes(self, state: tuple[int, ...], jd: JointDecision) -> list | str:
+        """The slot writes of one synchronous joint step, or its refusal's
+        reason: CONFLICT if two robots declare a Grab of one target id, found
+        before any decision is checked; else the first refused robot's, each
+        checked against the start-of-step `state` in robot index order.
+        Raises ValueError only for a joint decision of the wrong length."""
         if len(jd) != self.n:
             raise ValueError(f"joint decision length {len(jd)} != {self.n}")
-        grabbed: dict[str, int] = {}
-        for robot, d in enumerate(jd):
+        grabbed = set()
+        for d in jd:
             if d.kind == GRAB and d.target is not None:
                 if d.target in grabbed:
-                    raise InfeasibleDecision(
-                        CONFLICT, robot, f"{d.target} also grabbed by robot {grabbed[d.target]}"
-                    )
-                grabbed[d.target] = robot
+                    return CONFLICT
+                grabbed.add(d.target)
         writes = []
         for robot, d in enumerate(jd):
             eff = self.op(robot, d)[0](state)
-            if eff.__class__ is not tuple:
-                raise InfeasibleDecision(eff.reason, robot, eff.detail)
+            if eff.__class__ is str:
+                return eff
             writes.append(eff)
         return writes
 
@@ -437,7 +399,7 @@ class ValidationResult:
     """The verdict on a plan: `complete`; `steps_used`, the first step
     boundary at which the mission holds, or the plan's length if it never
     does; and `reason`, None when complete, else the first refused step's
-    refusal, then "safety-violation", then "mission-unsatisfied"."""
+    reason, then "safety-violation", then "mission-unsatisfied"."""
 
     complete: bool
     steps_used: int
@@ -471,11 +433,11 @@ def validate_plan(
     reason = None
     for t, jd in enumerate(plan):
         unsafe = unsafe or any(violates_safety(j, d, mission.safety) for j, d in enumerate(jd))
-        try:
-            state = merge_writes(state, model.joint_writes(state, jd))
-        except InfeasibleDecision as exc:
-            reason = exc.reason
+        writes = model.joint_writes(state, jd)
+        if writes.__class__ is str:
+            reason = writes
             break
+        state = merge_writes(state, writes)
         if held_at is None and model.satisfied(goals, state):
             held_at = t + 1
     if reason is None and unsafe:
@@ -502,16 +464,24 @@ def from_data(cls, data):
     hints: ints and floats are coerced (a boolean, or a fractional float for
     an int, is refused), strings are checked, and `X | None`,
     `tuple[X, ...]`, fixed tuples and nested dataclasses are decoded. A
-    missing key takes the field's default. A key that names no field raises
-    ConfigError (`schema_version` is accepted everywhere); a value of the
-    wrong shape, or a missing field with no default, raises TypeError."""
+    missing key takes the field's default. A key that names no field, or a
+    `schema_version` (any object may carry one) other than 1, raises
+    ConfigError; a value of the wrong shape, or a missing field with no
+    default, raises TypeError."""
     if not isinstance(data, dict):
         raise TypeError(f"{cls.__name__} must be an object, not {type(data).__name__}")
+    check_schema_version(data)
     hints = get_type_hints(cls)
     unknown = sorted(set(data) - set(hints) - {"schema_version"})
     if unknown:
         raise ConfigError(f"{cls.__name__} has no field {', '.join(unknown)}")
     return cls(**{key: _decode(hints[key], value) for key, value in data.items() if key in hints})
+
+
+def check_schema_version(data: dict) -> None:
+    """Refuse a `schema_version` (an int field, 1 when absent) other than 1."""
+    if _decode(int, data.get("schema_version", 1)) != 1:
+        raise ConfigError(f"schema_version {data['schema_version']!r} is not 1")
 
 
 def _decode(hint, value):

@@ -8,6 +8,7 @@ import pytest
 
 import confplan
 from confplan.cli import main
+from confplan.conformal import CalibrationRecord, record_to_dict
 from confplan.harness import config_to_dict
 from confplan.scenario import DistributionParams, params_to_dict, sample_scenario, scenario_to_dict
 from tests.test_harness import tiny_config
@@ -252,8 +253,12 @@ def _config(**changes):
 
 SCENARIO = scenario_to_dict(sample_scenario(DistributionParams(), 0))
 ONE_ROBOT = scenario_to_dict(sample_scenario(DistributionParams(n_robots=(1, 1)), 0))
+CALIBRATION_RECORD = record_to_dict(
+    CalibrationRecord("scn", 9, "oracle", "oracle", (("idle", None),), (8,), (0.9,))
+)
 
-# "DOC" is replaced by the document's path and "OUT" by an output path
+# "DOC" is replaced by the document's path, "OUT" by an output path and
+# "SCN" by the path of a file holding SCENARIO
 COVERAGE = ["coverage", "--config", "DOC", "--out", "OUT"]
 PLAN = ["plan", "--scenario", "DOC", "--quantile", "0.9", "--out", "OUT"]
 ARGMAX = ["plan", "--scenario", "DOC", "--mode", "argmax", "--out", "OUT"]
@@ -287,6 +292,18 @@ CENTRALIZED = ["plan", "--scenario", "DOC", "--mode", "centralized", "--quantile
         pytest.param(_config(), [*COVERAGE, "--seed", "-1"], id="negative-seed-flag"),
         # an experiment's metrics are a function of its config, not of a user's answers
         pytest.param(_config(help_policy="interactive-user"), COVERAGE, id="interactive-help"),
+        # version 1 is the only schema this code reads
+        pytest.param(_config(schema_version=99), COVERAGE, id="config-schema-version"),
+        pytest.param(
+            {**SCENARIO, "env": {**SCENARIO["env"], "schema_version": "banana"}},
+            PLAN,
+            id="env-schema-version",
+        ),
+        pytest.param(
+            {**CALIBRATION_RECORD, "schema_version": 3},
+            ["plan", "--scenario", "SCN", "--calibration", "DOC", "--out", "OUT"],
+            id="calibration-schema-version",
+        ),
         pytest.param(
             {"kind": "noisy-oracle", "sigma": 0.0},  # the alias holds only in the CLI string
             ["calibrate", "--m", "2", "--scorer", "DOC", "--out", "OUT"],
@@ -335,9 +352,11 @@ CENTRALIZED = ["plan", "--scenario", "DOC", "--mode", "centralized", "--quantile
 )
 def test_a_malformed_document_is_a_config_error(tmp_path, document, argv):
     """Refused with exit 2 before any output is written."""
-    doc, out = tmp_path / "doc.json", tmp_path / "out"
+    doc, out, scn = tmp_path / "doc.json", tmp_path / "out", tmp_path / "scenario.json"
     doc.write_text(json.dumps(document))
-    assert main([{"DOC": str(doc), "OUT": str(out)}.get(a, a) for a in argv]) == 2
+    scn.write_text(json.dumps(SCENARIO))
+    paths = {"DOC": str(doc), "OUT": str(out), "SCN": str(scn)}
+    assert main([paths.get(a, a) for a in argv]) == 2
     assert not out.exists()
 
 
@@ -410,6 +429,13 @@ def test_coverage_cli_csv_format(tmp_path, capsys):
     assert main(["coverage", "--config", str(config), "--format", "csv"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0].startswith("alpha,mode,trials,coverage")
+
+
+def test_csv_on_stdout_is_the_metrics_file(tmp_path, capsys):
+    config = write_config(tmp_path, n_trials=2, alphas=(0.1, 0.2))
+    out = tmp_path / "out"
+    assert main(["coverage", "--config", str(config), "--format", "csv", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.encode() == (out / "coverage.csv").read_bytes()
 
 
 @pytest.mark.parametrize("command", ["coverage", "compare", "dataset-conditional"])

@@ -351,6 +351,11 @@ def test_a_partial_document_takes_the_dataclass_defaults():
         (ExperimentConfig, {**MINIMAL, "alphas": [0.1, False]}, TypeError),
         (ScorerSpec, {"noise": True}, TypeError),
         (ScorerSpec, {"rng_seed": False}, TypeError),
+        # version 1 is the only one this code reads, at any depth
+        (ExperimentConfig, {**MINIMAL, "schema_version": 2}, ConfigError),
+        (ExperimentConfig, {**MINIMAL, "params": {"schema_version": 42}}, ConfigError),
+        (ExperimentConfig, {**MINIMAL, "schema_version": True}, TypeError),
+        (ScorerSpec, {"schema_version": 1.5}, TypeError),
     ],
 )
 def test_from_data_refuses_what_it_cannot_decode(cls, data, error):
@@ -359,7 +364,9 @@ def test_from_data_refuses_what_it_cannot_decode(cls, data, error):
 
 
 def test_integral_numbers_and_numeric_strings_still_decode():
-    cfg = from_data(ExperimentConfig, {**MINIMAL, "n_trials": 3.0, "master_seed": 2})
+    cfg = from_data(
+        ExperimentConfig, {**MINIMAL, "n_trials": 3.0, "master_seed": 2, "schema_version": 1.0}
+    )
     assert (cfg.n_trials, cfg.master_seed) == (3, 2) and isinstance(cfg.n_trials, int)
     assert from_data(ScorerSpec, {"noise": 1, "rng_seed": "7"}) == ScorerSpec(noise=1.0, rng_seed=7)
     # the CLI's scorer string passes every value as text
