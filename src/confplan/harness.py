@@ -297,10 +297,14 @@ def _fresh_calibration_trial(cfg: ExperimentConfig, joint: bool, trial: int) -> 
     return _trial_row(cfg, scorer, quantiles, trial, test)
 
 
+LAW_VERSION = 1  # bumped by every change that moves a seeded number
+
+
 def _config_stamp(cfg: ExperimentConfig) -> str:
     """sha256 of the serialized config without n_trials, so a run extended to
-    more trials still resumes from its checkpoint."""
-    data = config_to_dict(cfg)
+    more trials still resumes from its checkpoint, and of `LAW_VERSION`, so no
+    checkpoint mixes rows from before and after a change to the numbers."""
+    data = {**config_to_dict(cfg), "law_version": LAW_VERSION}
     del data["n_trials"]
     return hashlib.sha256(json.dumps(data, sort_keys=True).encode("utf-8")).hexdigest()
 

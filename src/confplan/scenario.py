@@ -560,9 +560,11 @@ class FeasibilityIndex:
     def walk(self, rows):
         """Yield, for each score row in turn, the highest-scoring feasible
         decision after the decisions yielded so far, a tie going to the lower
-        space index, and the search mode: `argmax_feasible(row, fs.decisions,
-        index)` and `fs.mode` for `fs = feasible(prefix)`. A selector label is
-        built in one pass, with no prefix replayed per iteration.
+        space index, its score in the row and the search mode: the best of
+        `fs.decisions` and `fs.mode` for `fs = feasible(prefix)`. Row k is
+        asked for only after decision k - 1 is yielded, so rows may be scored
+        on demand. A selector label is built in one pass, with no prefix
+        replayed per iteration.
 
         Above the gate the prefix is the teacher's, because exactness only
         grows with k, so each decision is the anchor, in mode "oracle". At the
@@ -573,6 +575,7 @@ class FeasibilityIndex:
         `_completable` yields. Raises NoFeasibleError where that feasible set
         is empty, and ValueError where the teacher's prefix is infeasible."""
         scenario, n, orders = self.scenario, self.n, self.scenario.orders
+        index = decision_index(scenario.env)
         state = None  # the boundary state of step t, once exact
         for k, row in enumerate(rows):
             t, pos = divmod(k, n)
@@ -580,7 +583,8 @@ class FeasibilityIndex:
             robot = order[pos]
             if state is None:
                 if not self.exact_at(k):
-                    yield anchor_decision(scenario, t, robot), "oracle"
+                    d = anchor_decision(scenario, t, robot)
+                    yield d, row[index[d]], "oracle"
                     continue
                 entries = scheduled_entries(scenario, teacher_sequence(scenario)[:k])
                 state, _, effects, grabbed, _, violated = self._replay(entries)
@@ -597,7 +601,7 @@ class FeasibilityIndex:
             effects, grabbed, others = effects + (check(state),), grabbed | bit, others[1:]
             if pos == n - 1:
                 state, effects, grabbed = merge_writes(state, effects), (), 0
-            yield d, "exact"
+            yield d, row[index[d]], "exact"
 
     def feasible_for_context(self, ctx: Context) -> FeasibleResult:
         """Feasible decisions for a live planning context (whose step orders
@@ -771,21 +775,6 @@ class FeasibilityIndex:
 
 # --- label selection ----------------------------------------------------------
 
-def argmax_feasible(
-    scores, feasible: tuple[Decision, ...], index: dict[Decision, int]
-) -> Decision:
-    """Highest-scoring feasible decision; ties go to the lower space index."""
-    best: Decision | None = None
-    best_score = -math.inf
-    for d in sorted(feasible, key=lambda d: index[d]):
-        s = scores[index[d]]
-        if s > best_score:
-            best, best_score = d, s
-    if best is None:
-        raise NoFeasibleError("empty feasible set")
-    return best
-
-
 @dataclass(frozen=True)
 class LabelResult:
     """Ground-truth label sequence, the score of each labeled decision (they
@@ -805,13 +794,14 @@ def label_sequence(scenario: Scenario, scorer, label_mode: str) -> LabelResult:
     """Build the calibration label auto-regressively and score each step.
 
     In "selector" mode each iteration takes the scorer's highest-scoring
-    feasible decision (`argmax_feasible` over the feasible set; a label read
-    from score tables finds it in one `FeasibilityIndex.walk`), and the
-    produced sequence is validated through the world model. In "oracle" mode
-    the label is the canonical plan flattened along the schedule (the
-    unique-solution shortcut), judged by the scenario's `oracle_plan_failure`
-    verdict, None for a sampled scenario. Either way a label that fails
-    validation raises OracleError. A batch of one `label_sequences`.
+    feasible decision, a tie going to the lower space index (one
+    `FeasibilityIndex.walk` over the label's score rows), and the produced
+    sequence is validated through the world model. In "oracle" mode the label
+    is the canonical plan flattened along the schedule (the unique-solution
+    shortcut), judged by the scenario's `oracle_plan_failure` verdict, None
+    for a sampled scenario, before anything is scored. Either way a label
+    that fails validation raises OracleError. A batch of one
+    `label_sequences`.
     """
     return label_sequences((scenario,), scorer, label_mode)[0]
 
@@ -823,80 +813,55 @@ def label_sequences(scenarios, scorer, label_mode: str) -> list[LabelResult]:
     scorers) draws the whole batch's tables first, in one seeding pass, and
     labels are read from their matrices: no label calls the table's
     `vector`, so none builds a row's score tuple. An oracle label's scores
-    are one fancy index. A selector label is one `FeasibilityIndex.walk`
-    over the softmaxed matrix's rows: it tries the scheduled robot's moves
-    best-first, stops at the first with a completion, and replays no prefix.
-    Every label from a scorer without tables (the external one) walks the
-    sequence, one `score_all` per iteration. Either way the batch's step orders are drawn
-    first, in one seeding pass (`draw_orders`).
+    are one fancy index. For a scorer without tables (the external one), row
+    k is `score_all` of the context the label's first k decisions reach,
+    scored only when it is read (`_context_rows`): N·H contexts per label.
+    Every selector label is one `FeasibilityIndex.walk` over its rows: it
+    tries the scheduled robot's moves best-first, stops at the first with a
+    completion, and replays no prefix. Either way the batch's step orders
+    are drawn first, in one seeding pass (`draw_orders`).
     """
     if label_mode not in ("selector", "oracle"):
         raise ConfigError(f"unknown label mode {label_mode!r}")
     draw_orders(scenarios)
     tables = scorer.score_tables(scenarios) if hasattr(scorer, "score_tables") else None
-    if tables is None:
-        return [_walked_label(s, scorer, label_mode) for s in scenarios]
     results = []
-    for s, table in zip(scenarios, tables):
-        if label_mode == "selector":
-            results.append(_selected_label(s, table))
-        else:
+    for s, table in zip(scenarios, tables or [None] * len(scenarios)):
+        if label_mode == "oracle":
             _check_label(s, oracle_plan_failure(s))
-            modes = ("oracle",) * len(table.teacher)
-            results.append(LabelResult(table.teacher, table.teacher_scores(), modes))
+            if table is not None:
+                decisions, scores = table.teacher, table.teacher_scores()
+            else:
+                index, decisions = decision_index(s.env), teacher_sequence(s)
+                rows = zip(_context_rows(s, scorer, decisions), decisions)
+                scores = tuple(row[index[d]] for row, d in rows)
+            results.append(LabelResult(decisions, scores, ("oracle",) * len(decisions)))
+            continue
+        labeled: list[Decision] = []
+        rows = table.probs.tolist() if table is not None else _context_rows(s, scorer, labeled)
+        steps = []
+        for step in FeasibilityIndex(s).walk(rows):
+            labeled.append(step[0])
+            steps.append(step)
+        decisions, scores, modes = zip(*steps)
+        _check_label(s, validate_scenario_plan(s, flat_to_plan(s, decisions)).reason)
+        results.append(LabelResult(decisions, scores, modes))
     return results
 
 
-def _selected_label(scenario: Scenario, table) -> LabelResult:
-    """The selector label read from the scenario's score table in one walk."""
-    index = decision_index(scenario.env)
-    rows = table.probs.tolist()
-    decisions, modes = zip(*FeasibilityIndex(scenario).walk(rows))
-    scores = tuple(row[index[d]] for row, d in zip(rows, decisions))
-    plan = flat_to_plan(scenario, decisions)
-    _check_label(scenario, validate_scenario_plan(scenario, plan).reason)
-    return LabelResult(decisions, scores, modes)
+def _context_rows(scenario: Scenario, scorer, labeled):
+    """Yield, for k < N·H, `scorer.score_all` of the context reached by the
+    first k decisions of `labeled`, which may grow while this runs."""
+    ctx = initial_context(scenario)
+    for k in range(scenario.n_robots * scenario.horizon):
+        if k:
+            ctx = advance(ctx, labeled[k - 1])
+        yield scorer.score_all(ctx)
 
 
 def _check_label(scenario: Scenario, reason: str | None) -> None:
     if reason is not None:
         raise OracleError(f"{scenario.id}: label sequence fails validation ({reason})")
-
-
-def _walked_label(scenario: Scenario, scorer, label_mode: str) -> LabelResult:
-    """The label walked one `score_all` per iteration along the schedule: a
-    selector label takes `argmax_feasible` over each k's whole feasible set.
-    The path of a scorer without tables, and the tests' reference for the
-    labels read from a table."""
-    index = decision_index(scenario.env)
-    findex = FeasibilityIndex(scenario) if label_mode == "selector" else None
-    ctx = initial_context(scenario)
-    decisions: list[Decision] = []
-    scores: list[float] = []
-    modes: list[str] = []
-    for _ in range(scenario.n_robots * scenario.horizon):
-        vec = scorer.score_all(ctx)
-        if findex is None:
-            t, robot = ctx.cursor
-            d = anchor_decision(scenario, t, robot)
-            mode = "oracle"
-        else:
-            fs = findex.feasible(tuple(decisions))
-            if not fs.decisions:
-                raise NoFeasibleError(f"{scenario.id}: no feasible decision at k={len(decisions)}")
-            d = argmax_feasible(vec, fs.decisions, index)
-            mode = fs.mode
-        decisions.append(d)
-        scores.append(vec[index[d]])
-        modes.append(mode)
-        ctx = advance(ctx, d)
-    if findex is None:
-        reason = oracle_plan_failure(scenario)
-    else:
-        plan = flat_to_plan(scenario, tuple(decisions))
-        reason = validate_scenario_plan(scenario, plan).reason
-    _check_label(scenario, reason)
-    return LabelResult(tuple(decisions), tuple(scores), tuple(modes))
 
 
 # --- serialization ------------------------------------------------------------

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import confplan
+from confplan import harness
 from confplan.cli import main
 from confplan.conformal import CalibrationRecord, record_to_dict
 from confplan.harness import config_to_dict
@@ -422,6 +423,18 @@ def test_coverage_cli_refuses_a_checkpoint_of_another_config(tmp_path, capsys):
     other = write_config(tmp_path, n_trials=2, alphas=(0.2,))
     assert main(["coverage", "--config", str(other), "--out", str(out)]) == 2
     assert "another experiment config" in capsys.readouterr().err
+
+
+def test_coverage_cli_refuses_a_checkpoint_of_another_law_version(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    config = write_config(tmp_path, n_trials=2)
+    assert main(["coverage", "--config", str(config), "--out", str(out)]) == 0
+    before = (out / "trials.jsonl").read_bytes()
+    monkeypatch.setattr(harness, "LAW_VERSION", harness.LAW_VERSION + 1)
+    more = write_config(tmp_path, n_trials=3)
+    assert main(["coverage", "--config", str(more), "--out", str(out)]) == 2
+    assert "another experiment config" in capsys.readouterr().err
+    assert (out / "trials.jsonl").read_bytes() == before
 
 
 def test_coverage_cli_csv_format(tmp_path, capsys):

@@ -4,6 +4,8 @@ must serialize to the same dict, so files and checkpoint stamps stay
 byte-identical, and decode back to an equal object."""
 
 import dataclasses
+import hashlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from benchmarks.workloads import WORKLOADS
 from confplan.conformal import Quantile
 from confplan.errors import ConfigError
 from confplan.harness import (
+    LAW_VERSION,
     ExperimentConfig,
     _config_stamp,
     config_from_dict,
@@ -296,19 +299,24 @@ def test_trace_dicts_match_the_reference():
         assert trace_to_dict(trace) == ref_trace_to_dict(trace)
 
 
-# --- checkpoint stamps, as written at the commit before the codec --------------------
+# --- checkpoint stamps, as written since LAW_VERSION entered them --------------------
 
 EXTERNAL = ScorerSpec(
     kind="external", endpoint=EndpointConfig("http://localhost:9/v1", "m", max_concurrency=2)
 )
 
 STAMPS = {
-    "coverage-oracle": "4f4dbc4a2b39a21dec21deedbdda46a8bbf3a45ad379e07afc0b11e686430110",
-    "coverage-selector": "64b3c8e206b013e5c7c0ff00e10208da8a378d53860fc8eb251857ddc28c024b",
-    "compare-reference": "7e2cbf8f234172332a696982c58872511d27388cedffb7544daebd4bc04436c4",
-    "dataset-conditional": "ec06a3d9be9e2e418e20213b31eb2232648d4de14114b8c472f01dd4b64e1ec2",
-    "external": "173f3b1093be96122ae100f619515bec9bebe6d989d5f3bb670bc33a4b2d30ba",
+    "coverage-oracle": "fc8244a8bfd9f17497978103e0557ed65745728ceb963a3c20e7ce5404c5e84c",
+    "coverage-selector": "f3d5423d89a729dc59e6ff8513c3e7098ff64c94e62699f45d80ef840e3f8f3c",
+    "compare-reference": "dcd8969ac31c84a18ce4101fabe9dd9d0323dcb92dd2f0ad36404585ccb257d2",
+    "dataset-conditional": "0df043939b4159fb1da0aff1e9d4ea7df9e84a0495b39e2e83ef0364bdc0a181",
+    "external": "8744f2b84636cd3f6671bcbfb3ab15c6fffc9017bdf8980264c8aa11b258bbed",
 }
+
+# The law version and the sha256 of the digests recorded under it. A change that
+# re-records a digest bumps LAW_VERSION, so no checkpoint resumes across it, and
+# re-pins this pair.
+LAW = (1, "93d98d048a477ebf8a4bd4a262198528f89bcc81b9a003a4bbb584ef5a380c5f")
 
 
 @pytest.mark.parametrize("name", sorted(STAMPS))
@@ -319,6 +327,11 @@ def test_config_stamps_are_unchanged(name):
     else:
         cfg = WORKLOADS[name](7).cfg
     assert _config_stamp(cfg) == STAMPS[name]
+
+
+def test_the_law_version_moves_with_the_recorded_digests():
+    digests = Path(__file__).resolve().parent.parent / "benchmarks" / "digests.json"
+    assert (LAW_VERSION, hashlib.sha256(digests.read_bytes()).hexdigest()) == LAW
 
 
 # --- decoding rule ------------------------------------------------------------------

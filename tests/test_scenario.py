@@ -21,7 +21,6 @@ from confplan.scenario import (
     FeasibleResult,
     Scenario,
     anchor_decision,
-    argmax_feasible,
     decision_index,
     decision_space,
     default_distribution_params,
@@ -95,7 +94,8 @@ def two_object_env(n_robots=1):
 
 class StubScorer:
     """Fixed raw score rows keyed by iteration index; uniform elsewhere. A
-    bare `score_all(ctx)`, with no score tables: labels walk the sequence."""
+    bare `score_all(ctx)`, with no score tables: a label's rows are scored on
+    demand, one context per iteration."""
 
     def __init__(self, tables=None):
         self.tables = tables or {}
@@ -621,28 +621,32 @@ def outcome(call):
         return type(error)
 
 
+def best_of(row, fs, where):
+    """The highest-scoring decision of a feasible set, a tie going to the
+    lower space index, its score and the set's mode."""
+    if not fs.decisions:
+        raise NoFeasibleError("empty feasible set")
+    d = max(fs.decisions, key=lambda d: (row[where[d]], -where[d]))
+    return d, row[where[d]], fs.mode
+
+
 def walk_against_argmax(s, rows, budget=scenario_module.EXACT_SEARCH_BUDGET):
     """Step `FeasibilityIndex.walk` over `rows` and assert that each step
-    equals the argmax of the feasible set on the walk's own prefix, with its
-    mode, the error type included. Returns the decisions, the modes and the
-    error that ended the walk, if any."""
+    equals the best of the feasible set on the walk's own prefix, with its
+    score and mode, the error type included. Returns the decisions, the modes
+    and the error that ended the walk, if any."""
     reference = FeasibilityIndex(s, budget=budget)
     where = decision_index(s.env)
     walk = FeasibilityIndex(s, budget=budget).walk(rows)
     labeled: list[Decision] = []
     modes: list[str] = []
-
-    def argmax(row):
-        fs = reference.feasible(tuple(labeled))
-        return argmax_feasible(row, fs.decisions, where), fs.mode
-
     for k, row in enumerate(rows):
-        expected = outcome(lambda: argmax(row))
+        expected = outcome(lambda: best_of(row, reference.feasible(tuple(labeled)), where))
         assert outcome(lambda: next(walk)) == expected, (s.id, k)
         if not isinstance(expected, tuple):
             return labeled, modes, expected
         labeled.append(expected[0])
-        modes.append(expected[1])
+        modes.append(expected[2])
     return labeled, modes, None
 
 
@@ -808,30 +812,6 @@ def test_labeling_computes_each_step_order_once(monkeypatch):
 # --- selector and labels ------------------------------------------------------------
 
 
-def test_selector_singleton_ignores_scores():
-    env = two_object_env()
-    only = (Decision(GOTO, "obj-2"),)
-    raw = [0.0 if d == only[0] else 5.0 for d in decision_space(env)]
-    scores = softmax(raw).tolist()
-    assert argmax_feasible(scores, only, decision_index(env)) == only[0]
-
-
-def test_selector_picks_highest_score_and_breaks_ties_by_index():
-    env = two_object_env()
-    space = decision_space(env)
-    index = decision_index(env)
-    raw = [0.0] * len(space)
-    raw[1], raw[3] = 0.6, 0.3
-    scores = softmax(raw).tolist()
-    feas = (space[3], space[1])
-    assert argmax_feasible(scores, feas, index) == space[1]
-    # exact tie: lower decision-space index wins
-    tie = softmax([0.0] * len(space)).tolist()
-    assert argmax_feasible(tie, (space[5], space[2]), index) == space[2]
-    with pytest.raises(NoFeasibleError):
-        argmax_feasible(scores, (), index)
-
-
 def test_label_sequence_k_zero_is_all_idle():
     params = dataclasses.replace(
         default_distribution_params(1), n_subtasks=(0, 0), safety_prob=0.0
@@ -894,17 +874,17 @@ ORACLE_LABEL_PROFILES = {
 @pytest.mark.parametrize("kind", ["noisy-oracle", "oracle-indicator"])
 @pytest.mark.parametrize("profile", sorted(ORACLE_LABEL_PROFILES))
 def test_oracle_labels_read_from_the_table_equal_the_walked_labels(kind, profile, label_mode):
-    """Labels read from the score table equal the walked reference
-    (`_walked_label`: one `score_all` per k, and for selector labels
-    `argmax_feasible` over each k's whole feasible set), and so does each
-    k's row of the batch's table, bit for bit."""
+    """Labels read from the score table equal those of a wrapper of the same
+    scorer without tables, whose rows are `score_all` along the label, and
+    so does each k's row of the batch's table, bit for bit."""
     scenarios = [sample_scenario(ORACLE_LABEL_PROFILES[profile], draw) for draw in range(4)]
     spec = ScorerSpec(kind=kind, rng_seed=3)
     scorer = build_scorer(spec)
     batch = label_sequences(scenarios, scorer, label_mode)
     walker = build_scorer(spec)
+    bare = types.SimpleNamespace(score_all=walker.score_all)
     for s, lr, table in zip(scenarios, batch, scorer.score_tables(scenarios)):
-        walked = scenario_module._walked_label(s, walker, label_mode)
+        walked = label_sequence(s, bare, label_mode)
         assert lr.decisions == walked.decisions and lr.modes == walked.modes
         assert [x.hex() for x in lr.scores] == [x.hex() for x in walked.scores]
         ctx = initial_context(s)
@@ -919,6 +899,58 @@ def test_oracle_labels_read_from_the_table_equal_the_walked_labels(kind, profile
     for s, lr in zip(scenarios, batch):
         alone = label_sequence(s, single, label_mode)
         assert (alone.decisions, alone.scores, alone.modes) == (lr.decisions, lr.scores, lr.modes)
+
+
+def reference_selector_label(s, scorer):
+    """The selector label walked one `score_all` per k on the context the
+    label reached, taking the best of each k's whole feasible set."""
+    index, findex = decision_index(s.env), FeasibilityIndex(s)
+    ctx, steps = initial_context(s), []
+    for _ in range(findex.total_iterations):
+        row = scorer.score_all(ctx)
+        steps.append(best_of(row, findex.feasible(tuple(d for d, _, _ in steps)), index))
+        ctx = advance(ctx, steps[-1][0])
+    return tuple(zip(*steps))
+
+
+@pytest.mark.parametrize("profile", sorted(ORACLE_LABEL_PROFILES))
+def test_a_selector_label_without_tables_is_the_best_of_each_feasible_set(profile):
+    scenarios = [sample_scenario(ORACLE_LABEL_PROFILES[profile], draw) for draw in range(4)]
+    synthetic = build_scorer(ScorerSpec(rng_seed=3))
+    contexts = []
+
+    def score_all(ctx):
+        contexts.append(ctx)
+        return synthetic.score_all(ctx)
+
+    left_the_teacher = False
+    for s in scenarios:
+        contexts.clear()
+        lr = label_sequence(s, types.SimpleNamespace(score_all=score_all), "selector")
+        decisions, scores, modes = reference_selector_label(s, synthetic)
+        assert (lr.decisions, lr.modes) == (decisions, modes)
+        assert [x.hex() for x in lr.scores] == [x.hex() for x in scores]
+        # one call per iteration, each on the context the label reached
+        reached = [initial_context(s)]
+        for d in lr.decisions[:-1]:
+            reached.append(advance(reached[-1], d))
+        assert len(contexts) == s.n_robots * s.horizon and contexts == reached
+        left_the_teacher |= lr.decisions != teacher_sequence(s)
+    assert left_the_teacher or profile != "criterion-9"
+
+
+def test_an_oracle_label_that_fails_its_verdict_scores_nothing():
+    s = dataclasses.replace(sample_scenario(default_distribution_params(4), 0), horizon=1)
+    uniform = StubScorer()
+    contexts = []
+
+    def score_all(ctx):
+        contexts.append(ctx)
+        return uniform.score_all(ctx)
+
+    with pytest.raises(OracleError):
+        label_sequence(s, types.SimpleNamespace(score_all=score_all), "oracle")
+    assert contexts == []
 
 
 @pytest.mark.parametrize(
