@@ -15,7 +15,6 @@ from pathlib import Path
 
 from . import conformal, harness, planner, scenario as scn, scoring, world
 from .errors import (
-    AuthError,
     BudgetError,
     ConfigError,
     ConfplanError,
@@ -93,7 +92,13 @@ def cmd_gen_scenarios(args) -> int:
     return 0
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:  # NaN fails both comparisons
+        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
+
+
 def cmd_calibrate(args) -> int:
+    _check_alpha(args.alpha)  # before any scenario is labeled, each label costing scorer calls
     spec = _load_scorer_spec(args)
     scorer = scoring.build_scorer(spec)
     if args.scenarios:
@@ -126,8 +131,7 @@ def cmd_calibrate(args) -> int:
 def _quantile_for_plan(args) -> conformal.Quantile | None:
     """The plan mode's quantile; argmax mode needs none and refuses one. An
     option that the mode never reads is refused too."""
-    if not 0.0 < args.alpha < 1.0:
-        raise ConfigError(f"alpha must be in (0, 1), got {args.alpha}")
+    _check_alpha(args.alpha)
     if args.mode != planner.DISTRIBUTED and (args.feasible == "search" or args.reorders):
         raise ConfigError(f"{args.mode} mode takes no --feasible search or --reorders")
     if args.mode == planner.ARGMAX:
@@ -287,7 +291,7 @@ def main(argv=None) -> int:
     except PlanningAborted as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (AuthError, TransportError) as exc:
+    except TransportError as exc:
         sys.stderr.write(f"transport error: {exc}\n")
         return 3
     except BudgetError as exc:

@@ -33,7 +33,6 @@ from .world import from_data, to_data
 ORACLE_INDICATOR = "oracle-indicator"
 NOISY_ORACLE = "noisy-oracle"
 EXTERNAL = "external"
-EXTRACTIONS = ("token-logprob", "numeric-answer")
 
 
 def softmax(raw) -> np.ndarray:
@@ -54,16 +53,11 @@ class EndpointConfig:
     api_key_env: str = "CONFPLAN_API_KEY"
     timeout: float = 30.0
     max_concurrency: int = 4
-    extraction: str = "token-logprob"  # one of EXTRACTIONS
 
     def validate(self) -> None:
         for name in ("base_url", "model", "api_key_env"):
             if not getattr(self, name):
                 raise ConfigError(f"endpoint {name} must not be empty")
-        if self.extraction not in EXTRACTIONS:
-            raise ConfigError(
-                f"unknown extraction {self.extraction!r}; expected one of {', '.join(EXTRACTIONS)}"
-            )
         if self.max_concurrency < 1 or not self.timeout > 0:
             raise ConfigError("endpoint needs max_concurrency >= 1 and timeout > 0")
 
@@ -181,7 +175,7 @@ class _ScenarioTable:
 
     __slots__ = (
         "spec", "scenario", "size", "positions", "noise", "robots", "teacher", "anchors",
-        "raw", "probs", "others",
+        "probs", "others",
     )
 
     def __init__(self, spec: ScorerSpec, scenario, size: int, positions, noise):
@@ -191,8 +185,7 @@ class _ScenarioTable:
         self.robots = [robot for order in scenario.orders for robot in order]
         self.teacher = teacher_sequence(scenario)
         self.anchors = [index[d] for d in self.teacher]
-        self.raw = _raw_rows(spec, self.anchors, positions, noise, size)
-        self.probs = softmax(self.raw)
+        self.probs = softmax(_raw_rows(spec, self.anchors, positions, noise, size))
         self.others: dict[tuple[int, int], tuple[float, ...]] = {}
 
     def teacher_scores(self) -> tuple[float, ...]:
@@ -310,83 +303,16 @@ def _requests_transport(url: str, headers: dict, payload: dict, timeout: float):
         raise MalformedResponseError(f"response body is not JSON: {exc}") from exc
 
 
-def _completion_payload(endpoint: EndpointConfig, text: str, option: str) -> dict:
-    return {
-        "model": endpoint.model,
-        "messages": [
-            {"role": "user", "content": f"{text}\nOption: {option}\nAnswer:"}
-        ],
-        "max_tokens": 1,
-        "temperature": 0,
-        "logprobs": True,
-    }
-
-
-def _extract_score(endpoint: EndpointConfig, body: dict) -> float:
-    try:
-        choice = body["choices"][0]
-        if endpoint.extraction == "numeric-answer":
-            score = float(choice["message"]["content"].strip())
-        else:
-            score = float(choice["logprobs"]["content"][0]["logprob"])
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise MalformedResponseError(f"no score in response: {exc}") from exc
-    if not math.isfinite(score):
-        raise MalformedResponseError(f"non-finite score in response: {score}")
-    return score
-
-
-def _score_one(endpoint: EndpointConfig, transport, headers, text, option) -> float:
-    status, body = transport(
-        f"{endpoint.base_url.rstrip('/')}/chat/completions",
-        headers,
-        _completion_payload(endpoint, text, option),
-        endpoint.timeout,
-    )
-    if status in (401, 403):
-        raise AuthError(f"endpoint rejected credentials (HTTP {status})")
-    if status != 200:
-        raise TransportError(f"HTTP {status}")
-    return _extract_score(endpoint, body)
-
-
-def external_score_all(
-    endpoint: EndpointConfig, text: str, space, transport=None
-) -> tuple[float, ...]:
-    """Score every decision in `space` against the rendered context `text`.
-
-    One request per decision, possibly concurrent up to the endpoint's bound;
-    all-or-nothing (no partial vector is ever normalized). Credentials come
-    from the configured environment variable and are checked before any
-    request goes out.
-    """
-    key = os.environ.get(endpoint.api_key_env)
-    if not key:
-        raise AuthError(f"missing API key: set {endpoint.api_key_env} in the environment")
-    transport = transport or _requests_transport
-    headers = {"Authorization": f"Bearer {key}"}
-    options = [d.phrase() for d in space]
-    if endpoint.max_concurrency > 1 and len(options) > 1:
-        from concurrent.futures import ThreadPoolExecutor  # only the external scorer needs it
-
-        with ThreadPoolExecutor(endpoint.max_concurrency) as pool:
-            raws = list(
-                pool.map(
-                    lambda opt: _score_one(endpoint, transport, headers, text, opt),
-                    options,
-                )
-            )
-    else:
-        raws = [_score_one(endpoint, transport, headers, text, opt) for opt in options]
-    return tuple(softmax(raws).tolist())
-
-
 class ExternalScorer:
     """Client for a log-probability-returning completion endpoint.
 
-    One request per decision; the batch for a context either fully succeeds or
-    raises (partial results are never normalized). Requests may be issued
-    concurrently up to the configured bound.
+    One request per decision in the context's space, in space order: the
+    rendered context, then "Option: <phrase>\nAnswer:". An option's raw score
+    is `choices[0].logprobs.content[0].logprob`. Credentials come from the
+    configured environment variable and are checked before any request goes
+    out. Requests may be issued concurrently up to the endpoint's bound; the
+    batch for a context either fully succeeds or raises (partial results are
+    never normalized).
     """
 
     def __init__(self, spec: ScorerSpec, transport=None):
@@ -400,12 +326,44 @@ class ExternalScorer:
     def score_all(self, ctx: Context) -> tuple[float, ...]:
         if ctx.cursor is None:
             raise ValueError("context cursor is not set")
-        return external_score_all(
-            self.endpoint,
-            render_text(ctx),
-            decision_space(ctx.scenario.env),
-            transport=self._transport,
-        )
+        endpoint = self.endpoint
+        key = os.environ.get(endpoint.api_key_env)
+        if not key:
+            raise AuthError(f"missing API key: set {endpoint.api_key_env} in the environment")
+        url = f"{endpoint.base_url.rstrip('/')}/chat/completions"
+        headers = {"Authorization": f"Bearer {key}"}
+        text = render_text(ctx)
+
+        def score(option: str) -> float:
+            payload = {
+                "model": endpoint.model,
+                "messages": [{"role": "user", "content": f"{text}\nOption: {option}\nAnswer:"}],
+                "max_tokens": 1,
+                "temperature": 0,
+                "logprobs": True,
+            }
+            status, body = self._transport(url, headers, payload, endpoint.timeout)
+            if status in (401, 403):
+                raise AuthError(f"endpoint rejected credentials (HTTP {status})")
+            if status != 200:
+                raise TransportError(f"HTTP {status}")
+            try:
+                raw = float(body["choices"][0]["logprobs"]["content"][0]["logprob"])
+            except (KeyError, IndexError, TypeError, ValueError) as exc:
+                raise MalformedResponseError(f"no score in response: {exc}") from exc
+            if not math.isfinite(raw):
+                raise MalformedResponseError(f"non-finite score in response: {raw}")
+            return raw
+
+        options = [d.phrase() for d in decision_space(ctx.scenario.env)]
+        if endpoint.max_concurrency > 1 and len(options) > 1:
+            from concurrent.futures import ThreadPoolExecutor  # only the external scorer needs it
+
+            with ThreadPoolExecutor(endpoint.max_concurrency) as pool:
+                raws = list(pool.map(score, options))
+        else:
+            raws = [score(option) for option in options]
+        return tuple(softmax(raws).tolist())
 
 
 def build_scorer(spec: ScorerSpec, transport=None):

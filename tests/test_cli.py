@@ -589,6 +589,8 @@ def test_importing_the_cli_loads_no_executor():
 
 
 def test_plan_refuses_a_misspelt_extraction_before_any_request(tmp_path, monkeypatch, capsys):
+    """The endpoint has one extraction rule and no field to choose it, so an
+    `extraction` key, whatever its value, is an unknown field at load."""
     import requests
 
     monkeypatch.setenv("CONFPLAN_API_KEY", "token")
@@ -605,11 +607,36 @@ def test_plan_refuses_a_misspelt_extraction_before_any_request(tmp_path, monkeyp
             "--quantile",
             "0.9",
             "--scorer",
-            "external:base_url=http://localhost:9,model=m,extraction=numeric",
+            "external:base_url=http://localhost:9,model=m,extraction=token-logprob",
         ]
     )
     assert code == 2 and posted == []
-    assert "unknown extraction 'numeric'" in capsys.readouterr().err
+    assert "no field extraction" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["1.5", "0", "nan"])
+def test_calibrate_refuses_alpha_before_any_request(tmp_path, monkeypatch, capsys, alpha):
+    """The alpha check comes before labeling. Made after it, every label of
+    the calibration set paid its scorer requests before the refusal."""
+    import requests
+
+    monkeypatch.setenv("CONFPLAN_API_KEY", "token")
+    posted = []
+
+    def post(url, headers=None, json=None, timeout=None):
+        posted.append(json)
+        resp = requests.models.Response()
+        resp.status_code = 200
+        resp._content = b'{"choices": [{"logprobs": {"content": [{"logprob": -1.0}]}}]}'
+        return resp
+
+    monkeypatch.setattr(requests, "post", post)
+    out = tmp_path / "cal"
+    scorer = "external:base_url=http://localhost:9,model=m,max_concurrency=1"
+    argv = ["calibrate", "--params", str(write_params(tmp_path)), "--m", "30", "--alpha", alpha]
+    assert main(argv + ["--scorer", scorer, "--out", str(out)]) == 2
+    assert posted == [] and not out.exists()
+    assert "alpha must be in (0, 1)" in capsys.readouterr().err
 
 
 def test_external_http_error_with_html_body_exits_3(tmp_path, monkeypatch):

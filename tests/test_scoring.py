@@ -2,13 +2,15 @@ import dataclasses
 import json
 import math
 import pickle
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from confplan import scoring
-from confplan.context import advance, initial_context
+from confplan.context import advance, initial_context, render_text
 from confplan.errors import AuthError, ConfigError, MalformedResponseError, TransportError
 from confplan.scenario import (
     Scenario,
@@ -70,6 +72,13 @@ def hexes(values) -> list[str]:
     return [float(x).hex() for x in values]
 
 
+def external_scenario(size: int):
+    """A scenario whose decision space has `size` entries (3, 5, 9 or 28)."""
+    if size == 28:
+        return sample_scenario(reference_distribution_params(5), 0)
+    return loose_object_scenario((size - 1) // 2)
+
+
 @pytest.mark.parametrize(
     "raw",
     [
@@ -86,8 +95,9 @@ def test_external_scores_are_bitwise_the_softmax_of_the_logprobs(monkeypatch, ra
     def transport(url, headers, payload, timeout):
         return 200, {"choices": [{"logprobs": {"content": [{"logprob": next(replies)}]}}]}
 
-    space = [IDLE_DECISION] * len(raw)
-    scores = scoring.external_score_all(_external_spec().endpoint, "prompt", space, transport)
+    s = external_scenario(len(raw))
+    assert len(decision_space(s.env)) == len(raw)
+    scores = ExternalScorer(_external_spec(), transport=transport).score_all(initial_context(s))
     want = softmax(np.asarray(raw, dtype=np.float64))
     assert type(scores) is tuple and all(type(x) is float for x in scores)
     assert hexes(scores) == hexes(want)
@@ -130,10 +140,16 @@ def test_oracle_indicator_softmax_closed_form(nine_scenario):
     assert abs(sum(vec) - 1.0) < 1e-9
 
 
+def table_raw(table) -> np.ndarray:
+    """The raw matrix a table's `probs` are the softmax of, rebuilt from the
+    draws it keeps."""
+    return scoring._raw_rows(table.spec, table.anchors, table.positions, table.noise, table.size)
+
+
 def test_noisy_oracle_noise_free_raw_is_indicator_times_sharpness(nine_scenario):
     scorer = build_scorer(ScorerSpec(kind="noisy-oracle", sharpness=4.0, noise=0.0, confusion=0.0))
     (table,) = scorer.score_tables([nine_scenario])
-    assert sorted(table.raw[0].tolist()) == [0.0] * 8 + [4.0]
+    assert sorted(table_raw(table)[0].tolist()) == [0.0] * 8 + [4.0]
 
 
 def test_noisy_oracle_sharpness_limit_approaches_one_hot(nine_scenario):
@@ -145,7 +161,7 @@ def test_noisy_oracle_sharpness_limit_approaches_one_hot(nine_scenario):
 def test_noisy_oracle_seeds_exactly_one_distractor(nine_scenario):
     spec = ScorerSpec(kind="noisy-oracle", sharpness=4.0, noise=0.0, confusion=0.15)
     (table,) = build_scorer(spec).score_tables([nine_scenario])
-    raw = table.raw[0].tolist()
+    raw = table_raw(table)[0].tolist()
     expected = 4.0 + math.log(0.15)
     boosted = [r for r in raw if abs(r - expected) < 1e-12]
     assert len(boosted) == 1
@@ -159,7 +175,8 @@ def test_noise_streams_are_keyed_by_iteration(nine_scenario):
     ctx1 = advance(ctx0, IDLE_DECISION)
     (table,) = scorer.score_tables([nine_scenario])
     assert (ctx0.k, ctx1.k) == (0, 1)
-    assert table.raw[0].tolist() != table.raw[1].tolist()
+    raw = table_raw(table)
+    assert raw[0].tolist() != raw[1].tolist()
     assert scorer.score_all(ctx0) != scorer.score_all(ctx1)
 
 
@@ -196,7 +213,7 @@ def test_score_vectors_are_bitwise_the_tuple_seeded_ones(rng_seed):
                 vec = scorer.score_all(ctx)
                 ref = tuple_seeded_raw(spec, ctx, space)
                 (table,) = scorer.score_tables([s])
-                assert hexes(table.raw[ctx.k]) == hexes(ref)
+                assert hexes(table_raw(table)[ctx.k]) == hexes(ref)
                 assert hexes(vec) == hexes(softmax(ref))
                 t, robot = ctx.cursor
                 ctx = advance(ctx, anchor_decision(s, t, robot))
@@ -227,16 +244,16 @@ def every_key(s):
 
 def assert_tuple_seeded(scorer, spec, ctx):
     """The scores of ctx are bitwise the softmax of the tuple-seeded raw
-    vector. The table keeps the raw rows of the schedule's own robots, which
-    must be bitwise the reference too; any other robot's row is built from
-    row k's draws, which must be the tuple-seeded ones."""
+    vector. The raw rows of the schedule's own robots, built from the table's
+    draws, must be bitwise the reference too; any other robot's row is built
+    from row k's draws, which must be the tuple-seeded ones."""
     space = decision_space(ctx.scenario.env)
     ref = tuple_seeded_raw(spec, ctx, space)
     assert hexes(scorer.score_all(ctx)) == hexes(softmax(ref))
     (table,) = scorer.score_tables([ctx.scenario])
     t, robot = ctx.cursor
     if table.robots[ctx.k] == robot:
-        assert hexes(table.raw[ctx.k]) == hexes(ref)
+        assert hexes(table_raw(table)[ctx.k]) == hexes(ref)
     rng = np.random.default_rng(
         np.random.SeedSequence((spec.rng_seed, _scenario_key(ctx.scenario.id), ctx.k))
     )
@@ -349,7 +366,7 @@ BATCH_POOL.append(pickle.loads(pickle.dumps(BATCH_POOL[0])))
 
 def table_bits(table) -> list:
     """Everything a table holds that a vector is built from, floats as hex."""
-    floats = [table.raw, table.probs] + ([] if table.noise is None else [table.noise])
+    floats = [table.probs] + ([] if table.noise is None else [table.noise])
     hexes = [[x.hex() for x in m.ravel().tolist()] for m in floats]
     return [table.positions, table.anchors, *hexes]
 
@@ -411,14 +428,10 @@ def test_scorer_spec_validation_and_parsing():
     assert scorer_spec_from_dict(scorer_spec_to_dict(spec)) == spec
     ext = parse_scorer_spec("external:base_url=http://x,model=m,max_concurrency=2")
     assert ext.endpoint.max_concurrency == 2
-    # every extraction mode, and the smallest bounds, load
-    for extraction in scoring.EXTRACTIONS:
-        ext = parse_scorer_spec(
-            f"external:base_url=http://x,model=m,extraction={extraction},max_concurrency=1,"
-            "timeout=0.5"
-        )
-        assert (ext.endpoint.extraction, ext.endpoint.max_concurrency) == (extraction, 1)
-        assert scorer_spec_from_dict(scorer_spec_to_dict(ext)) == ext
+    # the smallest bounds load
+    ext = parse_scorer_spec("external:base_url=http://x,model=m,max_concurrency=1,timeout=0.5")
+    assert (ext.endpoint.max_concurrency, ext.endpoint.timeout) == (1, 0.5)
+    assert scorer_spec_from_dict(scorer_spec_to_dict(ext)) == ext
     # endpoint keys are kept on any kind, as in a JSON spec, never dropped
     assert parse_scorer_spec("noisy-oracle:base_url=http://x,model=m").endpoint == EndpointConfig(
         "http://x", "m"
@@ -473,16 +486,21 @@ def test_an_endpoint_out_of_range_is_refused_at_load(endpoint):
 # --- external endpoint ----------------------------------------------------------
 
 
-def three_option_scenario():
+def loose_object_scenario(n_objects: int = 1):
+    """One robot and `n_objects` loose objects at one site: 2 * n_objects + 1
+    decisions (a go-to and a grab per object, and idle)."""
+    labels = ("apple", "banana", "cup", "book")[:n_objects]
     env = Environment(
         locations=(Location("loc-1", "spot", OBJECT_SITE),),
-        objects=(SemanticObject("obj-1", "apple", "loc-1"),),
+        objects=tuple(
+            SemanticObject(f"obj-{i}", label, "loc-1") for i, label in enumerate(labels, 1)
+        ),
         containers=(),
         robot_start=("loc-1",),
     )
-    assert len(decision_space(env)) == 3
+    assert len(decision_space(env)) == 2 * n_objects + 1
     return Scenario(
-        id="scn-ext",
+        id=f"scn-ext-{n_objects}",
         n_robots=1,
         skills=ACTION_KINDS,
         mission=Mission(()),
@@ -509,7 +527,7 @@ def test_external_scorer_softmaxes_logprobs(monkeypatch):
         value = logits[len(calls) - 1]
         return 200, {"choices": [{"logprobs": {"content": [{"logprob": value}]}}]}
 
-    s = three_option_scenario()
+    s = loose_object_scenario()
     scorer = ExternalScorer(_external_spec(), transport=transport)
     ctx = initial_context(s)
     vec = scorer.score_all(ctx)
@@ -527,7 +545,7 @@ def test_external_missing_key_fails_before_any_request(monkeypatch):
         calls.append(payload)
         return 200, {}
 
-    s = three_option_scenario()
+    s = loose_object_scenario()
     scorer = ExternalScorer(_external_spec(), transport=transport)
     ctx = initial_context(s)
     with pytest.raises(AuthError):
@@ -545,7 +563,7 @@ def test_external_timeout_is_all_or_nothing(monkeypatch):
             raise TransportError("timeout after 30s")
         return 200, {"choices": [{"logprobs": {"content": [{"logprob": -1.0}]}}]}
 
-    s = three_option_scenario()
+    s = loose_object_scenario()
     scorer = ExternalScorer(_external_spec(), transport=transport)
     ctx = initial_context(s)
     with pytest.raises(TransportError):
@@ -554,7 +572,7 @@ def test_external_timeout_is_all_or_nothing(monkeypatch):
 
 def test_external_auth_and_malformed_responses(monkeypatch):
     monkeypatch.setenv("CONFPLAN_API_KEY", "token")
-    s = three_option_scenario()
+    s = loose_object_scenario()
     ctx = initial_context(s)
 
     scorer = ExternalScorer(_external_spec(), transport=lambda *a: (401, {}))
@@ -582,7 +600,7 @@ def fake_requests_post(monkeypatch, status, body: bytes):
 def test_external_http_error_with_html_body_is_a_transport_error(monkeypatch):
     monkeypatch.setenv("CONFPLAN_API_KEY", "token")
     fake_requests_post(monkeypatch, 502, b"<html><body>502 Bad Gateway</body></html>")
-    s = three_option_scenario()
+    s = loose_object_scenario()
     scorer = ExternalScorer(_external_spec())
     ctx = initial_context(s)
     with pytest.raises(TransportError, match="HTTP 502"):
@@ -592,7 +610,7 @@ def test_external_http_error_with_html_body_is_a_transport_error(monkeypatch):
 def test_external_non_json_body_is_malformed(monkeypatch):
     monkeypatch.setenv("CONFPLAN_API_KEY", "token")
     fake_requests_post(monkeypatch, 200, b"<html><body>maintenance</body></html>")
-    s = three_option_scenario()
+    s = loose_object_scenario()
     scorer = ExternalScorer(_external_spec())
     ctx = initial_context(s)
     with pytest.raises(MalformedResponseError, match="not JSON"):
@@ -603,37 +621,15 @@ def test_external_non_json_body_is_malformed(monkeypatch):
 def test_external_non_finite_score_is_malformed(monkeypatch, value):
     monkeypatch.setenv("CONFPLAN_API_KEY", "token")
 
-    def numeric(url, headers, payload, timeout):
-        return 200, {"choices": [{"message": {"content": value}}]}
-
-    def logprob(url, headers, payload, timeout):
+    def transport(url, headers, payload, timeout):
         return 200, {"choices": [{"logprobs": {"content": [{"logprob": float(value)}]}}]}
 
-    s = three_option_scenario()
-    ctx = initial_context(s)
-    for extraction, transport in (("numeric-answer", numeric), ("token-logprob", logprob)):
-        scorer = ExternalScorer(_external_spec(extraction=extraction), transport=transport)
-        with pytest.raises(MalformedResponseError, match="non-finite"):
-            scorer.score_all(ctx)
+    scorer = ExternalScorer(_external_spec(), transport=transport)
+    with pytest.raises(MalformedResponseError, match="non-finite"):
+        scorer.score_all(initial_context(loose_object_scenario()))
 
 
-def test_external_numeric_answer_extraction(monkeypatch):
-    monkeypatch.setenv("CONFPLAN_API_KEY", "token")
-    replies = iter(["3.0", "1.0", "2.0"])
-
-    def transport(url, headers, payload, timeout):
-        return 200, {"choices": [{"message": {"content": next(replies)}}]}
-
-    s = three_option_scenario()
-    scorer = ExternalScorer(_external_spec(extraction="numeric-answer"), transport=transport)
-    ctx = initial_context(s)
-    vec = scorer.score_all(ctx)
-    assert vec.index(max(vec)) == 0
-
-
-def test_external_score_all_direct_surface(monkeypatch):
-    from confplan.scoring import external_score_all
-
+def test_external_scorer_sends_the_bearer_key_to_chat_completions(monkeypatch):
     monkeypatch.setenv("CONFPLAN_API_KEY", "token")
     replies = iter([-0.5, -1.5, -2.5])
 
@@ -642,8 +638,75 @@ def test_external_score_all_direct_surface(monkeypatch):
         assert "chat/completions" in url
         return 200, {"choices": [{"logprobs": {"content": [{"logprob": next(replies)}]}}]}
 
-    s = three_option_scenario()
-    vec = external_score_all(
-        _external_spec().endpoint, "rendered prompt", decision_space(s.env), transport=transport
-    )
+    scorer = ExternalScorer(_external_spec(), transport=transport)
+    vec = scorer.score_all(initial_context(loose_object_scenario()))
     assert vec.index(max(vec)) == 0 and abs(sum(vec) - 1.0) < 1e-9
+
+
+def readme_request() -> dict:
+    """The request body shown under README's "External scorer wire format"."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## External scorer wire format", 1)[1]
+    return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+def test_external_requests_follow_the_readme_wire_format(monkeypatch):
+    monkeypatch.setenv("MY_KEY", "secret")
+    calls = []
+
+    def transport(url, headers, payload, timeout):
+        calls.append((url, headers, payload, timeout))
+        return 200, {"choices": [{"logprobs": {"content": [{"logprob": -1.0}]}}]}
+
+    endpoint = EndpointConfig(
+        "http://mock/v1/", "test-model", api_key_env="MY_KEY", timeout=12.5, max_concurrency=1
+    )
+    s = loose_object_scenario(4)
+    ctx = initial_context(s)
+    scorer = ExternalScorer(ScorerSpec(kind="external", endpoint=endpoint), transport=transport)
+    scorer.score_all(ctx)
+    template = readme_request()
+    (message,) = template["messages"]
+    want = []
+    for d in decision_space(s.env):
+        content = message["content"].replace("<rendered context>", render_text(ctx))
+        content = content.replace("<decision phrase>", d.phrase())
+        messages = [{**message, "content": content}]
+        want.append({**template, "model": "test-model", "messages": messages})
+    assert [payload for _, _, payload, _ in calls] == want
+    assert {url for url, _, _, _ in calls} == {"http://mock/v1/chat/completions"}
+    assert all(headers == {"Authorization": "Bearer secret"} for _, headers, _, _ in calls)
+    assert {timeout for _, _, _, timeout in calls} == {12.5}
+
+
+def test_concurrent_requests_give_the_serial_vector(monkeypatch):
+    monkeypatch.setenv("CONFPLAN_API_KEY", "token")
+    s = external_scenario(28)
+    ctx = initial_context(s)
+    phrases = [d.phrase() for d in decision_space(s.env)]
+    logprobs = dict(zip(phrases, np.random.default_rng(5).normal(0.0, 3.0, size=len(phrases))))
+    threads = []
+
+    def transport(url, headers, payload, timeout):
+        threads.append(threading.get_ident())
+        option = payload["messages"][0]["content"].rsplit("\nOption: ", 1)[1][: -len("\nAnswer:")]
+        if option == failing:
+            raise TransportError("timeout after 30s")
+        return 200, {"choices": [{"logprobs": {"content": [{"logprob": logprobs[option]}]}}]}
+
+    def scorer(max_concurrency):
+        spec = ScorerSpec(
+            kind="external",
+            endpoint=EndpointConfig("http://mock", "m", max_concurrency=max_concurrency),
+        )
+        return ExternalScorer(spec, transport=transport)
+
+    failing = None
+    serial = scorer(1).score_all(ctx)
+    assert hexes(serial) == hexes(softmax([logprobs[p] for p in phrases]))
+    threads.clear()
+    assert hexes(scorer(4).score_all(ctx)) == hexes(serial)
+    assert len(threads) == len(phrases) and threading.get_ident() not in threads
+    failing = phrases[len(phrases) // 2]
+    with pytest.raises(TransportError, match="timeout"):
+        scorer(4).score_all(ctx)
