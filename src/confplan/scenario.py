@@ -498,6 +498,39 @@ class FeasibleResult:
     mode: str  # "exact" | "oracle"
 
 
+def search_structure(scenario: Scenario, goals: tuple) -> tuple:
+    """The inputs of `scenario`'s feasibility search with its labels removed.
+    `goals` is `CompactModel.goals` of its mission, resolved on its own labels.
+
+    Scenarios of equal structure have equal compiled moves and the same
+    answer at every (step, state) of the memo, so a labeling batch shares both:
+    - `decision_space` reads only the entity ids in order, the location kinds
+      and which objects start in a container, so equal moves name equal
+      decisions at equal space indexes;
+    - of the environment, `CompactModel` reads only those ids, the objects'
+      placement and containment, the containers' sites and doors, the robot
+      starts and, in `goals` alone, the object labels, so the slot layout,
+      the start state and every compiled check are equal;
+    - the goals fix `satisfied` and the bound of `_steps_left`, the safety
+      constraint fixes which moves are left out, and the robot count and the
+      horizon fix a step's options and the cut `t + left <= horizon`.
+    Nothing else enters `_exists_from_step`. The step orders do not: the
+    memo is keyed at step boundaries, and whether a step can be completed
+    does not depend on the order its robots decide in.
+    """
+    env = scenario.env
+    return (
+        scenario.n_robots,
+        scenario.horizon,
+        tuple((loc.id, loc.kind) for loc in env.locations),
+        tuple((o.id, o.at, o.inside) for o in env.objects),
+        tuple((c.id, c.at, c.door) for c in env.containers),
+        env.robot_start,
+        goals,
+        scenario.mission.safety,
+    )
+
+
 class FeasibilityIndex:
     """Mission-aware feasibility search for one scenario.
 
@@ -512,28 +545,38 @@ class FeasibilityIndex:
     checks (`world.CompactModel`), the same semantics the plan validator runs
     on. A label is built in one `walk`, which carries the search state across
     iterations. A query replays its prefix from the start state every time;
-    the index keeps only the memo, keyed by (step, state), so an answer
-    depends on the prefix alone.
+    the index keeps only the model, the compiled moves and the memo, keyed by
+    (step, state), so an answer depends on the prefix alone. Indexes built
+    with one `structures` dict share those three among scenarios of equal
+    `search_structure` (one labeling batch does so); otherwise they are the
+    index's own.
     """
 
-    def __init__(self, scenario: Scenario, budget: int = EXACT_SEARCH_BUDGET):
+    def __init__(
+        self, scenario: Scenario, budget: int = EXACT_SEARCH_BUDGET, structures: dict | None = None
+    ):
         self.scenario = scenario
         self.n = n = scenario.n_robots
         self.space = decision_space(scenario.env)
-        self.model = model = world.compact_model(scenario.env, n)
+        model = world.compact_model(scenario.env, n)
         self._goals = model.goals(scenario.mission)
-        safety = scenario.mission.safety
-        # per robot: (space index, decision, check, grab bit) in space order, unsafe
-        # ones left out
-        self._moves = tuple(
-            tuple(
-                (i, d, *model.op(r, d))
-                for i, d in enumerate(self.space)
-                if not violates_safety(r, d, safety)
+        structures = {} if structures is None else structures
+        key = search_structure(scenario, self._goals)
+        shared = structures.get(key)
+        if shared is None:
+            safety = scenario.mission.safety
+            # per robot: (space index, decision, check, grab bit) in space order,
+            # unsafe ones left out
+            moves = tuple(
+                tuple(
+                    (i, d, *model.op(r, d))
+                    for i, d in enumerate(self.space)
+                    if not violates_safety(r, d, safety)
+                )
+                for r in range(n)
             )
-            for r in range(n)
-        )
-        self._memo: dict = {}
+            shared = structures[key] = (model, moves, {})
+        self.model, self._moves, self._memo = shared
         # the largest `remaining` with |S|^remaining <= budget, in exact integers
         size, depth, reach = max(len(self.space), 2), -1, 1
         while reach <= budget:
@@ -572,8 +615,10 @@ class FeasibilityIndex:
         there the boundary state, the step's effects and grab bits and the
         options of the robots still to decide are carried, and each iteration
         takes the first of the scheduled robot's moves, best-first, that
-        `_completable` yields. Raises NoFeasibleError where that feasible set
-        is empty, and ValueError where the teacher's prefix is infeasible."""
+        `_completable` yields, and applies that move's own check, so a walk
+        on shared moves runs on one model. Raises NoFeasibleError where that
+        feasible set is empty, and ValueError where the teacher's prefix is
+        infeasible."""
         scenario, n, orders = self.scenario, self.n, self.scenario.orders
         index = decision_index(scenario.env)
         state = None  # the boundary state of step t, once exact
@@ -594,14 +639,14 @@ class FeasibilityIndex:
             elif pos == 0:
                 others = [self._options(state, r) for r in order[1:]]
             moves = sorted(self._moves[robot], key=lambda move: -row[move[0]])
-            d = next(self._completable(state, t, effects, grabbed, others, moves), None)
-            if d is None:
+            move = next(self._completable(state, t, effects, grabbed, others, moves), None)
+            if move is None:
                 raise NoFeasibleError(f"{scenario.id}: no feasible decision at k={k}")
-            check, bit = self.model.op(robot, d)
+            i, d, check, bit = move
             effects, grabbed, others = effects + (check(state),), grabbed | bit, others[1:]
             if pos == n - 1:
                 state, effects, grabbed = merge_writes(state, effects), (), 0
-            yield d, row[index[d]], "exact"
+            yield d, row[i], "exact"
 
     def feasible_for_context(self, ctx: Context) -> FeasibleResult:
         """Feasible decisions for a live planning context (whose step orders
@@ -631,19 +676,20 @@ class FeasibilityIndex:
             self._options(state, r) for r in range(self.n) if r not in assigned and r != robot
         ]
         found = self._completable(state, t, effects, grabbed, others, self._moves[robot])
-        return FeasibleResult(tuple(found), "exact")
+        return FeasibleResult(tuple(move[1] for move in found), "exact")
 
     def _completable(self, state, t, effects, grabbed, others, moves):
         """Yield, in the given order, each of `moves` that is executable after
         the step's `effects` and leaves the mission completable."""
-        for _, d, check, bit in moves:
+        for move in moves:
+            _, _, check, bit = move
             if bit & grabbed:
                 continue
             eff = check(state)
             if eff.__class__ is tuple and self._exists_step(
                 state, t, effects + (eff,), grabbed | bit, others
             ):
-                yield d
+                yield move
 
     def _steps_left(self, state) -> int | float:
         """0 when the mission holds in `state` (`CompactModel.satisfied`);
@@ -818,13 +864,16 @@ def label_sequences(scenarios, scorer, label_mode: str) -> list[LabelResult]:
     scored only when it is read (`_context_rows`): N·H contexts per label.
     Every selector label is one `FeasibilityIndex.walk` over its rows: it
     tries the scheduled robot's moves best-first, stops at the first with a
-    completion, and replays no prefix. Either way the batch's step orders
-    are drawn first, in one seeding pass (`draw_orders`).
+    completion, and replays no prefix. The batch's labels of equal
+    `search_structure` share one compiled move table and one (step, state)
+    memo, which live only as long as this call. Either way the batch's step
+    orders are drawn first, in one seeding pass (`draw_orders`).
     """
     if label_mode not in ("selector", "oracle"):
         raise ConfigError(f"unknown label mode {label_mode!r}")
     draw_orders(scenarios)
     tables = scorer.score_tables(scenarios) if hasattr(scorer, "score_tables") else None
+    structures: dict = {}  # the batch's searches, by `search_structure`
     results = []
     for s, table in zip(scenarios, tables or [None] * len(scenarios)):
         if label_mode == "oracle":
@@ -840,7 +889,7 @@ def label_sequences(scenarios, scorer, label_mode: str) -> list[LabelResult]:
         labeled: list[Decision] = []
         rows = table.probs.tolist() if table is not None else _context_rows(s, scorer, labeled)
         steps = []
-        for step in FeasibilityIndex(s).walk(rows):
+        for step in FeasibilityIndex(s, structures=structures).walk(rows):
             labeled.append(step[0])
             steps.append(step)
         decisions, scores, modes = zip(*steps)

@@ -312,7 +312,8 @@ class ExternalScorer:
     configured environment variable and are checked before any request goes
     out. Requests may be issued concurrently up to the endpoint's bound; the
     batch for a context either fully succeeds or raises (partial results are
-    never normalized).
+    never normalized). A batch that succeeded is kept, keyed by the rendered
+    context and the option phrases, and is never sent again.
     """
 
     def __init__(self, spec: ScorerSpec, transport=None):
@@ -322,6 +323,7 @@ class ExternalScorer:
         self.spec = spec
         self.endpoint = spec.endpoint
         self._transport = transport or _requests_transport
+        self._memo: dict = {}
 
     def score_all(self, ctx: Context) -> tuple[float, ...]:
         if ctx.cursor is None:
@@ -333,6 +335,10 @@ class ExternalScorer:
         url = f"{endpoint.base_url.rstrip('/')}/chat/completions"
         headers = {"Authorization": f"Bearer {key}"}
         text = render_text(ctx)
+        options = tuple(d.phrase() for d in decision_space(ctx.scenario.env))
+        vector = self._memo.get((text, options))
+        if vector is not None:
+            return vector
 
         def score(option: str) -> float:
             payload = {
@@ -355,7 +361,6 @@ class ExternalScorer:
                 raise MalformedResponseError(f"non-finite score in response: {raw}")
             return raw
 
-        options = [d.phrase() for d in decision_space(ctx.scenario.env)]
         if endpoint.max_concurrency > 1 and len(options) > 1:
             from concurrent.futures import ThreadPoolExecutor  # only the external scorer needs it
 
@@ -363,7 +368,8 @@ class ExternalScorer:
                 raws = list(pool.map(score, options))
         else:
             raws = [score(option) for option in options]
-        return tuple(softmax(raws).tolist())
+        vector = self._memo[text, options] = tuple(softmax(raws).tolist())
+        return vector
 
 
 def build_scorer(spec: ScorerSpec, transport=None):

@@ -29,7 +29,7 @@ from confplan.conformal import (
 from confplan.context import advance, initial_context
 from confplan.errors import ConfigError
 from confplan.scenario import DistributionParams, decision_space, sample_scenario
-from confplan.scoring import ScorerSpec, build_scorer
+from confplan.scoring import EndpointConfig, ScorerSpec, build_scorer
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -575,6 +575,34 @@ SELECTOR_W1 = dict(
 def test_metrics_files_match_recorded_digests(tmp_path, stem, digest, run):
     run(tmp_path)
     assert hashlib.sha256((tmp_path / f"{stem}.json").read_bytes()).hexdigest() == digest
+
+
+def test_an_external_run_posts_each_distinct_request_once(tmp_path, monkeypatch):
+    """Labeling a test draw and planning it render some contexts twice; the
+    scorer posts each distinct request once (1635 posts before it kept its
+    answers) and writes the metrics it wrote then, whose sha256 is pinned."""
+    import requests
+
+    monkeypatch.setenv("CONFPLAN_API_KEY", "token")
+    posted = []
+
+    def post(url, **kwargs):  # deterministic: the logprob is a hash of the payload
+        text = json.dumps(kwargs["json"], sort_keys=True)
+        posted.append(text)
+        logprob = -int(hashlib.sha256(text.encode()).hexdigest()[:6], 16) / 2**20
+        body = {"choices": [{"logprobs": {"content": [{"logprob": logprob}]}}]}
+        resp = requests.models.Response()
+        resp.status_code, resp._content = 200, json.dumps(body).encode()
+        return resp
+
+    monkeypatch.setattr(requests, "post", post)
+    endpoint = EndpointConfig(base_url="http://localhost:9", model="m", max_concurrency=1)
+    spec = ScorerSpec(kind="external", endpoint=endpoint)
+    run_coverage_experiment(tiny_config(scorer=spec, m_calibration=5, n_trials=3), out_dir=tmp_path)
+    assert len(posted) == len(set(posted)) == 1175
+    assert hashlib.sha256((tmp_path / "coverage.json").read_bytes()).hexdigest() == (
+        "fbedeed5542867ee222caec8b3b2c603057573b31482d86df192126705dc1d64"
+    )
 
 
 def test_the_benchmark_tracer_finds_every_function_it_wraps():

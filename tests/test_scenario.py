@@ -35,6 +35,7 @@ from confplan.scenario import (
     sample_scenario,
     scenario_from_dict,
     scenario_to_dict,
+    search_structure,
     teacher_sequence,
     validate_params,
     validate_scenario_plan,
@@ -807,6 +808,144 @@ def test_labeling_computes_each_step_order_once(monkeypatch):
     # one batch of one, which draws steps 0..H-1 once each
     assert requests == [[(copy.schedule, s.horizon)]]
     assert copy.orders == s.orders
+
+
+# --- a labeling batch shares its search structures ----------------------------------
+
+
+def structure_env(door=world.DOOR_CLOSED, bread_inside=True, start="loc-dest-1", dest2=DESTINATION):
+    """A loose apple, bread in a fridge, two destinations and two robot starts;
+    each argument changes one search input."""
+    return Environment(
+        locations=(
+            Location("loc-obj-1", "apple spot", OBJECT_SITE),
+            Location("loc-obj-2", "bread spot", OBJECT_SITE),
+            Location("loc-cont-1", "fridge spot", CONTAINER_SITE),
+            Location("loc-dest-1", "table", DESTINATION),
+            Location("loc-dest-2", "sink", dest2),
+        ),
+        objects=(
+            SemanticObject("obj-1", "apple", "loc-obj-1"),
+            SemanticObject("obj-2", "bread", "loc-cont-1", inside="cont-1")
+            if bread_inside
+            else SemanticObject("obj-2", "bread", "loc-obj-2"),
+        ),
+        containers=(Container("cont-1", "fridge", "loc-cont-1", door),),
+        robot_start=(start, "loc-dest-1"),
+    )
+
+
+def relabelled(env):
+    """`env` with every label changed: the same search structure."""
+    return dataclasses.replace(
+        env,
+        locations=tuple(dataclasses.replace(loc, label=f"{loc.label}!") for loc in env.locations),
+        objects=tuple(dataclasses.replace(o, label=f"{o.label}!") for o in env.objects),
+        containers=tuple(dataclasses.replace(c, label=f"{c.label}!") for c in env.containers),
+    )
+
+
+TO_TABLE = Mission((SubTask("apple", ("loc-dest-1",)),))
+
+
+def structure_of(s):
+    return search_structure(s, world.compact_model(s.env, s.n_robots).goals(s.mission))
+
+
+def structure_pairs():
+    """Scenario pairs on one labelled-out environment that differ in exactly
+    one search input, by name. The first of a pair is the base scenario with
+    every label renamed."""
+    base = make_scenario(structure_env(), TO_TABLE, horizon=6, sid="scn-base")
+    renamed = dataclasses.replace(
+        base,
+        env=relabelled(base.env),
+        mission=Mission((SubTask("apple!", ("loc-dest-1",)),)),
+        id="scn-renamed",
+    )
+    assert structure_of(renamed) == structure_of(base)
+    changes = {
+        "goal-object": dict(mission=Mission((SubTask("bread", ("loc-dest-1",)),))),
+        "destinations": dict(mission=Mission((SubTask("apple", ("loc-dest-2",)),))),
+        "horizon": dict(horizon=4),
+        "safety": dict(mission=Mission(TO_TABLE.subtasks, SafetyConstraint(0, "obj-2"))),
+        "door": dict(env=structure_env(door=world.DOOR_OPEN)),
+        "robot-count": dict(n_robots=2),
+        "robot-start": dict(env=structure_env(start="loc-obj-1")),
+        "object-placement": dict(env=structure_env(bread_inside=False)),
+        "location-kind": dict(env=structure_env(dest2=OBJECT_SITE)),
+    }
+    return {
+        name: (renamed, dataclasses.replace(base, id=f"scn-{name}", **change))
+        for name, change in changes.items()
+    }
+
+
+class SeededRows:
+    """Rows drawn from (seed, scenario id, k) alone, so a label's rows do not
+    depend on its batch; no score tables."""
+
+    def __init__(self, seed):
+        self.seed = seed
+
+    def score_all(self, ctx):
+        rnd = random.Random(f"{self.seed}/{ctx.scenario.id}/{ctx.k}")
+        return tuple(rnd.random() for _ in decision_space(ctx.scenario.env))
+
+
+def label_bits(lr):
+    return lr.decisions, [x.hex() for x in lr.scores], lr.modes
+
+
+def assert_batch_labels_as_alone(scenarios, scorer):
+    batch = label_sequences(scenarios, scorer, "selector")
+    for s, lr in zip(scenarios, batch):
+        assert label_bits(lr) == label_bits(label_sequence(s, scorer, "selector")), s.id
+
+
+@pytest.mark.parametrize("change", sorted(structure_pairs()))
+def test_sharing_cannot_change_a_label_of_a_hand_built_pair(change):
+    renamed, changed = structure_pairs()[change]
+    assert structure_of(changed) != structure_of(renamed)
+    scorers = [SeededRows(seed) for seed in range(6)]
+    scorers.append(build_scorer(ScorerSpec(noise=3.0, rng_seed=5)))
+    for scorer in scorers:
+        for pair in ((renamed, changed), (changed, renamed)):
+            assert_batch_labels_as_alone(pair, scorer)
+
+
+@pytest.mark.parametrize(
+    "params, count",
+    [(dataclasses.replace(MULTI_FEASIBLE, rng_seed=51), 60), (default_distribution_params(52), 30)],
+    ids=["criterion-9", "default"],
+)
+def test_sharing_cannot_change_a_label_of_a_sampled_batch(params, count):
+    scenarios = [sample_scenario(params, draw) for draw in range(count)]
+    assert_batch_labels_as_alone(scenarios, build_scorer(ScorerSpec(noise=3.0, rng_seed=4)))
+
+
+def test_a_batch_expands_fewer_states_than_its_labels_alone(monkeypatch):
+    """30 criterion-9 draws expand 66 boundary states (`_steps_left` calls)
+    as one selector batch and 495 labelled one at a time: the batch has 3
+    search structures, so a boundary state is expanded once per structure,
+    not once per label."""
+    expanded = []
+    steps_left = FeasibilityIndex._steps_left
+
+    def counted(index, state):
+        expanded.append(state)
+        return steps_left(index, state)
+
+    monkeypatch.setattr(FeasibilityIndex, "_steps_left", counted)
+    scenarios = [sample_scenario(dataclasses.replace(MULTI_FEASIBLE, rng_seed=53), d) for d in range(30)]
+    assert len({structure_of(s) for s in scenarios}) == 3
+    scorer = build_scorer(ScorerSpec())
+    label_sequences(scenarios, scorer, "selector")
+    batch = len(expanded)
+    expanded.clear()
+    for s in scenarios:
+        label_sequence(s, scorer, "selector")
+    assert (batch, len(expanded)) == (66, 495)
 
 
 # --- selector and labels ------------------------------------------------------------

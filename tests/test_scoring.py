@@ -570,6 +570,34 @@ def test_external_timeout_is_all_or_nothing(monkeypatch):
         scorer.score_all(ctx)
 
 
+def test_external_scorer_sends_a_request_once(monkeypatch):
+    """A batch that succeeded is answered again without a request; a failed
+    one is sent whole again; the key is checked before either."""
+    monkeypatch.setenv("CONFPLAN_API_KEY", "token")
+    calls = []
+
+    def transport(url, headers, payload, timeout):
+        calls.append(payload)
+        if len(calls) == 2:
+            raise TransportError("timeout after 30s")
+        return 200, {"choices": [{"logprobs": {"content": [{"logprob": 3.0 - len(calls)}]}}]}
+
+    s = loose_object_scenario()
+    scorer = ExternalScorer(_external_spec(), transport=transport)
+    ctx = initial_context(s)
+    with pytest.raises(TransportError):
+        scorer.score_all(ctx)
+    first = scorer.score_all(ctx)  # no partial batch was kept
+    assert len(calls) == 2 + len(first) and hexes(first) == hexes(softmax([0.0, -1.0, -2.0]))
+    assert scorer.score_all(initial_context(s)) is first and len(calls) == 5
+    scorer.score_all(initial_context(dataclasses.replace(s, id="other")))  # another text
+    assert len(calls) == 8
+    monkeypatch.delenv("CONFPLAN_API_KEY")
+    with pytest.raises(AuthError):
+        scorer.score_all(ctx)
+    assert len(calls) == 8
+
+
 def test_external_auth_and_malformed_responses(monkeypatch):
     monkeypatch.setenv("CONFPLAN_API_KEY", "token")
     s = loose_object_scenario()
