@@ -544,9 +544,10 @@ class FeasibilityIndex:
     The search runs on the world model's compact state and compiled decision
     checks (`world.CompactModel`), the same semantics the plan validator runs
     on. A label is built in one `walk`, which carries the search state across
-    iterations. A query replays its prefix from the start state every time;
-    the index keeps only the model, the compiled moves and the memo, keyed by
-    (step, state), so an answer depends on the prefix alone. Indexes built
+    iterations. A query folds its prefix from the start state every time, with
+    the fold the walk starts from (`_frontier`); the index keeps only the
+    model, the compiled moves and the memo, keyed by (step, state), so an
+    answer depends on the prefix alone. Indexes built
     with one `structures` dict share those three among scenarios of equal
     `search_structure` (one labeling batch does so); otherwise they are the
     index's own.
@@ -611,9 +612,10 @@ class FeasibilityIndex:
 
         Above the gate the prefix is the teacher's, because exactness only
         grows with k, so each decision is the anchor, in mode "oracle". At the
-        first exact iteration the prefix is replayed once (`_replay`). From
-        there the boundary state, the step's effects and grab bits and the
-        options of the robots still to decide are carried, and each iteration
+        first exact iteration `_frontier` folds that prefix once, in the
+        scheduled order. From there the boundary state, the step's effects and
+        grab bits and the options of the robots still to decide are carried,
+        each decision folded as `_frontier` folds an entry, and each iteration
         takes the first of the scheduled robot's moves, best-first, that
         `_completable` yields, and applies that move's own check, so a walk
         on shared moves runs on one model. Raises NoFeasibleError where that
@@ -632,10 +634,10 @@ class FeasibilityIndex:
                     yield d, row[index[d]], "oracle"
                     continue
                 entries = scheduled_entries(scenario, teacher_sequence(scenario)[:k])
-                state, _, effects, grabbed, _, violated = self._replay(entries)
-                if violated:
+                frontier = self._frontier(entries, robot, order)
+                if frontier is None:
                     raise NoFeasibleError(f"{scenario.id}: no feasible decision at k={k}")
-                others = [self._options(state, r) for r in order[pos + 1 :]]
+                state, _, effects, grabbed, others = frontier
             elif pos == 0:
                 others = [self._options(state, r) for r in order[1:]]
             moves = sorted(self._moves[robot], key=lambda move: -row[move[0]])
@@ -649,9 +651,11 @@ class FeasibilityIndex:
             yield d, row[i], "exact"
 
     def feasible_for_context(self, ctx: Context) -> FeasibleResult:
-        """Feasible decisions for a live planning context (whose step orders
-        may differ from the schedule after reorders; existence of a completion
-        does not depend on the within-step visiting order)."""
+        """Feasible decisions for a live planning context, whose history is in
+        step order but whose step orders may differ from the schedule after
+        reorders. The fold checks each decision against its step's start state
+        and merges a step's writes once it is complete, so the answer does not
+        depend on the order the robots of a step decided in."""
         if ctx.cursor is None:
             raise ValueError("sequence already complete")
         return self._search(ctx.history, ctx.cursor[1], ctx.k)
@@ -659,23 +663,15 @@ class FeasibilityIndex:
     def _search(self, entries, robot: int, k: int) -> FeasibleResult:
         """`robot`'s feasible decisions at iteration k after the (t, robot,
         decision) `entries`, in space order, and the search mode."""
+        scenario = self.scenario
         if not self.exact_at(k):
-            on_teacher = all(
-                d == anchor_decision(self.scenario, t, r) for (t, r, d) in entries
-            )
-            if not on_teacher:
-                raise BudgetError(
-                    f"{self.scenario.id}: search budget exceeded off the canonical path"
-                )
-            t = entries[-1][0] if len(entries) % self.n else len(entries) // self.n
-            return FeasibleResult((anchor_decision(self.scenario, t, robot),), "oracle")
-        state, t, effects, grabbed, assigned, violated = self._replay(entries)
-        if violated:
+            if any(d != anchor_decision(scenario, t, r) for t, r, d in entries):
+                raise BudgetError(f"{scenario.id}: search budget exceeded off the canonical path")
+            return FeasibleResult((anchor_decision(scenario, k // self.n, robot),), "oracle")
+        frontier = self._frontier(entries, robot, range(self.n))
+        if frontier is None:
             return FeasibleResult((), "exact")
-        others = [
-            self._options(state, r) for r in range(self.n) if r not in assigned and r != robot
-        ]
-        found = self._completable(state, t, effects, grabbed, others, self._moves[robot])
+        found = self._completable(*frontier, self._moves[robot])
         return FeasibleResult(tuple(move[1] for move in found), "exact")
 
     def _completable(self, state, t, effects, grabbed, others, moves):
@@ -739,47 +735,36 @@ class FeasibilityIndex:
             return worst
         return 0 if model.satisfied(self._goals, state) else 1
 
-    # --- prefix replay -------------------------------------------------------
-
-    def _replay(self, entries):
-        """Fold (t, robot, decision) entries from the start state: full steps
-        applied jointly, the trailing partial step kept as unmerged effects.
-        Raises ValueError on a duplicate, incomplete or infeasible prefix."""
-        n = self.n
-        safety = self.scenario.mission.safety
-        by_step: dict[int, dict[int, Decision]] = {}
-        violated = False
-        for t, robot, d in entries:
-            violated = violated or violates_safety(robot, d, safety)
-            row = by_step.setdefault(t, {})
-            if robot in row:
-                raise ValueError(f"robot {robot} decided twice at step {t}")
-            row[robot] = d
-        current = len(entries) // n
-        state = self.model.start
-        for t in range(current):
-            row = by_step.get(t, {})
-            if len(row) != n:
-                raise ValueError(f"step {t} is incomplete in the prefix")
-            effects, _ = self._step_effects(state, sorted(row.items()))
-            state = merge_writes(state, effects)
-        partial = by_step.get(current, {})
-        effects, grabbed = self._step_effects(state, sorted(partial.items()))
-        return state, current, effects, grabbed, frozenset(partial), violated
-
-    def _step_effects(self, state, decisions):
-        """Effects and grab bits of (robot, decision) pairs of one step, all
-        checked against `state`; raises ValueError if one is not executable."""
-        effects: tuple = ()
-        grabbed = 0
-        for robot, d in decisions:
-            check, bit = self.model.op(robot, d)
+    def _frontier(self, entries, robot: int, robots):
+        """Fold (t, robot, decision) `entries`, in step order, from the start
+        state as `walk` folds its decisions: each checked against its step's
+        start state, a taken grab bit refused, a step merged once N robots
+        decided. Returns the walk's carried state: the boundary state, the
+        step, its effects and grab bits, and the options of the robots of
+        `robots` still to decide other than `robot`; None where an entry
+        violates safety. Raises ValueError on a prefix that repeats a robot in
+        a step, skips a step, leaves one incomplete or cannot be executed."""
+        n, model, safety = self.n, self.model, self.scenario.mission.safety
+        state, step, effects, grabbed, decided, violated = model.start, 0, (), 0, set(), False
+        for t, r, d in entries:
+            if t != step:
+                raise ValueError(f"history entry at step {t} where step {step} is next")
+            if r in decided:
+                raise ValueError(f"robot {r} decided twice at step {t}")
+            violated = violated or violates_safety(r, d, safety)
+            check, bit = model.op(r, d)
             eff = check(state)
             if bit & grabbed or eff.__class__ is not tuple:
-                raise ValueError(f"history prefix is infeasible: robot {robot}, {d}")
-            effects += (eff,)
-            grabbed |= bit
-        return effects, grabbed
+                raise ValueError(f"history prefix is infeasible: robot {r}, {d}")
+            effects, grabbed = effects + (eff,), grabbed | bit
+            decided.add(r)
+            if len(decided) == n:
+                state, effects, grabbed, decided = merge_writes(state, effects), (), 0, set()
+                step += 1
+        if violated:
+            return None
+        others = [self._options(state, r) for r in robots if r not in decided and r != robot]
+        return state, step, effects, grabbed, others
 
     # --- search ----------------------------------------------------------------
 

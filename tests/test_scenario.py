@@ -591,16 +591,20 @@ def test_feasible_prefix_contract():
     with pytest.raises(ValueError):
         index.feasible((Decision(GOTO, "obj-1"), Decision(PUTDOWN, "loc-dest-1")))
     assert index.feasible((Decision(GOTO, "obj-1"), Decision(GRAB, "obj-1"))).decisions
-    # duplicate and incomplete context histories raise
+    # a duplicate, an incomplete and a skipped step in a context history raise
     go = Decision(GOTO, "obj-1")
-    for history in (((0, 0, go), (0, 0, go)), ((1, 0, go),)):
-        ctx = Context(scenario=s, history=history, cursor=(1, 0))
-        with pytest.raises(ValueError):
-            index.feasible_for_context(ctx)
-    # two robots may not grab one object in the same step
     pair = make_scenario(
         two_object_env(n_robots=2), Mission(mission.subtasks), n_robots=2, horizon=4
     )
+    for scn, history, cursor in (
+        (s, ((0, 0, go), (0, 0, go)), (1, 0)),
+        (s, ((1, 0, go),), (1, 0)),
+        (pair, ((0, 0, go), (0, 1, go), (3, 0, go)), (3, 1)),
+    ):
+        ctx = Context(scenario=scn, history=history, cursor=cursor)
+        with pytest.raises(ValueError):
+            FeasibilityIndex(scn).feasible_for_context(ctx)
+    # two robots may not grab one object in the same step
     grab = Decision(GRAB, "obj-1")
     ctx = Context(scenario=pair, history=((0, 0, go), (0, 1, go), (1, 0, grab)), cursor=(1, 1))
     result = FeasibilityIndex(pair).feasible_for_context(ctx)
@@ -782,6 +786,48 @@ def test_an_index_answers_from_the_prefix_alone(profile):
             assert answer == outcome(lambda: query(FeasibilityIndex(s))), (s.id, step)
             seen.add(answer.mode if isinstance(answer, FeasibleResult) else answer)
     assert {"exact", ValueError} <= seen
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        dataclasses.replace(default_distribution_params(47), n_robots=(2, 2)),
+        BEST_PROFILES["two-robot-reference"],
+    ],
+    ids=["default", "reference"],
+)
+def test_a_query_does_not_depend_on_the_order_a_step_was_decided_in(params):
+    answers = []
+    for draw in range(6):
+        s = sample_scenario(params, draw)
+        probe = FeasibilityIndex(s)
+        n, total = s.n_robots, probe.total_iterations
+        first_exact = next(k for k in range(total) if probe.exact_at(k))
+        rnd = random.Random(draw)
+        path = random_feasible_walk(probe, teacher_sequence(s)[:first_exact], total, rnd)
+        # each full exact step t with an iteration after it: the step decided under
+        # the schedule, and the same decisions under the reversed order
+        for t in range(-(-first_exact // n), len(path) // n):
+            end = (t + 1) * n
+            if end >= total:
+                break
+            before = initial_context(s)
+            for d in path[: t * n]:
+                before = advance(before, d)
+            reversed_order = tuple(reversed(s.orders[t]))
+            scheduled, redone = before, reset_step(before, t, reversed_order)
+            for d in path[t * n : end]:
+                scheduled = advance(scheduled, d)
+            chosen = dict(zip(s.orders[t], path[t * n : end]))
+            for robot in reversed_order:
+                redone = advance(redone, chosen[robot], order=reversed_order)
+            assert redone.history != scheduled.history and redone.cursor == scheduled.cursor
+            answer = outcome(lambda: FeasibilityIndex(s).feasible(path[:end]))
+            assert outcome(lambda: FeasibilityIndex(s).feasible_for_context(scheduled)) == answer
+            assert outcome(lambda: FeasibilityIndex(s).feasible_for_context(redone)) == answer
+            answers.append(answer)
+    exact = [a for a in answers if isinstance(a, FeasibleResult) and a.mode == "exact"]
+    assert len(exact) >= 6 and all(a.decisions for a in exact)
 
 
 def test_labeling_computes_each_step_order_once(monkeypatch):
