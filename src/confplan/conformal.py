@@ -41,7 +41,7 @@ from .scenario import (
     label_sequences,
     sample_scenario,
 )
-from .world import check_schema_version
+from .world import check_schema_version, from_data
 
 
 def sequence_ncs(step_scores) -> float:
@@ -402,7 +402,8 @@ _ENTRY_KEYS = {"k", "kind", "target", "index", "score"}
 
 
 def record_from_dict(data: dict) -> CalibrationRecord:
-    """The record `record_to_dict` wrote. A key it does not write, a
+    """The record `record_to_dict` wrote, decoded by `from_data`, so a value
+    of the wrong type raises TypeError. A key it does not write, a
     `schema_version` other than 1, an entry whose `k` is not its position, or
     a `sequence_ncs` other than 1 minus the lowest score raises ConfigError."""
     check_schema_version(data)
@@ -412,15 +413,15 @@ def record_from_dict(data: dict) -> CalibrationRecord:
         raise ConfigError(f"calibration record has no field {', '.join(sorted(unknown))}")
     if any(e.get("k", k) != k for k, e in enumerate(entries)):
         raise ConfigError(f"{data['scenario_id']}: decision entries are not numbered 0, 1, ...")
-    record = CalibrationRecord(
-        scenario_id=data["scenario_id"],
-        space_size=int(data["space_size"]),
-        label_mode=data.get("label_mode", "oracle"),
-        search_mode=data.get("search_mode", "oracle"),
-        decisions=tuple((e["kind"], e.get("target")) for e in entries),
-        decision_indices=tuple(int(e["index"]) for e in entries),
-        scores=tuple(float(e["score"]) for e in entries),
-    )
+    record = from_data(CalibrationRecord, {
+        "scenario_id": data["scenario_id"],
+        "space_size": data["space_size"],
+        "label_mode": data.get("label_mode", "oracle"),
+        "search_mode": data.get("search_mode", "oracle"),
+        "decisions": [[e["kind"], e.get("target")] for e in entries],
+        "decision_indices": [e["index"] for e in entries],
+        "scores": [e["score"] for e in entries],
+    })
     ncs = data.get("sequence_ncs", record.ncs)
     if not math.isclose(ncs, record.ncs, rel_tol=0.0, abs_tol=1e-12):
         raise ConfigError(f"{record.scenario_id}: sequence_ncs {ncs} is not {record.ncs}")

@@ -219,14 +219,11 @@ class OrderSchedule:
     seed: int
 
     def order_at(self, t: int) -> tuple[int, ...]:
-        """The order at step t; a one-order family needs no draw. This is
-        the one-step law: a scenario's orders come from `step_orders`, which
-        seeds a batch's steps in one pass and draws this order for each."""
-        family = order_family(self.n_robots)
-        if len(family) == 1:
-            return family[0]
-        rng = keyed_rng(np.random.SeedSequence(seed_words(self.seed, t, 0)))
-        return family[int(rng.integers(len(family)))]
+        """The order at step t: attempt 0 of the reorder law, with no order
+        used. This is the one-step law: a scenario's orders come from
+        `step_orders`, which seeds a batch's steps in one pass and draws this
+        order for each."""
+        return self.reorder(t, 0, ())
 
     def reorder(self, t: int, attempt: int, used) -> tuple[int, ...] | None:
         """Draw a fresh order for step t, without replacement against `used`.

@@ -159,10 +159,10 @@ def teacher_feasible_provider(scenario: Scenario):
 def search_feasible_provider(scenario: Scenario):
     """Multi-feasible mode: enumerate mission-preserving decisions on demand.
 
-    A planner that has already diverged onto a world-infeasible prefix, or off
-    the canonical path of a scenario beyond the exact-search budget (both only
-    possible on uncovered trials), gets an empty feasible set back; user help
-    then falls back to the presented set.
+    A world-infeasible prefix (ValueError: the planner diverged, or a loaded
+    scenario's canonical plan cannot be executed), or one off the canonical
+    path beyond the exact-search budget (BudgetError), gets an empty feasible
+    set back; user help then falls back to the presented set.
     """
     index = FeasibilityIndex(scenario)
 

@@ -593,13 +593,14 @@ class FeasibilityIndex:
         return k >= self._first_exact
 
     def feasible(self, history: tuple[Decision, ...]) -> FeasibleResult:
-        """Feasible decisions at iteration len(history), for a flat prefix laid
-        out along the scenario's own order schedule."""
+        """`feasible_for_context` of the context a flat prefix reaches along
+        the scenario's own order schedule."""
         k = len(history)
         if k >= self.total_iterations:
             raise ValueError("sequence already complete")
-        robot = self.scenario.orders[k // self.n][k % self.n]
-        return self._search(scheduled_entries(self.scenario, history), robot, k)
+        s, (t, pos) = self.scenario, divmod(k, self.n)
+        ctx = Context(s, scheduled_entries(s, history), (t, s.orders[t][pos]))
+        return self.feasible_for_context(ctx)
 
     def walk(self, rows):
         """Yield, for each score row in turn, the highest-scoring feasible
@@ -634,7 +635,7 @@ class FeasibilityIndex:
                     yield d, row[index[d]], "oracle"
                     continue
                 entries = scheduled_entries(scenario, teacher_sequence(scenario)[:k])
-                frontier = self._frontier(entries, robot, order)
+                frontier = self._frontier(entries, (t, robot), order)
                 if frontier is None:
                     raise NoFeasibleError(f"{scenario.id}: no feasible decision at k={k}")
                 state, _, effects, grabbed, others = frontier
@@ -651,24 +652,20 @@ class FeasibilityIndex:
             yield d, row[i], "exact"
 
     def feasible_for_context(self, ctx: Context) -> FeasibleResult:
-        """Feasible decisions for a live planning context, whose history is in
-        step order but whose step orders may differ from the schedule after
-        reorders. The fold checks each decision against its step's start state
-        and merges a step's writes once it is complete, so the answer does not
-        depend on the order the robots of a step decided in."""
+        """The cursor robot's feasible decisions and the search mode: the one
+        query. The history, in step order but with step orders that reorders
+        may have changed, is folded first (`_frontier`, which raises
+        ValueError), above the exact-search gate too, so the answer does not
+        depend on the order a step's robots decided in. Above the gate a prefix
+        off the canonical path raises BudgetError, else the anchor answers."""
         if ctx.cursor is None:
             raise ValueError("sequence already complete")
-        return self._search(ctx.history, ctx.cursor[1], ctx.k)
-
-    def _search(self, entries, robot: int, k: int) -> FeasibleResult:
-        """`robot`'s feasible decisions at iteration k after the (t, robot,
-        decision) `entries`, in space order, and the search mode."""
-        scenario = self.scenario
-        if not self.exact_at(k):
-            if any(d != anchor_decision(scenario, t, r) for t, r, d in entries):
+        scenario, (t, robot) = self.scenario, ctx.cursor
+        frontier = self._frontier(ctx.history, ctx.cursor, range(self.n))
+        if not self.exact_at(ctx.k):
+            if any(d != anchor_decision(scenario, s, r) for s, r, d in ctx.history):
                 raise BudgetError(f"{scenario.id}: search budget exceeded off the canonical path")
-            return FeasibleResult((anchor_decision(scenario, k // self.n, robot),), "oracle")
-        frontier = self._frontier(entries, robot, range(self.n))
+            return FeasibleResult((anchor_decision(scenario, t, robot),), "oracle")
         if frontier is None:
             return FeasibleResult((), "exact")
         found = self._completable(*frontier, self._moves[robot])
@@ -735,15 +732,16 @@ class FeasibilityIndex:
             return worst
         return 0 if model.satisfied(self._goals, state) else 1
 
-    def _frontier(self, entries, robot: int, robots):
+    def _frontier(self, entries, cursor, robots):
         """Fold (t, robot, decision) `entries`, in step order, from the start
         state as `walk` folds its decisions: each checked against its step's
         start state, a taken grab bit refused, a step merged once N robots
         decided. Returns the walk's carried state: the boundary state, the
         step, its effects and grab bits, and the options of the robots of
-        `robots` still to decide other than `robot`; None where an entry
+        `robots` still to decide other than the cursor's; None where an entry
         violates safety. Raises ValueError on a prefix that repeats a robot in
-        a step, skips a step, leaves one incomplete or cannot be executed."""
+        a step, skips a step, leaves one incomplete or cannot be executed, or
+        that `cursor` does not follow (another step, or a robot that decided)."""
         n, model, safety = self.n, self.model, self.scenario.mission.safety
         state, step, effects, grabbed, decided, violated = model.start, 0, (), 0, set(), False
         for t, r, d in entries:
@@ -761,9 +759,11 @@ class FeasibilityIndex:
             if len(decided) == n:
                 state, effects, grabbed, decided = merge_writes(state, effects), (), 0, set()
                 step += 1
+        if cursor[0] != step or cursor[1] in decided:
+            raise ValueError(f"cursor {cursor} does not follow the history; step {step} is next")
         if violated:
             return None
-        others = [self._options(state, r) for r in robots if r not in decided and r != robot]
+        others = [self._options(state, r) for r in robots if r not in decided and r != cursor[1]]
         return state, step, effects, grabbed, others
 
     # --- search ----------------------------------------------------------------

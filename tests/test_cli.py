@@ -215,6 +215,12 @@ def _with_entry(record, i, **changes):
     return {**record, "decisions": entries}
 
 
+def _with_boolean_score(record):
+    """Entry 0's score written as true, with the sequence_ncs that 1.0 gives."""
+    scores = [1.0] + [e["score"] for e in record["decisions"][1:]]
+    return {**_with_entry(record, 0, score=True), "sequence_ncs": 1.0 - min(scores)}
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -226,6 +232,12 @@ def _with_entry(record, i, **changes):
         pytest.param(lambda r: _with_entry(r, 0, scroe=0.5), id="unknown-entry-key"),
         pytest.param(lambda r: _with_entry(r, 1, k=0), id="entry-k-not-its-position"),
         pytest.param(lambda r: {**r, "sequence_ncs": r["sequence_ncs"] / 2}, id="wrong-ncs"),
+        # each field is decoded as every other document's is: not truncated,
+        # not read from a boolean, not a number where a string belongs
+        pytest.param(lambda r: _with_entry(r, 0, index=r["decisions"][0]["index"] + 0.5),
+                     id="fractional-index"),
+        pytest.param(_with_boolean_score, id="boolean-score"),
+        pytest.param(lambda r: {**r, "scenario_id": 5}, id="numeric-scenario-id"),
     ],
 )
 def test_plan_refuses_a_calibration_file_its_writer_could_not_have_written(tmp_path, corrupt):
@@ -242,6 +254,21 @@ def test_plan_refuses_a_calibration_file_its_writer_could_not_have_written(tmp_p
     argv = ["plan", "--scenario", str(scen_path), "--calibration", str(calibration), "--alpha", "0.2"]
     assert main([*argv, "--out", str(tmp_path / "trace.json")]) == 2
     assert not (tmp_path / "trace.json").exists()
+
+
+def test_selector_calibration_is_read_back_by_plan(tmp_path):
+    """Selector labels on the default profile start above the exact-search
+    gate on some draws and below it on others; `plan` reads the file."""
+    cal_dir, scen_path = tmp_path / "cal", tmp_path / "scenarios.json"
+    argv = ["calibrate", "--seed", "3", "--m", "10", "--alpha", "0.2", "--label-mode", "selector"]
+    assert main([*argv, "--out", str(cal_dir)]) == 0
+    calibration = cal_dir / "calibration.jsonl"
+    records = [json.loads(line) for line in calibration.read_text().splitlines()]
+    assert len(records) == 10 and all(r["label_mode"] == "selector" for r in records)
+    assert {r["search_mode"] for r in records} == {"exact", "oracle"}
+    main(["gen-scenarios", "--seed", "3", "--count", "1", "--out", str(scen_path)])
+    argv = ["plan", "--scenario", str(scen_path), "--calibration", str(calibration), "--alpha", "0.2"]
+    assert main([*argv, "--out", str(tmp_path / "trace.json")]) == 0
 
 
 def test_missing_config_file_exits_2(tmp_path):

@@ -609,6 +609,31 @@ def test_feasible_prefix_contract():
     ctx = Context(scenario=pair, history=((0, 0, go), (0, 1, go), (1, 0, grab)), cursor=(1, 1))
     result = FeasibilityIndex(pair).feasible_for_context(ctx)
     assert result.decisions and grab not in result.decisions
+    # the cursor must follow the history: the step the fold reached, a robot
+    # that has not decided in it
+    history = ((0, 0, go), (0, 1, go), (1, 0, go))
+    index = FeasibilityIndex(pair)
+    result = index.feasible_for_context(Context(scenario=pair, history=history, cursor=(1, 1)))
+    assert len(result.decisions) == 1 and result.mode == "exact"
+    for cursor in ((1, 0), (3, 1)):
+        with pytest.raises(ValueError):
+            index.feasible_for_context(Context(scenario=pair, history=history, cursor=cursor))
+    # above the exact-search gate a teacher history is folded as one below it
+    # is: a repeated robot or a skipped step raises instead of being answered
+    s = sample_scenario(dataclasses.replace(reference_distribution_params(), n_robots=(2, 2)), 0)
+    index = FeasibilityIndex(s)
+    assert not index.exact_at(3)
+    order = s.orders[0]
+    a = {(t, r): anchor_decision(s, t, r) for t in range(4) for r in range(2)}
+    repeated = ((0, 0, a[0, 0]), (0, 0, a[0, 0]))
+    skipped = ((0, order[0], a[0, order[0]]), (0, order[1], a[0, order[1]]), (3, 0, a[3, 0]))
+    for history, cursor in ((repeated, (1, s.orders[1][0])), (skipped, (3, 1))):
+        with pytest.raises(ValueError):
+            index.feasible_for_context(Context(scenario=s, history=history, cursor=cursor))
+    # the teacher's own prefix is still answered with the anchor at the cursor
+    cursor = (1, s.orders[1][0])
+    result = index.feasible_for_context(Context(scenario=s, history=skipped[:2], cursor=cursor))
+    assert result == FeasibleResult((a[cursor],), "oracle")
 
 
 BEST_PROFILES = {
